@@ -40,9 +40,12 @@ race-hot:
 	$(GO) test -race -count=1 ./internal/obs ./internal/ami ./internal/experiments ./internal/serve ./internal/detect
 
 # bench-quick: one pass over the hot-path microbenchmarks — enough to catch
-# a gross perf/allocation regression without a full benchmark session.
+# a gross perf/allocation regression without a full benchmark session. The
+# wire-codec bench (recv, decode and MAC check of one signed 48-reading v3
+# frame) is cheap, so it runs a fixed 10k frames for a stable ns/reading.
 bench-quick:
 	$(GO) test -run=NONE -bench 'BenchmarkSelectOrder|BenchmarkTrainedSuite|BenchmarkKLDDetect|BenchmarkIntegratedARIMAAttack' -benchtime=1x -benchmem .
+	$(GO) test -run=NONE -bench 'BenchmarkCodecRecvBatch48' -benchtime=10000x -benchmem ./internal/ami
 
 # bench: record the full benchmark trajectory into results/bench/BENCH_<date>.json.
 bench:
@@ -61,8 +64,8 @@ bench-population:
 
 # collect-smoke: the ingestion tier end to end under the race detector — a
 # sharded head-end, a persistent-connection pool multiplexing a 1k-meter
-# fleet over wire-v2 batch frames, plus a small v1 baseline for the speedup
-# figure. Exercises negotiation, rebinding, batching, shard queues, flush,
+# fleet over wire-v3 binary batch frames, plus a small v1 baseline for the
+# speedup figure. Exercises negotiation, rebinding, batching, shard queues, flush,
 # and drain on every PR.
 collect-smoke:
 	$(GO) run -race ./cmd/fdeta collect -meters 1000 -shards 4 -batch 48 -concurrency 16 -baseline-meters 100

@@ -36,7 +36,7 @@ func run(args []string, out io.Writer) int {
 	underreport := fs.Float64("underreport", 0, "fraction to shave off every report (0 = honest, 0.5 = report half)")
 	interval := fs.Duration("interval", 0, "delay between readings (0 = as fast as possible)")
 	retries := fs.Int("retries", 3, "delivery attempts per reading")
-	batch := fs.Int("batch", 0, "readings per wire-v2 batch frame (0 = one v1 frame per reading; requires a v2 head-end)")
+	batch := fs.Int("batch", 0, "readings per wire-v3 batch frame (0 = one v1 frame per reading; requires a v3 head-end)")
 	faultSpec := fs.String("fault", "", "inject meter faults, e.g. 'dropout:0.1+stuckat:1' (dropped slots are never sent)")
 	if err := fs.Parse(args); err != nil {
 		return 2

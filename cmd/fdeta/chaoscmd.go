@@ -11,6 +11,7 @@ import (
 	"os/signal"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -25,22 +26,23 @@ const chaosBanner = "chaos-server: listening on "
 
 // cmdChaos proves the durability contract on the real TCP path: it
 // re-execs this binary as a WAL-backed sharded head-end, drives a meter
-// fleet against it while injecting connection resets, partial writes, and
-// slow-loris sessions, kills the server with SIGKILL mid-load, restarts
-// it, and repeats. After the last kill it replays the WAL in-process and
-// asserts the chaos invariant — every reading the clients saw acknowledged
-// is present in the recovered store. Readings in flight when the process
-// died may or may not survive; acknowledged ones must.
+// fleet against it while injecting connection resets (some cutting a v3
+// batch frame mid-body), partial writes, and slow-loris sessions, kills
+// the server with SIGKILL mid-load, restarts it, and repeats. After the
+// last kill it replays the WAL in-process and asserts the chaos invariant
+// — every reading the clients saw acknowledged is present in the
+// recovered store, and nothing from a cut frame is. Readings in flight
+// when the process died may or may not survive; acknowledged ones must.
 func cmdChaos(args []string) error {
 	fs := flag.NewFlagSet("chaos", flag.ContinueOnError)
 	meters := fs.Int("meters", 16, "meter fleet size")
 	rounds := fs.Int("rounds", 3, "kill -9 / restart rounds")
 	shards := fs.Int("shards", 2, "head-end shard count")
-	batch := fs.Int("batch", 8, "readings per wire-v2 batch frame")
+	batch := fs.Int("batch", 8, "readings per wire-v3 batch frame")
 	roundLen := fs.Duration("round-len", 700*time.Millisecond, "load duration per round before the kill")
 	walDir := fs.String("wal-dir", "", "WAL directory (empty = a temp dir, removed when the invariant holds)")
 	walSync := fs.String("wal-sync", "interval", "WAL sync policy for the server child: always, interval, or off")
-	resets := fs.Int("resets", 2, "concurrent connection-reset injectors (partial frame, then RST)")
+	resets := fs.Int("resets", 2, "concurrent connection-reset injectors (partial hello or cut v3 batch frame, then RST)")
 	loris := fs.Int("loris", 2, "concurrent slow-loris sessions (one hello byte at a time)")
 	serve := fs.Bool("serve", false, "run as the server child (internal; the harness re-execs itself with this flag)")
 	addr := fs.String("addr", "127.0.0.1:0", "server child listen address")
@@ -132,6 +134,8 @@ type chaosHarness struct {
 	mu       sync.Mutex
 	nextSlot []int64
 	acked    map[chaosKey]float64
+
+	cutFrames atomic.Int64 // v3 batch frames the reset injectors cut mid-body
 }
 
 // chaosKW derives a reading's value from its identity, so verification can
@@ -222,7 +226,7 @@ func (h *chaosHarness) round(exe string, round int) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			injectResets(ctx, addr)
+			injectResets(ctx, addr, &h.cutFrames)
 		}()
 	}
 	for i := 0; i < h.loris; i++ {
@@ -294,23 +298,52 @@ func (h *chaosHarness) driveMeter(ctx context.Context, addr string, m int) {
 	}
 }
 
-// injectResets loops half-written hellos followed by an abortive close
-// (SO_LINGER 0 → RST), exercising the head-end's handling of peers that
-// vanish mid-frame.
-func injectResets(ctx context.Context, addr string) {
-	for ctx.Err() == nil {
+// chaosResetMeter is the meter ID the reset injector's cut batch frames
+// claim. None of its frames is ever complete, so none may ever be stored.
+const chaosResetMeter = "chaos-reset"
+
+// injectResets loops abortive closes (SO_LINGER 0 → RST) at two depths,
+// alternately: a half-written JSON hello, and a wire-v3 batch frame cut
+// mid-body after a valid hello exchange — exercising the head-end's
+// handling of peers that vanish mid-frame in both dialects.
+func injectResets(ctx context.Context, addr string, cut *atomic.Int64) {
+	for i := 0; ctx.Err() == nil; i++ {
 		d := net.Dialer{Timeout: time.Second}
 		conn, err := d.DialContext(ctx, "tcp", addr)
 		if err != nil {
 			return
 		}
-		_, _ = conn.Write([]byte(`{"type":"hello","hello":{"meter_`)) // partial frame
+		if i%2 == 0 {
+			_, _ = conn.Write([]byte(`{"type":"hello","hello":{"meter_`)) // partial frame
+		} else if cutBatchFrame(conn) {
+			cut.Add(1)
+		}
 		if tc, ok := conn.(*net.TCPConn); ok {
 			_ = tc.SetLinger(0) // close() now sends RST, not FIN
 		}
 		_ = conn.Close()
 		sleepCtx(ctx, 10*time.Millisecond)
 	}
+}
+
+// cutBatchFrame opens a v3 session as chaosResetMeter and writes the first
+// half of a batch frame, so the head-end has the header and part of the
+// body when the connection dies. It reports whether the half frame went
+// out.
+func cutBatchFrame(conn net.Conn) bool {
+	_ = conn.SetDeadline(time.Now().Add(time.Second))
+	codec := ami.NewCodec(conn)
+	hello := &ami.HelloMsg{MeterID: chaosResetMeter, Version: ami.WireV3}
+	if err := codec.Send(&ami.Envelope{Type: ami.TypeHello, Hello: hello}); err != nil {
+		return false
+	}
+	if resp, err := codec.Recv(); err != nil || resp.Type != ami.TypeHello {
+		return false
+	}
+	frame := ami.AppendBatchFrame(nil, chaosResetMeter,
+		[]ami.BatchReading{{Slot: 0, KW: 1}, {Slot: 1, KW: 2}, {Slot: 2, KW: 3}}, nil)
+	_, err := conn.Write(frame[:len(frame)/2])
+	return err == nil
 }
 
 // injectSlowLoris holds a session open while dribbling a hello one byte at
@@ -377,6 +410,10 @@ func (h *chaosHarness) verify() error {
 		return fmt.Errorf("chaos: INVARIANT VIOLATED: %d acked readings missing, %d corrupted, of %d acked",
 			missing, wrong, len(h.acked))
 	}
+	if n := head.Count(chaosResetMeter); n > 0 {
+		return fmt.Errorf("chaos: INVARIANT VIOLATED: %d readings stored from batch frames cut mid-body", n)
+	}
+	fmt.Printf("chaos: %d v3 batch frames cut mid-body, none stored\n", h.cutFrames.Load())
 	if len(h.acked) == 0 {
 		return fmt.Errorf("chaos: no readings were acked; the harness never exercised the invariant (round-len too short?)")
 	}

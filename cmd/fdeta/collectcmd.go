@@ -43,7 +43,7 @@ type collectHead interface {
 // concurrent reliable meter clients over real TCP, then prints the
 // ingestion counters and verifies that every collected series is dense.
 // With -concurrency it becomes a load harness: a fixed pool of persistent
-// wire-v2 connections multiplexes an arbitrarily large simulated fleet
+// wire-v3 connections multiplexes an arbitrarily large simulated fleet
 // (rebinding per meter, batching readings per frame) against a plain or
 // sharded head-end, and reports throughput and latency quantiles —
 // optionally as a BENCH_*.json record via -bench-out.
@@ -59,8 +59,8 @@ func cmdCollect(args []string) error {
 	retries := fs.Int("retries", 3, "delivery attempts per reading (per-meter mode)")
 	faultSpec := fs.String("fault", "", "inject meter faults into the collected stream, e.g. 'dropout:0.1+spike:0.01,20' (dropped slots are never sent)")
 	shards := fs.Int("shards", 0, "shard the head-end store N ways with async ingest queues (0 = single synchronous store)")
-	batch := fs.Int("batch", 0, "readings per wire-v2 batch frame (0 = one v1 frame per reading)")
-	concurrency := fs.Int("concurrency", 0, "load-harness connection pool size; >0 multiplexes the fleet over persistent v2 connections (requires -batch >= 1)")
+	batch := fs.Int("batch", 0, "readings per wire-v3 batch frame (0 = one v1 frame per reading)")
+	concurrency := fs.Int("concurrency", 0, "load-harness connection pool size; >0 multiplexes the fleet over persistent v3 connections (requires -batch >= 1)")
 	profiles := fs.Int("profiles", 64, "synthetic consumption profiles cycled across the fleet (load-harness mode)")
 	baseline := fs.Int("baseline-meters", 0, "first drive a v1 one-frame-per-reading baseline over this many meters and report the harness speedup")
 	benchOut := fs.String("bench-out", "", "write a BENCH_*.json throughput record to this path")
@@ -74,7 +74,7 @@ func cmdCollect(args []string) error {
 		return fmt.Errorf("collect: -slots must be in [1, %d]", timeseries.SlotsPerWeek)
 	}
 	if *concurrency > 0 && *batch < 1 {
-		return fmt.Errorf("collect: -concurrency requires -batch >= 1 (the pool multiplexes v2 batch sessions)")
+		return fmt.Errorf("collect: -concurrency requires -batch >= 1 (the pool multiplexes v3 batch sessions)")
 	}
 	if *concurrency > 0 && *faultSpec != "" {
 		return fmt.Errorf("collect: -fault is a per-meter-client feature; drop -concurrency to use it")
@@ -133,7 +133,7 @@ func cmdCollect(args []string) error {
 
 // runCollect is the per-meter-client collection body: one goroutine and one
 // reliable client per meter, exactly the seed topology (with -batch > 1 the
-// clients speak v2 batch frames instead of one frame per reading).
+// clients speak v3 batch frames instead of one frame per reading).
 func runCollect(head collectHead, ds *dataset.Dataset, plan fault.Plan,
 	meterCount, slotCount, retries, batch, maxConns int, idleTimeout, drain time.Duration) error {
 	addr, err := head.Listen("127.0.0.1:0")
@@ -263,7 +263,7 @@ func flushHead(head collectHead) {
 	}
 }
 
-// harness drives the load-harness mode: a pool of persistent v2
+// harness drives the load-harness mode: a pool of persistent v3
 // connections multiplexing the simulated fleet, with profile templates
 // standing in for per-meter datasets so fleet size is decoupled from
 // synthesis cost.
@@ -421,7 +421,7 @@ func (h *harness) runBatched(ctx context.Context, profiles []timeseries.Series, 
 		"one batch frame send through batch ack, harness side", obs.FineLatencyBuckets())
 	var frames atomic.Int64
 
-	// Each pool worker owns one persistent v2 session (its slot in this
+	// Each pool worker owns one persistent v3 session (its slot in this
 	// slice — no cross-worker locking) and rebinds it per meter instead of
 	// redialing, which is what keeps a 100k fleet from exhausting
 	// ephemeral ports.

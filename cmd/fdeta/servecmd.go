@@ -304,7 +304,7 @@ func smokeVerdict(srv *serve.Server, head *ami.ShardedHeadEnd, admin *obs.AdminS
 	return nil
 }
 
-// streamFleet sends slots [from, to) for every meter over batched wire-v2
+// streamFleet sends slots [from, to) for every meter over batched wire-v3
 // connections; tampered meters report zero in place of their demand.
 func streamFleet(ctx context.Context, addr string, ds *dataset.Dataset, ids []string,
 	from, to int, tampered func(i int) bool) error {

@@ -16,8 +16,9 @@ import (
 // the meter itself holds the key and signs whatever she likes. Both facts
 // are demonstrated in the tests.
 //
-// The scheme is HMAC-SHA256 over a canonical encoding of the reading,
-// keyed per meter.
+// The scheme is HMAC-SHA256 keyed per meter: over a canonical JSON
+// encoding of each v1 reading, and over the raw payload bytes of each v3
+// batch frame (see frame.go), so a batch is verified without re-encoding.
 
 // Keyring holds per-meter HMAC keys on the head-end side.
 type Keyring struct {
@@ -58,35 +59,6 @@ func SignReading(key []byte, r *ReadingMsg) string {
 	return hex.EncodeToString(mac.Sum(nil))
 }
 
-// canonicalBatch is the byte string covered by a batch MAC: the meter ID
-// once, then every (slot, kW) pair in frame order. Reordering, dropping,
-// or splicing readings across batches breaks the tag.
-func canonicalBatch(b *BatchMsg) []byte {
-	buf, _ := json.Marshal(struct {
-		M string         `json:"m"`
-		R []BatchReading `json:"r"`
-	}{b.MeterID, b.Readings})
-	return buf
-}
-
-// SignBatch computes the hex-encoded HMAC-SHA256 tag for a batch frame.
-func SignBatch(key []byte, b *BatchMsg) string {
-	mac := hmac.New(sha256.New, key)
-	mac.Write(canonicalBatch(b))
-	return hex.EncodeToString(mac.Sum(nil))
-}
-
-// VerifyBatch checks a batch frame's tag in constant time.
-func VerifyBatch(key []byte, b *BatchMsg, tag string) bool {
-	want, err := hex.DecodeString(tag)
-	if err != nil {
-		return false
-	}
-	mac := hmac.New(sha256.New, key)
-	mac.Write(canonicalBatch(b))
-	return hmac.Equal(mac.Sum(nil), want)
-}
-
 // VerifyReading checks a reading's tag in constant time.
 func VerifyReading(key []byte, r *ReadingMsg, tag string) bool {
 	want, err := hex.DecodeString(tag)
@@ -109,30 +81,34 @@ func (e *AuthError) Error() string {
 	return fmt.Sprintf("ami: authentication failed for meter %s slot %d", e.MeterID, e.Slot)
 }
 
-// VerifyEnvelope authenticates a reading or batch envelope against the
-// keyring. Unknown meters and missing/invalid tags fail closed. A batch
-// carries one tag over the whole frame; a failure reports the first slot.
+// VerifyEnvelope authenticates a v1 reading envelope against the keyring.
+// Unknown meters and missing/invalid tags fail closed.
 func (kr *Keyring) VerifyEnvelope(e *Envelope) error {
-	switch {
-	case e.Type == TypeReading && e.Reading != nil:
-		key, ok := kr.Key(e.Reading.MeterID)
-		if !ok {
-			return fmt.Errorf("ami: no key enrolled for meter %q", e.Reading.MeterID)
-		}
-		if e.Auth == "" || !VerifyReading(key, e.Reading, e.Auth) {
-			return &AuthError{MeterID: e.Reading.MeterID, Slot: e.Reading.Slot}
-		}
-		return nil
-	case e.Type == TypeBatch && e.Batch != nil:
-		key, ok := kr.Key(e.Batch.MeterID)
-		if !ok {
-			return fmt.Errorf("ami: no key enrolled for meter %q", e.Batch.MeterID)
-		}
-		if e.Auth == "" || !VerifyBatch(key, e.Batch, e.Auth) {
-			return &AuthError{MeterID: e.Batch.MeterID, Slot: e.Batch.Readings[0].Slot}
-		}
-		return nil
-	default:
-		return fmt.Errorf("ami: can only authenticate reading or batch envelopes")
+	if e.Type != TypeReading || e.Reading == nil {
+		return fmt.Errorf("ami: can only authenticate reading envelopes")
 	}
+	key, ok := kr.Key(e.Reading.MeterID)
+	if !ok {
+		return fmt.Errorf("ami: no key enrolled for meter %q", e.Reading.MeterID)
+	}
+	if e.Auth == "" || !VerifyReading(key, e.Reading, e.Auth) {
+		return &AuthError{MeterID: e.Reading.MeterID, Slot: e.Reading.Slot}
+	}
+	return nil
+}
+
+// verifyPayload authenticates a v3 batch frame: tag must be the raw
+// HMAC-SHA256 of the payload bytes exactly as received, under the meter's
+// key. Unknown meters and missing/invalid tags fail closed; a failure
+// reports the batch's first slot.
+func (kr *Keyring) verifyPayload(meterID string, firstSlot int64, payload, tag []byte) error {
+	key, ok := kr.Key(meterID)
+	if !ok {
+		return fmt.Errorf("ami: no key enrolled for meter %q", meterID)
+	}
+	var sum [macSize]byte
+	if len(tag) != macSize || !hmac.Equal(payloadMAC(sum[:0], key, payload), tag) {
+		return &AuthError{MeterID: meterID, Slot: firstSlot}
+	}
+	return nil
 }

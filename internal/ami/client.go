@@ -1,6 +1,7 @@
 package ami
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"time"
@@ -16,7 +17,9 @@ type Client struct {
 	timeout  time.Duration
 	key      []byte // optional HMAC signing key
 	version  int    // negotiated wire version
-	maxBatch int    // head-end's advertised per-frame cap (v2 only)
+	maxBatch int    // head-end's advertised per-frame cap (v3 only)
+
+	rs []BatchReading // batch frame assembly scratch
 }
 
 // Dial connects to the head-end and performs the hello handshake.
@@ -32,18 +35,19 @@ func DialAuth(addr, meterID string, key []byte, timeout time.Duration) (*Client,
 	return dialVersion(addr, meterID, key, timeout, WireV1)
 }
 
-// DialBatch is DialAuth speaking wire v2: the hello advertises version 2
+// DialBatch is DialAuth speaking wire v3: the hello advertises version 3
 // and the head-end answers with its negotiated version and per-frame batch
-// cap, unlocking SendBatch and Bind. Requires a v2 head-end — against a v1
-// server the handshake times out (a v1 head-end never answers hello), so
-// the caller can fall back to DialAuth.
+// cap, unlocking SendBatch and Bind; from then on the session is binary.
+// Requires a v3 head-end — against a v1 server the handshake times out (a
+// v1 head-end never answers hello), so the caller can fall back to
+// DialAuth.
 func DialBatch(addr, meterID string, key []byte, timeout time.Duration) (*Client, error) {
-	return dialVersion(addr, meterID, key, timeout, WireV2)
+	return dialVersion(addr, meterID, key, timeout, WireV3)
 }
 
 func dialVersion(addr, meterID string, key []byte, timeout time.Duration, ver int) (*Client, error) {
-	if meterID == "" {
-		return nil, fmt.Errorf("ami: meter ID is required")
+	if err := checkMeterID(meterID, ver); err != nil {
+		return nil, err
 	}
 	if timeout <= 0 {
 		timeout = 5 * time.Second
@@ -68,15 +72,15 @@ func dialVersion(addr, meterID string, key []byte, timeout time.Duration, ver in
 		return nil, fmt.Errorf("ami: setting handshake deadline: %w", err)
 	}
 	hello := &HelloMsg{MeterID: meterID}
-	if ver >= WireV2 {
-		hello.Version = WireV2
+	if ver >= WireV3 {
+		hello.Version = WireV3
 		hello.MaxBatch = DefaultMaxBatch
 	}
 	if err := c.codec.Send(&Envelope{Type: TypeHello, Hello: hello}); err != nil {
 		_ = conn.Close()
 		return nil, fmt.Errorf("ami: sending hello: %w", err)
 	}
-	if ver >= WireV2 {
+	if ver >= WireV3 {
 		if err := c.awaitHello(); err != nil {
 			_ = conn.Close()
 			return nil, err
@@ -91,8 +95,19 @@ func dialVersion(addr, meterID string, key []byte, timeout time.Duration, ver in
 	return c, nil
 }
 
-// awaitHello reads the head-end's hello response (v2 handshake and Bind)
-// and records the negotiated version and batch cap.
+// checkMeterID rejects meter IDs the dialect cannot carry.
+func checkMeterID(meterID string, ver int) error {
+	if meterID == "" {
+		return fmt.Errorf("ami: meter ID is required")
+	}
+	if ver >= WireV3 && len(meterID) > maxMeterIDLen {
+		return fmt.Errorf("ami: meter ID of %d bytes exceeds wire v3's %d", len(meterID), maxMeterIDLen)
+	}
+	return nil
+}
+
+// awaitHello reads the head-end's JSON hello response to a v3 hello,
+// records the batch cap, and switches the codec to binary frames.
 func (c *Client) awaitHello() error {
 	resp, err := c.codec.Recv()
 	if err != nil {
@@ -100,19 +115,38 @@ func (c *Client) awaitHello() error {
 	}
 	switch resp.Type {
 	case TypeHello:
-		c.version = resp.Hello.Version
-		if c.version < WireV1 {
-			c.version = WireV1
+		if resp.Hello.Version != WireV3 {
+			return fmt.Errorf("ami: head-end negotiated wire v%d, this client speaks v3", resp.Hello.Version)
 		}
-		c.maxBatch = resp.Hello.MaxBatch
-		if c.maxBatch <= 0 {
-			c.maxBatch = 1
-		}
+		c.version = WireV3
+		c.maxBatch = max(resp.Hello.MaxBatch, 1)
+		c.codec.binary = true
 		return nil
 	case TypeError:
 		return &ProtocolError{Code: resp.Code, Message: resp.Error}
 	default:
 		return fmt.Errorf("ami: unexpected hello response type %q", resp.Type)
+	}
+}
+
+// recvReply reads the head-end's answer to a v3 frame, which must be of
+// kind want; an error frame comes back as a *ProtocolError.
+func (c *Client) recvReply(want byte) ([]byte, error) {
+	kind, body, err := c.codec.recvFrame()
+	if err != nil {
+		return nil, fmt.Errorf("ami: waiting for reply: %w", err)
+	}
+	switch kind {
+	case want:
+		return body, nil
+	case frameError:
+		perr, err := parseErrorFrame(body)
+		if err != nil {
+			return nil, err
+		}
+		return nil, perr
+	default:
+		return nil, fmt.Errorf("ami: unexpected reply frame kind %d", kind)
 	}
 }
 
@@ -124,35 +158,42 @@ func (c *Client) Version() int { return c.version }
 // on a v1 session.
 func (c *Client) MaxBatch() int { return c.maxBatch }
 
-// Bind re-runs the hello handshake mid-session, switching the connection
-// to a different meter ID (v2 only). This is what lets one TCP connection
-// multiplex a fleet of simulated meters: a load harness worker binds,
-// sends a batch, and rebinds without paying a dial per meter.
+// Bind switches the connection to a different meter ID with a rebind
+// frame (v3 only). This is what lets one TCP connection multiplex a fleet
+// of simulated meters: a load harness worker binds, sends a batch, and
+// rebinds without paying a dial per meter.
 func (c *Client) Bind(meterID string) error {
-	if c.version < WireV2 {
-		return fmt.Errorf("ami: rebinding requires wire v2 (negotiated v%d)", c.version)
+	if c.version < WireV3 {
+		return fmt.Errorf("ami: rebinding requires wire v3 (negotiated v%d)", c.version)
 	}
-	if meterID == "" {
-		return fmt.Errorf("ami: meter ID is required")
+	if err := checkMeterID(meterID, c.version); err != nil {
+		return err
 	}
 	if err := c.conn.SetDeadline(time.Now().Add(c.timeout)); err != nil {
 		return fmt.Errorf("ami: setting deadline: %w", err)
 	}
-	err := c.codec.Send(&Envelope{Type: TypeHello, Hello: &HelloMsg{
-		MeterID: meterID, Version: WireV2, MaxBatch: DefaultMaxBatch,
-	}})
+	if err := c.codec.writeFrame(appendRebindFrame(c.codec.out[:0], meterID)); err != nil {
+		return err
+	}
+	body, err := c.recvReply(frameRebindReply)
 	if err != nil {
 		return err
 	}
-	if err := c.awaitHello(); err != nil {
+	maxBatch, err := parseRebindReplyFrame(body)
+	if err != nil {
 		return err
 	}
+	c.maxBatch = max(maxBatch, 1)
 	c.meterID = meterID
 	return nil
 }
 
-// Send reports one reading and waits for the acknowledgement.
+// Send reports one reading and waits for the acknowledgement. On a v3
+// session the reading travels as a one-reading batch frame.
 func (c *Client) Send(r meter.Reading) error {
+	if c.version >= WireV3 {
+		return c.sendBatchFrame([]meter.Reading{r})
+	}
 	if r.MeterID != c.meterID {
 		return fmt.Errorf("ami: reading meter ID %q does not match client %q", r.MeterID, c.meterID)
 	}
@@ -201,19 +242,16 @@ func (c *Client) SendAll(rs []meter.Reading) error {
 	return nil
 }
 
-// SendBatch reports readings in v2 batch frames, chunked to the head-end's
+// SendBatch reports readings in v3 batch frames, chunked to the head-end's
 // negotiated per-frame cap, waiting for the batch acknowledgement after
 // each frame. One frame carries up to MaxBatch readings — one syscall and
 // one ack round-trip where SendAll pays one per reading.
 func (c *Client) SendBatch(rs []meter.Reading) error {
-	if c.version < WireV2 {
-		return fmt.Errorf("ami: batch send requires wire v2 (negotiated v%d); use SendAll", c.version)
+	if c.version < WireV3 {
+		return fmt.Errorf("ami: batch send requires wire v3 (negotiated v%d); use SendAll", c.version)
 	}
 	for len(rs) > 0 {
-		n := len(rs)
-		if n > c.maxBatch {
-			n = c.maxBatch
-		}
+		n := min(len(rs), c.maxBatch)
 		if err := c.sendBatchFrame(rs[:n]); err != nil {
 			return err
 		}
@@ -222,49 +260,49 @@ func (c *Client) SendBatch(rs []meter.Reading) error {
 	return nil
 }
 
-// sendBatchFrame sends one batch frame (len(rs) <= maxBatch) and waits for
-// its acknowledgement.
+// sendBatchFrame sends one batch frame (len(rs) <= maxBatch), signed when
+// the client holds a key, and waits for its acknowledgement. Readings the
+// head-end would refuse are refused here first, before anything is sent.
 func (c *Client) sendBatchFrame(rs []meter.Reading) error {
-	b := &BatchMsg{MeterID: c.meterID, Readings: make([]BatchReading, len(rs))}
-	for i, r := range rs {
+	c.rs = c.rs[:0]
+	for _, r := range rs {
 		if r.MeterID != c.meterID {
 			return fmt.Errorf("ami: reading meter ID %q does not match client %q", r.MeterID, c.meterID)
 		}
-		b.Readings[i] = BatchReading{Slot: int64(r.Slot), KW: r.KW}
+		if r.Slot < 0 {
+			return fmt.Errorf("ami: reading slot %d negative", r.Slot)
+		}
+		if err := validKW(r.KW); err != nil {
+			return err
+		}
+		c.rs = append(c.rs, BatchReading{Slot: int64(r.Slot), KW: r.KW})
 	}
 	if err := c.conn.SetDeadline(time.Now().Add(c.timeout)); err != nil {
 		return fmt.Errorf("ami: setting deadline: %w", err)
 	}
-	env := &Envelope{Type: TypeBatch, Batch: b}
-	if len(c.key) > 0 {
-		env.Auth = SignBatch(c.key, b)
-	}
-	if err := c.codec.Send(env); err != nil {
+	if err := c.codec.writeFrame(AppendBatchFrame(c.codec.out[:0], c.meterID, c.rs, c.key)); err != nil {
 		return err
 	}
-	resp, err := c.codec.Recv()
+	first, last := c.rs[0].Slot, c.rs[len(c.rs)-1].Slot
+	body, err := c.recvReply(frameBatchAck)
 	if err != nil {
-		return fmt.Errorf("ami: waiting for batch ack: %w", err)
+		var perr *ProtocolError
+		if errors.As(err, &perr) && perr.Code == CodeAuth {
+			perr.cause = &AuthError{MeterID: c.meterID, Slot: first}
+		}
+		return err
 	}
-	switch resp.Type {
-	case TypeBatchAck:
-		if resp.BatchAck.Count != len(b.Readings) {
-			return fmt.Errorf("ami: batch ack covers %d readings, expected %d",
-				resp.BatchAck.Count, len(b.Readings))
-		}
-		if last := b.Readings[len(b.Readings)-1].Slot; resp.BatchAck.LastSlot != last {
-			return fmt.Errorf("ami: batch ack for slot %d, expected %d", resp.BatchAck.LastSlot, last)
-		}
-		return nil
-	case TypeError:
-		perr := &ProtocolError{Code: resp.Code, Message: resp.Error}
-		if resp.Code == CodeAuth {
-			perr.cause = &AuthError{MeterID: b.MeterID, Slot: b.Readings[0].Slot}
-		}
-		return perr
-	default:
-		return fmt.Errorf("ami: unexpected response type %q", resp.Type)
+	count, ackLast, err := parseAckFrame(body)
+	if err != nil {
+		return err
 	}
+	if count != len(c.rs) {
+		return fmt.Errorf("ami: batch ack covers %d readings, expected %d", count, len(c.rs))
+	}
+	if ackLast != last {
+		return fmt.Errorf("ami: batch ack for slot %d, expected %d", ackLast, last)
+	}
+	return nil
 }
 
 // Close terminates the connection.

@@ -107,18 +107,16 @@ func (e *ProtocolError) Is(target error) bool {
 	return false
 }
 
-// errorEnvelope builds the TypeError envelope for a server-side error,
-// deriving the wire code from the error's type.
-func errorEnvelope(err error) *Envelope {
-	code := CodeProtocol
+// errorCode derives the wire code for a server-side error from its type.
+func errorCode(err error) string {
 	var ae *AuthError
 	switch {
 	case errors.As(err, &ae):
-		code = CodeAuth
+		return CodeAuth
 	case errors.Is(err, ErrSessionMismatch):
-		code = CodeSessionMismatch
+		return CodeSessionMismatch
 	case errors.Is(err, ErrOversized):
-		code = CodeOversized
+		return CodeOversized
 	}
-	return &Envelope{Type: TypeError, Code: code, Error: err.Error()}
+	return CodeProtocol
 }

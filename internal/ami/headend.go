@@ -39,8 +39,8 @@ type HeadEndConfig struct {
 	// A hostile meter streaming an endless frame is cut off at this bound
 	// with a CodeOversized rejection instead of ballooning memory.
 	MaxFrameSize int
-	// MaxBatch caps readings per v2 batch frame (0 = DefaultMaxBatch),
-	// advertised to v2 clients in the hello response.
+	// MaxBatch caps readings per v3 batch frame (0 = DefaultMaxBatch),
+	// advertised to v3 clients in the hello response.
 	MaxBatch int
 	// QueueDepth bounds each shard's async ingest queue, in jobs (sharded
 	// head-ends only; 0 = DefaultShardQueueDepth). A full queue delays
@@ -126,6 +126,7 @@ type HeadEnd struct {
 
 	done chan struct{} // closed when Close begins; handlers drain on it
 	wg   sync.WaitGroup
+	env  *sessionEnv // shared by every session
 }
 
 // Metrics returns the registry holding this head-end's instruments, for
@@ -195,23 +196,6 @@ func (h *HeadEnd) Listen(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// sessionEnv assembles the shared session state machine's environment.
-// Built per connection; everything inside is read-only for the session's
-// lifetime.
-func (h *HeadEnd) sessionEnv() *sessionEnv {
-	h.mu.Lock()
-	kr := h.keyring
-	h.mu.Unlock()
-	return &sessionEnv{
-		cfg:   &h.cfg,
-		met:   h.met,
-		kr:    kr,
-		store: h,
-		log:   h.log,
-		done:  h.done,
-	}
-}
-
 func (h *HeadEnd) acceptLoop(ln net.Listener) {
 	defer h.wg.Done()
 	for {
@@ -244,12 +228,11 @@ func (h *HeadEnd) acceptLoop(ln net.Listener) {
 		h.met.activeConns.Set(float64(h.active))
 		h.mu.Unlock()
 		h.met.connsTotal.Inc()
-		env := h.sessionEnv()
 		h.wg.Add(1)
 		go func() {
 			defer h.wg.Done()
 			defer h.untrack(conn, true)
-			env.serve(conn)
+			h.env.serve(conn)
 		}()
 	}
 }
@@ -264,41 +247,24 @@ func (h *HeadEnd) untrack(conn net.Conn, session bool) {
 	h.mu.Unlock()
 }
 
-// storeReading stores one accepted reading synchronously (ingestStore).
-// The in-memory map cannot fail, so the error is always nil. The sink tap
-// runs after the store apply and outside the lock, so a slow sink stalls
-// only this meter's session, never the whole store.
-func (h *HeadEnd) storeReading(r *ReadingMsg) error {
+// store stores one accepted frame synchronously under one lock hold
+// (ingestStore). The in-memory map cannot fail, so the error is always
+// nil. The sink tap runs after the store apply and outside the lock, so a
+// slow sink stalls only this meter's session, never the whole store.
+func (h *HeadEnd) store(meterID string, rs []BatchReading, _ []byte) error {
 	h.mu.Lock()
-	m, ok := h.readings[r.MeterID]
+	m, ok := h.readings[meterID]
 	if !ok {
-		m = make(map[timeseries.Slot]float64)
-		h.readings[r.MeterID] = m
+		m = make(map[timeseries.Slot]float64, len(rs))
+		h.readings[meterID] = m
 	}
-	m[timeseries.Slot(r.Slot)] = r.KW
-	h.mu.Unlock()
-	h.met.accepted.Inc()
-	if h.sink != nil {
-		h.sink(r.MeterID, []BatchReading{{Slot: r.Slot, KW: r.KW}})
-	}
-	return nil
-}
-
-// storeBatch stores an accepted batch under one lock hold (ingestStore).
-func (h *HeadEnd) storeBatch(b *BatchMsg) error {
-	h.mu.Lock()
-	m, ok := h.readings[b.MeterID]
-	if !ok {
-		m = make(map[timeseries.Slot]float64, len(b.Readings))
-		h.readings[b.MeterID] = m
-	}
-	for _, r := range b.Readings {
+	for _, r := range rs {
 		m[timeseries.Slot(r.Slot)] = r.KW
 	}
 	h.mu.Unlock()
-	h.met.accepted.Add(int64(len(b.Readings)))
+	h.met.accepted.Add(int64(len(rs)))
 	if h.sink != nil {
-		h.sink(b.MeterID, b.Readings)
+		h.sink(meterID, rs)
 	}
 	return nil
 }

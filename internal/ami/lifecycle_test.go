@@ -37,11 +37,14 @@ func TestHeadEndCloseBoundedWithIdleConn(t *testing.T) {
 	}
 	defer func() { _ = c.Close() }()
 	// One acked reading proves the handler is live and registered; then the
-	// meter goes idle with the connection open.
+	// meter goes idle with the connection open. Wait until the session is
+	// parked in its next read — past the loop-top drain check — so Close
+	// cannot catch it between the ack and that check and let it drain
+	// itself gracefully, which would leave nothing to force-close.
 	if err := c.Send(meter.Reading{MeterID: "m1", Slot: 0, KW: 1}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "session registration", func() bool { return h.Stats().ActiveConns == 1 })
+	waitFor(t, "session parked in recv", func() bool { return h.env.parked.Load() == 1 })
 
 	start := time.Now()
 	if err := h.Close(); err != nil {

@@ -95,7 +95,7 @@ func newHeadEndMetrics(reg *obs.Registry) *headEndMetrics {
 		ingestLatency: reg.Histogram(metricIngestLatency,
 			"frame receipt through storage, per accepted message", obs.FineLatencyBuckets()),
 		batchFrames: reg.Counter(metricBatchFrames,
-			"v2 batch frames accepted and acknowledged"),
+			"v3 batch frames accepted and acknowledged"),
 		batchSize: reg.Histogram(metricBatchSize,
 			"readings per accepted batch frame", batchSizeBuckets()),
 	}

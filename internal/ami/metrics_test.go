@@ -152,8 +152,8 @@ func TestIngestLatencyMatchesAcceptedMessages(t *testing.T) {
 	}
 	_ = rej.Close()
 
-	// 20 readings over a 10-cap v2 session → 2 batch frames → 2 observations.
-	v2, err := DialBatch(addr, "good", key, 5*time.Second)
+	// 20 readings over a 10-cap v3 session → 2 batch frames → 2 observations.
+	v3, err := DialBatch(addr, "good", key, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,10 +161,10 @@ func TestIngestLatencyMatchesAcceptedMessages(t *testing.T) {
 	for i := range rs {
 		rs[i] = meter.Reading{MeterID: "good", Slot: timeseries.Slot(100 + i), KW: 2}
 	}
-	if err := v2.SendBatch(rs); err != nil {
+	if err := v3.SendBatch(rs); err != nil {
 		t.Fatal(err)
 	}
-	_ = v2.Close()
+	_ = v3.Close()
 
 	hist := reg.Histogram("fdeta_ami_ingest_latency_seconds", "", obs.FineLatencyBuckets())
 	if got := hist.Count(); got != 7 {

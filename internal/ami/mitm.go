@@ -1,9 +1,7 @@
 package ami
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
@@ -33,12 +31,13 @@ func (c *MITMConfig) applyDefaults() {
 }
 
 // MITM is a man-in-the-middle proxy between meters and the head-end. It
-// decodes the wire protocol, applies a rewrite function to readings, and
-// forwards everything else untouched — the concrete mechanism behind every
-// "compromised communication link" attack in the paper. Acks flow back to
-// the meter for the *original* slot, so the victim meter observes a
-// perfectly healthy session. Like the head-end it registers every live
-// connection so Close force-closes stragglers after the drain timeout.
+// decodes the wire protocol (v1 readings and v3 batch frames), applies a
+// rewrite function to readings, and forwards everything else untouched —
+// the concrete mechanism behind every "compromised communication link"
+// attack in the paper. Acks flow back to the meter for the *original*
+// slot, so the victim meter observes a perfectly healthy session. Like the
+// head-end it registers every live connection so Close force-closes
+// stragglers after the drain timeout.
 type MITM struct {
 	upstream string
 	rewrite  RewriteFunc
@@ -178,64 +177,29 @@ func (m *MITM) handle(down net.Conn) {
 
 	downCodec := NewCodec(down)
 	upCodec := NewCodec(up)
-
 	// Downstream -> upstream with rewriting; responses relayed inline (the
-	// protocol is strictly request/response after the hello).
-	for {
+	// protocol is strictly request/response after the hello). The JSON leg
+	// runs until a v3 hello exchange; after it both legs are binary.
+	maxBatch := 0
+	for maxBatch == 0 {
 		if m.shuttingDown() {
-			_ = downCodec.Send(&Envelope{Type: TypeError, Code: CodeShuttingDown, Error: "proxy shutting down"})
+			_ = downCodec.sendError(CodeShuttingDown, "proxy shutting down")
 			return
 		}
 		env, err := m.recv(down, downCodec)
-		if errors.Is(err, io.EOF) {
-			return
-		}
 		if err != nil {
 			return
 		}
-		switch env.Type {
-		case TypeReading:
-			m.mu.Lock()
-			m.nSeen++
-			m.mu.Unlock()
-			if m.rewrite != nil {
-				orig := *env.Reading
-				rewritten := m.rewrite(orig)
-				if rewritten != orig {
-					m.mu.Lock()
-					m.nRewr++
-					m.mu.Unlock()
-				}
-				env.Reading = &rewritten
-			}
-		case TypeBatch:
-			// A v2 batch frame is rewritten per reading: the same attack
-			// function applies, and the head-end's MAC check still catches
-			// the tampering when the meter signs its frames (the proxy
-			// forwards the now-stale signature untouched).
-			m.mu.Lock()
-			m.nSeen += len(env.Batch.Readings)
-			m.mu.Unlock()
-			if m.rewrite != nil {
-				for i, br := range env.Batch.Readings {
-					orig := ReadingMsg{MeterID: env.Batch.MeterID, Slot: br.Slot, KW: br.KW}
-					rewritten := m.rewrite(orig)
-					if rewritten != orig {
-						m.mu.Lock()
-						m.nRewr++
-						m.mu.Unlock()
-					}
-					env.Batch.Readings[i] = BatchReading{Slot: rewritten.Slot, KW: rewritten.KW}
-				}
-			}
+		if env.Type == TypeReading {
+			m.rewriteReading(env)
 		}
 		if err := upCodec.Send(env); err != nil {
 			return
 		}
-		// A v1 hello has no response; a v2 hello (version advertised) is
-		// answered by the head-end with the negotiated hello, which must be
-		// relayed or the downstream handshake stalls.
-		if env.Type == TypeHello && (env.Hello == nil || env.Hello.Version < WireV2) {
+		// A v1 hello has no response; any versioned hello is answered by the
+		// head-end (a negotiated hello or a refusal), which must be relayed
+		// or the downstream handshake stalls.
+		if env.Type == TypeHello && env.Hello.Version < WireV2 {
 			continue
 		}
 		resp, err := m.recv(up, upCodec)
@@ -245,7 +209,88 @@ func (m *MITM) handle(down net.Conn) {
 		if err := downCodec.Send(resp); err != nil {
 			return
 		}
+		if resp.Type == TypeHello && resp.Hello.Version == WireV3 {
+			maxBatch = max(resp.Hello.MaxBatch, 1)
+			downCodec.binary, upCodec.binary = true, true
+		}
 	}
+
+	for {
+		if m.shuttingDown() {
+			_ = downCodec.sendError(CodeShuttingDown, "proxy shutting down")
+			return
+		}
+		_ = down.SetReadDeadline(time.Now().Add(m.cfg.IdleTimeout))
+		kind, body, err := downCodec.recvFrame()
+		if err != nil {
+			return
+		}
+		if kind == frameBatch {
+			body = m.rewriteBatch(body, maxBatch)
+		}
+		if err := upCodec.relayFrame(kind, body); err != nil {
+			return
+		}
+		_ = up.SetReadDeadline(time.Now().Add(m.cfg.IdleTimeout))
+		kind, body, err = upCodec.recvFrame()
+		if err != nil {
+			return
+		}
+		if err := downCodec.relayFrame(kind, body); err != nil {
+			return
+		}
+	}
+}
+
+// rewriteReading applies the attack to one v1 reading in place.
+func (m *MITM) rewriteReading(env *Envelope) {
+	m.mu.Lock()
+	m.nSeen++
+	m.mu.Unlock()
+	if m.rewrite == nil {
+		return
+	}
+	orig := *env.Reading
+	rewritten := m.rewrite(orig)
+	if rewritten != orig {
+		m.mu.Lock()
+		m.nRewr++
+		m.mu.Unlock()
+	}
+	env.Reading = &rewritten
+}
+
+// rewriteBatch applies the attack to every reading of a v3 batch body and
+// returns the body to forward: the re-encoded payload followed by the
+// frame's original tag, which no longer matches — so when the meter signs
+// its frames, the head-end's MAC check catches the tampering. The meter ID
+// stays the frame's own. A body the decoder refuses is forwarded untouched
+// for the head-end to reject.
+func (m *MITM) rewriteBatch(body []byte, maxBatch int) []byte {
+	id, rs, n, err := decodePayload(body, maxBatch)
+	if err != nil {
+		return body
+	}
+	m.mu.Lock()
+	m.nSeen += len(rs)
+	m.mu.Unlock()
+	if m.rewrite == nil {
+		return body
+	}
+	meterID := string(id)
+	rewrites := 0
+	for i, br := range rs {
+		orig := ReadingMsg{MeterID: meterID, Slot: br.Slot, KW: br.KW}
+		rewritten := m.rewrite(orig)
+		if rewritten != orig {
+			rewrites++
+		}
+		rs[i] = BatchReading{Slot: rewritten.Slot, KW: rewritten.KW}
+	}
+	m.mu.Lock()
+	m.nRewr += rewrites
+	m.mu.Unlock()
+	return append(appendPayload(nil, meterID, rs), body[n:]...)
 }
 
 // Stats returns how many readings passed through and how many were

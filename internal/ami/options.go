@@ -117,5 +117,13 @@ func New(opts ...Option) *HeadEnd {
 	if h.met == nil {
 		h.met = newHeadEndMetrics(obs.NewRegistry())
 	}
+	h.env = &sessionEnv{
+		cfg:   &h.cfg,
+		met:   h.met,
+		kr:    h.keyring,
+		store: h,
+		log:   h.log,
+		done:  h.done,
+	}
 	return h
 }

@@ -26,7 +26,7 @@ type ReliableClient struct {
 	timeout time.Duration
 	retries int
 	backoff time.Duration
-	batch   bool // dial wire v2 and deliver via batch frames
+	batch   bool // dial wire v3 and deliver via batch frames
 
 	c *Client
 }
@@ -52,7 +52,7 @@ func NewReliableClient(addr, meterID string, key []byte, timeout time.Duration, 
 	}, nil
 }
 
-// NewReliableBatchClient is NewReliableClient over wire v2: sessions are
+// NewReliableBatchClient is NewReliableClient over wire v3: sessions are
 // dialed with DialBatch and SendAll delivers via batch frames, so a retry
 // redials and resends whole frames. Batch delivery stays idempotent for
 // the same reason single readings are — the head-end stores by (meter,
@@ -171,7 +171,7 @@ func (rc *ReliableClient) SendAll(rs []meter.Reading) error {
 }
 
 // SendAllContext delivers a batch. On a v1 client each reading is retried
-// independently; a batch client delivers the whole set as v2 frames,
+// independently; a batch client delivers the whole set as v3 frames,
 // retrying the set on transport errors. Errors wrap the underlying
 // failure, so errors.Is still classifies them.
 func (rc *ReliableClient) SendAllContext(ctx context.Context, rs []meter.Reading) error {
@@ -186,7 +186,7 @@ func (rc *ReliableClient) SendAllContext(ctx context.Context, rs []meter.Reading
 	return nil
 }
 
-// sendBatchContext delivers readings as v2 batch frames with the same
+// sendBatchContext delivers readings as v3 batch frames with the same
 // redial-and-retry loop SendContext applies to single readings.
 func (rc *ReliableClient) sendBatchContext(ctx context.Context, rs []meter.Reading) error {
 	if len(rs) == 0 {

@@ -6,24 +6,30 @@ import (
 	"io"
 	"log/slog"
 	"net"
+	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // ingestStore is the storage behind a meter session. HeadEnd implements it
 // with a synchronous mutex-guarded map write; ShardedHeadEnd routes each
 // store to the owning shard's async ingest queue so the session goroutine
 // never blocks on the readings map.
-// A store error means the reading could NOT be made durable: the session
-// answers with a transient CodeStorage rejection (never an ack) so the
-// meter retries.
+//
+// store receives one accepted frame: the meter, its readings (owned by the
+// store from here on), and — for a v3 batch — the verified payload bytes,
+// which a WAL appends as they are (payload is borrowed for the call; nil
+// for a v1 reading). A store error means the readings could NOT be made
+// durable: the session answers with a transient CodeStorage rejection
+// (never an ack) so the meter retries.
 type ingestStore interface {
-	storeReading(r *ReadingMsg) error
-	storeBatch(b *BatchMsg) error
+	store(meterID string, rs []BatchReading, payload []byte) error
 }
 
 // sessionEnv bundles everything a per-connection session handler needs.
-// One env is shared by all sessions of a head-end; it is read-only after
-// construction.
+// One env is shared by all sessions of a head-end; apart from the parked
+// gauge it is read-only after construction.
 type sessionEnv struct {
 	cfg   *HeadEndConfig
 	met   *headEndMetrics
@@ -31,6 +37,12 @@ type sessionEnv struct {
 	store ingestStore
 	log   *slog.Logger
 	done  <-chan struct{} // closed when the head-end starts shutting down
+
+	// parked counts sessions blocked reading their next frame after the
+	// hello. A session is counted only once it has passed the loop-top
+	// drain check, so a parked session leaves only through new data, its
+	// idle deadline, or a force-close — never through a graceful drain.
+	parked atomic.Int64
 }
 
 // shuttingDown reports whether Close has begun.
@@ -43,26 +55,28 @@ func (e *sessionEnv) shuttingDown() bool {
 	}
 }
 
-// recv arms the idle read deadline and reads one envelope.
-func (e *sessionEnv) recv(conn net.Conn, codec *Codec) (*Envelope, error) {
-	_ = conn.SetReadDeadline(time.Now().Add(e.cfg.IdleTimeout))
-	return codec.Recv()
+// session is one meter connection's protocol state.
+type session struct {
+	env     *sessionEnv
+	codec   *Codec
+	meterID string
 }
 
 // serve runs one meter connection until EOF, protocol error, idle timeout,
 // or shutdown. It is the single protocol state machine behind both the
 // plain and the sharded head-end:
 //
-//	hello (v1: no response; v2: hello response with negotiated version and
-//	batch cap), then readings (v1/v2) and batches (v2 only), each
-//	acknowledged. A v2 session may send another hello mid-stream to rebind
-//	to a different meter, so one connection can serve a whole fleet.
+//	hello, negotiated by version: v1 gets no reply and sends JSON readings,
+//	each acked; v2 is refused; v3 gets a JSON hello reply and then sends
+//	binary batch frames (each acked) and rebind frames that switch the
+//	session to another meter, so one connection can serve a whole fleet.
 func (e *sessionEnv) serve(conn net.Conn) {
 	defer func() { _ = conn.Close() }()
 	codec := NewCodecLimit(conn, e.cfg.MaxFrameSize)
 
 	// First envelope must be a hello.
-	first, err := e.recv(conn, codec)
+	_ = conn.SetReadDeadline(time.Now().Add(e.cfg.IdleTimeout))
+	first, err := codec.Recv()
 	if err != nil {
 		if errors.Is(err, io.EOF) || e.shuttingDown() {
 			return
@@ -75,158 +89,182 @@ func (e *sessionEnv) serve(conn net.Conn) {
 		// A malformed, oversized, or truncated hello is a wire-level fault;
 		// answer with the typed classification so the peer learns why.
 		e.met.codecErrors.Inc()
-		_ = codec.Send(errorEnvelope(err))
+		_ = codec.sendError(errorCode(err), err.Error())
 		return
 	}
 	if first.Type != TypeHello {
-		_ = codec.Send(&Envelope{Type: TypeError, Code: CodeProtocol, Error: "expected hello"})
+		_ = codec.sendError(CodeProtocol, "expected hello")
 		return
 	}
-	meterID := first.Hello.MeterID
-	version := WireV1
-	if first.Hello.Version >= WireV2 {
+	s := &session{env: e, codec: codec, meterID: first.Hello.MeterID}
+	step := s.readingStep
+	switch v := first.Hello.Version; {
+	case v == WireV2:
+		e.met.rejected.Inc()
+		_ = codec.sendError(CodeProtocol, "wire v2 is retired; dial with wire v3")
+		return
+	case v >= WireV3:
+		if len(s.meterID) > maxMeterIDLen {
+			e.met.rejected.Inc()
+			_ = codec.sendError(CodeProtocol, "meter ID too long for wire v3")
+			return
+		}
 		// Negotiate down to the highest version both ends speak. The reply
-		// advertises the head-end's batch cap; v1 meters sent no version and
-		// get no reply, byte-identical to the pre-versioning protocol.
-		version = WireV2
+		// advertises the head-end's batch cap, and from here on both
+		// directions are binary frames.
 		err := codec.Send(&Envelope{Type: TypeHello, Hello: &HelloMsg{
-			MeterID: meterID, Version: WireV2, MaxBatch: e.cfg.MaxBatch,
+			MeterID: s.meterID, Version: WireV3, MaxBatch: e.cfg.MaxBatch,
 		}})
 		if err != nil {
 			return
 		}
+		codec.binary = true
+		step = s.frameStep
 	}
+	// v1 meters sent no version and get no reply, byte-identical to the
+	// pre-versioning protocol.
 
 	for {
 		// Drain semantics: finish the in-flight request/ack cycle, then
-		// bow out between readings once shutdown has begun.
+		// bow out between frames once shutdown has begun.
 		if e.shuttingDown() {
 			e.met.connsDrained.Inc()
-			_ = codec.Send(&Envelope{Type: TypeError, Code: CodeShuttingDown, Error: "head-end shutting down"})
+			_ = codec.sendError(CodeShuttingDown, "head-end shutting down")
 			return
 		}
-		env, err := e.recv(conn, codec)
-		if errors.Is(err, io.EOF) {
+		_ = conn.SetReadDeadline(time.Now().Add(e.cfg.IdleTimeout))
+		if !step() {
 			return
 		}
+	}
+}
+
+// readFailed ends the session after a failed read, answering with the
+// typed reason when the peer is still there to hear it.
+func (s *session) readFailed(err error) bool {
+	e := s.env
+	if errors.Is(err, io.EOF) || e.shuttingDown() {
+		// Clean hangup, or force-closed (or cut mid-read) during drain;
+		// nothing to say.
+		return false
+	}
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		e.met.idleTimeouts.Inc()
+		e.log.Debug("session idle timeout", "meter", s.meterID)
+		_ = s.codec.sendError(CodeIdleTimeout, "idle timeout")
+		return false
+	}
+	// Anything else out of the codec is a wire-level fault: a malformed,
+	// oversized, or truncated frame (oversized frames carry CodeOversized
+	// on the way back).
+	e.met.codecErrors.Inc()
+	return s.reject(e.met.rejected, errorCode(err), err.Error())
+}
+
+// reject counts a refusal, answers with it, and ends the session.
+func (s *session) reject(counter *obs.Counter, code, msg string) bool {
+	counter.Inc()
+	_ = s.codec.sendError(code, msg)
+	return false
+}
+
+// accept stores one frame's readings and records the accepted-path
+// instruments. Ingest latency covers receipt through storage, observed on
+// exactly the accepted path: rejected frames never reach it, and a failed
+// or stalled ack write cannot pollute the distribution with transport
+// noise.
+func (s *session) accept(start time.Time, rs []BatchReading, payload []byte) bool {
+	e := s.env
+	if err := e.store.store(s.meterID, rs, payload); err != nil {
+		e.log.Error("readings could not be made durable", "meter", s.meterID, "err", err)
+		return s.reject(e.met.rejected, CodeStorage, err.Error())
+	}
+	e.met.ingestLatency.Observe(time.Since(start).Seconds())
+	return true
+}
+
+// readingStep serves one v1 frame: a JSON reading, answered by a JSON ack.
+func (s *session) readingStep() bool {
+	e := s.env
+	e.parked.Add(1)
+	env, err := s.codec.Recv()
+	e.parked.Add(-1)
+	if err != nil {
+		return s.readFailed(err)
+	}
+	if env.Type != TypeReading {
+		return s.reject(e.met.rejected, CodeProtocol, "expected reading")
+	}
+	start := time.Now()
+	r := env.Reading
+	if r.MeterID != s.meterID {
+		return s.reject(e.met.rejected, CodeSessionMismatch,
+			fmt.Sprintf("%v: reading claims %q, session is %q", ErrSessionMismatch, r.MeterID, s.meterID))
+	}
+	if e.kr != nil {
+		if err := e.kr.VerifyEnvelope(env); err != nil {
+			e.log.Warn("reading failed MAC verification", "meter", s.meterID)
+			return s.reject(e.met.authFailed, CodeAuth, err.Error())
+		}
+	}
+	if !s.accept(start, []BatchReading{{Slot: r.Slot, KW: r.KW}}, nil) {
+		return false
+	}
+	return s.codec.Send(&Envelope{Type: TypeAck, Ack: &AckMsg{Slot: r.Slot}}) == nil
+}
+
+// frameStep serves one v3 frame: a rebind (answered with the batch cap)
+// or a batch (decoded, checked against the session's meter, verified over
+// its raw payload bytes, stored, and acked).
+func (s *session) frameStep() bool {
+	e := s.env
+	e.parked.Add(1)
+	kind, body, err := s.codec.recvFrame()
+	e.parked.Add(-1)
+	if err != nil {
+		return s.readFailed(err)
+	}
+	switch kind {
+	case frameRebind:
+		if len(body) == 0 || len(body) > maxMeterIDLen {
+			return s.reject(e.met.rejected, CodeProtocol, fmt.Sprintf("rebind meter ID of %d bytes", len(body)))
+		}
+		s.meterID = string(body)
+		return s.codec.writeFrame(appendRebindReplyFrame(s.codec.out[:0], e.cfg.MaxBatch)) == nil
+
+	case frameBatch:
+		start := time.Now()
+		id, rs, n, err := decodePayload(body, e.cfg.MaxBatch)
 		if err != nil {
-			if e.shuttingDown() {
-				// Force-closed (or cut mid-read) during drain; nothing to say.
-				return
-			}
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				e.met.idleTimeouts.Inc()
-				e.log.Debug("session idle timeout", "meter", meterID)
-				_ = codec.Send(&Envelope{Type: TypeError, Code: CodeIdleTimeout, Error: "idle timeout"})
-				return
-			}
-			// Anything else out of Recv is a wire-level fault: a malformed,
-			// oversized, or truncated frame (oversized frames carry
-			// CodeOversized on the way back).
 			e.met.codecErrors.Inc()
-			e.met.rejected.Inc()
-			_ = codec.Send(errorEnvelope(err))
-			return
+			return s.reject(e.met.rejected, CodeProtocol, err.Error())
 		}
-
-		switch env.Type {
-		case TypeHello:
-			if version < WireV2 {
-				e.met.rejected.Inc()
-				_ = codec.Send(&Envelope{Type: TypeError, Code: CodeProtocol, Error: "expected reading"})
-				return
-			}
-			// v2 rebind: the session switches to another meter. Replied like
-			// the opening hello so the client can confirm the switch.
-			meterID = env.Hello.MeterID
-			err := codec.Send(&Envelope{Type: TypeHello, Hello: &HelloMsg{
-				MeterID: meterID, Version: WireV2, MaxBatch: e.cfg.MaxBatch,
-			}})
-			if err != nil {
-				return
-			}
-
-		case TypeReading:
-			start := time.Now()
-			if env.Reading.MeterID != meterID {
-				e.met.rejected.Inc()
-				mismatch := fmt.Errorf("%w: reading claims %q, session is %q", ErrSessionMismatch, env.Reading.MeterID, meterID)
-				_ = codec.Send(errorEnvelope(mismatch))
-				return
-			}
-			if e.kr != nil {
-				if err := e.kr.VerifyEnvelope(env); err != nil {
-					e.met.authFailed.Inc()
-					e.log.Warn("reading failed MAC verification", "meter", meterID)
-					_ = codec.Send(&Envelope{Type: TypeError, Code: CodeAuth, Error: err.Error()})
-					return
-				}
-			}
-			if err := e.store.storeReading(env.Reading); err != nil {
-				e.met.rejected.Inc()
-				e.log.Error("reading could not be made durable", "meter", meterID, "err", err)
-				_ = codec.Send(&Envelope{Type: TypeError, Code: CodeStorage, Error: err.Error()})
-				return
-			}
-			// Ingest latency covers receipt through storage, observed on
-			// exactly the accepted path: rejected readings never reach it,
-			// and a failed or stalled ack write cannot pollute the
-			// distribution with transport noise.
-			e.met.ingestLatency.Observe(time.Since(start).Seconds())
-			if err := codec.Send(&Envelope{Type: TypeAck, Ack: &AckMsg{Slot: env.Reading.Slot}}); err != nil {
-				return
-			}
-
-		case TypeBatch:
-			start := time.Now()
-			if version < WireV2 {
-				e.met.rejected.Inc()
-				_ = codec.Send(&Envelope{Type: TypeError, Code: CodeProtocol, Error: "batch frames require a v2 session"})
-				return
-			}
-			if n := len(env.Batch.Readings); n > e.cfg.MaxBatch {
-				e.met.rejected.Inc()
-				_ = codec.Send(&Envelope{Type: TypeError, Code: CodeProtocol,
-					Error: fmt.Sprintf("batch of %d readings exceeds the advertised cap %d", n, e.cfg.MaxBatch)})
-				return
-			}
-			if env.Batch.MeterID != meterID {
-				e.met.rejected.Inc()
-				mismatch := fmt.Errorf("%w: batch claims %q, session is %q", ErrSessionMismatch, env.Batch.MeterID, meterID)
-				_ = codec.Send(errorEnvelope(mismatch))
-				return
-			}
-			if e.kr != nil {
-				if err := e.kr.VerifyEnvelope(env); err != nil {
-					e.met.authFailed.Inc()
-					e.log.Warn("batch failed MAC verification", "meter", meterID)
-					_ = codec.Send(&Envelope{Type: TypeError, Code: CodeAuth, Error: err.Error()})
-					return
-				}
-			}
-			if err := e.store.storeBatch(env.Batch); err != nil {
-				e.met.rejected.Inc()
-				e.log.Error("batch could not be made durable", "meter", meterID, "err", err)
-				_ = codec.Send(&Envelope{Type: TypeError, Code: CodeStorage, Error: err.Error()})
-				return
-			}
-			e.met.batchFrames.Inc()
-			e.met.batchSize.Observe(float64(len(env.Batch.Readings)))
-			e.met.ingestLatency.Observe(time.Since(start).Seconds())
-			last := env.Batch.Readings[len(env.Batch.Readings)-1].Slot
-			err := codec.Send(&Envelope{Type: TypeBatchAck, BatchAck: &BatchAckMsg{
-				Count: len(env.Batch.Readings), LastSlot: last,
-			}})
-			if err != nil {
-				return
-			}
-
-		default:
-			e.met.rejected.Inc()
-			_ = codec.Send(&Envelope{Type: TypeError, Code: CodeProtocol, Error: "expected reading"})
-			return
+		payload, tag := body[:n], body[n:]
+		if len(tag) != 0 && len(tag) != macSize {
+			e.met.codecErrors.Inc()
+			return s.reject(e.met.rejected, CodeProtocol,
+				fmt.Sprintf("batch frame carries %d bytes after its payload, want 0 or %d", len(tag), macSize))
 		}
+		if string(id) != s.meterID {
+			return s.reject(e.met.rejected, CodeSessionMismatch,
+				fmt.Sprintf("%v: batch claims %q, session is %q", ErrSessionMismatch, id, s.meterID))
+		}
+		if e.kr != nil {
+			if err := e.kr.verifyPayload(s.meterID, rs[0].Slot, payload, tag); err != nil {
+				e.log.Warn("batch failed MAC verification", "meter", s.meterID)
+				return s.reject(e.met.authFailed, CodeAuth, err.Error())
+			}
+		}
+		if !s.accept(start, rs, payload) {
+			return false
+		}
+		e.met.batchFrames.Inc()
+		e.met.batchSize.Observe(float64(len(rs)))
+		return s.codec.writeFrame(appendAckFrame(s.codec.out[:0], len(rs), rs[len(rs)-1].Slot)) == nil
+
+	default:
+		return s.reject(e.met.rejected, CodeProtocol, fmt.Sprintf("unexpected frame kind %d", kind))
 	}
 }
 
@@ -244,7 +282,7 @@ func rejectBusyConn(conn net.Conn, idleTimeout time.Duration, maxFrame int) {
 	_ = conn.SetDeadline(time.Now().Add(grace))
 	codec := NewCodecLimit(conn, maxFrame)
 	_, _ = codec.Recv()
-	if err := codec.Send(&Envelope{Type: TypeError, Code: CodeBusy, Error: "head-end at connection limit"}); err != nil {
+	if err := codec.sendError(CodeBusy, "head-end at connection limit"); err != nil {
 		return
 	}
 	buf := make([]byte, 256)

@@ -198,12 +198,11 @@ type ShardedHeadEnd struct {
 	cfg    HeadEndConfig
 	shards []*ingestShard
 
-	mu      sync.Mutex
-	ln      net.Listener
-	closed  bool
-	keyring *Keyring
-	conns   map[net.Conn]bool
-	active  int
+	mu     sync.Mutex
+	ln     net.Listener
+	closed bool
+	conns  map[net.Conn]bool
+	active int
 
 	met *headEndMetrics
 	log *slog.Logger
@@ -216,6 +215,8 @@ type ShardedHeadEnd struct {
 	walCfg  walConfig
 	walStop chan struct{} // stops the background syncer
 	walErr  error         // recovery failure; Listen refuses while set
+
+	env *sessionEnv // shared by every session
 }
 
 // NewSharded creates an idle sharded head-end with the given shard count
@@ -231,12 +232,19 @@ func NewSharded(shards int, opts ...Option) *ShardedHeadEnd {
 		shards = runtime.GOMAXPROCS(0)
 	}
 	sh := &ShardedHeadEnd{
-		cfg:     seed.cfg,
-		keyring: seed.keyring,
-		met:     seed.met,
-		conns:   make(map[net.Conn]bool),
-		done:    make(chan struct{}),
-		log:     obs.Logger("ami"),
+		cfg:   seed.cfg,
+		met:   seed.met,
+		conns: make(map[net.Conn]bool),
+		done:  make(chan struct{}),
+		log:   obs.Logger("ami"),
+	}
+	sh.env = &sessionEnv{
+		cfg:   &sh.cfg,
+		met:   sh.met,
+		kr:    seed.keyring,
+		store: sh,
+		log:   sh.log,
+		done:  sh.done,
 	}
 	depth := sh.cfg.QueueDepth
 	if depth <= 0 {
@@ -401,40 +409,28 @@ func (sh *ShardedHeadEnd) shardFor(meterID string) *ingestShard {
 	return sh.shards[shardIndex(meterID, len(sh.shards))]
 }
 
-// storeReading enqueues one accepted reading on its shard (ingestStore).
-// With a WAL, the reading is appended to the shard's log first — an append
-// failure means nothing was enqueued and the session must not ack. The
-// accepted counter is bumped at enqueue: once acknowledged, a reading is
-// the queue's responsibility and cannot be rejected.
-func (sh *ShardedHeadEnd) storeReading(r *ReadingMsg) error {
-	s := sh.shardFor(r.MeterID)
-	rs := []BatchReading{{Slot: r.Slot, KW: r.KW}}
+// store enqueues one accepted frame's readings on its shard (ingestStore).
+// With a WAL, the payload is appended to the shard's log first — an append
+// failure means nothing was enqueued and the session must not ack. A v3
+// batch arrives with its verified payload, which the log takes as is; a
+// v1 reading is encoded here. The readings slice transfers to the shard
+// without copying. The accepted counter is bumped at enqueue: once
+// acknowledged, a reading is the queue's responsibility and cannot be
+// rejected.
+func (sh *ShardedHeadEnd) store(meterID string, rs []BatchReading, payload []byte) error {
+	s := sh.shardFor(meterID)
 	if s.wal != nil {
-		if err := s.wal.Append(r.MeterID, rs,
-			func() { s.enqueue(r.MeterID, rs) }, s.enqueueCompact); err != nil {
+		if payload == nil {
+			payload = appendPayload(nil, meterID, rs)
+		}
+		if err := s.wal.Append(payload,
+			func() { s.enqueue(meterID, rs) }, s.enqueueCompact); err != nil {
 			return err
 		}
 	} else {
-		s.enqueue(r.MeterID, rs)
+		s.enqueue(meterID, rs)
 	}
-	sh.met.accepted.Inc()
-	return nil
-}
-
-// storeBatch enqueues an accepted batch frame on its shard (ingestStore).
-// The readings slice is owned by the decoded envelope and transfers to the
-// shard without copying.
-func (sh *ShardedHeadEnd) storeBatch(b *BatchMsg) error {
-	s := sh.shardFor(b.MeterID)
-	if s.wal != nil {
-		if err := s.wal.Append(b.MeterID, b.Readings,
-			func() { s.enqueue(b.MeterID, b.Readings) }, s.enqueueCompact); err != nil {
-			return err
-		}
-	} else {
-		s.enqueue(b.MeterID, b.Readings)
-	}
-	sh.met.accepted.Add(int64(len(b.Readings)))
+	sh.met.accepted.Add(int64(len(rs)))
 	return nil
 }
 
@@ -507,14 +503,6 @@ func (sh *ShardedHeadEnd) Listen(addr string) (string, error) {
 
 func (sh *ShardedHeadEnd) acceptLoop(ln net.Listener) {
 	defer sh.wg.Done()
-	env := &sessionEnv{
-		cfg:   &sh.cfg,
-		met:   sh.met,
-		kr:    sh.keyring,
-		store: sh,
-		log:   sh.log,
-		done:  sh.done,
-	}
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -548,7 +536,7 @@ func (sh *ShardedHeadEnd) acceptLoop(ln net.Listener) {
 		go func() {
 			defer sh.wg.Done()
 			defer sh.untrack(conn, true)
-			env.serve(conn)
+			sh.env.serve(conn)
 		}()
 	}
 }

@@ -50,7 +50,7 @@ func TestShardedServesV1Clients(t *testing.T) {
 	}
 }
 
-// TestShardedMixedTraffic spreads a fleet of v1 and v2 meters over the
+// TestShardedMixedTraffic spreads a fleet of v1 and v3 meters over the
 // shards and checks the coordinator's merged view.
 func TestShardedMixedTraffic(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -169,7 +169,7 @@ func TestShardedCloseDrainsQueues(t *testing.T) {
 	}
 }
 
-// TestShardedRebindRoutesAcrossShards: one multiplexed v2 session feeding
+// TestShardedRebindRoutesAcrossShards: one multiplexed v3 session feeding
 // meters that hash to different shards must land each meter in its own
 // shard's store.
 func TestShardedRebindRoutesAcrossShards(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"log/slog"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -43,7 +42,10 @@ import (
 //	payload: len(meterID) uint16 | meterID | count uint32 |
 //	         count x (slot int64 | kw float64-bits uint64)
 //
-// The CRC is over the payload only, so a bit flip anywhere in a record
+// The payload is byte for byte the body of a wire-v3 batch frame (see
+// frame.go): an accepted frame's verified payload is appended as it
+// arrived, and replay decodes it with the wire's own decoder. The CRC is
+// over the payload only, so a bit flip anywhere in a record
 // fails its checksum and replay stops at the last valid prefix. Snapshots
 // reuse the exact record framing; only the file name differs.
 
@@ -194,32 +196,19 @@ func parseWALFileSeq(name, prefix, suffix string) (uint64, bool) {
 	return seq, true
 }
 
-// encodeWALRecord appends one framed record to buf and returns it.
-func encodeWALRecord(buf []byte, meterID string, rs []BatchReading) []byte {
-	payloadLen := 2 + len(meterID) + 4 + 16*len(rs)
-	start := len(buf)
-	buf = append(buf, make([]byte, walRecordHeader+payloadLen)...)
-	payload := buf[start+walRecordHeader:]
-	binary.LittleEndian.PutUint16(payload[0:2], uint16(len(meterID)))
-	copy(payload[2:], meterID)
-	off := 2 + len(meterID)
-	binary.LittleEndian.PutUint32(payload[off:off+4], uint32(len(rs)))
-	off += 4
-	for _, r := range rs {
-		binary.LittleEndian.PutUint64(payload[off:off+8], uint64(r.Slot))
-		binary.LittleEndian.PutUint64(payload[off+8:off+16], math.Float64bits(r.KW))
-		off += 16
-	}
-	header := buf[start : start+walRecordHeader]
-	binary.LittleEndian.PutUint32(header[0:4], crc32.ChecksumIEEE(payload))
-	binary.LittleEndian.PutUint32(header[4:8], uint32(payloadLen))
-	return buf
+// appendWALRecord frames one payload (see appendPayload) as a record:
+// CRC and length in front, the payload bytes as they are.
+func appendWALRecord(dst, payload []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	return append(dst, payload...)
 }
 
 // decodeWALRecord reads one record starting at data[off]. It returns the
 // decoded meter ID and readings and the offset just past the record.
-// errWALCorrupt (wrapped) marks the end of the valid prefix; io.EOF marks
-// a clean end exactly at len(data).
+// errWALCorrupt (wrapped) marks the end of the valid prefix — a bad CRC or
+// length, or a payload the wire decoder would refuse; io.EOF marks a clean
+// end exactly at len(data).
 func decodeWALRecord(data []byte, off int) (meterID string, rs []BatchReading, next int, err error) {
 	if off == len(data) {
 		return "", nil, off, io.EOF
@@ -229,7 +218,7 @@ func decodeWALRecord(data []byte, off int) (meterID string, rs []BatchReading, n
 	}
 	crc := binary.LittleEndian.Uint32(data[off : off+4])
 	plen := int(binary.LittleEndian.Uint32(data[off+4 : off+8]))
-	if plen < 6 || plen > maxWALRecordBytes {
+	if plen < payloadFixed || plen > maxWALRecordBytes {
 		return "", nil, off, fmt.Errorf("%w: payload length %d out of range", errWALCorrupt, plen)
 	}
 	if len(data)-off-walRecordHeader < plen {
@@ -239,23 +228,14 @@ func decodeWALRecord(data []byte, off int) (meterID string, rs []BatchReading, n
 	if crc32.ChecksumIEEE(payload) != crc {
 		return "", nil, off, fmt.Errorf("%w: checksum mismatch", errWALCorrupt)
 	}
-	idLen := int(binary.LittleEndian.Uint16(payload[0:2]))
-	if 2+idLen+4 > plen {
-		return "", nil, off, fmt.Errorf("%w: meter ID overruns payload", errWALCorrupt)
+	id, rs, n, err := decodePayload(payload, maxWALRecordBytes/readingBytes)
+	if err != nil {
+		return "", nil, off, fmt.Errorf("%w: %w", errWALCorrupt, err)
 	}
-	count := int(binary.LittleEndian.Uint32(payload[2+idLen : 2+idLen+4]))
-	if plen != 2+idLen+4+16*count {
-		return "", nil, off, fmt.Errorf("%w: payload length %d does not match %d readings", errWALCorrupt, plen, count)
+	if n != plen {
+		return "", nil, off, fmt.Errorf("%w: payload length %d does not match %d readings", errWALCorrupt, plen, len(rs))
 	}
-	meterID = string(payload[2 : 2+idLen])
-	rs = make([]BatchReading, count)
-	p := 2 + idLen + 4
-	for i := range rs {
-		rs[i].Slot = int64(binary.LittleEndian.Uint64(payload[p : p+8]))
-		rs[i].KW = math.Float64frombits(binary.LittleEndian.Uint64(payload[p+8 : p+16]))
-		p += 16
-	}
-	return meterID, rs, off + walRecordHeader + plen, nil
+	return string(id), rs, off + walRecordHeader + plen, nil
 }
 
 // replayWALFile streams one file's records through apply, returning the
@@ -386,19 +366,20 @@ func openShardWAL(dir string, cfg walConfig, ins walInstruments, log *slog.Logge
 	return w, nil
 }
 
-// Append frames one record, writes it to the active segment, and — still
-// holding the append lock — runs enqueue, so the order of records in the
+// Append frames one payload as a record (prepending only the CRC and
+// length), writes it to the active segment, and — still holding the
+// append lock — runs enqueue, so the order of records in the
 // log and jobs on the shard queue agree (compaction correctness depends on
 // it). Under WALSyncAlways the record is fsynced before enqueue. When the
 // append seals a segment past the compaction threshold, compact is called
 // (under the lock) with the sequence number the snapshot must cover.
-func (w *shardWAL) Append(meterID string, rs []BatchReading, enqueue func(), compact func(coverSeq uint64)) error {
+func (w *shardWAL) Append(payload []byte, enqueue func(), compact func(coverSeq uint64)) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return fmt.Errorf("ami: wal: %w", ErrClosed)
 	}
-	w.buf = encodeWALRecord(w.buf[:0], meterID, rs)
+	w.buf = appendWALRecord(w.buf[:0], payload)
 	//lint:ignore lockhold append-before-ack is the durability contract: the record must hit the segment under the append lock so log order equals queue order
 	if _, err := w.f.Write(w.buf); err != nil {
 		w.ins.errors.Inc()
@@ -528,9 +509,10 @@ func (w *shardWAL) Compact(coverSeq uint64, snapshot func(write func(meterID str
 		w.ins.errors.Inc()
 		return fmt.Errorf("ami: wal compact: %w", err)
 	}
-	var buf []byte
+	var payload, buf []byte
 	werr := snapshot(func(meterID string, rs []BatchReading) error {
-		buf = encodeWALRecord(buf[:0], meterID, rs)
+		payload = appendPayload(payload[:0], meterID, rs)
+		buf = appendWALRecord(buf[:0], payload)
 		if _, err := f.Write(buf); err != nil {
 			return fmt.Errorf("ami: wal compact: %w", err)
 		}

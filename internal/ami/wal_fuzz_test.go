@@ -38,7 +38,7 @@ func FuzzWALReplay(f *testing.F) {
 	var valid []byte
 	valid = encodeWALRecord(valid, "m01", []BatchReading{{Slot: 0, KW: 1.5}, {Slot: 1, KW: 2}})
 	valid = encodeWALRecord(valid, "m02", []BatchReading{{Slot: 47, KW: 0}})
-	valid = encodeWALRecord(valid, "meter-with-a-longer-id", nil)
+	valid = encodeWALRecord(valid, "meter-with-a-longer-id", []BatchReading{{Slot: 9, KW: 3.25}})
 	f.Add(valid)
 	f.Add(valid[:len(valid)-5])               // torn tail mid-record
 	f.Add(valid[:walRecordHeader-2])          // torn header

@@ -57,10 +57,16 @@ func crashSharded(sh *ShardedHeadEnd) {
 	}
 }
 
+// encodeWALRecord frames one meter's readings as a WAL record, the way
+// snapshots do.
+func encodeWALRecord(buf []byte, meterID string, rs []BatchReading) []byte {
+	return appendWALRecord(buf, appendPayload(nil, meterID, rs))
+}
+
 func TestWALRecordRoundTrip(t *testing.T) {
-	rs := []BatchReading{{Slot: 0, KW: 1.25}, {Slot: 47, KW: 0}, {Slot: -3, KW: 9.5}}
+	rs := []BatchReading{{Slot: 0, KW: 1.25}, {Slot: 47, KW: 0}, {Slot: 3, KW: 9.5}}
 	buf := encodeWALRecord(nil, "meter-007", rs)
-	buf = encodeWALRecord(buf, "m2", nil)
+	buf = encodeWALRecord(buf, "m2", rs[2:])
 
 	meterID, got, next, err := decodeWALRecord(buf, 0)
 	if err != nil {
@@ -78,11 +84,23 @@ func TestWALRecordRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meterID != "m2" || len(got) != 0 {
-		t.Fatalf("second record = %q/%d readings, want m2/0", meterID, len(got))
+	if meterID != "m2" || len(got) != 1 || got[0] != rs[2] {
+		t.Fatalf("second record = %q/%+v, want m2/[%+v]", meterID, got, rs[2])
 	}
 	if _, _, _, err := decodeWALRecord(buf, next); !errors.Is(err, io.EOF) {
 		t.Fatalf("end of buffer = %v, want io.EOF", err)
+	}
+
+	// Replay decodes with the wire's rules: a record no session could have
+	// accepted — no readings, a negative slot — ends the valid prefix even
+	// when its CRC matches.
+	for name, bad := range map[string][]BatchReading{
+		"empty":         nil,
+		"negative slot": {{Slot: -3, KW: 1}},
+	} {
+		if _, _, _, err := decodeWALRecord(encodeWALRecord(nil, "m3", bad), 0); !errors.Is(err, errWALCorrupt) {
+			t.Errorf("%s record: err = %v, want errWALCorrupt", name, err)
+		}
 	}
 }
 
@@ -126,7 +144,7 @@ func TestWALTornTailTruncatedOnReopen(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ {
 		rs := []BatchReading{{Slot: int64(i), KW: float64(i)}}
-		if err := w.Append(fmt.Sprintf("m%d", i), rs, noop, noCompact); err != nil {
+		if err := w.Append(appendPayload(nil, fmt.Sprintf("m%d", i), rs), noop, noCompact); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -361,9 +379,8 @@ func TestWALRotationAndCompaction(t *testing.T) {
 	}
 	const total = 300
 	for i := 0; i < total; i++ {
-		b := &BatchMsg{MeterID: fmt.Sprintf("m%d", i%7),
-			Readings: []BatchReading{{Slot: int64(i), KW: float64(i) / 2}}}
-		if err := head.storeBatch(b); err != nil {
+		rs := []BatchReading{{Slot: int64(i), KW: float64(i) / 2}}
+		if err := head.store(fmt.Sprintf("m%d", i%7), rs, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -488,7 +505,7 @@ func TestShardedWithoutWALUnchanged(t *testing.T) {
 	if st.Enabled || st.Appended != 0 || st.Recovered != 0 {
 		t.Fatalf("WAL stats on a WAL-less head-end = %+v, want zero/disabled", st)
 	}
-	if err := head.storeReading(&ReadingMsg{MeterID: "m1", Slot: 3, KW: 2}); err != nil {
+	if err := head.store("m1", []BatchReading{{Slot: 3, KW: 2}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	head.Flush()

@@ -5,26 +5,31 @@
 // premise that "either the smart meter or the communication link has been
 // compromised, and the attacker is now an insider" (Section IV).
 //
-// The wire protocol is newline-delimited JSON envelopes over TCP. Every
-// reading is acknowledged so tests can assert exactly-once collection.
+// Every session opens with a newline-delimited JSON hello. What follows
+// depends on the version the hello advertises:
 //
-// Two protocol versions share the same framing:
-//
-//	v1  one reading per frame, hello has no response. This is the original
-//	    wire dialect; v1 peers are byte-identical to the pre-versioning
-//	    protocol.
-//	v2  negotiated at hello (the client advertises "ver":2, the head-end
-//	    answers with its own hello carrying the agreed version and its
-//	    batch cap). v2 adds batch frames (N readings per envelope, one
-//	    batch-ack per frame) and mid-session hello frames that rebind the
-//	    session to another meter, so one connection can carry a whole
-//	    fleet's traffic.
+//	v1  no version field. One JSON reading envelope per line, each
+//	    answered by a JSON ack; the hello gets no reply. v1 peers are
+//	    byte-identical to the pre-versioning protocol and serve legacy
+//	    meters.
+//	v2  retired. A hello advertising exactly "ver":2 is refused with a
+//	    CodeProtocol error envelope.
+//	v3  "ver":3 (or higher, negotiated down). The head-end answers with a
+//	    JSON hello carrying the agreed version and its batch cap; from then
+//	    on the session is binary in both directions (see frame.go). A batch
+//	    frame's body is the WAL record payload byte for byte, optionally
+//	    followed by a raw HMAC-SHA256 tag over exactly those bytes, so an
+//	    accepted frame is verified, logged and stored without re-encoding.
+//	    Rebind frames switch the session to another meter, so one
+//	    connection can carry a whole fleet's traffic.
 //
 // Because the threat model assumes the peer may be hostile, the codec
 // trusts nothing: frames are bounded by MaxFrameSize (a meter streaming
 // one multi-gigabyte frame gets a typed CodeOversized rejection, not the
-// head-end's address space), and Validate rejects non-finite kW values so
-// NaN/±Inf poison can never reach the readings store.
+// head-end's address space; a v3 length prefix is checked before any
+// allocation), and both the JSON validator and the payload decoder reject
+// negative slots and non-finite or negative kW, so NaN/±Inf poison can
+// never reach the readings store.
 package ami
 
 import (
@@ -37,59 +42,54 @@ import (
 	"repro/internal/timeseries"
 )
 
-// Message types carried in an Envelope.
+// Message types carried in a JSON Envelope.
 const (
-	TypeHello    = "hello"
-	TypeReading  = "reading"
-	TypeAck      = "ack"
-	TypeError    = "error"
-	TypeBatch    = "batch"
-	TypeBatchAck = "batch_ack"
+	TypeHello   = "hello"
+	TypeReading = "reading"
+	TypeAck     = "ack"
+	TypeError   = "error"
 )
 
 // Wire protocol versions. A hello with no version field is a v1 peer.
 const (
-	// WireV1 is the original one-reading-per-frame dialect.
+	// WireV1 is the original one-reading-per-frame JSON dialect.
 	WireV1 = 1
-	// WireV2 adds batch frames and mid-session meter rebinding.
+	// WireV2 is the retired JSON batch dialect; head-ends refuse it.
 	WireV2 = 2
+	// WireV3 is the binary batch dialect: batch and rebind frames whose
+	// bodies are WAL record payloads.
+	WireV3 = 3
 )
 
 // Frame and batch bounds.
 const (
-	// DefaultMaxFrameSize bounds one wire frame. A frame is one JSON
-	// envelope plus its newline; the largest legitimate frame is a full
-	// batch of signed readings, which fits comfortably in 1 MiB.
+	// DefaultMaxFrameSize bounds one wire frame: a JSON envelope plus its
+	// newline, or a v3 frame header plus its body. The largest legitimate
+	// frame is a full signed batch, which fits comfortably in 1 MiB.
 	DefaultMaxFrameSize = 1 << 20
 	// DefaultMaxBatch is the head-end's default cap on readings per batch
-	// frame, advertised to v2 clients in the hello response.
+	// frame, advertised to v3 clients in the hello response.
 	DefaultMaxBatch = 1024
 )
 
-// Envelope is the single wire frame. Type selects which payload field is
-// populated.
+// Envelope is the JSON wire frame: every hello, and every v1 reading, ack
+// and error. Type selects which payload field is populated.
 type Envelope struct {
 	Type    string      `json:"type"`
 	Hello   *HelloMsg   `json:"hello,omitempty"`
 	Reading *ReadingMsg `json:"reading,omitempty"`
 	Ack     *AckMsg     `json:"ack,omitempty"`
-	// Batch carries N readings for one meter in one frame (v2 sessions).
-	Batch *BatchMsg `json:"batch,omitempty"`
-	// BatchAck acknowledges a whole batch frame (v2 sessions).
-	BatchAck *BatchAckMsg `json:"batch_ack,omitempty"`
-	Error    string       `json:"error,omitempty"`
+	Error   string      `json:"error,omitempty"`
 	// Code is the machine-readable classification of a TypeError envelope
 	// (see the Code* constants). Optional: peers predating the taxonomy
 	// send errors with no code, which readers treat as permanent.
 	Code string `json:"code,omitempty"`
-	// Auth is the optional hex HMAC-SHA256 tag over the reading or batch
-	// (see SignReading, SignBatch). Verified only when the head-end runs
-	// with a keyring.
+	// Auth is the optional hex HMAC-SHA256 tag over a v1 reading (see
+	// SignReading). Verified only when the head-end runs with a keyring.
 	Auth string `json:"auth,omitempty"`
 }
 
-// HelloMsg introduces a meter at connection start (and, on v2 sessions,
-// rebinds the session to another meter mid-stream). The version and batch
+// HelloMsg introduces a meter at connection start. The version and batch
 // fields are omitted when zero, so a v1 hello is byte-identical to the
 // pre-versioning wire format.
 type HelloMsg struct {
@@ -98,41 +98,28 @@ type HelloMsg struct {
 	// v1: the field predates versioning). In the head-end's hello response
 	// it is the negotiated version for the session.
 	Version int `json:"ver,omitempty"`
-	// MaxBatch is only set in the head-end's hello response: the largest
-	// batch frame it will accept. Clients must chunk accordingly.
+	// MaxBatch is only meaningful in the head-end's hello response: the
+	// largest batch frame it will accept. Clients must chunk accordingly.
 	MaxBatch int `json:"max_batch,omitempty"`
 }
 
-// ReadingMsg reports one average-demand measurement.
+// ReadingMsg reports one average-demand measurement (v1).
 type ReadingMsg struct {
 	MeterID string  `json:"meter_id"`
 	Slot    int64   `json:"slot"`
 	KW      float64 `json:"kw"`
 }
 
-// BatchReading is one (slot, kW) pair inside a batch frame. The meter ID
-// lives once on the enclosing BatchMsg.
+// BatchReading is one (slot, kW) pair inside a batch frame or WAL record.
+// The meter ID is carried once per frame.
 type BatchReading struct {
-	Slot int64   `json:"slot"`
-	KW   float64 `json:"kw"`
+	Slot int64
+	KW   float64
 }
 
-// BatchMsg reports N measurements for one meter in a single frame.
-type BatchMsg struct {
-	MeterID  string         `json:"meter_id"`
-	Readings []BatchReading `json:"readings"`
-}
-
-// AckMsg acknowledges a reading by slot.
+// AckMsg acknowledges a v1 reading by slot.
 type AckMsg struct {
 	Slot int64 `json:"slot"`
-}
-
-// BatchAckMsg acknowledges one batch frame: how many readings were stored
-// and the last slot covered, so the client can verify nothing was dropped.
-type BatchAckMsg struct {
-	Count    int   `json:"count"`
-	LastSlot int64 `json:"last_slot"`
 }
 
 // validKW rejects the values the readings store must never hold: negative
@@ -173,34 +160,9 @@ func (e *Envelope) Validate() error {
 		if err := validKW(e.Reading.KW); err != nil {
 			return err
 		}
-	case TypeBatch:
-		if e.Batch == nil {
-			return fmt.Errorf("ami: batch envelope missing payload")
-		}
-		if e.Batch.MeterID == "" {
-			return fmt.Errorf("ami: batch missing meter ID")
-		}
-		if len(e.Batch.Readings) == 0 {
-			return fmt.Errorf("ami: batch envelope carries no readings")
-		}
-		for i, r := range e.Batch.Readings {
-			if r.Slot < 0 {
-				return fmt.Errorf("ami: batch reading %d slot %d negative", i, r.Slot)
-			}
-			if err := validKW(r.KW); err != nil {
-				return fmt.Errorf("ami: batch reading %d: %w", i, err)
-			}
-		}
 	case TypeAck:
 		if e.Ack == nil {
 			return fmt.Errorf("ami: ack envelope missing payload")
-		}
-	case TypeBatchAck:
-		if e.BatchAck == nil {
-			return fmt.Errorf("ami: batch-ack envelope missing payload")
-		}
-		if e.BatchAck.Count < 1 {
-			return fmt.Errorf("ami: batch-ack count %d < 1", e.BatchAck.Count)
 		}
 	case TypeError:
 		if e.Error == "" {
@@ -212,14 +174,22 @@ func (e *Envelope) Validate() error {
 	return nil
 }
 
-// Codec reads and writes envelopes over a stream. Inbound frames are
-// bounded: a frame that exceeds the codec's limit yields a typed
-// *ProtocolError with CodeOversized instead of buffering without bound.
+// Codec reads and writes one session's frames over a stream: JSON
+// envelopes until a v3 hello exchange switches it to binary frames.
+// Inbound frames are bounded: a frame that exceeds the codec's limit
+// yields a typed *ProtocolError with CodeOversized instead of buffering
+// without bound.
 type Codec struct {
 	w   io.Writer
 	r   *bufio.Reader
 	max int
-	buf []byte // frame assembly scratch, reused across Recv calls
+	buf []byte // inbound frame scratch, reused across reads
+
+	// binary is set once a v3 hello exchange completes; from then on the
+	// session's errors go out as binary error frames.
+	binary bool
+	hdr    [frameHeader]byte // inbound frame header scratch
+	out    []byte            // outbound frame scratch
 }
 
 // NewCodec wraps a duplex stream with the default frame bound.
@@ -229,7 +199,7 @@ func NewCodec(rw io.ReadWriter) *Codec {
 
 // NewCodecLimit wraps a duplex stream with an explicit frame bound
 // (maxFrame <= 0 selects DefaultMaxFrameSize). The bound applies to both
-// directions: oversized outbound envelopes are refused locally rather than
+// directions: oversized outbound frames are refused locally rather than
 // shipped to a peer that would reject them anyway.
 func NewCodecLimit(rw io.ReadWriter, maxFrame int) *Codec {
 	if maxFrame <= 0 {
@@ -242,7 +212,13 @@ func NewCodecLimit(rw io.ReadWriter, maxFrame int) *Codec {
 	}
 }
 
-// Send validates and writes one envelope.
+// oversized is the typed rejection for a frame past the codec's bound.
+func (c *Codec) oversized(n int) error {
+	return &ProtocolError{Code: CodeOversized,
+		Message: fmt.Sprintf("frame is %d bytes, limit %d", n, c.max)}
+}
+
+// Send validates and writes one JSON envelope.
 func (c *Codec) Send(e *Envelope) error {
 	if err := e.Validate(); err != nil {
 		return err
@@ -252,9 +228,7 @@ func (c *Codec) Send(e *Envelope) error {
 		return fmt.Errorf("ami: encoding %s envelope: %w", e.Type, err)
 	}
 	if len(buf)+1 > c.max {
-		return fmt.Errorf("ami: encoding %s envelope: %w", e.Type,
-			&ProtocolError{Code: CodeOversized,
-				Message: fmt.Sprintf("frame is %d bytes, limit %d", len(buf)+1, c.max)})
+		return fmt.Errorf("ami: encoding %s envelope: %w", e.Type, c.oversized(len(buf)+1))
 	}
 	buf = append(buf, '\n')
 	if _, err := c.w.Write(buf); err != nil {
@@ -263,11 +237,11 @@ func (c *Codec) Send(e *Envelope) error {
 	return nil
 }
 
-// readFrame assembles one newline-terminated frame, refusing to buffer
+// readLine assembles one newline-terminated JSON frame, refusing to buffer
 // past the codec's limit. A final frame cut off by EOF is returned as-is
 // for the JSON layer to reject; a clean EOF at a frame boundary surfaces
 // as io.EOF unwrapped.
-func (c *Codec) readFrame() ([]byte, error) {
+func (c *Codec) readLine() ([]byte, error) {
 	c.buf = c.buf[:0]
 	for {
 		chunk, err := c.r.ReadSlice('\n')
@@ -292,12 +266,12 @@ func (c *Codec) readFrame() ([]byte, error) {
 	}
 }
 
-// Recv reads and validates one envelope. It returns io.EOF unwrapped when
-// the peer closed cleanly; an oversized frame returns a wrapped
+// Recv reads and validates one JSON envelope. It returns io.EOF unwrapped
+// when the peer closed cleanly; an oversized frame returns a wrapped
 // *ProtocolError carrying CodeOversized (match with errors.Is(err,
 // ErrOversized)).
 func (c *Codec) Recv() (*Envelope, error) {
-	frame, err := c.readFrame()
+	frame, err := c.readLine()
 	if err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
@@ -312,6 +286,16 @@ func (c *Codec) Recv() (*Envelope, error) {
 		return nil, err
 	}
 	return &e, nil
+}
+
+// sendError reports a rejection to the peer in the session's current
+// dialect: a binary error frame once v3 is negotiated, a JSON error
+// envelope before that.
+func (c *Codec) sendError(code, msg string) error {
+	if c.binary {
+		return c.writeFrame(appendErrorFrame(c.out[:0], code, msg))
+	}
+	return c.Send(&Envelope{Type: TypeError, Code: code, Error: msg})
 }
 
 // ToReading converts a wire message into the meter-domain reading type.
