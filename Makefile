@@ -63,12 +63,13 @@ bench-population:
 			{ echo "bench-population: $$key missing from report"; exit 1; }; done
 
 # collect-smoke: the ingestion tier end to end under the race detector — a
-# sharded head-end, a persistent-connection pool multiplexing a 1k-meter
-# fleet over wire-v3 binary batch frames, plus a small v1 baseline for the
-# speedup figure. Exercises negotiation, rebinding, batching, shard queues, flush,
-# and drain on every PR.
+# sharded head-end and a persistent-connection pool multiplexing a
+# 1k-meter fleet over wire-v3 binary batch frames, each meter's first
+# frame behind a one-way rebind in the same write (one client write, one
+# server read, one server write). Exercises negotiation, rebinding,
+# batching, shard queues, flush, and drain on every PR.
 collect-smoke:
-	$(GO) run -race ./cmd/fdeta collect -meters 1000 -shards 4 -batch 48 -concurrency 16 -baseline-meters 100
+	$(GO) run -race ./cmd/fdeta collect -meters 1000 -shards 4 -batch 48 -concurrency 16
 
 # chaos-smoke: the durability invariant under the race detector — the
 # chaos harness kill -9s a real WAL-backed head-end process mid-load

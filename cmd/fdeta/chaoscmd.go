@@ -27,12 +27,13 @@ const chaosBanner = "chaos-server: listening on "
 // cmdChaos proves the durability contract on the real TCP path: it
 // re-execs this binary as a WAL-backed sharded head-end, drives a meter
 // fleet against it while injecting connection resets (some cutting a v3
-// batch frame mid-body), partial writes, and slow-loris sessions, kills
-// the server with SIGKILL mid-load, restarts it, and repeats. After the
-// last kill it replays the WAL in-process and asserts the chaos invariant
-// — every reading the clients saw acknowledged is present in the
-// recovered store, and nothing from a cut frame is. Readings in flight
-// when the process died may or may not survive; acknowledged ones must.
+// batch frame mid-body, some behind a rebind), partial writes, and
+// slow-loris sessions, kills the server with SIGKILL mid-load, restarts
+// it, and repeats. After the last kill it replays the WAL in-process and
+// asserts the chaos invariant — every reading the clients saw acknowledged
+// is present in the recovered store, and nothing from a cut frame is.
+// Readings in flight when the process died may or may not survive;
+// acknowledged ones must.
 func cmdChaos(args []string) error {
 	fs := flag.NewFlagSet("chaos", flag.ContinueOnError)
 	meters := fs.Int("meters", 16, "meter fleet size")
@@ -42,7 +43,7 @@ func cmdChaos(args []string) error {
 	roundLen := fs.Duration("round-len", 700*time.Millisecond, "load duration per round before the kill")
 	walDir := fs.String("wal-dir", "", "WAL directory (empty = a temp dir, removed when the invariant holds)")
 	walSync := fs.String("wal-sync", "interval", "WAL sync policy for the server child: always, interval, or off")
-	resets := fs.Int("resets", 2, "concurrent connection-reset injectors (partial hello or cut v3 batch frame, then RST)")
+	resets := fs.Int("resets", 2, "concurrent connection-reset injectors (partial hello, or cut v3 batch frame with or without a rebind, then RST)")
 	loris := fs.Int("loris", 2, "concurrent slow-loris sessions (one hello byte at a time)")
 	serve := fs.Bool("serve", false, "run as the server child (internal; the harness re-execs itself with this flag)")
 	addr := fs.String("addr", "127.0.0.1:0", "server child listen address")
@@ -298,14 +299,17 @@ func (h *chaosHarness) driveMeter(ctx context.Context, addr string, m int) {
 	}
 }
 
-// chaosResetMeter is the meter ID the reset injector's cut batch frames
-// claim. None of its frames is ever complete, so none may ever be stored.
-const chaosResetMeter = "chaos-reset"
+// chaosResetMeters are the meter IDs the reset injector's cut batch frames
+// claim: the session's own meter, and the meter a rebind riding in the
+// same write switches the session to. None of their frames is ever
+// complete, so nothing may ever be stored for either.
+var chaosResetMeters = [2]string{"chaos-reset", "chaos-reset-rebound"}
 
-// injectResets loops abortive closes (SO_LINGER 0 → RST) at two depths,
-// alternately: a half-written JSON hello, and a wire-v3 batch frame cut
-// mid-body after a valid hello exchange — exercising the head-end's
-// handling of peers that vanish mid-frame in both dialects.
+// injectResets loops abortive closes (SO_LINGER 0 → RST) at three depths,
+// in turn: a half-written JSON hello, a wire-v3 batch frame cut mid-body
+// after a valid hello exchange, and the same cut frame behind a rebind in
+// one write — exercising the head-end's handling of peers that vanish
+// mid-frame in both dialects and mid-way through a rebound batch.
 func injectResets(ctx context.Context, addr string, cut *atomic.Int64) {
 	for i := 0; ctx.Err() == nil; i++ {
 		d := net.Dialer{Timeout: time.Second}
@@ -313,9 +317,9 @@ func injectResets(ctx context.Context, addr string, cut *atomic.Int64) {
 		if err != nil {
 			return
 		}
-		if i%2 == 0 {
+		if i%3 == 0 {
 			_, _ = conn.Write([]byte(`{"type":"hello","hello":{"meter_`)) // partial frame
-		} else if cutBatchFrame(conn) {
+		} else if cutBatchFrame(conn, i%3 == 2) {
 			cut.Add(1)
 		}
 		if tc, ok := conn.(*net.TCPConn); ok {
@@ -326,23 +330,30 @@ func injectResets(ctx context.Context, addr string, cut *atomic.Int64) {
 	}
 }
 
-// cutBatchFrame opens a v3 session as chaosResetMeter and writes the first
-// half of a batch frame, so the head-end has the header and part of the
-// body when the connection dies. It reports whether the half frame went
-// out.
-func cutBatchFrame(conn net.Conn) bool {
+// cutBatchFrame opens a v3 session as the first reset meter and writes the
+// first half of a batch frame, so the head-end has the header and part of
+// the body when the connection dies. With rebind, a complete rebind frame
+// to the second reset meter precedes the half frame in the same write. It
+// reports whether the write went out.
+func cutBatchFrame(conn net.Conn, rebind bool) bool {
 	_ = conn.SetDeadline(time.Now().Add(time.Second))
 	codec := ami.NewCodec(conn)
-	hello := &ami.HelloMsg{MeterID: chaosResetMeter, Version: ami.WireV3}
+	id := chaosResetMeters[0]
+	hello := &ami.HelloMsg{MeterID: id, Version: ami.WireV3}
 	if err := codec.Send(&ami.Envelope{Type: ami.TypeHello, Hello: hello}); err != nil {
 		return false
 	}
 	if resp, err := codec.Recv(); err != nil || resp.Type != ami.TypeHello {
 		return false
 	}
-	frame := ami.AppendBatchFrame(nil, chaosResetMeter,
+	var out []byte
+	if rebind {
+		id = chaosResetMeters[1]
+		out = ami.AppendRebindFrame(out, id)
+	}
+	frame := ami.AppendBatchFrame(nil, id,
 		[]ami.BatchReading{{Slot: 0, KW: 1}, {Slot: 1, KW: 2}, {Slot: 2, KW: 3}}, nil)
-	_, err := conn.Write(frame[:len(frame)/2])
+	_, err := conn.Write(append(out, frame[:len(frame)/2]...))
 	return err == nil
 }
 
@@ -410,8 +421,10 @@ func (h *chaosHarness) verify() error {
 		return fmt.Errorf("chaos: INVARIANT VIOLATED: %d acked readings missing, %d corrupted, of %d acked",
 			missing, wrong, len(h.acked))
 	}
-	if n := head.Count(chaosResetMeter); n > 0 {
-		return fmt.Errorf("chaos: INVARIANT VIOLATED: %d readings stored from batch frames cut mid-body", n)
+	for _, id := range chaosResetMeters {
+		if n := head.Count(id); n > 0 {
+			return fmt.Errorf("chaos: INVARIANT VIOLATED: %d readings stored for %s from batch frames cut mid-body", n, id)
+		}
 	}
 	fmt.Printf("chaos: %d v3 batch frames cut mid-body, none stored\n", h.cutFrames.Load())
 	if len(h.acked) == 0 {

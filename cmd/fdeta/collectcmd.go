@@ -2,13 +2,10 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -45,8 +42,7 @@ type collectHead interface {
 // With -concurrency it becomes a load harness: a fixed pool of persistent
 // wire-v3 connections multiplexes an arbitrarily large simulated fleet
 // (rebinding per meter, batching readings per frame) against a plain or
-// sharded head-end, and reports throughput and latency quantiles —
-// optionally as a BENCH_*.json record via -bench-out.
+// sharded head-end, and reports throughput and latency quantiles.
 func cmdCollect(args []string) error {
 	fs := flag.NewFlagSet("collect", flag.ContinueOnError)
 	rf := bindRunFlags(fs)
@@ -62,8 +58,6 @@ func cmdCollect(args []string) error {
 	batch := fs.Int("batch", 0, "readings per wire-v3 batch frame (0 = one v1 frame per reading)")
 	concurrency := fs.Int("concurrency", 0, "load-harness connection pool size; >0 multiplexes the fleet over persistent v3 connections (requires -batch >= 1)")
 	profiles := fs.Int("profiles", 64, "synthetic consumption profiles cycled across the fleet (load-harness mode)")
-	baseline := fs.Int("baseline-meters", 0, "first drive a v1 one-frame-per-reading baseline over this many meters and report the harness speedup")
-	benchOut := fs.String("bench-out", "", "write a BENCH_*.json throughput record to this path")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -114,8 +108,6 @@ func cmdCollect(args []string) error {
 			shards:      *shards,
 			concurrency: *concurrency,
 			profiles:    *profiles,
-			baseline:    *baseline,
-			benchOut:    *benchOut,
 			newHead:     newHead,
 		}
 		return rf.run(h.run)
@@ -272,8 +264,6 @@ type harness struct {
 	seed                  int64
 	batch, shards         int
 	concurrency, profiles int
-	baseline              int
-	benchOut              string
 	newHead               func() collectHead
 }
 
@@ -301,6 +291,8 @@ func (h *harness) loadProfiles() ([]timeseries.Series, error) {
 	return out, nil
 }
 
+// run drives the batched, optionally sharded ingestion tier at fleet
+// scale and reports its throughput and latency quantiles.
 func (h *harness) run() error {
 	profiles, err := h.loadProfiles()
 	if err != nil {
@@ -309,109 +301,10 @@ func (h *harness) run() error {
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 
-	report := BenchReport{
-		Date:       time.Now().UTC().Format("2006-01-02"),
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Protocol:   "collect",
-	}
-
-	var baselineRate float64
-	if h.baseline > 0 {
-		res, err := h.runBaseline(ctx, profiles)
-		if err != nil {
-			return err
-		}
-		baselineRate = res.Metrics["readings_per_sec"]
-		report.Results = append(report.Results, res)
-	}
-
-	res, err := h.runBatched(ctx, profiles, baselineRate)
-	if err != nil {
-		return err
-	}
-	report.Results = append(report.Results, res)
-
-	if h.benchOut == "" {
-		return nil
-	}
-	if err := os.MkdirAll(filepath.Dir(h.benchOut), 0o755); err != nil {
-		return err
-	}
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(h.benchOut, buf, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("collect: wrote %s\n", h.benchOut)
-	return nil
-}
-
-// runBaseline replays the seed ingestion path — one TCP dial per meter,
-// one v1 frame and one ack round trip per reading, single synchronous
-// store — over a bounded fleet, to anchor the speedup figure.
-func (h *harness) runBaseline(ctx context.Context, profiles []timeseries.Series) (BenchResult, error) {
-	head := ami.New(ami.WithConfig(ami.HeadEndConfig{DrainTimeout: time.Second}))
-	addr, err := head.Listen("127.0.0.1:0")
-	if err != nil {
-		return BenchResult{}, err
-	}
-	fmt.Printf("collect: baseline head-end on %s (v1, one frame per reading, %d meters)\n", addr, h.baseline)
-
-	var sent atomic.Int64
-	start := time.Now()
-	err = h.pool(ctx, h.baseline, func(_ int, meterID string, readings []meter.Reading) error {
-		c, err := ami.Dial(addr, meterID, 5*time.Second)
-		if err != nil {
-			return err
-		}
-		defer func() { _ = c.Close() }()
-		if err := c.SendAll(readings); err != nil {
-			return err
-		}
-		sent.Add(int64(len(readings)))
-		return nil
-	}, profiles)
-	elapsed := time.Since(start)
-	if cerr := head.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return BenchResult{}, err
-	}
-	st := head.Stats()
-	total := int64(h.baseline) * int64(h.slots)
-	if st.Accepted != total {
-		return BenchResult{}, fmt.Errorf("collect: baseline accepted %d of %d readings", st.Accepted, total)
-	}
-	rate := float64(total) / elapsed.Seconds()
-	fmt.Printf("collect: baseline delivered %d readings in %s (%.0f readings/s)\n",
-		total, elapsed.Round(time.Millisecond), rate)
-	return BenchResult{
-		Name:       "CollectBaselineV1",
-		Iterations: int(total),
-		NsPerOp:    float64(elapsed.Nanoseconds()) / float64(total),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Workers:    h.poolSize(h.baseline),
-		Metrics: map[string]float64{
-			"meters":           float64(h.baseline),
-			"slots":            float64(h.slots),
-			"readings_per_sec": rate,
-			"frames_per_sec":   rate, // one frame per reading, by definition
-		},
-	}, nil
-}
-
-// runBatched drives the batched, optionally sharded ingestion tier at
-// fleet scale and derives the throughput/latency record.
-func (h *harness) runBatched(ctx context.Context, profiles []timeseries.Series, baselineRate float64) (BenchResult, error) {
 	head := h.newHead()
 	addr, err := head.Listen("127.0.0.1:0")
 	if err != nil {
-		return BenchResult{}, err
+		return err
 	}
 	fmt.Printf("collect: head-end on %s (%d shards, batch %d, %d conns, %d meters)\n",
 		addr, h.shards, h.batch, h.poolSize(h.meters), h.meters)
@@ -479,73 +372,43 @@ func (h *harness) runBatched(ctx context.Context, profiles []timeseries.Series, 
 
 	if err != nil {
 		_ = head.Close()
-		return BenchResult{}, err
+		return err
 	}
 	if err := h.spotCheck(head); err != nil {
 		_ = head.Close()
-		return BenchResult{}, err
+		return err
 	}
 	headSnap := head.Metrics().Snapshot()
 	if err := head.Close(); err != nil {
-		return BenchResult{}, err
+		return err
 	}
 
 	st := head.Stats()
 	total := int64(h.meters) * int64(h.slots)
 	if st.Accepted != total {
-		return BenchResult{}, fmt.Errorf("collect: accepted %d of %d readings", st.Accepted, total)
+		return fmt.Errorf("collect: accepted %d of %d readings", st.Accepted, total)
 	}
 	rate := float64(total) / elapsed.Seconds()
 	frameRate := float64(frames.Load()) / elapsed.Seconds()
 
 	merged := obs.MergeSnapshots(headSnap, clientReg.Snapshot())
-	res := BenchResult{
-		Name:       "CollectBatchedSharded",
-		Iterations: int(total),
-		NsPerOp:    float64(elapsed.Nanoseconds()) / float64(total),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Workers:    h.poolSize(h.meters),
-		Metrics: map[string]float64{
-			"meters":           float64(h.meters),
-			"slots":            float64(h.slots),
-			"shards":           float64(h.shards),
-			"batch":            float64(h.batch),
-			"readings_per_sec": rate,
-			"frames_per_sec":   frameRate,
-		},
-	}
-	quantiles := []struct {
-		metric, key string
-		q           float64
-	}{
-		{"fdeta_ami_ingest_latency_seconds", "ingest_p50_us", 0.50},
-		{"fdeta_ami_ingest_latency_seconds", "ingest_p99_us", 0.99},
-		{metricSendLatency, "send_p50_us", 0.50},
-		{metricSendLatency, "send_p99_us", 0.99},
-	}
-	for _, qq := range quantiles {
-		if m := merged.Find(qq.metric); m != nil {
-			res.Metrics[qq.key] = 1e6 * obs.Quantile(m, qq.q)
+	quantileUS := func(metric string, q float64) float64 {
+		if m := merged.Find(metric); m != nil {
+			return 1e6 * obs.Quantile(m, q)
 		}
+		return 0
 	}
-	if baselineRate > 0 {
-		res.Metrics["baseline_readings_per_sec"] = baselineRate
-		res.Metrics["speedup_vs_single"] = rate / baselineRate
-	}
+	const ingest = "fdeta_ami_ingest_latency_seconds"
 
 	fmt.Printf("collect: %d meters delivered %d readings in %d frames over %s\n",
 		h.meters, total, frames.Load(), elapsed.Round(time.Millisecond))
 	fmt.Printf("collect: %.0f readings/s, %.0f frames/s; ingest p50 %.1fµs p99 %.1fµs; send p50 %.1fµs p99 %.1fµs\n",
 		rate, frameRate,
-		res.Metrics["ingest_p50_us"], res.Metrics["ingest_p99_us"],
-		res.Metrics["send_p50_us"], res.Metrics["send_p99_us"])
-	if baselineRate > 0 {
-		fmt.Printf("collect: %.1fx the v1 one-frame-per-reading baseline (%.0f readings/s)\n",
-			res.Metrics["speedup_vs_single"], baselineRate)
-	}
+		quantileUS(ingest, 0.50), quantileUS(ingest, 0.99),
+		quantileUS(metricSendLatency, 0.50), quantileUS(metricSendLatency, 0.99))
 	fmt.Printf("collect: conns %d total, %d limit-rejected; readings %d rejected, %d auth-failed; %d forced closes\n",
 		st.TotalConns, st.LimitRejected, st.Rejected, st.AuthFailed, st.ForcedCloses)
-	return res, nil
+	return nil
 }
 
 // poolSize caps the connection pool at the fleet size.

@@ -18,6 +18,7 @@ type Client struct {
 	key      []byte // optional HMAC signing key
 	version  int    // negotiated wire version
 	maxBatch int    // head-end's advertised per-frame cap (v3 only)
+	rebind   bool   // meterID was bound but not yet sent in a rebind frame
 
 	rs []BatchReading // batch frame assembly scratch
 }
@@ -158,10 +159,12 @@ func (c *Client) Version() int { return c.version }
 // on a v1 session.
 func (c *Client) MaxBatch() int { return c.maxBatch }
 
-// Bind switches the connection to a different meter ID with a rebind
-// frame (v3 only). This is what lets one TCP connection multiplex a fleet
-// of simulated meters: a load harness worker binds, sends a batch, and
-// rebinds without paying a dial per meter.
+// Bind switches the connection to a different meter ID (v3 only). This is
+// what lets one TCP connection multiplex a fleet of simulated meters: a
+// load harness worker binds, sends a batch, and rebinds without paying a
+// dial per meter. Bind does no I/O: the one-way rebind frame goes out in
+// the same write as the next Send or SendBatch, so a head-end's refusal
+// of the rebind surfaces from that send.
 func (c *Client) Bind(meterID string) error {
 	if c.version < WireV3 {
 		return fmt.Errorf("ami: rebinding requires wire v3 (negotiated v%d)", c.version)
@@ -169,22 +172,8 @@ func (c *Client) Bind(meterID string) error {
 	if err := checkMeterID(meterID, c.version); err != nil {
 		return err
 	}
-	if err := c.conn.SetDeadline(time.Now().Add(c.timeout)); err != nil {
-		return fmt.Errorf("ami: setting deadline: %w", err)
-	}
-	if err := c.codec.writeFrame(appendRebindFrame(c.codec.out[:0], meterID)); err != nil {
-		return err
-	}
-	body, err := c.recvReply(frameRebindReply)
-	if err != nil {
-		return err
-	}
-	maxBatch, err := parseRebindReplyFrame(body)
-	if err != nil {
-		return err
-	}
-	c.maxBatch = max(maxBatch, 1)
 	c.meterID = meterID
+	c.rebind = true
 	return nil
 }
 
@@ -261,7 +250,8 @@ func (c *Client) SendBatch(rs []meter.Reading) error {
 }
 
 // sendBatchFrame sends one batch frame (len(rs) <= maxBatch), signed when
-// the client holds a key, and waits for its acknowledgement. Readings the
+// the client holds a key and preceded in the same write by the rebind a
+// Bind left pending, and waits for its acknowledgement. Readings the
 // head-end would refuse are refused here first, before anything is sent.
 func (c *Client) sendBatchFrame(rs []meter.Reading) error {
 	c.rs = c.rs[:0]
@@ -280,9 +270,14 @@ func (c *Client) sendBatchFrame(rs []meter.Reading) error {
 	if err := c.conn.SetDeadline(time.Now().Add(c.timeout)); err != nil {
 		return fmt.Errorf("ami: setting deadline: %w", err)
 	}
-	if err := c.codec.writeFrame(AppendBatchFrame(c.codec.out[:0], c.meterID, c.rs, c.key)); err != nil {
+	out := c.codec.out[:0]
+	if c.rebind {
+		out = AppendRebindFrame(out, c.meterID)
+	}
+	if err := c.codec.writeFrames(AppendBatchFrame(out, c.meterID, c.rs, c.key)); err != nil {
 		return err
 	}
+	c.rebind = false
 	first, last := c.rs[0].Slot, c.rs[len(c.rs)-1].Slot
 	body, err := c.recvReply(frameBatchAck)
 	if err != nil {

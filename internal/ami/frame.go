@@ -17,11 +17,16 @@ import (
 //
 // with integers little-endian, like the WAL. The bodies:
 //
-//	rebind        meterID                          (client → head-end)
-//	rebind reply  maxBatch uint32                  (head-end → client)
-//	batch         payload [| HMAC-SHA256(payload)] (client → head-end)
-//	batch-ack     count uint32 | lastSlot int64    (head-end → client)
-//	error         len(code) uint8 | code | message (head-end → client)
+//	1 rebind     meterID                          (client → head-end)
+//	3 batch      payload [| HMAC-SHA256(payload)] (client → head-end)
+//	4 batch-ack  count uint32 | lastSlot int64    (head-end → client)
+//	5 error      len(code) uint8 | code | message (head-end → client)
+//
+// A rebind is one-way: it switches the session to another meter and is
+// not answered. The client sends it in the same write as the batch that
+// follows, so a rebound batch costs one client write, one head-end read
+// and one head-end write (its ack or error). Kind 2, once the rebind
+// reply, is unassigned and refused as unknown.
 //
 // A batch payload is exactly the WAL record payload:
 //
@@ -35,11 +40,10 @@ import (
 
 // Frame kinds.
 const (
-	frameRebind      byte = 1
-	frameRebindReply byte = 2
-	frameBatch       byte = 3
-	frameBatchAck    byte = 4
-	frameError       byte = 5
+	frameRebind   byte = 1
+	frameBatch    byte = 3
+	frameBatchAck byte = 4
+	frameError    byte = 5
 )
 
 const (
@@ -186,34 +190,27 @@ func parseAckFrame(body []byte) (count int, lastSlot int64, err error) {
 	return int(binary.LittleEndian.Uint32(body)), int64(binary.LittleEndian.Uint64(body[4:])), nil
 }
 
-// appendRebindFrame appends a complete rebind frame for meterID.
-func appendRebindFrame(dst []byte, meterID string) []byte {
+// AppendRebindFrame appends one complete wire-v3 rebind frame for meterID
+// to dst. A rebind is one-way; send it in the same write as the batch it
+// precedes. The meter ID must be 1 to 65535 bytes (the head-end checks).
+func AppendRebindFrame(dst []byte, meterID string) []byte {
 	dst, start := beginFrame(dst, frameRebind)
 	return finishFrame(append(dst, meterID...), start)
 }
 
-// appendRebindReplyFrame appends a complete rebind-reply frame.
-func appendRebindReplyFrame(dst []byte, maxBatch int) []byte {
-	dst, start := beginFrame(dst, frameRebindReply)
-	return finishFrame(binary.LittleEndian.AppendUint32(dst, uint32(maxBatch)), start)
-}
-
-// parseRebindReplyFrame decodes a rebind-reply body into the batch cap.
-func parseRebindReplyFrame(body []byte) (int, error) {
-	if len(body) != 4 {
-		return 0, fmt.Errorf("ami: rebind-reply frame of %d bytes, want 4", len(body))
+// writeFrames writes complete frames built back to back in one write,
+// refusing them all if any one frame is past the bound. Frames are built
+// in c.out, which keeps the grown buffer for the next write.
+func (c *Codec) writeFrames(frames []byte) error {
+	c.out = frames
+	for off := 0; off < len(frames); {
+		n := frameHeader + int(binary.LittleEndian.Uint32(frames[off+1:]))
+		if n > c.max {
+			return fmt.Errorf("ami: encoding frame: %w", c.oversized(n))
+		}
+		off += n
 	}
-	return int(binary.LittleEndian.Uint32(body)), nil
-}
-
-// writeFrame writes one complete frame, refusing frames past the bound.
-// Frames are built in c.out, which keeps the grown buffer for the next.
-func (c *Codec) writeFrame(frame []byte) error {
-	c.out = frame
-	if len(frame) > c.max {
-		return fmt.Errorf("ami: encoding frame: %w", c.oversized(len(frame)))
-	}
-	if _, err := c.w.Write(frame); err != nil {
+	if _, err := c.w.Write(frames); err != nil {
 		return fmt.Errorf("ami: encoding frame: %w", err)
 	}
 	return nil
@@ -222,7 +219,7 @@ func (c *Codec) writeFrame(frame []byte) error {
 // relayFrame re-frames a body read from another codec and writes it.
 func (c *Codec) relayFrame(kind byte, body []byte) error {
 	f, start := beginFrame(c.out[:0], kind)
-	return c.writeFrame(finishFrame(append(f, body...), start))
+	return c.writeFrames(finishFrame(append(f, body...), start))
 }
 
 // recvFrame reads one binary frame. The length prefix is checked against
@@ -237,8 +234,9 @@ func (c *Codec) recvFrame() (kind byte, body []byte, err error) {
 		}
 		return 0, nil, fmt.Errorf("ami: decoding frame: %w", err)
 	}
-	kind = c.hdr[0]
-	if kind < frameRebind || kind > frameError {
+	switch kind = c.hdr[0]; kind {
+	case frameRebind, frameBatch, frameBatchAck, frameError:
+	default:
 		return 0, nil, fmt.Errorf("ami: decoding frame: unknown kind %d", kind)
 	}
 	n := int64(binary.LittleEndian.Uint32(c.hdr[1:]))

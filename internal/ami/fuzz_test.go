@@ -66,8 +66,8 @@ func FuzzCodecRecv(f *testing.F) {
 
 // v3FuzzSeeds builds the binary seeds: valid signed and unsigned batches,
 // a frame cut mid-body, a count that disagrees with the length, a length
-// prefix past MaxFrameSize, NaN and -1 kW bits, a negative slot, and the
-// small control frames.
+// prefix past MaxFrameSize, NaN and -1 kW bits, a negative slot, the small
+// control frames, and a frame of the unassigned kind 2.
 func v3FuzzSeeds() [][]byte {
 	rs := []BatchReading{{Slot: 0, KW: 1.5}, {Slot: 1, KW: 2}, {Slot: 2, KW: 0}}
 	signed := AppendBatchFrame(nil, "m1", rs, []byte("fuzz-key"))
@@ -88,11 +88,11 @@ func v3FuzzSeeds() [][]byte {
 		withKW(math.NaN()),
 		withKW(-1),
 		AppendBatchFrame(nil, "m1", []BatchReading{{Slot: -1, KW: 1}}, nil),
-		appendRebindFrame(nil, "m2"),
-		appendRebindReplyFrame(nil, 48),
+		AppendRebindFrame(nil, "m2"),
+		{2, 4, 0, 0, 0, 48, 0, 0, 0}, // the retired rebind reply: now an unknown kind
 		appendAckFrame(nil, 3, 2),
 		appendErrorFrame(nil, CodeAuth, "bad MAC"),
-		append(appendRebindFrame(nil, "m2"), unsigned...),
+		append(AppendRebindFrame(nil, "m2"), unsigned...),
 	}
 }
 

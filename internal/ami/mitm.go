@@ -177,9 +177,9 @@ func (m *MITM) handle(down net.Conn) {
 
 	downCodec := NewCodec(down)
 	upCodec := NewCodec(up)
-	// Downstream -> upstream with rewriting; responses relayed inline (the
-	// protocol is strictly request/response after the hello). The JSON leg
-	// runs until a v3 hello exchange; after it both legs are binary.
+	// Downstream -> upstream with rewriting; responses relayed inline (after
+	// the hello every frame but a v3 rebind gets exactly one response). The
+	// JSON leg runs until a v3 hello exchange; after it both legs are binary.
 	maxBatch := 0
 	for maxBatch == 0 {
 		if m.shuttingDown() {
@@ -230,6 +230,9 @@ func (m *MITM) handle(down net.Conn) {
 		}
 		if err := upCodec.relayFrame(kind, body); err != nil {
 			return
+		}
+		if kind == frameRebind {
+			continue // one-way: its batch follows, and only the batch is answered
 		}
 		_ = up.SetReadDeadline(time.Now().Add(m.cfg.IdleTimeout))
 		kind, body, err = upCodec.recvFrame()

@@ -68,8 +68,8 @@ type session struct {
 //
 //	hello, negotiated by version: v1 gets no reply and sends JSON readings,
 //	each acked; v2 is refused; v3 gets a JSON hello reply and then sends
-//	binary batch frames (each acked) and rebind frames that switch the
-//	session to another meter, so one connection can serve a whole fleet.
+//	binary batch frames (each acked) and one-way rebind frames that switch
+//	the session to another meter, so one connection can serve a whole fleet.
 func (e *sessionEnv) serve(conn net.Conn) {
 	defer func() { _ = conn.Close() }()
 	codec := NewCodecLimit(conn, e.cfg.MaxFrameSize)
@@ -214,9 +214,11 @@ func (s *session) readingStep() bool {
 	return s.codec.Send(&Envelope{Type: TypeAck, Ack: &AckMsg{Slot: r.Slot}}) == nil
 }
 
-// frameStep serves one v3 frame: a rebind (answered with the batch cap)
-// or a batch (decoded, checked against the session's meter, verified over
-// its raw payload bytes, stored, and acked).
+// frameStep serves one v3 frame: a rebind (one-way: it switches the
+// session's meter and is not answered) or a batch (decoded, checked
+// against the session's meter, verified over its raw payload bytes,
+// stored, and acked). A drain that begins between a rebind and its batch
+// refuses the batch at the loop-top check.
 func (s *session) frameStep() bool {
 	e := s.env
 	e.parked.Add(1)
@@ -231,7 +233,7 @@ func (s *session) frameStep() bool {
 			return s.reject(e.met.rejected, CodeProtocol, fmt.Sprintf("rebind meter ID of %d bytes", len(body)))
 		}
 		s.meterID = string(body)
-		return s.codec.writeFrame(appendRebindReplyFrame(s.codec.out[:0], e.cfg.MaxBatch)) == nil
+		return true
 
 	case frameBatch:
 		start := time.Now()
@@ -261,7 +263,7 @@ func (s *session) frameStep() bool {
 		}
 		e.met.batchFrames.Inc()
 		e.met.batchSize.Observe(float64(len(rs)))
-		return s.codec.writeFrame(appendAckFrame(s.codec.out[:0], len(rs), rs[len(rs)-1].Slot)) == nil
+		return s.codec.writeFrames(appendAckFrame(s.codec.out[:0], len(rs), rs[len(rs)-1].Slot)) == nil
 
 	default:
 		return s.reject(e.met.rejected, CodeProtocol, fmt.Sprintf("unexpected frame kind %d", kind))

@@ -20,7 +20,7 @@
 //	    frame's body is the WAL record payload byte for byte, optionally
 //	    followed by a raw HMAC-SHA256 tag over exactly those bytes, so an
 //	    accepted frame is verified, logged and stored without re-encoding.
-//	    Rebind frames switch the session to another meter, so one
+//	    One-way rebind frames switch the session to another meter, so one
 //	    connection can carry a whole fleet's traffic.
 //
 // Because the threat model assumes the peer may be hostile, the codec
@@ -293,7 +293,7 @@ func (c *Codec) Recv() (*Envelope, error) {
 // envelope before that.
 func (c *Codec) sendError(code, msg string) error {
 	if c.binary {
-		return c.writeFrame(appendErrorFrame(c.out[:0], code, msg))
+		return c.writeFrames(appendErrorFrame(c.out[:0], code, msg))
 	}
 	return c.Send(&Envelope{Type: TypeError, Code: code, Error: msg})
 }

@@ -1,6 +1,7 @@
 package ami
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
@@ -11,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -87,7 +89,7 @@ func TestCodecSendOversized(t *testing.T) {
 		t.Fatalf("oversized send wrote %d bytes to the stream", buf.Len())
 	}
 	rs := make([]BatchReading, 8)
-	if err := c.writeFrame(AppendBatchFrame(nil, "m1", rs, nil)); !errors.Is(err, ErrOversized) {
+	if err := c.writeFrames(AppendBatchFrame(nil, "m1", rs, nil)); !errors.Is(err, ErrOversized) {
 		t.Fatalf("v3 frame: err = %v, want ErrOversized", err)
 	}
 	if buf.Len() != 0 {
@@ -257,6 +259,146 @@ func TestBindRebindsSession(t *testing.T) {
 		if v, ok := head.Reading(id, 1); !ok || v != float64(i)+0.5 {
 			t.Errorf("%s slot 1 = %g, %v; want %g, true", id, v, ok, float64(i)+0.5)
 		}
+	}
+}
+
+// countConn counts the Write calls and the bytes read on a connection.
+type countConn struct {
+	net.Conn
+	writes    atomic.Int64
+	readBytes atomic.Int64
+}
+
+func (c *countConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+func (c *countConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.readBytes.Add(int64(n))
+	return n, err
+}
+
+// TestRebindRidesInBatchWrite pins the one-round-trip rebind: Bind does no
+// I/O, and the rebind plus a one-reading batch is one client write answered
+// by one head-end write carrying exactly one ack frame.
+func TestRebindRidesInBatchWrite(t *testing.T) {
+	head := New(WithDrainTimeout(time.Second))
+	defer head.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	served := make(chan *countConn, 1)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		cc := &countConn{Conn: conn}
+		served <- cc
+		head.env.serve(cc)
+	}()
+
+	c, err := DialBatch(ln.Addr().String(), "m0", nil, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		_ = c.Close()
+		<-done
+	}()
+	srv := <-served
+	// The hello exchange is over and nothing is buffered: count from here.
+	cli := &countConn{Conn: c.conn}
+	c.conn, c.codec.w, c.codec.r = cli, cli, bufio.NewReader(cli)
+	srvWrites := srv.writes.Load()
+
+	if err := c.Bind("m1"); err != nil {
+		t.Fatal(err)
+	}
+	if w, r := cli.writes.Load(), cli.readBytes.Load(); w != 0 || r != 0 {
+		t.Fatalf("Bind did I/O: %d writes, %d bytes read; want none", w, r)
+	}
+	if err := c.SendBatch([]meter.Reading{{MeterID: "m1", Slot: 0, KW: 1.5}}); err != nil {
+		t.Fatal(err)
+	}
+	if w := cli.writes.Load(); w != 1 {
+		t.Errorf("rebind + batch took %d client writes, want 1", w)
+	}
+	if r, want := cli.readBytes.Load(), int64(len(appendAckFrame(nil, 1, 0))); r != want {
+		t.Errorf("client read %d reply bytes, want one %d-byte ack frame", r, want)
+	}
+	if w := srv.writes.Load() - srvWrites; w != 1 {
+		t.Errorf("session wrote %d frames for a rebind + batch, want 1", w)
+	}
+	if v, ok := head.Reading("m1", 0); !ok || v != 1.5 {
+		t.Errorf("m1 slot 0 = %g, %v; want 1.5, true", v, ok)
+	}
+	if got := head.Count("m0"); got != 0 {
+		t.Errorf("stored %d readings for the dialled meter, want 0", got)
+	}
+}
+
+// TestDrainBetweenRebindAndBatch: a drain that begins while a session is
+// parked ahead of a rebind lets the session take the rebind and then bow
+// out at the loop-top check, so the batch riding behind it is refused with
+// CodeShuttingDown and nothing is stored for the new meter.
+func TestDrainBetweenRebindAndBatch(t *testing.T) {
+	head := New(WithDrainTimeout(5 * time.Second))
+	addr, err := head.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := DialBatch(addr, "m0", nil, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.SendBatch([]meter.Reading{{MeterID: "m0", Slot: 0, KW: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "session parked in recv", func() bool { return head.env.parked.Load() == 1 })
+	closed := make(chan error, 1)
+	go func() { closed <- head.Close() }()
+	waitFor(t, "drain begun", head.env.shuttingDown)
+
+	if err := c.Bind("m1"); err != nil {
+		t.Fatal(err)
+	}
+	err = c.SendBatch([]meter.Reading{{MeterID: "m1", Slot: 0, KW: 2}})
+	var perr *ProtocolError
+	if !errors.As(err, &perr) || perr.Code != CodeShuttingDown {
+		t.Fatalf("send after rebind during drain = %v, want a %s *ProtocolError", err, CodeShuttingDown)
+	}
+	if err := <-closed; err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if got := head.Count("m1"); got != 0 {
+		t.Errorf("stored %d readings for the rebound meter during drain, want 0", got)
+	}
+	if st := head.Stats(); st.ForcedCloses != 0 {
+		t.Errorf("forced closes = %d, want 0 (the session drained itself)", st.ForcedCloses)
+	}
+}
+
+// TestRetiredRebindReplyKindRefused: kind 2, once the rebind reply, is
+// unassigned; a peer that sends it gets a protocol refusal.
+func TestRetiredRebindReplyKindRefused(t *testing.T) {
+	head := New(WithDrainTimeout(time.Second))
+	addr, err := head.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer head.Close()
+	conn, codec := rawV3Session(t, addr, "m1")
+	perr := sendRawFrame(t, conn, codec, []byte{2, 4, 0, 0, 0, 48, 0, 0, 0})
+	if perr.Code != CodeProtocol {
+		t.Fatalf("kind-2 frame refused with %q, want %q", perr.Code, CodeProtocol)
 	}
 }
 
@@ -558,7 +700,8 @@ func TestRejectBusyDrain(t *testing.T) {
 
 // TestMITMRelaysV3AndRewritesBatches: the proxy must relay the v3 hello
 // response (or the downstream handshake stalls), switch to binary frames,
-// and apply the rewrite to every reading inside a batch frame.
+// relay one-way rebinds without waiting for a reply, and apply the
+// rewrite to every reading inside a batch frame.
 func TestMITMRelaysV3AndRewritesBatches(t *testing.T) {
 	head := New(WithDrainTimeout(time.Second))
 	upstream, err := head.Listen("127.0.0.1:0")
@@ -583,22 +726,39 @@ func TestMITMRelaysV3AndRewritesBatches(t *testing.T) {
 	}
 	defer c.Close()
 
+	// Rebinding between batches drives the proxy's one-way rebind path: it
+	// must relay the rebind and go straight on to the batch behind it.
 	const n = 10
-	rs := make([]meter.Reading, n)
-	for i := range rs {
-		rs[i] = meter.Reading{MeterID: "m1", Slot: timeseries.Slot(i), KW: 2}
-	}
-	if err := c.SendBatch(rs); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if v, ok := head.Reading("m1", timeseries.Slot(i)); !ok || v != 1 {
-			t.Fatalf("slot %d = %g, %v; want rewritten value 1, true", i, v, ok)
+	ids := []string{"m1", "m2", "m1"}
+	for b, id := range ids {
+		if b > 0 {
+			if err := c.Bind(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rs := make([]meter.Reading, n)
+		for i := range rs {
+			rs[i] = meter.Reading{MeterID: id, Slot: timeseries.Slot(b*n + i), KW: 2}
+		}
+		if err := c.SendBatch(rs); err != nil {
+			t.Fatalf("batch %d for %s: %v", b, id, err)
 		}
 	}
+	for b, id := range ids {
+		for i := 0; i < n; i++ {
+			slot := timeseries.Slot(b*n + i)
+			if v, ok := head.Reading(id, slot); !ok || v != 1 {
+				t.Fatalf("%s slot %d = %g, %v; want rewritten value 1, true", id, slot, v, ok)
+			}
+		}
+	}
+	if got := head.Count("m2"); got != n {
+		t.Errorf("m2 stored %d readings, want %d", got, n)
+	}
+	total := len(ids) * n
 	seen, rewritten := mitm.Stats()
-	if seen != n || rewritten != n {
-		t.Errorf("mitm stats = %d seen, %d rewritten; want %d, %d", seen, rewritten, n, n)
+	if seen != total || rewritten != total {
+		t.Errorf("mitm stats = %d seen, %d rewritten; want %d, %d", seen, rewritten, total, total)
 	}
 }
 
