@@ -32,12 +32,13 @@ race:
 	$(GO) test -race ./...
 
 # race-hot: targeted race pass over the concurrency-heavy packages — the
-# lock-free obs registry, the AMI head-end connection pool, the evaluation
-# worker pool, the streaming detection service, and the population-training
-# pool. Fast enough to run on every iteration; `race` covers the whole
+# lock-free obs registry, the AMI head-end connection pool and shard queues
+# (with the amiserver/amimeter tests that read through Flush), the
+# evaluation worker pool, the streaming detection service, and the
+# population-training pool. Fast enough to run on every iteration; `race` covers the whole
 # tree.
 race-hot:
-	$(GO) test -race -count=1 ./internal/obs ./internal/ami ./internal/experiments ./internal/serve ./internal/detect
+	$(GO) test -race -count=1 ./internal/obs ./internal/ami ./cmd/amiserver ./cmd/amimeter ./internal/experiments ./internal/serve ./internal/detect
 
 # bench-quick: one pass over the hot-path microbenchmarks — enough to catch
 # a gross perf/allocation regression without a full benchmark session. The

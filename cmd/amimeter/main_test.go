@@ -2,15 +2,17 @@ package main
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/ami"
+	"repro/internal/timeseries"
 )
 
 func TestAmimeterEndToEnd(t *testing.T) {
-	head := ami.New()
+	head := ami.NewSharded(1)
 	addr, err := head.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -22,6 +24,7 @@ func TestAmimeterEndToEnd(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("run exited %d: %s", code, out.String())
 	}
+	head.Flush()
 	if head.Count("m-test") != 12 {
 		t.Errorf("head-end collected %d readings, want 12", head.Count("m-test"))
 	}
@@ -31,7 +34,7 @@ func TestAmimeterEndToEnd(t *testing.T) {
 }
 
 func TestAmimeterUnderreport(t *testing.T) {
-	head := ami.New()
+	head := ami.NewSharded(1)
 	addr, err := head.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -51,21 +54,23 @@ func TestAmimeterUnderreport(t *testing.T) {
 	if !strings.Contains(out.String(), "COMPROMISED") {
 		t.Error("compromised banner missing")
 	}
+	// Same seed, same measurements: every thief reading is half the
+	// honest one.
+	head.Flush()
 	for s := 0; s < 8; s++ {
-		h, ok1 := head.Reading("honest", 0)
-		th, ok2 := head.Reading("thief", 0)
+		h, ok1 := head.Reading("honest", timeseries.Slot(s))
+		th, ok2 := head.Reading("thief", timeseries.Slot(s))
 		if !ok1 || !ok2 {
-			t.Fatal("readings missing")
+			t.Fatalf("slot %d: readings missing (honest %v, thief %v)", s, ok1, ok2)
 		}
-		if th >= h {
-			t.Fatalf("slot %d: thief reported %g >= honest %g", s, th, h)
+		if h <= 0 || th >= h || math.Abs(th-h/2) > 1e-9*h {
+			t.Errorf("slot %d: thief reported %g, want half of honest %g", s, th, h)
 		}
-		break // same-seed comparison at slot 0 suffices
 	}
 }
 
 func TestAmimeterFaultInjection(t *testing.T) {
-	head := ami.New()
+	head := ami.NewSharded(1)
 	addr, err := head.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -80,6 +85,7 @@ func TestAmimeterFaultInjection(t *testing.T) {
 	if !strings.Contains(out.String(), "FAULTY") {
 		t.Error("fault banner missing")
 	}
+	head.Flush()
 	got := head.Count("flaky")
 	if got >= 48 || got == 0 {
 		t.Errorf("head-end collected %d readings; want some but fewer than 48 under 50%% dropout", got)
@@ -93,6 +99,7 @@ func TestAmimeterFaultInjection(t *testing.T) {
 	if code := run([]string{"-addr", addr, "-id", "flaky2", "-slots", "48", "-fault", "dropout:0.5"}, &out); code != 0 {
 		t.Fatalf("second run failed: %s", out.String())
 	}
+	head.Flush()
 	if head.Count("flaky2") == 48 {
 		t.Error("second faulty meter delivered a dense series")
 	}

@@ -22,29 +22,17 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout))
 }
 
-// headEnd is the lifecycle-and-stats surface shared by the plain and
-// sharded head-end flavours.
-type headEnd interface {
-	Listen(addr string) (string, error)
-	Close() error
-	Stats() ami.HeadEndStats
-	Meters() []string
-	Metrics() *obs.Registry
-}
-
 // statsLine renders the head-end's ingestion counters for the periodic and
 // final report lines, with the durability counters appended when a WAL is
 // configured.
-func statsLine(head headEnd) string {
+func statsLine(head *ami.ShardedHeadEnd) string {
 	st := head.Stats()
 	line := fmt.Sprintf("%d meters, %d readings accepted (%d rejected, %d auth-failed) — conns %d active / %d total, %d limit-rejected, %d idle-timeouts, %d forced closes",
 		len(head.Meters()), st.Accepted, st.Rejected, st.AuthFailed,
 		st.ActiveConns, st.TotalConns, st.LimitRejected, st.IdleTimeouts, st.ForcedCloses)
-	if d, ok := head.(interface{ WALStats() ami.WALStats }); ok {
-		if w := d.WALStats(); w.Enabled {
-			line += fmt.Sprintf(" — wal %d appended, %d recovered, %d torn tails, %d errors",
-				w.Appended, w.Recovered, w.TornTails, w.Errors)
-		}
+	if w := head.WALStats(); w.Enabled {
+		line += fmt.Sprintf(" — wal %d appended, %d recovered, %d torn tails, %d errors",
+			w.Appended, w.Recovered, w.TornTails, w.Errors)
 	}
 	return line
 }
@@ -57,9 +45,9 @@ func run(args []string, out io.Writer) int {
 	maxConns := fs.Int("max-conns", ami.DefaultMaxConns, "concurrent meter connection limit")
 	idleTimeout := fs.Duration("idle-timeout", ami.DefaultIdleTimeout, "per-connection idle read deadline")
 	drain := fs.Duration("drain", ami.DefaultDrainTimeout, "shutdown grace before force-closing connections")
-	shards := fs.Int("shards", 0, "shard the readings store N ways with async ingest queues (0 = single synchronous store, -1 = one shard per core)")
+	shards := fs.Int("shards", 1, "shard the readings store N ways, each with its own async ingest queue (<= 0 = one shard per core)")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (e.g. 127.0.0.1:9090; empty = no listener)")
-	walDir := fs.String("wal-dir", "", "per-shard write-ahead log directory: readings are logged before ack and replayed on startup (requires -shards; empty = no durability)")
+	walDir := fs.String("wal-dir", "", "per-shard write-ahead log directory: readings are logged before ack and replayed on startup (the shard count is pinned into the log; empty = no durability)")
 	walSync := fs.String("wal-sync", "", "WAL sync policy: always (fsync before every ack), interval (background fsync cadence), off (sync on close only); empty = interval")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -67,13 +55,6 @@ func run(args []string, out io.Writer) int {
 	walPolicy, err := ami.ParseWALSyncPolicy(*walSync)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "amiserver:", err)
-		return 2
-	}
-	if *walDir != "" && *shards == 0 {
-		// The WAL is per-shard, and the shard count is pinned into the log
-		// directory; an implicit per-core default would break recovery the
-		// first time the server moved to different hardware.
-		fmt.Fprintln(os.Stderr, "amiserver: -wal-dir requires -shards (the WAL is per-shard and the count is pinned into the log)")
 		return 2
 	}
 
@@ -91,21 +72,16 @@ func run(args []string, out io.Writer) int {
 	if *walDir != "" {
 		opts = append(opts, ami.WithWAL(*walDir), ami.WithWALSync(walPolicy))
 	}
-	var head headEnd
-	if *shards != 0 {
-		sharded := ami.NewSharded(*shards, opts...)
-		if *walDir != "" {
-			if err := sharded.WALError(); err != nil {
-				fmt.Fprintln(os.Stderr, "amiserver:", err)
-				return 1
-			}
-			w := sharded.WALStats()
-			fmt.Fprintf(out, "amiserver: wal recovered %d readings from %s (%d torn tails truncated, sync=%s)\n",
-				w.Recovered, *walDir, w.TornTails, walPolicy)
+	head := ami.NewSharded(*shards, opts...)
+	defer func() { _ = head.Close() }()
+	if *walDir != "" {
+		if err := head.WALError(); err != nil {
+			fmt.Fprintln(os.Stderr, "amiserver:", err)
+			return 1
 		}
-		head = sharded
-	} else {
-		head = ami.New(opts...)
+		w := head.WALStats()
+		fmt.Fprintf(out, "amiserver: wal recovered %d readings from %s (%d torn tails truncated, sync=%s)\n",
+			w.Recovered, *walDir, w.TornTails, walPolicy)
 	}
 	if *metricsAddr != "" {
 		// Export the head-end's own registry: /metrics counters are exactly

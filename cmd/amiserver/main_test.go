@@ -86,7 +86,7 @@ func TestAmiserverCollectsAndExits(t *testing.T) {
 
 // The acceptance scenario for this PR: with a meter connected and *idle*,
 // SIGTERM must bring the server down within the drain timeout instead of
-// deadlocking in HeadEnd.Close.
+// deadlocking in the head-end's Close.
 func TestAmiserverSIGTERMWithIdleConnExitsWithinDrain(t *testing.T) {
 	var out syncBuffer
 	done := make(chan int, 1)
@@ -148,7 +148,7 @@ func TestAmiserverSIGTERMWithIdleConnExitsWithinDrain(t *testing.T) {
 
 // TestAmiserverMetricsEndpoint is the PR's acceptance scenario: with
 // -metrics-addr set the server exposes /metrics, and its ingest counters
-// agree with the HeadEnd.Stats() line printed on exit.
+// agree with the head-end's Stats() line printed on exit.
 func TestAmiserverMetricsEndpoint(t *testing.T) {
 	var out syncBuffer
 	done := make(chan int, 1)
@@ -300,13 +300,49 @@ func TestAmiserverWALAckedReadingSurvivesSIGTERMRestart(t *testing.T) {
 	}
 }
 
-// -wal-dir without -shards must refuse at flag time, and a bad sync
+// -wal-dir works with the default shard count — a fixed 1, so the count
+// pinned into the log cannot drift with the hardware — and a bad sync
 // policy must never reach the listener.
 func TestAmiserverWALFlagValidation(t *testing.T) {
-	var out bytes.Buffer
-	if code := run([]string{"-wal-dir", t.TempDir()}, &out); code != 2 {
-		t.Errorf("-wal-dir without -shards exited %d, want 2", code)
+	walDir := t.TempDir()
+	serve := func() string {
+		var out syncBuffer
+		done := make(chan int, 1)
+		go func() {
+			done <- run([]string{"-addr", "127.0.0.1:0", "-wal-dir", walDir, "-stats", "1h"}, &out)
+		}()
+		addr := waitForAddr(t, &out)
+		c, err := ami.Dial(addr, "m1", time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Send(meter.Reading{MeterID: "m1", Slot: 0, KW: 1}); err != nil {
+			t.Fatal(err)
+		}
+		_ = c.Close()
+		if err := syscall.Kill(syscall.Getpid(), syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case code := <-done:
+			if code != 0 {
+				t.Fatalf("-wal-dir with the default shard count exited %d: %s", code, out.String())
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("server did not exit after SIGTERM: %q", out.String())
+		}
+		return out.String()
 	}
+	if first := serve(); !strings.Contains(first, "wal recovered 0 readings") {
+		t.Fatalf("first run should start from an empty log: %q", first)
+	}
+	// The restart resends slot 0 — an overwrite in the store, a second
+	// record in the log — after recovering the first run's acked reading.
+	if second := serve(); !strings.Contains(second, "wal recovered 1 readings") {
+		t.Fatalf("acked reading did not survive the restart: %q", second)
+	}
+
+	var out bytes.Buffer
 	if code := run([]string{"-shards", "2", "-wal-dir", t.TempDir(), "-wal-sync", "sometimes"}, &out); code != 2 {
 		t.Errorf("bad -wal-sync exited %d, want 2", code)
 	}

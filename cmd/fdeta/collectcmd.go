@@ -24,25 +24,14 @@ import (
 // fdeta_ami_ingest_latency_seconds times on the server side.
 const metricSendLatency = "fdeta_collect_send_latency_seconds"
 
-// collectHead is the surface the harness needs from either head-end
-// flavour; ami.HeadEnd and ami.ShardedHeadEnd both satisfy it.
-type collectHead interface {
-	Listen(addr string) (string, error)
-	Close() error
-	Stats() ami.HeadEndStats
-	Meters() []string
-	Series(meterID string, n int) (timeseries.Series, error)
-	Metrics() *obs.Registry
-}
-
 // cmdCollect exercises the hardened AMI ingestion path end to end. In its
 // default mode it streams a synthetic neighbourhood's readings from
 // concurrent reliable meter clients over real TCP, then prints the
 // ingestion counters and verifies that every collected series is dense.
 // With -concurrency it becomes a load harness: a fixed pool of persistent
 // wire-v3 connections multiplexes an arbitrarily large simulated fleet
-// (rebinding per meter, batching readings per frame) against a plain or
-// sharded head-end, and reports throughput and latency quantiles.
+// (rebinding per meter, batching readings per frame) against the head-end,
+// and reports throughput and latency quantiles.
 func cmdCollect(args []string) error {
 	fs := flag.NewFlagSet("collect", flag.ContinueOnError)
 	rf := bindRunFlags(fs)
@@ -54,7 +43,7 @@ func cmdCollect(args []string) error {
 	drain := fs.Duration("drain", time.Second, "shutdown grace before force-closing connections")
 	retries := fs.Int("retries", 3, "delivery attempts per reading (per-meter mode)")
 	faultSpec := fs.String("fault", "", "inject meter faults into the collected stream, e.g. 'dropout:0.1+spike:0.01,20' (dropped slots are never sent)")
-	shards := fs.Int("shards", 0, "shard the head-end store N ways with async ingest queues (0 = single synchronous store)")
+	shards := fs.Int("shards", 1, "shard the head-end store N ways, each with its own async ingest queue (<= 0 = one shard per core)")
 	batch := fs.Int("batch", 0, "readings per wire-v3 batch frame (0 = one v1 frame per reading)")
 	concurrency := fs.Int("concurrency", 0, "load-harness connection pool size; >0 multiplexes the fleet over persistent v3 connections (requires -batch >= 1)")
 	profiles := fs.Int("profiles", 64, "synthetic consumption profiles cycled across the fleet (load-harness mode)")
@@ -92,12 +81,11 @@ func cmdCollect(args []string) error {
 		// head-end's ingest counters at it so they are scrapeable live.
 		headOpts = append(headOpts, ami.WithMetrics(obs.Default()))
 	}
-	newHead := func() collectHead {
-		if *shards > 0 {
-			return ami.NewSharded(*shards, headOpts...)
-		}
-		return ami.New(headOpts...)
-	}
+	head := ami.NewSharded(*shards, headOpts...)
+	// The collection bodies close the head-end themselves to read its
+	// final counters; this covers their early-error returns (Close is
+	// idempotent).
+	defer func() { _ = head.Close() }()
 
 	if *concurrency > 0 {
 		h := &harness{
@@ -105,10 +93,9 @@ func cmdCollect(args []string) error {
 			slots:       *slots,
 			seed:        *seed,
 			batch:       *batch,
-			shards:      *shards,
 			concurrency: *concurrency,
 			profiles:    *profiles,
-			newHead:     newHead,
+			head:        head,
 		}
 		return rf.run(h.run)
 	}
@@ -119,14 +106,14 @@ func cmdCollect(args []string) error {
 		return err
 	}
 	return rf.run(func() error {
-		return runCollect(newHead(), ds, plan, *meters, *slots, *retries, *batch, *maxConns, *idleTimeout, *drain)
+		return runCollect(head, ds, plan, *meters, *slots, *retries, *batch, *maxConns, *idleTimeout, *drain)
 	})
 }
 
 // runCollect is the per-meter-client collection body: one goroutine and one
 // reliable client per meter, exactly the seed topology (with -batch > 1 the
 // clients speak v3 batch frames instead of one frame per reading).
-func runCollect(head collectHead, ds *dataset.Dataset, plan fault.Plan,
+func runCollect(head *ami.ShardedHeadEnd, ds *dataset.Dataset, plan fault.Plan,
 	meterCount, slotCount, retries, batch, maxConns int, idleTimeout, drain time.Duration) error {
 	addr, err := head.Listen("127.0.0.1:0")
 	if err != nil {
@@ -211,7 +198,7 @@ func runCollect(head collectHead, ds *dataset.Dataset, plan fault.Plan,
 		}
 	}
 	elapsed := time.Since(start)
-	flushHead(head)
+	head.Flush()
 
 	// Every collected series must be dense — a gap is a lost reading.
 	// Injected dropouts are intentional gaps, so the density check only
@@ -247,14 +234,6 @@ func runCollect(head collectHead, ds *dataset.Dataset, plan fault.Plan,
 	return nil
 }
 
-// flushHead drains a sharded head-end's ingest queues so reads are exact;
-// a plain head-end stores synchronously and has nothing to flush.
-func flushHead(head collectHead) {
-	if f, ok := head.(interface{ Flush() }); ok {
-		f.Flush()
-	}
-}
-
 // harness drives the load-harness mode: a pool of persistent v3
 // connections multiplexing the simulated fleet, with profile templates
 // standing in for per-meter datasets so fleet size is decoupled from
@@ -262,9 +241,9 @@ func flushHead(head collectHead) {
 type harness struct {
 	meters, slots         int
 	seed                  int64
-	batch, shards         int
+	batch                 int
 	concurrency, profiles int
-	newHead               func() collectHead
+	head                  *ami.ShardedHeadEnd
 }
 
 // loadProfiles synthesizes the consumption templates the fleet cycles over.
@@ -301,13 +280,13 @@ func (h *harness) run() error {
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 
-	head := h.newHead()
+	head := h.head
 	addr, err := head.Listen("127.0.0.1:0")
 	if err != nil {
 		return err
 	}
 	fmt.Printf("collect: head-end on %s (%d shards, batch %d, %d conns, %d meters)\n",
-		addr, h.shards, h.batch, h.poolSize(h.meters), h.meters)
+		addr, head.Shards(), h.batch, h.poolSize(h.meters), h.meters)
 
 	clientReg := obs.NewRegistry()
 	sendLatency := clientReg.Histogram(metricSendLatency,
@@ -368,7 +347,7 @@ func (h *harness) run() error {
 			clients[i] = nil
 		}
 	}
-	flushHead(head)
+	head.Flush()
 
 	if err != nil {
 		_ = head.Close()
@@ -464,7 +443,7 @@ func (h *harness) pool(ctx context.Context, fleet int,
 // spotCheck verifies stored-series density on a deterministic sample of
 // the fleet (every meter up to 1024, then a fixed stride), so validation
 // cost does not scale with fleet size.
-func (h *harness) spotCheck(head collectHead) error {
+func (h *harness) spotCheck(head *ami.ShardedHeadEnd) error {
 	stride := h.meters / 1024
 	if stride < 1 {
 		stride = 1

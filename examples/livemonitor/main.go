@@ -1,8 +1,9 @@
 // Livemonitor: the control center as an *online* algorithm (Section VII-A).
 // Meters stream readings over TCP; a man-in-the-middle begins falsifying
-// one consumer's readings mid-stream; the monitor — a streaming KLD window
-// per consumer, seeded with trusted history (Section VII-D) — raises an
-// alert hours into the attack rather than waiting for a full week of data.
+// one consumer's readings mid-stream; the streaming detection service — a
+// KLD window per consumer, seeded with trusted history (Section VII-D) and
+// fed by the head-end's accepted-reading tap — raises an alert hours into
+// the attack rather than waiting for a full week of data.
 //
 //	go run ./examples/livemonitor
 package main
@@ -13,10 +14,10 @@ import (
 	"time"
 
 	"repro/internal/ami"
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/detect"
 	"repro/internal/meter"
+	"repro/internal/serve"
 	"repro/internal/timeseries"
 )
 
@@ -39,25 +40,41 @@ func run() error {
 		return err
 	}
 
-	// Enroll every consumer with the online monitor.
-	monitor := core.NewMonitor()
+	// Enroll every consumer with the streaming service: a detector trained
+	// on the trusted history, its window seeded with the final training
+	// week, expecting its first live reading at the start of the live week.
+	srv, err := serve.New()
+	if err != nil {
+		return err
+	}
+	defer func() { _ = srv.Close() }()
+	liveStart := timeseries.Slot(trainWeeks * timeseries.SlotsPerWeek)
 	for i := range ds.Consumers {
 		c := &ds.Consumers[i]
 		train, _, err := c.Demand.Split(trainWeeks)
 		if err != nil {
 			return err
 		}
-		id := fmt.Sprintf("meter-%d", c.ID)
-		if err := monitor.Watch(id, train, detect.KLDConfig{Significance: 0.05}); err != nil {
+		det, err := detect.NewKLDDetector(train, detect.KLDConfig{Significance: 0.05})
+		if err != nil {
+			return err
+		}
+		stream, err := det.NewStream(train.MustWeek(trainWeeks - 1))
+		if err != nil {
+			return err
+		}
+		if err := srv.Register(fmt.Sprintf("meter-%d", c.ID), stream, int64(liveStart)); err != nil {
 			return err
 		}
 	}
-	fmt.Printf("monitoring %d consumers online\n", monitor.Watched())
+	fmt.Printf("monitoring %d consumers online\n", srv.Consumers())
 
-	// AMI plumbing: head-end, and a MITM on the victim's link that starts
-	// zeroing readings 24 hours (48 slots) into the live week — a maximal
-	// Class-2A theft beginning mid-stream.
-	head := ami.New()
+	// AMI plumbing: a head-end whose accepted-reading tap feeds the service
+	// — the control center observes what the head-end stored (the
+	// possibly-falsified value), not what the meter sent — and a MITM on
+	// the victim's link that starts zeroing readings 24 hours (48 slots)
+	// into the live week: a maximal Class-2A theft beginning mid-stream.
+	head := ami.NewSharded(1, ami.WithSink(srv.Sink()))
 	headAddr, err := head.Listen("127.0.0.1:0")
 	if err != nil {
 		return err
@@ -103,9 +120,6 @@ func run() error {
 		defer func() { _ = client.Close() }()
 		clients[id] = client
 	}
-
-	liveStart := timeseries.Slot(trainWeeks * timeseries.SlotsPerWeek)
-	alerts := 0
 	for s := 0; s < timeseries.SlotsPerWeek; s++ {
 		for id, m := range meters {
 			r, err := m.Report(liveStart + timeseries.Slot(s))
@@ -115,32 +129,40 @@ func run() error {
 			if err := clients[id].Send(r); err != nil {
 				return err
 			}
-			// The control center ingests what the head-end stored (the
-			// possibly-falsified value), not what the meter sent.
-			stored, ok := head.Reading(id, liveStart+timeseries.Slot(s))
-			if !ok {
-				return fmt.Errorf("reading for %s slot %d not collected", id, s)
-			}
-			alert, err := monitor.Ingest(id, stored)
-			if err != nil {
-				return err
-			}
-			if alert != nil {
-				alerts++
-				sinceAttack := s - attackStartSlot + 1
-				fmt.Printf("ALERT at live slot %d (%s): %s flagged — %.1f hours after the attack began\n",
-					s, slotClock(s), alert.ConsumerID, float64(sinceAttack)*timeseries.DeltaHours)
-				fmt.Printf("      %s\n", alert.Verdict.Reason)
-			}
 		}
 	}
-	if alerts == 0 {
-		return fmt.Errorf("the attack was never detected")
+	// Every reading is acknowledged. Drain both tiers: the head-end's
+	// queues into its store and tap, then the service's queues into the
+	// detectors.
+	head.Flush()
+	srv.Flush()
+
+	// Alerts come newest first; report them in the order they fired. A
+	// consumer's first event is always an escalation (a clear only follows
+	// one), so the victim's first event is the moment it was flagged.
+	alerts := srv.Alerts(0)
+	flagged := -1
+	for i := len(alerts) - 1; i >= 0; i-- {
+		a := alerts[i]
+		s := int(a.Slot - int64(liveStart))
+		fmt.Printf("ALERT %-7s at live slot %d (%s): %s — score %.3f vs threshold %.3f, %d anomalous in a row\n",
+			a.Tier, s, slotClock(s), a.Consumer, a.Score, a.Threshold, a.Streak)
+		if a.Consumer == victimID && flagged < 0 {
+			flagged = s
+		}
 	}
-	if !monitor.Alerted(victimID) {
-		return fmt.Errorf("the alert did not implicate the victimized link %s", victimID)
+	if flagged < 0 {
+		return fmt.Errorf("the attack on %s was never detected", victimID)
 	}
-	fmt.Println("\nthe online monitor caught the attack mid-week — no need to wait for 336 readings.")
+	if flagged < attackStartSlot {
+		return fmt.Errorf("%s was flagged at live slot %d, before the attack began at slot %d",
+			victimID, flagged, attackStartSlot)
+	}
+	if flagged >= timeseries.SlotsPerWeek/2 {
+		return fmt.Errorf("%s was not flagged until live slot %d, past mid-week", victimID, flagged)
+	}
+	fmt.Printf("\n%s flagged %.1f hours after the attack began — no need to wait for 336 readings.\n",
+		victimID, float64(flagged-attackStartSlot+1)*timeseries.DeltaHours)
 	return nil
 }
 

@@ -65,7 +65,7 @@ func run() error {
 
 	// Start the head-end with explicit lifecycle limits: idle meters are
 	// cut after a minute, and shutdown force-closes stragglers after 2s.
-	head := ami.New(ami.WithConfig(ami.HeadEndConfig{
+	head := ami.NewSharded(1, ami.WithConfig(ami.HeadEndConfig{
 		MaxConns:     64,
 		IdleTimeout:  time.Minute,
 		DrainTimeout: 2 * time.Second,
@@ -132,6 +132,9 @@ func run() error {
 			return err
 		}
 	}
+	// Every reading is acknowledged; Flush waits until each one has also
+	// reached the store the control center reads.
+	head.Flush()
 	seen, rewritten := mitm.Stats()
 	fmt.Printf("transmission complete; MITM saw %d readings, rewrote %d\n", seen, rewritten)
 

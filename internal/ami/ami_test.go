@@ -80,9 +80,9 @@ func TestReadingMsgToReading(t *testing.T) {
 	}
 }
 
-func startHeadEnd(t *testing.T) (*HeadEnd, string) {
+func startHeadEnd(t *testing.T) (*ShardedHeadEnd, string) {
 	t.Helper()
-	h := New()
+	h := NewSharded(1)
 	addr, err := h.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -105,6 +105,7 @@ func TestHeadEndCollectsReadings(t *testing.T) {
 			t.Fatalf("slot %d: %v", slot, err)
 		}
 	}
+	h.Flush()
 	if got := h.Count("m1"); got != 5 {
 		t.Errorf("Count = %d, want 5", got)
 	}
@@ -135,6 +136,10 @@ func TestHeadEndSeriesGapDetection(t *testing.T) {
 	// Send slots 0 and 2 only.
 	_ = c.Send(meter.Reading{MeterID: "m1", Slot: 0, KW: 1})
 	_ = c.Send(meter.Reading{MeterID: "m1", Slot: 2, KW: 1})
+	h.Flush()
+	if got := h.Count("m1"); got != 2 {
+		t.Fatalf("Count = %d, want the 2 sent readings stored", got)
+	}
 	if _, err := h.Series("m1", 3); err == nil {
 		t.Error("gap at slot 1 must be an error, not silent zero")
 	}
@@ -177,6 +182,7 @@ func TestClientSendAll(t *testing.T) {
 	if err := c.SendAll(rs); err != nil {
 		t.Fatal(err)
 	}
+	h.Flush()
 	if h.Count("m1") != 10 {
 		t.Errorf("Count = %d", h.Count("m1"))
 	}
@@ -205,6 +211,7 @@ func TestMITMRewritesReadings(t *testing.T) {
 	if err := c.Send(meter.Reading{MeterID: "m1", Slot: 0, KW: 4}); err != nil {
 		t.Fatal(err)
 	}
+	h.Flush()
 	v, ok := h.Reading("m1", 0)
 	if !ok || v != 2 {
 		t.Errorf("head-end stored %g, want rewritten 2", v)
@@ -231,6 +238,7 @@ func TestMITMPassThrough(t *testing.T) {
 	if err := c.Send(meter.Reading{MeterID: "m1", Slot: 0, KW: 4}); err != nil {
 		t.Fatal(err)
 	}
+	h.Flush()
 	v, _ := h.Reading("m1", 0)
 	if v != 4 {
 		t.Errorf("pass-through stored %g, want 4", v)
@@ -288,6 +296,7 @@ func TestMultipleMetersConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	h.Flush()
 	if got := len(h.Meters()); got != meters {
 		t.Errorf("Meters = %d, want %d", got, meters)
 	}
@@ -299,7 +308,7 @@ func TestMultipleMetersConcurrent(t *testing.T) {
 }
 
 func TestHeadEndCloseIdempotentOrdering(t *testing.T) {
-	h := New()
+	h := NewSharded(1)
 	if _, err := h.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,7 @@ func TestKeyringVerifyEnvelope(t *testing.T) {
 
 func TestAuthenticatedSessionEndToEnd(t *testing.T) {
 	key := []byte("shared-secret")
-	head := New(WithKeyring(NewKeyring(map[string][]byte{"m1": key})))
+	head := NewSharded(1, WithKeyring(NewKeyring(map[string][]byte{"m1": key})))
 	addr, err := head.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -95,10 +95,11 @@ func TestAuthenticatedSessionEndToEnd(t *testing.T) {
 	if err := c.Send(meter.Reading{MeterID: "m1", Slot: 0, KW: 3}); err != nil {
 		t.Fatalf("signed reading rejected: %v", err)
 	}
+	head.Flush()
 	if v, ok := head.Reading("m1", 0); !ok || v != 3 {
 		t.Error("signed reading not stored")
 	}
-	if head.AuthFailures() != 0 {
+	if head.Stats().AuthFailed != 0 {
 		t.Error("no auth failures expected")
 	}
 }
@@ -108,7 +109,7 @@ func TestMITMDefeatedBySignatures(t *testing.T) {
 	// that rewrites readings is detected — the rewritten reading fails the
 	// MAC and is rejected.
 	key := []byte("shared-secret")
-	head := New(WithKeyring(NewKeyring(map[string][]byte{"m1": key})))
+	head := NewSharded(1, WithKeyring(NewKeyring(map[string][]byte{"m1": key})))
 	upstream, err := head.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -134,9 +135,10 @@ func TestMITMDefeatedBySignatures(t *testing.T) {
 	if err == nil {
 		t.Fatal("tampered reading should be rejected by the head-end")
 	}
-	if head.AuthFailures() != 1 {
-		t.Errorf("AuthFailures = %d, want 1", head.AuthFailures())
+	if got := head.Stats().AuthFailed; got != 1 {
+		t.Errorf("AuthFailed = %d, want 1", got)
 	}
+	head.Flush()
 	if _, ok := head.Reading("m1", 0); ok {
 		t.Error("tampered reading must not be stored")
 	}
@@ -147,7 +149,7 @@ func TestCompromisedMeterKeyStillSteals(t *testing.T) {
 	// the meter holds its key — signatures verify, theft succeeds, and
 	// only data-driven detection remains.
 	key := []byte("shared-secret")
-	head := New(WithKeyring(NewKeyring(map[string][]byte{"m1": key})))
+	head := NewSharded(1, WithKeyring(NewKeyring(map[string][]byte{"m1": key})))
 	addr, err := head.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -173,17 +175,18 @@ func TestCompromisedMeterKeyStillSteals(t *testing.T) {
 	if err := c.Send(r); err != nil {
 		t.Fatalf("signed falsified reading should be accepted: %v", err)
 	}
+	head.Flush()
 	v, ok := head.Reading("m1", 0)
 	if !ok || v != 1 {
 		t.Errorf("head-end stored %g, want the falsified 1 kW", v)
 	}
-	if head.AuthFailures() != 0 {
+	if head.Stats().AuthFailed != 0 {
 		t.Error("no MAC failure: the crypto is intact, the data is not")
 	}
 }
 
 func TestUnsignedReadingRejectedWhenKeyringActive(t *testing.T) {
-	head := New(WithKeyring(NewKeyring(map[string][]byte{"m1": []byte("k")})))
+	head := NewSharded(1, WithKeyring(NewKeyring(map[string][]byte{"m1": []byte("k")})))
 	addr, err := head.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -196,5 +199,9 @@ func TestUnsignedReadingRejectedWhenKeyringActive(t *testing.T) {
 	defer func() { _ = c.Close() }()
 	if err := c.Send(meter.Reading{MeterID: "m1", Slot: 0, KW: 1}); err == nil {
 		t.Error("unsigned reading should be rejected when authentication is on")
+	}
+	head.Flush()
+	if n := head.Count("m1"); n != 0 {
+		t.Errorf("unsigned reading reached the store: Count = %d", n)
 	}
 }

@@ -26,7 +26,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // while any meter held an idle connection. With the registry + drain
 // timeout it must return within a bounded time and account the force-close.
 func TestHeadEndCloseBoundedWithIdleConn(t *testing.T) {
-	h := New(WithConfig(HeadEndConfig{DrainTimeout: 100 * time.Millisecond}))
+	h := NewSharded(1, WithConfig(HeadEndConfig{DrainTimeout: 100 * time.Millisecond}))
 	addr, err := h.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +44,7 @@ func TestHeadEndCloseBoundedWithIdleConn(t *testing.T) {
 	if err := c.Send(meter.Reading{MeterID: "m1", Slot: 0, KW: 1}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "session parked in recv", func() bool { return h.env.parked.Load() == 1 })
+	waitFor(t, "session parked in recv", func() bool { return h.parked.Load() == 1 })
 
 	start := time.Now()
 	if err := h.Close(); err != nil {
@@ -85,7 +85,7 @@ func TestMITMCloseBoundedWithIdleConn(t *testing.T) {
 
 // A second Close (and Close before Listen) must stay cheap and safe.
 func TestCloseIdempotent(t *testing.T) {
-	h := New(WithConfig(HeadEndConfig{DrainTimeout: 50 * time.Millisecond}))
+	h := NewSharded(1, WithConfig(HeadEndConfig{DrainTimeout: 50 * time.Millisecond}))
 	if err := h.Close(); err != nil {
 		t.Fatalf("close before listen: %v", err)
 	}
@@ -117,7 +117,7 @@ func TestListenTwiceRejected(t *testing.T) {
 }
 
 func TestHeadEndConnectionLimit(t *testing.T) {
-	h := New(WithConfig(HeadEndConfig{MaxConns: 2, DrainTimeout: 200 * time.Millisecond}))
+	h := NewSharded(1, WithConfig(HeadEndConfig{MaxConns: 2, DrainTimeout: 200 * time.Millisecond}))
 	addr, err := h.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +170,7 @@ func TestHeadEndConnectionLimit(t *testing.T) {
 }
 
 func TestHeadEndIdleTimeoutCutsConnection(t *testing.T) {
-	h := New(WithConfig(HeadEndConfig{IdleTimeout: 80 * time.Millisecond, DrainTimeout: 100 * time.Millisecond}))
+	h := NewSharded(1, WithConfig(HeadEndConfig{IdleTimeout: 80 * time.Millisecond, DrainTimeout: 100 * time.Millisecond}))
 	addr, err := h.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +220,7 @@ func TestSessionMismatchTyped(t *testing.T) {
 }
 
 func TestAuthRejectionTyped(t *testing.T) {
-	h := New(WithKeyring(NewKeyring(map[string][]byte{"m1": []byte("right-key")})))
+	h := NewSharded(1, WithKeyring(NewKeyring(map[string][]byte{"m1": []byte("right-key")})))
 	addr, err := h.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -249,6 +249,10 @@ func TestAuthRejectionTyped(t *testing.T) {
 	st := h.Stats()
 	if st.AuthFailed != 1 || st.Accepted != 0 {
 		t.Errorf("stats = %+v, want 1 auth failure and 0 accepted", st)
+	}
+	h.Flush()
+	if n := h.Count("m1"); n != 0 {
+		t.Errorf("rejected reading reached the store: Count = %d", n)
 	}
 }
 
@@ -317,7 +321,7 @@ func TestSendContextCancelAbortsBackoff(t *testing.T) {
 
 // SendAll wraps per-reading failures; the wrap must stay classifiable.
 func TestSendAllWrappedErrorsClassify(t *testing.T) {
-	h := New(WithKeyring(NewKeyring(map[string][]byte{"m1": []byte("right-key")})))
+	h := NewSharded(1, WithKeyring(NewKeyring(map[string][]byte{"m1": []byte("right-key")})))
 	addr, err := h.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -339,7 +343,7 @@ func TestSendAllWrappedErrorsClassify(t *testing.T) {
 	if !errors.As(err, &ae) {
 		t.Errorf("wrapped SendAll error lost the *AuthError cause: %v", err)
 	}
-	if h.AuthFailures() != 1 {
-		t.Errorf("AuthFailures = %d, want exactly 1 (no retry of a permanent rejection)", h.AuthFailures())
+	if got := h.Stats().AuthFailed; got != 1 {
+		t.Errorf("AuthFailed = %d, want exactly 1 (no retry of a permanent rejection)", got)
 	}
 }

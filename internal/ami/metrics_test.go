@@ -12,7 +12,7 @@ import (
 )
 
 // TestStatsMatchesRegistry is the regression contract of the observability
-// refactor: HeadEnd.Stats() is a view over the registry-backed instruments,
+// refactor: Stats() is a view over the registry-backed instruments,
 // so after a concurrent collection run the two must agree exactly.
 func TestStatsMatchesRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -22,7 +22,7 @@ func TestStatsMatchesRegistry(t *testing.T) {
 	for i := 0; i < meters; i++ {
 		keys[fmt.Sprintf("m%d", i)] = key
 	}
-	head := New(
+	head := NewSharded(1,
 		WithMetrics(reg),
 		WithKeyring(NewKeyring(keys)),
 		WithIdleTimeout(2*time.Second),
@@ -119,7 +119,7 @@ func TestStatsMatchesRegistry(t *testing.T) {
 func TestIngestLatencyMatchesAcceptedMessages(t *testing.T) {
 	reg := obs.NewRegistry()
 	key := []byte("latency-test-key")
-	head := New(
+	head := NewSharded(1,
 		WithMetrics(reg),
 		WithKeyring(NewKeyring(map[string][]byte{"good": key, "bad": key})),
 		WithConfig(HeadEndConfig{MaxBatch: 10, DrainTimeout: time.Second}),
@@ -189,8 +189,9 @@ func TestIngestLatencyMatchesAcceptedMessages(t *testing.T) {
 // not bleed counters into each other (the old package had one stats struct
 // per instance; the registry design must preserve that).
 func TestPrivateRegistriesDoNotShare(t *testing.T) {
-	a := New()
-	b := New()
+	a := NewSharded(1)
+	b := NewSharded(1)
+	defer b.Close()
 	if a.Metrics() == b.Metrics() {
 		t.Fatal("two default head-ends share a metrics registry")
 	}

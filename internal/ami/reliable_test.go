@@ -158,6 +158,7 @@ func TestReliableClientSurvivesConnectionChaos(t *testing.T) {
 			t.Fatalf("slot %d: %v", s, err)
 		}
 	}
+	head.Flush()
 	if got := head.Count("m1"); got != n {
 		t.Fatalf("head-end stored %d readings, want %d", got, n)
 	}
@@ -197,7 +198,7 @@ func TestReliableClientGivesUpEventually(t *testing.T) {
 func TestReliableClientDoesNotRetryRejections(t *testing.T) {
 	// An auth rejection is permanent: the reliable client must not burn
 	// its retry budget redialing.
-	head := New(WithKeyring(NewKeyring(map[string][]byte{"m1": []byte("right-key")})))
+	head := NewSharded(1, WithKeyring(NewKeyring(map[string][]byte{"m1": []byte("right-key")})))
 	addr, err := head.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -213,8 +214,8 @@ func TestReliableClientDoesNotRetryRejections(t *testing.T) {
 	if err == nil {
 		t.Fatal("bad key should be rejected")
 	}
-	if head.AuthFailures() != 1 {
-		t.Errorf("AuthFailures = %d, want exactly 1 (no retries of a rejection)", head.AuthFailures())
+	if got := head.Stats().AuthFailed; got != 1 {
+		t.Errorf("AuthFailed = %d, want exactly 1 (no retries of a rejection)", got)
 	}
 }
 
@@ -248,6 +249,7 @@ func TestReliableClientSendAll(t *testing.T) {
 	if err := rc.SendAll(rs); err != nil {
 		t.Fatal(err)
 	}
+	head.Flush()
 	if head.Count("m1") != 5 {
 		t.Errorf("Count = %d", head.Count("m1"))
 	}

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -186,14 +187,19 @@ func shardIndex(meterID string, n int) int {
 	return int(h % uint64(n))
 }
 
-// ShardedHeadEnd is the utility-scale collection server: one listener and
-// accept loop in front of shard-per-core ingest stores. Sessions speak the
-// same wire protocol as HeadEnd (v1 clients interoperate unchanged); each
-// accepted reading or batch is routed by meter-ID hash to its shard's
-// async queue, so the session goroutine acks without ever touching a
-// readings map. The coordinator merges shard stores and the shared
-// instrument registry into the same Stats()/Meters()/Series() view the
-// single-shard head-end exposes.
+// ShardedHeadEnd is the utility-side collection server: one listener and
+// accept loop in front of shard-per-core ingest stores. It accepts meter
+// connections and routes each accepted reading or batch by meter-ID hash
+// to its shard's async queue, so the session goroutine acks without ever
+// touching a readings map. The coordinator merges shard stores and the
+// shared instrument registry into one Stats()/Meters()/Series() view for
+// the control-center detection pipeline. Every active connection is
+// tracked so Close can force-close stragglers after the drain timeout
+// instead of waiting forever on an idle meter.
+//
+// Reads are exact once Close has returned. While sessions are live, an
+// acknowledged reading may still be on its shard's queue: call Flush
+// before reading the store.
 type ShardedHeadEnd struct {
 	cfg    HeadEndConfig
 	shards []*ingestShard
@@ -201,13 +207,15 @@ type ShardedHeadEnd struct {
 	mu     sync.Mutex
 	ln     net.Listener
 	closed bool
-	conns  map[net.Conn]bool
-	active int
+	conns  map[net.Conn]bool // true: accepted session; false: busy rejection
+	active int               // accepted sessions, compared against MaxConns
 
-	met *headEndMetrics
-	log *slog.Logger
+	met     *headEndMetrics
+	log     *slog.Logger
+	keyring *Keyring    // per-reading MAC verification (WithKeyring); nil = off
+	sink    ReadingSink // accepted-reading tap (WithSink); nil = disabled
 
-	done     chan struct{}
+	done     chan struct{}  // closed when Close begins; sessions drain on it
 	wg       sync.WaitGroup // accept loop + sessions
 	workerWG sync.WaitGroup // shard queue workers + WAL background syncer
 
@@ -216,47 +224,40 @@ type ShardedHeadEnd struct {
 	walStop chan struct{} // stops the background syncer
 	walErr  error         // recovery failure; Listen refuses while set
 
-	env *sessionEnv // shared by every session
+	// parked counts sessions blocked reading their next frame after the
+	// hello. A session is counted only once it has passed the loop-top
+	// drain check, so a parked session leaves only through new data, its
+	// idle deadline, or a force-close — never through a graceful drain.
+	parked atomic.Int64
 }
 
-// NewSharded creates an idle sharded head-end with the given shard count
-// (0 selects one shard per CPU core). Options are the same functional
-// options New accepts — lifecycle config, keyring, shared metrics
-// registry — applied to the coordinator as a whole.
+// NewSharded creates an idle head-end with the given shard count (0
+// selects one shard per CPU core). With no options it selects production
+// lifecycle defaults, no keyring, no sink, no WAL, and a private metrics
+// registry.
 func NewSharded(shards int, opts ...Option) *ShardedHeadEnd {
-	// Reuse the option machinery: apply the options to a scratch HeadEnd
-	// (never started) and lift out the resolved config, keyring, and
-	// instrument set.
-	seed := New(opts...)
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
 	sh := &ShardedHeadEnd{
-		cfg:   seed.cfg,
-		met:   seed.met,
 		conns: make(map[net.Conn]bool),
 		done:  make(chan struct{}),
 		log:   obs.Logger("ami"),
 	}
-	sh.env = &sessionEnv{
-		cfg:   &sh.cfg,
-		met:   sh.met,
-		kr:    seed.keyring,
-		store: sh,
-		log:   sh.log,
-		done:  sh.done,
+	for _, o := range opts {
+		o(sh)
 	}
-	depth := sh.cfg.QueueDepth
-	if depth <= 0 {
-		depth = DefaultShardQueueDepth
+	sh.cfg.applyDefaults()
+	if sh.met == nil {
+		sh.met = newHeadEndMetrics(obs.NewRegistry())
 	}
 	reg := sh.met.reg
 	for i := 0; i < shards; i++ {
 		label := obs.L("shard", strconv.Itoa(i))
 		s := &ingestShard{
 			readings: make(map[string]map[timeseries.Slot]float64),
-			sink:     seed.sink,
-			queue:    make(chan ingestJob, depth),
+			sink:     sh.sink,
+			queue:    make(chan ingestJob, sh.cfg.QueueDepth),
 			stored: reg.Counter(metricShardStored,
 				"readings written to this shard's store", label),
 			depth: reg.Gauge(metricShardQueueDepth,
@@ -409,14 +410,15 @@ func (sh *ShardedHeadEnd) shardFor(meterID string) *ingestShard {
 	return sh.shards[shardIndex(meterID, len(sh.shards))]
 }
 
-// store enqueues one accepted frame's readings on its shard (ingestStore).
-// With a WAL, the payload is appended to the shard's log first — an append
-// failure means nothing was enqueued and the session must not ack. A v3
-// batch arrives with its verified payload, which the log takes as is; a
-// v1 reading is encoded here. The readings slice transfers to the shard
-// without copying. The accepted counter is bumped at enqueue: once
-// acknowledged, a reading is the queue's responsibility and cannot be
-// rejected.
+// store enqueues one accepted frame's readings on its shard; the readings
+// slice transfers to the shard without copying. With a WAL, the payload
+// is appended to the shard's log first: a v3 batch arrives with its
+// verified payload (borrowed for the call), which the log takes as is; a
+// v1 reading (nil payload) is encoded here. An append failure means
+// nothing was enqueued: the session answers with a transient CodeStorage
+// rejection, never an ack, so the meter retries. The accepted counter is
+// bumped at enqueue: once acknowledged, a reading is the queue's
+// responsibility and cannot be rejected.
 func (sh *ShardedHeadEnd) store(meterID string, rs []BatchReading, payload []byte) error {
 	s := sh.shardFor(meterID)
 	if s.wal != nil {
@@ -464,22 +466,22 @@ func (sh *ShardedHeadEnd) Listen(addr string) (string, error) {
 	if sh.walErr != nil {
 		// Accepting (and acking) readings after a failed recovery would
 		// break the durability contract; park until the operator intervenes.
-		return "", fmt.Errorf("ami: sharded head-end: wal recovery failed: %w", sh.walErr)
+		return "", fmt.Errorf("ami: head-end: wal recovery failed: %w", sh.walErr)
 	}
 	sh.mu.Lock()
 	if sh.closed {
 		sh.mu.Unlock()
-		return "", fmt.Errorf("ami: sharded head-end: %w", ErrClosed)
+		return "", fmt.Errorf("ami: head-end: %w", ErrClosed)
 	}
 	if sh.ln != nil {
 		sh.mu.Unlock()
-		return "", fmt.Errorf("ami: sharded head-end: %w", ErrListening)
+		return "", fmt.Errorf("ami: head-end: %w", ErrListening)
 	}
 	sh.mu.Unlock()
 
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return "", fmt.Errorf("ami: sharded head-end listen: %w", err)
+		return "", fmt.Errorf("ami: head-end listen: %w", err)
 	}
 	sh.mu.Lock()
 	if sh.closed || sh.ln != nil {
@@ -489,12 +491,12 @@ func (sh *ShardedHeadEnd) Listen(addr string) (string, error) {
 		}
 		sh.mu.Unlock()
 		_ = ln.Close()
-		return "", fmt.Errorf("ami: sharded head-end: %w", reason)
+		return "", fmt.Errorf("ami: head-end: %w", reason)
 	}
 	sh.ln = ln
 	sh.mu.Unlock()
 
-	sh.log.Info("sharded head-end listening",
+	sh.log.Info("head-end listening",
 		"addr", ln.Addr().String(), "shards", len(sh.shards))
 	sh.wg.Add(1)
 	go sh.acceptLoop(ln)
@@ -536,7 +538,7 @@ func (sh *ShardedHeadEnd) acceptLoop(ln net.Listener) {
 		go func() {
 			defer sh.wg.Done()
 			defer sh.untrack(conn, true)
-			sh.env.serve(conn)
+			sh.serve(conn)
 		}()
 	}
 }
@@ -551,10 +553,11 @@ func (sh *ShardedHeadEnd) untrack(conn net.Conn, session bool) {
 	sh.mu.Unlock()
 }
 
-// Close stops the listener, drains active sessions (force-closing
-// stragglers at the drain deadline, like HeadEnd.Close), then closes the
-// shard queues and waits for the workers to finish storing everything that
-// was acknowledged. Bounded even when a meter holds an idle connection.
+// Close stops the listener and drains active sessions: handlers get
+// DrainTimeout to finish their in-flight request, after which every
+// registered connection is force-closed. It then shuts the shard queues
+// down and waits for the workers to finish storing everything that was
+// acknowledged. Bounded even when a meter holds an idle connection.
 func (sh *ShardedHeadEnd) Close() error {
 	sh.mu.Lock()
 	if sh.closed {
@@ -656,7 +659,8 @@ func (sh *ShardedHeadEnd) Meters() []string {
 	return out
 }
 
-// Count returns the number of stored readings for a meter.
+// Count returns the number of stored readings for a meter. Call Flush
+// first for an exact count while sessions are live.
 func (sh *ShardedHeadEnd) Count(meterID string) int {
 	s := sh.shardFor(meterID)
 	s.mu.Lock()
@@ -674,8 +678,8 @@ func (sh *ShardedHeadEnd) Reading(meterID string, slot timeseries.Slot) (float64
 }
 
 // Series assembles the dense series [0, n) for a meter. Missing slots are
-// an error, exactly as on HeadEnd: the detection pipeline must not treat
-// gaps as zero consumption.
+// an error: the detection pipeline must not silently treat gaps as zero
+// consumption (that is what a 2A attack looks like).
 func (sh *ShardedHeadEnd) Series(meterID string, n int) (timeseries.Series, error) {
 	s := sh.shardFor(meterID)
 	s.mu.Lock()

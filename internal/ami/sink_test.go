@@ -35,12 +35,12 @@ func (r *sinkRecorder) readings(meterID string) []BatchReading {
 }
 
 // TestSinkReceivesAcceptedReadings: every reading accepted over the wire
-// reaches the sink — singles on the plain head-end, batches on the sharded
-// one — in per-meter acceptance order.
+// reaches the sink — plain v1 singles on one shard, v3 batches across
+// four — in per-meter acceptance order.
 func TestSinkReceivesAcceptedReadings(t *testing.T) {
 	t.Run("plain", func(t *testing.T) {
 		rec := newSinkRecorder()
-		head := New(WithSink(rec.sink), WithDrainTimeout(time.Second))
+		head := NewSharded(1, WithSink(rec.sink), WithDrainTimeout(time.Second))
 		addr, err := head.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -56,8 +56,9 @@ func TestSinkReceivesAcceptedReadings(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// Sends are acked synchronously on the plain head-end, so the sink
-		// has already run for every reading.
+		// The ack precedes the shard worker's sink call; Flush is the
+		// barrier that guarantees the tap has fired for every reading.
+		head.Flush()
 		checkSinkOrder(t, rec.readings("m1"), 10)
 	})
 

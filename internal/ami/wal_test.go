@@ -489,6 +489,7 @@ func TestWALAppendFailureRejectsInsteadOfAcking(t *testing.T) {
 	if errors.Is(sendErr, ErrRejected) {
 		t.Fatal("storage failure classified permanent; meters must retry it")
 	}
+	head.Flush()
 	if got := head.Count("m1"); got != 0 {
 		t.Fatalf("store holds %d readings for m1 after rejected append, want 0", got)
 	}

@@ -124,7 +124,7 @@ func TestEnvelopeValidateNonFinite(t *testing.T) {
 // in; a v3 frame carries the NaN bits themselves) must be answered with a
 // protocol error, never an ack, and must not reach the store.
 func TestWireNonFiniteReadingRejected(t *testing.T) {
-	head := New(WithDrainTimeout(time.Second))
+	head := NewSharded(1, WithDrainTimeout(time.Second))
 	addr, err := head.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +177,7 @@ func TestWireNonFiniteReadingRejected(t *testing.T) {
 // frames, chunking at the negotiated cap, and storage.
 func TestBatchSessionEndToEnd(t *testing.T) {
 	reg := obs.NewRegistry()
-	head := New(WithMetrics(reg), WithConfig(HeadEndConfig{MaxBatch: 16, DrainTimeout: time.Second}))
+	head := NewSharded(1, WithMetrics(reg), WithConfig(HeadEndConfig{MaxBatch: 16, DrainTimeout: time.Second}))
 	addr, err := head.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -205,6 +205,7 @@ func TestBatchSessionEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	head.Flush()
 	if got := head.Count("m1"); got != n {
 		t.Fatalf("stored %d readings, want %d", got, n)
 	}
@@ -225,7 +226,7 @@ func TestBatchSessionEndToEnd(t *testing.T) {
 // TestBindRebindsSession: one v3 connection serves several meters in turn —
 // the multiplexing primitive the load harness is built on.
 func TestBindRebindsSession(t *testing.T) {
-	head := New(WithDrainTimeout(time.Second))
+	head := NewSharded(1, WithDrainTimeout(time.Second))
 	addr, err := head.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -255,6 +256,7 @@ func TestBindRebindsSession(t *testing.T) {
 	if st := head.Stats(); st.TotalConns != 1 {
 		t.Errorf("total conns = %d, want 1 (one multiplexed session)", st.TotalConns)
 	}
+	head.Flush()
 	for i, id := range ids {
 		if v, ok := head.Reading(id, 1); !ok || v != float64(i)+0.5 {
 			t.Errorf("%s slot 1 = %g, %v; want %g, true", id, v, ok, float64(i)+0.5)
@@ -284,7 +286,7 @@ func (c *countConn) Read(p []byte) (int, error) {
 // I/O, and the rebind plus a one-reading batch is one client write answered
 // by one head-end write carrying exactly one ack frame.
 func TestRebindRidesInBatchWrite(t *testing.T) {
-	head := New(WithDrainTimeout(time.Second))
+	head := NewSharded(1, WithDrainTimeout(time.Second))
 	defer head.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -301,7 +303,7 @@ func TestRebindRidesInBatchWrite(t *testing.T) {
 		}
 		cc := &countConn{Conn: conn}
 		served <- cc
-		head.env.serve(cc)
+		head.serve(cc)
 	}()
 
 	c, err := DialBatch(ln.Addr().String(), "m0", nil, 5*time.Second)
@@ -336,6 +338,7 @@ func TestRebindRidesInBatchWrite(t *testing.T) {
 	if w := srv.writes.Load() - srvWrites; w != 1 {
 		t.Errorf("session wrote %d frames for a rebind + batch, want 1", w)
 	}
+	head.Flush()
 	if v, ok := head.Reading("m1", 0); !ok || v != 1.5 {
 		t.Errorf("m1 slot 0 = %g, %v; want 1.5, true", v, ok)
 	}
@@ -349,7 +352,7 @@ func TestRebindRidesInBatchWrite(t *testing.T) {
 // out at the loop-top check, so the batch riding behind it is refused with
 // CodeShuttingDown and nothing is stored for the new meter.
 func TestDrainBetweenRebindAndBatch(t *testing.T) {
-	head := New(WithDrainTimeout(5 * time.Second))
+	head := NewSharded(1, WithDrainTimeout(5*time.Second))
 	addr, err := head.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -362,10 +365,10 @@ func TestDrainBetweenRebindAndBatch(t *testing.T) {
 	if err := c.SendBatch([]meter.Reading{{MeterID: "m0", Slot: 0, KW: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "session parked in recv", func() bool { return head.env.parked.Load() == 1 })
+	waitFor(t, "session parked in recv", func() bool { return head.parked.Load() == 1 })
 	closed := make(chan error, 1)
 	go func() { closed <- head.Close() }()
-	waitFor(t, "drain begun", head.env.shuttingDown)
+	waitFor(t, "drain begun", head.shuttingDown)
 
 	if err := c.Bind("m1"); err != nil {
 		t.Fatal(err)
@@ -389,7 +392,7 @@ func TestDrainBetweenRebindAndBatch(t *testing.T) {
 // TestRetiredRebindReplyKindRefused: kind 2, once the rebind reply, is
 // unassigned; a peer that sends it gets a protocol refusal.
 func TestRetiredRebindReplyKindRefused(t *testing.T) {
-	head := New(WithDrainTimeout(time.Second))
+	head := NewSharded(1, WithDrainTimeout(time.Second))
 	addr, err := head.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -405,7 +408,7 @@ func TestRetiredRebindReplyKindRefused(t *testing.T) {
 // TestV1SessionRejectsBatch: batch frames require a negotiated v3
 // session; on a v1 session they are a protocol violation.
 func TestV1SessionRejectsBatch(t *testing.T) {
-	head := New(WithDrainTimeout(time.Second))
+	head := NewSharded(1, WithDrainTimeout(time.Second))
 	addr, err := head.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -434,6 +437,7 @@ func TestV1SessionRejectsBatch(t *testing.T) {
 	if resp.Type != TypeError || resp.Code != CodeProtocol {
 		t.Fatalf("response = %+v, want a %s error", resp, CodeProtocol)
 	}
+	head.Flush()
 	if got := head.Count("m1"); got != 0 {
 		t.Errorf("stored %d readings from a v1 batch frame, want 0", got)
 	}
@@ -485,7 +489,7 @@ func sendRawFrame(t *testing.T, conn net.Conn, codec *Codec, frame []byte) *Prot
 // TestBatchOverCapRejected: the head-end enforces the batch cap it
 // advertised; a client that ignores it gets a protocol rejection.
 func TestBatchOverCapRejected(t *testing.T) {
-	head := New(WithConfig(HeadEndConfig{MaxBatch: 4, DrainTimeout: time.Second}))
+	head := NewSharded(1, WithConfig(HeadEndConfig{MaxBatch: 4, DrainTimeout: time.Second}))
 	addr, err := head.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -500,6 +504,7 @@ func TestBatchOverCapRejected(t *testing.T) {
 	if perr := sendRawFrame(t, conn, codec, AppendBatchFrame(nil, "m1", over, nil)); perr.Code != CodeProtocol {
 		t.Fatalf("reply = %+v, want a %s error", perr, CodeProtocol)
 	}
+	head.Flush()
 	if got := head.Count("m1"); got != 0 {
 		t.Errorf("over-cap batch stored %d readings, want 0", got)
 	}
@@ -508,7 +513,7 @@ func TestBatchOverCapRejected(t *testing.T) {
 // TestWireV2HelloRefused: the retired JSON batch dialect gets a typed
 // refusal at hello instead of a session.
 func TestWireV2HelloRefused(t *testing.T) {
-	head := New(WithDrainTimeout(time.Second))
+	head := NewSharded(1, WithDrainTimeout(time.Second))
 	addr, err := head.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -544,7 +549,7 @@ func TestWireV2HelloRefused(t *testing.T) {
 // TestBatchSessionMismatchTyped: a v3 batch naming a meter other than the
 // session's is refused with CodeSessionMismatch and nothing stored.
 func TestBatchSessionMismatchTyped(t *testing.T) {
-	head := New(WithDrainTimeout(time.Second))
+	head := NewSharded(1, WithDrainTimeout(time.Second))
 	addr, err := head.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -556,6 +561,7 @@ func TestBatchSessionMismatchTyped(t *testing.T) {
 	if !errors.Is(perr, ErrSessionMismatch) {
 		t.Fatalf("reply = %+v, want %s", perr, CodeSessionMismatch)
 	}
+	head.Flush()
 	if got := head.Count("m2") + head.Count("m1"); got != 0 {
 		t.Errorf("mismatched batch stored %d readings, want 0", got)
 	}
@@ -566,7 +572,7 @@ func TestBatchSessionMismatchTyped(t *testing.T) {
 // short is refused; only the intact frame is stored.
 func TestBatchMACCoversRawPayload(t *testing.T) {
 	key := []byte("raw-payload-key")
-	head := New(WithKeyring(NewKeyring(map[string][]byte{"m1": key})), WithDrainTimeout(time.Second))
+	head := NewSharded(1, WithKeyring(NewKeyring(map[string][]byte{"m1": key})), WithDrainTimeout(time.Second))
 	addr, err := head.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -598,10 +604,11 @@ func TestBatchMACCoversRawPayload(t *testing.T) {
 			t.Errorf("%s: reply = %+v, want %s", tc.name, perr, tc.code)
 		}
 	}
+	head.Flush()
 	if got := head.Count("m1"); got != 0 {
 		t.Fatalf("tampered frames stored %d readings, want 0", got)
 	}
-	if got := head.AuthFailures(); got != 3 {
+	if got := head.Stats().AuthFailed; got != 3 {
 		t.Errorf("auth failures = %d, want 3", got)
 	}
 
@@ -616,6 +623,7 @@ func TestBatchMACCoversRawPayload(t *testing.T) {
 	if count, last, err := parseAckFrame(body); err != nil || count != 2 || last != 1 {
 		t.Fatalf("ack = %d readings to slot %d (%v), want 2 to slot 1", count, last, err)
 	}
+	head.Flush()
 	if got := head.Count("m1"); got != 2 {
 		t.Errorf("stored %d readings, want 2", got)
 	}
@@ -626,7 +634,7 @@ func TestBatchMACCoversRawPayload(t *testing.T) {
 // a TCP reset from destroying the error in flight), and the rejected
 // connection is untracked once it hangs up.
 func TestRejectBusyDrain(t *testing.T) {
-	head := New(WithConfig(HeadEndConfig{MaxConns: 1, IdleTimeout: 2 * time.Second, DrainTimeout: time.Second}))
+	head := NewSharded(1, WithConfig(HeadEndConfig{MaxConns: 1, IdleTimeout: 2 * time.Second, DrainTimeout: time.Second}))
 	addr, err := head.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -703,7 +711,7 @@ func TestRejectBusyDrain(t *testing.T) {
 // relay one-way rebinds without waiting for a reply, and apply the
 // rewrite to every reading inside a batch frame.
 func TestMITMRelaysV3AndRewritesBatches(t *testing.T) {
-	head := New(WithDrainTimeout(time.Second))
+	head := NewSharded(1, WithDrainTimeout(time.Second))
 	upstream, err := head.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -744,6 +752,7 @@ func TestMITMRelaysV3AndRewritesBatches(t *testing.T) {
 			t.Fatalf("batch %d for %s: %v", b, id, err)
 		}
 	}
+	head.Flush()
 	for b, id := range ids {
 		for i := 0; i < n; i++ {
 			slot := timeseries.Slot(b*n + i)
@@ -767,7 +776,7 @@ func TestMITMRelaysV3AndRewritesBatches(t *testing.T) {
 // same tamper-evidence the single-reading path has.
 func TestSignedBatchDefeatsMITM(t *testing.T) {
 	key := []byte("batch-auth-key")
-	head := New(WithKeyring(NewKeyring(map[string][]byte{"m1": key})), WithDrainTimeout(time.Second))
+	head := NewSharded(1, WithKeyring(NewKeyring(map[string][]byte{"m1": key})), WithDrainTimeout(time.Second))
 	upstream, err := head.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -801,9 +810,10 @@ func TestSignedBatchDefeatsMITM(t *testing.T) {
 	if !errors.As(err, &ae) {
 		t.Errorf("err = %v, want an *AuthError cause", err)
 	}
-	if head.AuthFailures() == 0 {
+	if head.Stats().AuthFailed == 0 {
 		t.Error("head-end recorded no auth failures")
 	}
+	head.Flush()
 	if got := head.Count("m1"); got != 0 {
 		t.Errorf("tampered batch stored %d readings, want 0", got)
 	}
@@ -818,6 +828,7 @@ func TestSignedBatchDefeatsMITM(t *testing.T) {
 	if err := direct.SendBatch(rs); err != nil {
 		t.Fatalf("untampered signed batch rejected: %v", err)
 	}
+	head.Flush()
 	if got := head.Count("m1"); got != 2 {
 		t.Errorf("stored %d readings, want 2", got)
 	}
@@ -847,7 +858,7 @@ func TestMITMRewritesOneReadingInV3Frame(t *testing.T) {
 			key = []byte("insider-key")
 			opts = append(opts, WithKeyring(NewKeyring(map[string][]byte{"m1": key})))
 		}
-		head := New(append(opts, WithDrainTimeout(time.Second))...)
+		head := NewSharded(1, append(opts, WithDrainTimeout(time.Second))...)
 		upstream, err := head.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
@@ -962,7 +973,7 @@ func TestBatchPayloadGoldenMatchesWAL(t *testing.T) {
 // TestReliableBatchClientDelivers: the reliable wrapper's batch mode
 // delivers via v3 frames and still classifies rejections.
 func TestReliableBatchClientDelivers(t *testing.T) {
-	head := New(WithDrainTimeout(time.Second))
+	head := NewSharded(1, WithDrainTimeout(time.Second))
 	addr, err := head.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -982,6 +993,7 @@ func TestReliableBatchClientDelivers(t *testing.T) {
 	if err := rc.SendAll(rs); err != nil {
 		t.Fatal(err)
 	}
+	head.Flush()
 	if got := head.Count("m1"); got != n {
 		t.Fatalf("stored %d readings, want %d", got, n)
 	}

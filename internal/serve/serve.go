@@ -33,8 +33,8 @@ const (
 	maxGapFill = timeseries.SlotsPerWeek
 )
 
-// Store is the read side of a head-end the service re-trains from: both
-// *ami.HeadEnd and *ami.ShardedHeadEnd satisfy it.
+// Store is the read side of a head-end the service re-trains from;
+// *ami.ShardedHeadEnd satisfies it.
 type Store interface {
 	// Series assembles the dense series [0, n) for a meter; gaps are an
 	// error.
@@ -48,7 +48,7 @@ type Store interface {
 // detector in place.
 type RetrainFunc func(consumerID string, store Store, current detect.StreamDetector) (detect.StreamDetector, error)
 
-// Option configures a Server at construction time, mirroring ami.New.
+// Option configures a Server at construction time, mirroring ami.NewSharded.
 type Option func(*Server)
 
 // WithStore attaches the head-end store re-trains read history from.
@@ -170,7 +170,7 @@ type Server struct {
 	retrains atomic.Int64
 }
 
-// New builds a Server from functional options (mirroring ami.New) and
+// New builds a Server from functional options (mirroring ami.NewSharded) and
 // starts its workers — and, when WithRetrainInterval and WithRetrain are
 // both set, the rolling re-train loop.
 func New(opts ...Option) (*Server, error) {
