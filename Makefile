@@ -42,10 +42,12 @@ race-hot:
 
 # bench-quick: one pass over the hot-path microbenchmarks — enough to catch
 # a gross perf/allocation regression without a full benchmark session. The
-# wire-codec bench (recv, decode and MAC check of one signed 48-reading v3
-# frame) is cheap, so it runs a fixed 10k frames for a stable ns/reading.
+# set-up path is covered by population synthesis (BenchmarkDatasetGenerate)
+# and KLD training (BenchmarkKLDTrain). The wire-codec bench (recv, decode
+# and MAC check of one signed 48-reading v3 frame) is cheap, so it runs a
+# fixed 10k frames for a stable ns/reading.
 bench-quick:
-	$(GO) test -run=NONE -bench 'BenchmarkSelectOrder|BenchmarkTrainedSuite|BenchmarkKLDDetect|BenchmarkIntegratedARIMAAttack' -benchtime=1x -benchmem .
+	$(GO) test -run=NONE -bench 'BenchmarkSelectOrder|BenchmarkTrainedSuite|BenchmarkKLDDetect|BenchmarkKLDTrain|BenchmarkIntegratedARIMAAttack|BenchmarkDatasetGenerate' -benchtime=1x -benchmem .
 	$(GO) test -run=NONE -bench 'BenchmarkCodecRecvBatch48' -benchtime=10000x -benchmem ./internal/ami
 
 # bench: record the full benchmark trajectory into results/bench/BENCH_<date>.json.

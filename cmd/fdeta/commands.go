@@ -35,7 +35,7 @@ func bindEvalFlags(fs *flag.FlagSet) *evalFlags {
 	fs.IntVar(&ef.trials, "trials", 0, "override the attack trial count")
 	fs.Int64Var(&ef.seed, "seed", 2016, "experiment seed")
 	fs.IntVar(&ef.parallelism, "parallelism", 0, "worker goroutines for per-consumer evaluation (0 = GOMAXPROCS); results are identical at any setting")
-	fs.BoolVar(&ef.warmStart, "warmstart", false, "pre-train detector suites with the population trainer (clustered warm-start order selection; metrics stay within the pinned tolerance of cold training)")
+	fs.BoolVar(&ef.warmStart, "warmstart", false, "train detector suites with clustered warm-start order selection instead of the exact full grid (metrics stay within the pinned tolerance of exact training)")
 	fs.BoolVar(&ef.strict, "strict", false, "abort on the first consumer evaluation failure instead of quarantining it")
 	fs.StringVar(&ef.checkpoint, "checkpoint", "", "JSON checkpoint path: per-consumer results are flushed as they finish, and rerunning with the same settings resumes from them")
 	fs.StringVar(&ef.faultSpec, "fault", "", "inject meter faults into the monitored weeks, e.g. 'dropout:0.1+spike:0.01,20' (kinds: dropout, outage, stuckat, spike, clockslip)")

@@ -162,12 +162,13 @@ Extensions:
   bench              run table + component benchmarks, write BENCH_<date>.json
 
 Evaluation commands accept -parallelism (worker goroutines; results are
-identical at any setting), -warmstart (pre-train suites with the
-clustered population trainer; metrics stay within the pinned tolerance
-of cold training), -cpuprofile/-memprofile (pprof output files),
--fault SPEC (inject meter faults into the monitored weeks), -checkpoint
-FILE (crash-safe per-consumer progress; rerun to resume), and -strict
-(fail fast instead of quarantining a failing consumer).
+identical at any setting), -warmstart (clustered warm-start order
+selection instead of the exact full grid; metrics stay within the
+pinned tolerance of exact training), -cpuprofile/-memprofile (pprof
+output files), -fault SPEC (inject meter faults into the monitored
+weeks), -checkpoint FILE (crash-safe per-consumer progress; rerun to
+resume), and -strict (fail fast instead of quarantining a failing
+consumer).
 
 Long-running commands (detect, collect, bench, and every evaluation
 command) also accept -metrics-addr ADDR: an opt-in HTTP admin endpoint

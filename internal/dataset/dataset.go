@@ -21,7 +21,10 @@ package dataset
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/stats"
 	"repro/internal/timeseries"
@@ -215,70 +218,96 @@ func gaussBump(hour, centre, width float64) float64 {
 	return math.Exp(-d * d / (2 * width * width))
 }
 
-// Generate produces a deterministic synthetic dataset.
+// Generate produces a deterministic synthetic dataset. Consumers are
+// synthesized on a GOMAXPROCS worker pool; each draws only from its own
+// SplitRand(cfg.Seed, i) stream and writes only its own slot, so the output
+// is identical at any worker count.
 func Generate(cfg Config) (*Dataset, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	total := cfg.Residential + cfg.SMEs + cfg.Unclassified
 	ds := &Dataset{
-		Consumers: make([]Consumer, 0, total),
+		Consumers: make([]Consumer, total),
 		Weeks:     cfg.Weeks,
 	}
-	slots := cfg.Weeks * timeseries.SlotsPerWeek
-
-	classOf := func(i int) ConsumerClass {
-		switch {
-		case i < cfg.Residential:
-			return Residential
-		case i < cfg.Residential+cfg.SMEs:
-			return SME
-		default:
-			return Unclassified
-		}
+	workers := runtime.GOMAXPROCS(0)
+	if workers > total {
+		workers = total
 	}
-
-	for i := 0; i < total; i++ {
-		rng := stats.SplitRand(cfg.Seed, int64(i))
-		class := classOf(i)
-		prof := classProfile(class, rng)
-
-		demand := make(timeseries.Series, slots)
-		noise := 0.0
-		// Pre-draw anomaly calendar.
-		vacationWeek := make([]bool, cfg.Weeks)
-		for w := range vacationWeek {
-			vacationWeek[w] = rng.Float64() < cfg.VacationRate
-		}
-		days := slots / timeseries.SlotsPerDay
-		partyDay := make([]bool, days)
-		for d := range partyDay {
-			partyDay[d] = rng.Float64() < cfg.PartyRate
-		}
-
-		for s := 0; s < slots; s++ {
-			slot := timeseries.Slot(s)
-			base := prof.expected(slot)
-			noise = prof.noisePhi*noise + math.Sqrt(1-prof.noisePhi*prof.noisePhi)*rng.NormFloat64()
-			v := base * math.Exp(prof.noiseSigma*noise-prof.noiseSigma*prof.noiseSigma/2)
-			if vacationWeek[slot.Week()] {
-				v = 0.1*v + 0.02*prof.scale
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= total {
+					return
+				}
+				ds.Consumers[i] = generateConsumer(cfg, i)
 			}
-			if partyDay[s/timeseries.SlotsPerDay] && slot.HourOfDay() >= 16 {
-				v *= 2.5
-			}
-			if v < 0 {
-				v = 0
-			}
-			demand[s] = v
-		}
-		ds.Consumers = append(ds.Consumers, Consumer{
-			ID:     1000 + i,
-			Class:  class,
-			Demand: demand,
-		})
+		}()
 	}
+	wg.Wait()
 	return ds, nil
+}
+
+// generateConsumer synthesizes consumer i of the population.
+func generateConsumer(cfg Config, i int) Consumer {
+	class := Unclassified
+	switch {
+	case i < cfg.Residential:
+		class = Residential
+	case i < cfg.Residential+cfg.SMEs:
+		class = SME
+	}
+	rng := stats.SplitRand(cfg.Seed, int64(i))
+	prof := classProfile(class, rng)
+
+	// The noise-free profile depends only on the slot of the week.
+	var expected [timeseries.SlotsPerWeek]float64
+	for s := range expected {
+		expected[s] = prof.expected(timeseries.Slot(s))
+	}
+	innovation := math.Sqrt(1 - prof.noisePhi*prof.noisePhi)
+
+	slots := cfg.Weeks * timeseries.SlotsPerWeek
+	demand := make(timeseries.Series, slots)
+	noise := 0.0
+	// Pre-draw anomaly calendar.
+	vacationWeek := make([]bool, cfg.Weeks)
+	for w := range vacationWeek {
+		vacationWeek[w] = rng.Float64() < cfg.VacationRate
+	}
+	days := slots / timeseries.SlotsPerDay
+	partyDay := make([]bool, days)
+	for d := range partyDay {
+		partyDay[d] = rng.Float64() < cfg.PartyRate
+	}
+
+	for s := 0; s < slots; s++ {
+		slot := timeseries.Slot(s)
+		base := expected[s%timeseries.SlotsPerWeek]
+		noise = prof.noisePhi*noise + innovation*rng.NormFloat64()
+		v := base * math.Exp(prof.noiseSigma*noise-prof.noiseSigma*prof.noiseSigma/2)
+		if vacationWeek[slot.Week()] {
+			v = 0.1*v + 0.02*prof.scale
+		}
+		if partyDay[s/timeseries.SlotsPerDay] && slot.HourOfDay() >= 16 {
+			v *= 2.5
+		}
+		if v < 0 {
+			v = 0
+		}
+		demand[s] = v
+	}
+	return Consumer{
+		ID:     1000 + i,
+		Class:  class,
+		Demand: demand,
+	}
 }
 
 // Stats summarizes a dataset for validation output.

@@ -151,6 +151,35 @@ func NewKLDDetector(train timeseries.Series, cfg KLDConfig) (*KLDDetector, error
 // training week matrix, letting a suite share one matrix across every
 // detector row instead of re-slicing the series per construction.
 func NewKLDDetectorFromMatrix(matrix *timeseries.WeekMatrix, cfg KLDConfig) (*KLDDetector, error) {
+	return newKLDDetector(matrix, cfg, &kldTrainScratch{})
+}
+
+// kldTrainScratch holds the KLD training buffers, reused across consumers
+// by each population-trainer worker.
+type kldTrainScratch struct {
+	tally []float64 // per-week bin tallies, normalized in place
+	kl    stats.KLScratch
+}
+
+// tallies returns a zeroed n-float tally buffer.
+func (sc *kldTrainScratch) tallies(n int) []float64 {
+	if cap(sc.tally) < n {
+		sc.tally = make([]float64, n)
+	}
+	t := sc.tally[:n]
+	for i := range t {
+		t[i] = 0
+	}
+	return t
+}
+
+// newKLDDetector trains the detector binning each training value exactly
+// once: the bin index feeds both the global X histogram and the value's
+// week tally. Integer counts are exact in float64, so each normalized week
+// tally equals the week's DistributionInto bit for bit, and the histogram,
+// X distribution, training divergences and threshold are those of binning
+// X and then every X_i separately.
+func newKLDDetector(matrix *timeseries.WeekMatrix, cfg KLDConfig, sc *kldTrainScratch) (*KLDDetector, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -158,27 +187,45 @@ func NewKLDDetectorFromMatrix(matrix *timeseries.WeekMatrix, cfg KLDConfig) (*KL
 	if matrix == nil || matrix.Rows() < 2 {
 		return nil, fmt.Errorf("detect: KLD detector needs >= 2 training weeks")
 	}
-	var hist *stats.Histogram
+	var edges []float64
 	var err error
 	switch cfg.Binning {
 	case EqualFrequency:
-		hist, err = stats.NewHistogramFromDataQuantile(matrix.Flat(), cfg.Bins)
+		edges, err = stats.QuantileEdges(matrix.Flat(), cfg.Bins)
 	default:
-		hist, err = stats.NewHistogramFromData(matrix.Flat(), cfg.Bins)
+		lo, hi := stats.MinMax(matrix.Flat())
+		edges = stats.LinearEdges(lo, hi, cfg.Bins)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("detect: KLD histogram: %w", err)
+	}
+	hist, err := stats.NewHistogram(edges)
+	if err != nil {
+		return nil, fmt.Errorf("detect: KLD histogram: %w", err)
+	}
+	rows, bins := matrix.Rows(), hist.Bins()
+	tally := sc.tallies(rows * bins)
+	for i := 0; i < rows; i++ {
+		week := tally[i*bins : (i+1)*bins]
+		for _, v := range matrix.Row(i) {
+			idx := hist.BinIndex(v)
+			if idx < 0 {
+				continue
+			}
+			hist.AddBin(idx)
+			week[idx]++
+		}
 	}
 	d := &KLDDetector{
 		cfg:     cfg,
 		hist:    hist,
 		xProbs:  hist.Probabilities(),
-		trainK:  make([]float64, matrix.Rows()),
-		refWeek: matrix.Row(matrix.Rows() - 1).Clone(),
+		trainK:  make([]float64, rows),
+		refWeek: matrix.Row(rows - 1).Clone(),
 		scratch: &sync.Pool{New: func() any { return &kldScratch{} }},
 	}
-	for i := 0; i < matrix.Rows(); i++ {
-		ki, err := d.Divergence(matrix.Row(i))
+	for i := 0; i < rows; i++ {
+		ki, err := d.divergenceOf(normalizeTally(tally[i*bins:(i+1)*bins]), &sc.kl)
 		if err != nil {
 			return nil, fmt.Errorf("detect: training week %d: %w", i, err)
 		}
@@ -190,6 +237,22 @@ func NewKLDDetectorFromMatrix(matrix *timeseries.WeekMatrix, cfg KLDConfig) (*KL
 	}
 	d.initEval(d)
 	return d, nil
+}
+
+// normalizeTally turns integer-valued bin counts into relative frequencies
+// in place. Their sum is the exact count of binned observations, so the
+// division reproduces Histogram.DistributionInto bit for bit.
+func normalizeTally(tally []float64) []float64 {
+	var total float64
+	for _, c := range tally {
+		total += c
+	}
+	if total > 0 {
+		for j := range tally {
+			tally[j] /= total
+		}
+	}
+	return tally
 }
 
 // WithSignificance derives a detector that shares this one's histogram, X
@@ -228,26 +291,28 @@ func (d *KLDDetector) Name() string {
 }
 
 // Divergence computes K = D(week ‖ X) in bits using the frozen bin edges
-// (Eq. 12), or the configured alternative measure. The KL path (the paper's
-// default, and the one every Table II/III cell exercises) runs through a
-// pooled scratch buffer and allocates nothing.
+// (Eq. 12), or the configured alternative measure. The week is binned
+// through a pooled scratch buffer, so the KL path (the paper's default, and
+// the one every Table II/III cell exercises) allocates nothing.
 func (d *KLDDetector) Divergence(week timeseries.Series) (float64, error) {
+	sc := d.scratch.Get().(*kldScratch)
+	if cap(sc.probs) < d.hist.Bins() {
+		sc.probs = make([]float64, d.hist.Bins())
+	}
+	k, err := d.divergenceOf(d.hist.DistributionInto(sc.probs[:d.hist.Bins()], week), &sc.kl)
+	d.scratch.Put(sc)
+	return k, err
+}
+
+// divergenceOf measures a binned week distribution against X.
+func (d *KLDDetector) divergenceOf(probs []float64, kl *stats.KLScratch) (float64, error) {
 	switch d.cfg.Divergence {
 	case SymmetricKL:
-		probs := d.hist.Distribution(week)
 		return stats.SymmetricKLDivergence(probs, d.xProbs, d.cfg.KL)
 	case JensenShannon:
-		probs := d.hist.Distribution(week)
 		return stats.JensenShannonDivergence(probs, d.xProbs, d.cfg.KL)
 	default:
-		sc := d.scratch.Get().(*kldScratch)
-		if cap(sc.probs) < d.hist.Bins() {
-			sc.probs = make([]float64, d.hist.Bins())
-		}
-		probs := d.hist.DistributionInto(sc.probs[:d.hist.Bins()], week)
-		k, err := stats.KLDivergenceWith(probs, d.xProbs, d.cfg.KL, &sc.kl)
-		d.scratch.Put(sc)
-		return k, err
+		return stats.KLDivergenceWith(probs, d.xProbs, d.cfg.KL, kl)
 	}
 }
 

@@ -108,6 +108,17 @@ func NewPriceKLDDetector(train timeseries.Series, cfg PriceKLDConfig) (*PriceKLD
 // NewPriceKLDDetectorFromMatrix trains the detector from an already-built
 // training week matrix, so a suite can share one matrix across detectors.
 func NewPriceKLDDetectorFromMatrix(matrix *timeseries.WeekMatrix, cfg PriceKLDConfig) (*PriceKLDDetector, error) {
+	return newPriceKLDDetector(matrix, cfg, &kldTrainScratch{})
+}
+
+// newPriceKLDDetector trains the detector in two passes over the training
+// matrix and no copy of it: the first finds each tier's value range, the
+// second bins every value once into both its tier's X histogram and its
+// week's tier tally. Each tier's range is scanned in row-major order, as a
+// MinMax over the tier's values would scan them, and integer tallies
+// normalize exactly, so every artifact is bit-identical to partitioning the
+// values by tier and binning X and each week separately.
+func newPriceKLDDetector(matrix *timeseries.WeekMatrix, cfg PriceKLDConfig, sc *kldTrainScratch) (*PriceKLDDetector, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -129,41 +140,73 @@ func NewPriceKLDDetectorFromMatrix(matrix *timeseries.WeekMatrix, cfg PriceKLDCo
 		tierSlots[tier] = append(tierSlots[tier], s)
 	}
 
-	// Partition all training values by tier and build per-tier histograms.
-	tierValues := make([][]float64, cfg.NTiers)
-	for i := 0; i < matrix.Rows(); i++ {
-		row := matrix.Row(i)
-		for s, v := range row {
+	rows, tiers := matrix.Rows(), cfg.NTiers
+	lo, hi := make([]float64, tiers), make([]float64, tiers)
+	for tier, slots := range tierSlots {
+		if len(slots) > 0 {
+			lo[tier], hi[tier] = matrix.Row(0)[slots[0]], matrix.Row(0)[slots[0]]
+		}
+	}
+	for i := 0; i < rows; i++ {
+		for s, v := range matrix.Row(i) {
 			tier := slotTier[s]
-			tierValues[tier] = append(tierValues[tier], v)
+			if v < lo[tier] {
+				lo[tier] = v
+			}
+			if v > hi[tier] {
+				hi[tier] = v
+			}
 		}
 	}
 	d := &PriceKLDDetector{
 		cfg:       cfg,
 		slotTier:  slotTier,
 		tierSlots: tierSlots,
-		hists:     make([]*stats.Histogram, cfg.NTiers),
-		tierProbs: make([][]float64, cfg.NTiers),
-		refWeek:   matrix.Row(matrix.Rows() - 1).Clone(),
+		hists:     make([]*stats.Histogram, tiers),
+		tierProbs: make([][]float64, tiers),
+		trainK:    make([]float64, rows),
+		refWeek:   matrix.Row(rows - 1).Clone(),
 		scratch:   &sync.Pool{New: func() any { return &priceKLDScratch{} }},
 	}
-	for tier, vals := range tierValues {
-		if len(vals) == 0 {
+	for tier, slots := range tierSlots {
+		if len(slots) == 0 {
 			return nil, fmt.Errorf("detect: price tier %d has no training slots", tier)
 		}
-		h, err := stats.NewHistogramFromData(vals, cfg.Bins)
+		h, err := stats.NewHistogram(stats.LinearEdges(lo[tier], hi[tier], cfg.Bins))
 		if err != nil {
 			return nil, fmt.Errorf("detect: tier %d histogram: %w", tier, err)
 		}
 		d.hists[tier] = h
+	}
+
+	bins := cfg.Bins
+	tally := sc.tallies(rows * tiers * bins)
+	for i := 0; i < rows; i++ {
+		week := tally[i*tiers*bins : (i+1)*tiers*bins]
+		for s, v := range matrix.Row(i) {
+			tier := slotTier[s]
+			idx := d.hists[tier].BinIndex(v)
+			if idx < 0 {
+				continue
+			}
+			d.hists[tier].AddBin(idx)
+			week[tier*bins+idx]++
+		}
+	}
+	for tier, h := range d.hists {
 		d.tierProbs[tier] = h.Probabilities()
 	}
 
-	d.trainK = make([]float64, matrix.Rows())
-	for i := 0; i < matrix.Rows(); i++ {
-		ki, err := d.Divergence(matrix.Row(i))
-		if err != nil {
-			return nil, fmt.Errorf("detect: training week %d: %w", i, err)
+	for i := 0; i < rows; i++ {
+		var ki float64
+		for tier := 0; tier < tiers; tier++ {
+			off := (i*tiers + tier) * bins
+			kl, err := stats.KLDivergenceWith(normalizeTally(tally[off:off+bins]), d.tierProbs[tier], cfg.KL, &sc.kl)
+			if err != nil {
+				err = fmt.Errorf("detect: tier %d divergence: %w", tier, err)
+				return nil, fmt.Errorf("detect: training week %d: %w", i, err)
+			}
+			ki += kl
 		}
 		d.trainK[i] = ki
 	}

@@ -1,12 +1,14 @@
 package detect
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
 	"sync"
 
 	"repro/internal/arima"
+	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/timeseries"
 )
@@ -25,7 +27,8 @@ const (
 	WarmStartMargin TrainMode = iota
 	// WarmStartExact runs the full candidate grid for every consumer. The
 	// resulting suites are byte-identical to per-consumer NewTrainedSuite;
-	// the speedup comes only from scratch reuse and one-pass training.
+	// the speedup comes only from scratch reuse and retained-fit predictor
+	// placement.
 	WarmStartExact
 )
 
@@ -67,6 +70,9 @@ type PopulationConfig struct {
 	// Exact mode is byte-identical to NewTrainedSuite only with the default
 	// grid, because that is the grid NewTrainedSuite searches.
 	Candidates []arima.Order
+	// Clock times each consumer's training for PopulationResult.BusySeconds
+	// (default the wall clock). It never affects a trained suite.
+	Clock obs.Clock
 }
 
 func (c PopulationConfig) withDefaults() PopulationConfig {
@@ -84,6 +90,9 @@ func (c PopulationConfig) withDefaults() PopulationConfig {
 	}
 	if c.Candidates == nil {
 		c.Candidates = arima.DefaultCandidates()
+	}
+	if c.Clock == nil {
+		c.Clock = obs.Wall()
 	}
 	return c
 }
@@ -103,7 +112,8 @@ type PopulationStats struct {
 	// GridFitsSkipped is the total number of candidate fits the warm starts
 	// avoided.
 	GridFitsSkipped int
-	// Failed counts consumers whose training returned an error.
+	// Failed counts consumers whose training returned an error or
+	// panicked.
 	Failed int
 }
 
@@ -115,6 +125,16 @@ type PopulationResult struct {
 	Errors []error
 	// Stats summarizes the run.
 	Stats PopulationStats
+	// BusySeconds is the time the workers spent training consumers, summed
+	// over workers (worker-seconds, not wall time). Unlike Stats it depends
+	// on the machine and the worker count.
+	BusySeconds float64
+}
+
+// workerStats is one worker's share of a run.
+type workerStats struct {
+	PopulationStats
+	busySeconds float64
 }
 
 // PopulationTrainer trains detector suites for whole consumer populations.
@@ -124,8 +144,8 @@ type PopulationResult struct {
 // neighbors already revealed the winning order, and replays two full
 // predictor warm-ups that the fit already computed. The trainer amortizes
 // scratch to O(workers), reuses retained fit state for O(P+Q+D) predictor
-// placement, bins each training value once for both KLD tallies, and —
-// in warm-start mode — shares grid-search outcomes within shape clusters.
+// placement, reuses one set of KLD tally buffers per worker, and — in
+// warm-start mode — shares grid-search outcomes within shape clusters.
 //
 // Results are deterministic for any worker count: clustering is a serial
 // pass in consumer index order, and each consumer's training depends only
@@ -191,7 +211,7 @@ func (t *PopulationTrainer) Train(pop *timeseries.PopulationMatrix) (*Population
 	// Phase 1: cluster seeds (and, when not warm-starting, every consumer)
 	// run the full candidate grid. Seeds record their winning order for
 	// phase 2.
-	perWorker := make([]PopulationStats, workers)
+	perWorker := make([]workerStats, workers)
 	seeds := make([]int, 0, len(clusters))
 	for _, c := range clusters {
 		assignment[c.leader] = -1 // seeds never warm-start
@@ -227,6 +247,7 @@ func (t *PopulationTrainer) Train(pop *timeseries.PopulationMatrix) (*Population
 		res.Stats.WarmHits += s.WarmHits
 		res.Stats.WarmMisses += s.WarmMisses
 		res.Stats.GridFitsSkipped += s.GridFitsSkipped
+		res.BusySeconds += s.busySeconds
 	}
 	for _, err := range res.Errors {
 		if err != nil {
@@ -239,10 +260,11 @@ func (t *PopulationTrainer) Train(pop *timeseries.PopulationMatrix) (*Population
 
 // runPhase trains the given consumer indices on the worker pool. Workers
 // pull indices from a channel; each index's result lands in its own slot,
-// so scheduling never affects the output.
+// so scheduling never affects the output. A consumer whose training panics
+// gets the panic as its error, and the worker carries on with fresh scratch.
 func (t *PopulationTrainer) runPhase(pop *timeseries.PopulationMatrix, indices []int,
 	assignment []int, clusters []*popCluster, res *PopulationResult,
-	perWorker []PopulationStats, workers int) {
+	perWorker []workerStats, workers int) {
 	if len(indices) == 0 {
 		return
 	}
@@ -255,7 +277,7 @@ func (t *PopulationTrainer) runPhase(pop *timeseries.PopulationMatrix, indices [
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(st *PopulationStats) {
+		go func(st *workerStats) {
 			defer wg.Done()
 			sc := newTrainScratch()
 			for i := range work {
@@ -263,7 +285,12 @@ func (t *PopulationTrainer) runPhase(pop *timeseries.PopulationMatrix, indices [
 				if ci := assignment[i]; ci >= 0 && clusters[ci].ok {
 					warm, haveWarm = clusters[ci].order, true
 				}
-				suite, sel, err := t.trainOne(pop, i, warm, haveWarm, sc)
+				start := t.cfg.Clock.Now()
+				suite, sel, err := t.trainOneSafe(pop, i, warm, haveWarm, sc)
+				st.busySeconds += t.cfg.Clock.Since(start).Seconds()
+				if errors.Is(err, errTrainPanic) {
+					sc = newTrainScratch()
+				}
 				res.Suites[i], res.Errors[i] = suite, err
 				if err == nil && sel != nil {
 					if sel.WarmAccepted {
@@ -281,6 +308,29 @@ func (t *PopulationTrainer) runPhase(pop *timeseries.PopulationMatrix, indices [
 	}
 	close(work)
 	wg.Wait()
+}
+
+// trainHook, when non-nil, runs before each consumer's training with the
+// consumer's population index. It is a test seam: panic-containment tests
+// install a hook that panics for a chosen consumer.
+var trainHook func(i int)
+
+// errTrainPanic marks a training error that was a recovered panic.
+var errTrainPanic = errors.New("panic")
+
+// trainOneSafe is trainOne with panic containment: a panicking consumer
+// becomes that consumer's error instead of crashing the process.
+func (t *PopulationTrainer) trainOneSafe(pop *timeseries.PopulationMatrix, i int,
+	warm arima.Order, haveWarm bool, sc *trainScratch) (suite *TrainedSuite, sel *arima.WarmSelection, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			suite, sel, err = nil, nil, fmt.Errorf("%w: %v", errTrainPanic, r)
+		}
+	}()
+	if trainHook != nil {
+		trainHook(i)
+	}
+	return t.trainOne(pop, i, warm, haveWarm, sc)
 }
 
 // trainOne fits one consumer's suite with worker-local scratch. The
@@ -388,19 +438,13 @@ func newTrainScratch() *trainScratch {
 	return &trainScratch{ws: arima.NewWorkspace()}
 }
 
-// kldTrainScratch holds the one-pass KLD training buffers.
-type kldTrainScratch struct {
-	rowProbs []float64 // rows x bins tallies, then row distributions
-	kl       stats.KLScratch
-}
-
 // newSuiteFromTrained assembles a TrainedSuite from a retained fit and a
 // week-matrix view, performing the same arithmetic as NewTrainedSuite
 // without its redundant passes: the calibration tracker and the warm
 // predictor are placed in O(P+Q+D) from the fit's retained state instead of
-// replaying the training series, and the plain-KLD detector bins each
-// training value once. All intermediate results are bit-identical to the
-// cold constructors'.
+// replaying the training series, and both KLD detectors train in the
+// worker's reusable tally buffers. All intermediate results are
+// bit-identical to the cold constructors'.
 func newSuiteFromTrained(train timeseries.Series, matrix *timeseries.WeekMatrix,
 	cfg SuiteConfig, tf *arima.TrainedFit, sc *trainScratch) (*TrainedSuite, error) {
 	arimaDet, err := newARIMADetectorFromTrained(train, cfg.ARIMA.withDefaults(), tf)
@@ -411,7 +455,7 @@ func newSuiteFromTrained(train timeseries.Series, matrix *timeseries.WeekMatrix,
 	if err != nil {
 		return nil, err
 	}
-	kldBase, err := newKLDDetectorOnePass(matrix, cfg.KLD, &sc.kld)
+	kldBase, err := newKLDDetector(matrix, cfg.KLD, &sc.kld)
 	if err != nil {
 		return nil, err
 	}
@@ -423,7 +467,7 @@ func newSuiteFromTrained(train timeseries.Series, matrix *timeseries.WeekMatrix,
 		kldBase:    kldBase,
 	}
 	if cfg.PriceKLD.Tier != nil {
-		s.priceBase, err = NewPriceKLDDetectorFromMatrix(matrix, cfg.PriceKLD)
+		s.priceBase, err = newPriceKLDDetector(matrix, cfg.PriceKLD, &sc.kld)
 		if err != nil {
 			return nil, err
 		}
@@ -486,84 +530,6 @@ func newARIMADetectorFromTrained(train timeseries.Series, cfg ARIMAConfig, tf *a
 		return nil, fmt.Errorf("detect: warming predictor: %w", err)
 	}
 	d.warm = warm
-	d.initEval(d)
-	return d, nil
-}
-
-// newKLDDetectorOnePass trains the plain KLD detector binning each training
-// value exactly once: the bin index feeds both the global X histogram and
-// the value's week tally. Integer counts are exact in float64, and both
-// tallies accumulate in the same (row-major) order as the cold path, so
-// histogram, X distribution, training divergences, and threshold are
-// bit-identical to NewKLDDetectorFromMatrix. Non-default binning or
-// divergence settings fall back to the cold constructor.
-func newKLDDetectorOnePass(matrix *timeseries.WeekMatrix, cfg KLDConfig, sc *kldTrainScratch) (*KLDDetector, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Binning != EqualWidth || cfg.Divergence != KullbackLeibler {
-		return NewKLDDetectorFromMatrix(matrix, cfg)
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if matrix == nil || matrix.Rows() < 2 {
-		return nil, fmt.Errorf("detect: KLD detector needs >= 2 training weeks")
-	}
-	lo, hi := stats.MinMax(matrix.Flat())
-	hist, err := stats.NewHistogram(stats.LinearEdges(lo, hi, cfg.Bins))
-	if err != nil {
-		return nil, fmt.Errorf("detect: KLD histogram: %w", err)
-	}
-	rows, bins := matrix.Rows(), cfg.Bins
-	if cap(sc.rowProbs) < rows*bins {
-		sc.rowProbs = make([]float64, rows*bins)
-	}
-	rowProbs := sc.rowProbs[:rows*bins]
-	for i := range rowProbs {
-		rowProbs[i] = 0
-	}
-	for i := 0; i < rows; i++ {
-		tally := rowProbs[i*bins : (i+1)*bins]
-		for _, v := range matrix.Row(i) {
-			idx := hist.BinIndex(v)
-			if idx < 0 {
-				continue
-			}
-			hist.AddBin(idx)
-			tally[idx]++
-		}
-	}
-	d := &KLDDetector{
-		cfg:     cfg,
-		hist:    hist,
-		xProbs:  hist.Probabilities(),
-		trainK:  make([]float64, rows),
-		refWeek: matrix.Row(rows - 1).Clone(),
-		scratch: &sync.Pool{New: func() any { return &kldScratch{} }},
-	}
-	for i := 0; i < rows; i++ {
-		tally := rowProbs[i*bins : (i+1)*bins]
-		// The tallies are integer-valued, so their sum is the exact count
-		// of binned observations and the division reproduces
-		// DistributionInto bit for bit.
-		var total float64
-		for _, c := range tally {
-			total += c
-		}
-		if total > 0 {
-			for j := range tally {
-				tally[j] /= total
-			}
-		}
-		ki, err := stats.KLDivergenceWith(tally, d.xProbs, cfg.KL, &sc.kl)
-		if err != nil {
-			return nil, fmt.Errorf("detect: training week %d: %w", i, err)
-		}
-		d.trainK[i] = ki
-	}
-	d.threshold = stats.Percentile(d.trainK, 100*(1-cfg.Significance))
-	if math.IsNaN(d.threshold) {
-		return nil, fmt.Errorf("detect: KLD threshold undefined")
-	}
 	d.initEval(d)
 	return d, nil
 }

@@ -1,8 +1,10 @@
 package detect
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/arima"
@@ -179,6 +181,57 @@ func TestPopulationWarmDeterministic(t *testing.T) {
 		}
 		for i := range res.Suites {
 			suitesIdentical(t, "workers", res.Suites[i], base.Suites[i])
+		}
+	}
+}
+
+// TestPopulationContainsPanic: a consumer whose training panics gets the
+// panic as its error, and every other consumer trains exactly as in a
+// clean run, at any worker count and in both modes. A panicking warm-start
+// cluster seed sends its followers to the full grid instead of crashing.
+func TestPopulationContainsPanic(t *testing.T) {
+	trains := popFixture(t, 10, 3, 14, 12)
+	cfg := popSuiteConfig()
+	clean, err := NewPopulationTrainer(PopulationConfig{Suite: cfg, Mode: WarmStartExact}).TrainSeries(trains, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const victim = 0 // consumer 0 is also the first warm-start cluster seed
+	trainHook = func(i int) {
+		if i == victim {
+			panic("synthetic training crash")
+		}
+	}
+	defer func() { trainHook = nil }()
+	for _, mode := range []TrainMode{WarmStartExact, WarmStartMargin} {
+		for _, workers := range []int{1, 4} {
+			tag := fmt.Sprintf("%s/workers=%d", mode, workers)
+			res, err := NewPopulationTrainer(PopulationConfig{Suite: cfg, Mode: mode, Workers: workers}).TrainSeries(trains, 0)
+			if err != nil {
+				t.Fatalf("%s: a panicking consumer must not fail the population: %v", tag, err)
+			}
+			if res.Suites[victim] != nil || res.Errors[victim] == nil ||
+				!strings.Contains(res.Errors[victim].Error(), "synthetic training crash") {
+				t.Fatalf("%s: victim suite %v, error %v; want no suite and the panic as the error",
+					tag, res.Suites[victim], res.Errors[victim])
+			}
+			if res.Stats.Failed != 1 {
+				t.Errorf("%s: Failed = %d, want 1", tag, res.Stats.Failed)
+			}
+			if res.BusySeconds <= 0 {
+				t.Errorf("%s: BusySeconds = %g, want > 0", tag, res.BusySeconds)
+			}
+			for i := range trains {
+				if i == victim {
+					continue
+				}
+				if res.Errors[i] != nil {
+					t.Fatalf("%s: consumer %d: %v", tag, i, res.Errors[i])
+				}
+				if mode == WarmStartExact {
+					suitesIdentical(t, tag, res.Suites[i], clean.Suites[i])
+				}
+			}
 		}
 	}
 }

@@ -222,8 +222,9 @@ var evalHook func(c *dataset.Consumer)
 
 // evaluateConsumerSafe runs one consumer's evaluation with panic
 // containment: a panicking detector (or attack model, or hook) becomes an
-// ordinary per-consumer error instead of crashing the whole run.
-func evaluateConsumerSafe(c *dataset.Consumer, opts Options, suite *detect.TrainedSuite) (ce consumerEval) {
+// ordinary per-consumer error instead of crashing the whole run. A consumer
+// whose split or training failed evaluates to that error.
+func evaluateConsumerSafe(c *dataset.Consumer, opts Options, tc *trainedConsumer) (ce consumerEval) {
 	defer func() {
 		if r := recover(); r != nil {
 			ce = consumerEval{id: c.ID, err: fmt.Errorf("panic: %v", r)}
@@ -232,12 +233,14 @@ func evaluateConsumerSafe(c *dataset.Consumer, opts Options, suite *detect.Train
 	if evalHook != nil {
 		evalHook(c)
 	}
-	return evaluateConsumer(c, opts, suite)
+	if tc.err != nil {
+		return consumerEval{id: c.ID, err: tc.err}
+	}
+	return evaluateConsumer(c, opts, tc)
 }
 
 // suiteConfig is the one detector-suite configuration the evaluation
-// protocol uses, shared between the per-consumer cold path and the
-// population pre-trainer so the two can never drift.
+// protocol trains.
 func suiteConfig(opts Options) detect.SuiteConfig {
 	tierFn := func(slotOfWeek int) int {
 		return int(opts.Scheme.TierOf(timeseries.Slot(slotOfWeek)))
@@ -281,39 +284,65 @@ func splitConsumer(c *dataset.Consumer, opts Options) (train, test timeseries.Se
 	return train, test, normalMask, nil
 }
 
-// pretrainSuites batch-trains every consumer's detector suite with the
-// population trainer. Per-consumer preparation or training errors are left
-// as nil suites — the cold path inside evaluateConsumer retries them and
-// surfaces its own error, keeping failure semantics identical.
-func pretrainSuites(consumers []dataset.Consumer, opts Options, par int) []*detect.TrainedSuite {
-	trains := make([]timeseries.Series, 0, len(consumers))
-	idx := make([]int, 0, len(consumers))
+// trainedConsumer is one consumer's training split, test split, normal
+// test-week quality mask (nil when fully trusted) and trained detector
+// suite, or the error that stopped them.
+type trainedConsumer struct {
+	train, test timeseries.Series
+	normalMask  timeseries.Mask
+	suite       *detect.TrainedSuite
+	err         error
+}
+
+// trainConsumers splits the consumers marked in need and trains all their
+// detector suites in one population-trainer pass: WarmStartExact, which is
+// byte-identical to training each consumer alone, or WarmStartMargin under
+// opts.WarmStart. A consumer whose split or training fails (or panics)
+// carries its error, a training error wrapped as "detector suite: ..."; a
+// failure of the population as a whole fails the call. busy is the split
+// and training work in worker-seconds.
+func trainConsumers(consumers []dataset.Consumer, need []bool, opts Options, par int) (out []trainedConsumer, busy float64, err error) {
+	out = make([]trainedConsumer, len(consumers))
+	var trains []timeseries.Series
+	var idx []int
+	clk := opts.clock()
+	start := clk.Now()
 	for i := range consumers {
-		train, _, _, err := splitConsumer(&consumers[i], opts)
-		if err != nil {
+		if !need[i] {
 			continue
 		}
-		trains = append(trains, train)
-		idx = append(idx, i)
+		tc := &out[i]
+		tc.train, tc.test, tc.normalMask, tc.err = splitConsumer(&consumers[i], opts)
+		if tc.err == nil {
+			trains = append(trains, tc.train)
+			idx = append(idx, i)
+		}
 	}
-	suites := make([]*detect.TrainedSuite, len(consumers))
 	if len(trains) == 0 {
-		return suites
+		return out, 0, nil
+	}
+	busy = clk.Since(start).Seconds()
+	mode := detect.WarmStartExact
+	if opts.WarmStart {
+		mode = detect.WarmStartMargin
 	}
 	trainer := detect.NewPopulationTrainer(detect.PopulationConfig{
 		Suite:   suiteConfig(opts),
 		Workers: par,
+		Mode:    mode,
+		Clock:   clk,
 	})
 	res, err := trainer.TrainSeries(trains, opts.TrainWeeks)
 	if err != nil {
-		return suites
+		return nil, 0, fmt.Errorf("experiments: training detector suites: %w", err)
 	}
 	for j, i := range idx {
-		if res.Errors[j] == nil {
-			suites[i] = res.Suites[j]
+		out[i].suite = res.Suites[j]
+		if res.Errors[j] != nil {
+			out[i].err = fmt.Errorf("detector suite: %w", res.Errors[j])
 		}
 	}
-	return suites
+	return out, busy + res.BusySeconds, nil
 }
 
 // RunEvaluation executes the full Table II/III protocol.
@@ -357,22 +386,20 @@ func RunEvaluation(opts Options) (*Evaluation, error) {
 	}
 	met.workers.Set(float64(par))
 
-	// Warm-start runs amortize detector training across the population
-	// before the per-consumer protocol; the pool below then evaluates with
-	// the pre-trained suites. The population trainer registers its
-	// fdeta_train_* instruments on the detect metrics registry.
-	var pretrained []*detect.TrainedSuite
-	var pretrainSeconds float64
-	if opts.WarmStart {
-		popStart := clk.Now()
-		pretrained = pretrainSuites(consumers, opts, par)
-		pretrainSeconds = clk.Since(popStart).Seconds()
+	// Every consumer still to evaluate trains in one population pass before
+	// the per-consumer protocol; the population trainer registers its
+	// fdeta_train_* instruments on the detect metrics registry. Resumed
+	// consumers are not trained — except under WarmStart, whose shape
+	// clustering spans the whole population so that a resumed run's warm
+	// orders match an uninterrupted run's.
+	need := make([]bool, len(consumers))
+	for i := range consumers {
+		_, done := resumed[consumers[i].ID]
+		need[i] = !done || opts.WarmStart
 	}
-	suiteFor := func(i int) *detect.TrainedSuite {
-		if pretrained == nil {
-			return nil
-		}
-		return pretrained[i]
+	trained, trainBusy, err := trainConsumers(consumers, need, opts, par)
+	if err != nil {
+		return nil, err
 	}
 
 	// Workers acquire the semaphore inside their goroutine so the spawn
@@ -411,7 +438,7 @@ func RunEvaluation(opts Options) (*Evaluation, error) {
 			}
 			defer func() { <-sem }()
 			start := clk.Now()
-			ce := evaluateConsumerSafe(&consumers[i], opts, suiteFor(i))
+			ce := evaluateConsumerSafe(&consumers[i], opts, &trained[i])
 			ce.totalNS = clk.Since(start).Nanoseconds()
 			evals[i] = ce
 			// Bump instruments as workers finish so a live run can be
@@ -502,8 +529,9 @@ func RunEvaluation(opts Options) (*Evaluation, error) {
 		}
 	}
 
-	// Run-level accounting. Busy time is the per-consumer wall time summed
-	// over workers; resumed consumers contribute nothing.
+	// Run-level accounting. Busy time is the training pass's worker-seconds
+	// plus the per-consumer wall time summed over workers; resumed consumers
+	// contribute nothing.
 	wall := clk.Since(wallStart).Seconds()
 	sum := RunSummary{
 		Consumers:   ev.Consumers,
@@ -512,9 +540,7 @@ func RunEvaluation(opts Options) (*Evaluation, error) {
 		Parallelism: par,
 		WallSeconds: wall,
 	}
-	// Population pre-training is shared training work: it counts toward the
-	// train stage once, not per consumer.
-	sum.Stage.Train = pretrainSeconds
+	sum.Stage.Train = trainBusy
 	var busyNS int64
 	for _, ce := range evals {
 		sum.Stage.Train += float64(ce.trainNS) / 1e9
@@ -524,7 +550,7 @@ func RunEvaluation(opts Options) (*Evaluation, error) {
 		busyNS += ce.totalNS
 	}
 	if wall > 0 && par > 0 {
-		sum.WorkerUtilization = float64(busyNS) / 1e9 / (wall * float64(par))
+		sum.WorkerUtilization = (trainBusy + float64(busyNS)/1e9) / (wall * float64(par))
 	}
 	met.utilization.Set(sum.WorkerUtilization)
 	ev.Summary = sum
@@ -538,10 +564,8 @@ func RunEvaluation(opts Options) (*Evaluation, error) {
 	return ev, nil
 }
 
-// evaluateConsumer runs the whole per-consumer protocol. A non-nil suite
-// (from the population pre-trainer) replaces the per-consumer training
-// step; nil trains cold.
-func evaluateConsumer(c *dataset.Consumer, opts Options, suite *detect.TrainedSuite) consumerEval {
+// evaluateConsumer runs the per-consumer protocol on a trained consumer.
+func evaluateConsumer(c *dataset.Consumer, opts Options, tc *trainedConsumer) consumerEval {
 	ce := consumerEval{id: c.ID, outcomes: make(map[DetectorID]map[Scenario]ConsumerOutcome)}
 	fail := func(err error) consumerEval {
 		ce.err = err
@@ -550,23 +574,14 @@ func evaluateConsumer(c *dataset.Consumer, opts Options, suite *detect.TrainedSu
 	clk := opts.clock()
 	stageStart := clk.Now()
 
-	train, test, normalMask, err := splitConsumer(c, opts)
-	if err != nil {
-		return fail(err)
-	}
-	normalWeek := test.MustWeek(0)
-	attackStart := timeseries.Slot(len(train))
+	normalWeek, normalMask := tc.test.MustWeek(0), tc.normalMask
+	attackStart := timeseries.Slot(len(tc.train))
 
-	// Train the detector suite once: one ARIMA grid fit + calibration and
-	// one week matrix shared by every detector row (and, below, by the
+	// The suite was trained once: one ARIMA grid fit + calibration and one
+	// week matrix shared by every detector row (and, below, by the
 	// attacker's replicas). The 10%-significance rows derive from the 5%
 	// ones by recomputing only the percentile threshold.
-	if suite == nil {
-		suite, err = detect.NewTrainedSuite(train, suiteConfig(opts))
-		if err != nil {
-			return fail(fmt.Errorf("detector suite: %w", err))
-		}
-	}
+	suite := tc.suite
 	arimaDet := suite.ARIMA()
 	integDet := suite.Integrated()
 	kld5, err := suite.KLD(0.05)
@@ -752,8 +767,10 @@ func evaluateConsumer(c *dataset.Consumer, opts Options, suite *detect.TrainedSu
 func worstIntegrated(det *detect.IntegratedARIMADetector, dir attack.Direction, opts Options,
 	rng interface{ Int63() int64 }, profit func(timeseries.Series) (float64, error)) (timeseries.Series, error) {
 	base := rng.Int63()
+	// Trial t draws SplitRand(base, t)'s stream from one reseeded generator.
+	trialRNG := stats.NewRand(0)
 	vec, _, err := attack.WorstCaseEvading(opts.Trials, func(trial int) (timeseries.Series, error) {
-		trialRNG := stats.SplitRand(base, int64(trial))
+		trialRNG.Seed(stats.SplitSeed(base, int64(trial)))
 		return attack.IntegratedARIMAAttack(det, dir, attack.IntegratedARIMAConfig{}, trialRNG)
 	}, profit, det.Detect)
 	return vec, err

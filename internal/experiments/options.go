@@ -52,14 +52,14 @@ type Options struct {
 	Seed int64
 	// Parallelism bounds concurrent per-consumer evaluations (0 = GOMAXPROCS).
 	Parallelism int
-	// WarmStart pre-trains every consumer's detector suite with the
-	// population trainer before the per-consumer protocol: consumers are
-	// clustered by consumption shape and order selection warm-starts from
-	// each cluster seed's winning order. Table II/III metrics can differ
-	// from cold training only where an order race was inside the trainer's
-	// AIC margin; the population regression test pins them within
-	// tolerance. Off by default — the default path stays bit-identical to
-	// earlier releases.
+	// WarmStart trains the detector suites in the population trainer's
+	// warm-start mode: consumers are clustered by consumption shape and
+	// order selection warm-starts from each cluster seed's winning order.
+	// Table II/III metrics can differ from the default only where an order
+	// race was inside the trainer's AIC margin; the population regression
+	// test pins them within tolerance. Off by default: the default trains
+	// in the trainer's exact mode, byte-identical to training each consumer
+	// alone.
 	WarmStart bool
 	// Strict restores fail-fast semantics: the first consumer whose
 	// evaluation errors (or panics) aborts the whole run. The default is to

@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -343,5 +345,46 @@ func TestRunFaultSweep(t *testing.T) {
 	}
 	if _, err := RunFaultSweep(opts, []float64{1.5}); err == nil {
 		t.Error("out-of-range rate should error")
+	}
+}
+
+// TestTrainConsumersQuarantinesTrainingFailure: a consumer whose detector
+// suite cannot be trained carries a "detector suite: ..." error — the
+// quarantine RunEvaluation records for it — while everyone else trains,
+// and a consumer that does not need evaluating is neither split nor
+// trained.
+func TestTrainConsumersQuarantinesTrainingFailure(t *testing.T) {
+	opts := quickRobustOptions()
+	ds, err := dataset.Generate(opts.Dataset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	consumers := ds.Consumers[:4]
+	const broken, skipped = 1, 2
+	consumers[broken].Demand[5] = math.NaN() // inside the training split
+	need := []bool{true, true, false, true}
+
+	out, busy, err := trainConsumers(consumers, need, opts, 2)
+	if err != nil {
+		t.Fatalf("one untrainable consumer must not fail the population: %v", err)
+	}
+	if busy <= 0 {
+		t.Errorf("busy = %g worker-seconds, want > 0", busy)
+	}
+	for i, tc := range out {
+		switch i {
+		case broken:
+			if tc.suite != nil || tc.err == nil || !strings.HasPrefix(tc.err.Error(), "detector suite: ") {
+				t.Errorf("broken consumer: suite %v, err %v; want no suite and a detector suite error", tc.suite, tc.err)
+			}
+		case skipped:
+			if tc.suite != nil || tc.err != nil || tc.train != nil {
+				t.Errorf("consumer %d needs no evaluation but was prepared: %+v", i, tc)
+			}
+		default:
+			if tc.suite == nil || tc.err != nil {
+				t.Errorf("consumer %d: suite %v, err %v", i, tc.suite, tc.err)
+			}
+		}
 	}
 }

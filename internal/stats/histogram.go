@@ -21,6 +21,7 @@ type Histogram struct {
 	edges  []float64
 	counts []int
 	total  int
+	scale  float64 // bins per unit of the edge span: BinIndex's first guess
 }
 
 // NewHistogram creates a histogram from explicit, strictly increasing bin
@@ -37,9 +38,11 @@ func NewHistogram(edges []float64) (*Histogram, error) {
 	}
 	e := make([]float64, len(edges))
 	copy(e, edges)
+	bins := len(e) - 1
 	return &Histogram{
 		edges:  e,
-		counts: make([]int, len(e)-1),
+		counts: make([]int, bins),
+		scale:  float64(bins) / (e[bins] - e[0]),
 	}, nil
 }
 
@@ -143,6 +146,7 @@ func (h *Histogram) Clone() *Histogram {
 	return &Histogram{
 		edges:  h.edges, // edges are immutable after construction
 		counts: make([]int, len(h.counts)),
+		scale:  h.scale,
 	}
 }
 
@@ -170,8 +174,37 @@ func (h *Histogram) Total() int { return h.total }
 // BinIndex returns the bin a value falls into. Values below the first edge
 // map to bin 0 and values at or above the last edge map to the last bin.
 // NaN values map to -1 and are not counted by Add.
+//
+// The result is always BinIndexEdges(edges, x). Instead of a binary search,
+// the bin is first guessed from the value's offset into the edge span — exact
+// up to rounding for equal-width edges — and then stepped until
+// edges[i] <= x < edges[i+1], so any strictly increasing edges bin correctly.
 func (h *Histogram) BinIndex(x float64) int {
-	return BinIndexEdges(h.edges, x)
+	e := h.edges
+	last := len(e) - 2
+	switch {
+	case math.IsNaN(x):
+		return -1
+	case x <= e[0]:
+		return 0
+	case x >= e[last+1]:
+		return last
+	}
+	// An infinite edge makes the guess NaN, which starts at the last bin.
+	i := last
+	if f := (x - e[0]) * h.scale; f < float64(last) {
+		i = 0
+		if f > 0 {
+			i = int(f)
+		}
+	}
+	for i > 0 && e[i] > x {
+		i--
+	}
+	for i < last && e[i+1] <= x {
+		i++
+	}
+	return i
 }
 
 // BinIndexEdges is BinIndex over a bare edge slice (len(edges)-1 bins), for
@@ -221,9 +254,9 @@ func (h *Histogram) AddAll(xs []float64) {
 }
 
 // AddBin counts one observation directly into bin i, for callers that have
-// already computed BinIndex to feed a second tally in the same pass (the
-// population trainer bins each training value once for both the global X
-// histogram and its week's distribution). Negative indices — BinIndex's NaN
+// already computed BinIndex to feed a second tally in the same pass (the KLD
+// detectors' training bins each value once for both the global X histogram
+// and its week's distribution). Negative indices — BinIndex's NaN
 // sentinel — are ignored, matching Add.
 func (h *Histogram) AddBin(i int) {
 	if i < 0 {

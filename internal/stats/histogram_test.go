@@ -301,3 +301,55 @@ func TestHistogramBinIndexConsistencyProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestHistogramBinIndexMatchesBinarySearch pins the guessed-and-stepped
+// BinIndex to the binary search of BinIndexEdges for equal-width,
+// quantile, irregular and infinite edges, probing every edge, its
+// neighbouring floats, values between and beyond the edges, NaN and ±Inf.
+func TestHistogramBinIndexMatchesBinarySearch(t *testing.T) {
+	rng := NewRand(11)
+	edgeSets := [][]float64{
+		LinearEdges(0, 1, 1),
+		LinearEdges(-3, 3, 12),
+		LinearEdges(5, 5, 10), // padded constant range
+		LinearEdges(0, 0, 7),
+		LinearEdges(1e-300, 2e-300, 9),
+		LinearEdges(-1e300, 1e300, 10),
+		{0, 1e-9, 1, 1e9},
+		{math.Inf(-1), 0, 1, 2},
+		{0, 1, 2, math.Inf(1)},
+		{math.Inf(-1), 0, math.Inf(1)},
+	}
+	for k := 0; k < 200; k++ {
+		bins := 1 + rng.Intn(25)
+		xs := NormalSample(rng, 1+rng.Intn(300), rng.NormFloat64()*10, 0.1+rng.ExpFloat64()*5)
+		if k%2 == 0 {
+			lo, hi := MinMax(xs)
+			edgeSets = append(edgeSets, LinearEdges(lo, hi, bins))
+		} else if e, err := QuantileEdges(xs, bins); err == nil {
+			edgeSets = append(edgeSets, e)
+		}
+	}
+	for _, edges := range edgeSets {
+		h, err := NewHistogram(edges)
+		if err != nil {
+			t.Fatalf("edges %v: %v", edges, err)
+		}
+		probes := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.MaxFloat64, -math.MaxFloat64}
+		for i, e := range edges {
+			probes = append(probes, e, math.Nextafter(e, math.Inf(1)), math.Nextafter(e, math.Inf(-1)))
+			if i > 0 {
+				probes = append(probes, edges[i-1]+(e-edges[i-1])/2)
+			}
+		}
+		lo, hi := edges[0], edges[len(edges)-1]
+		for j := 0; j < 200; j++ {
+			probes = append(probes, lo+(hi-lo)*(rng.Float64()*1.2-0.1))
+		}
+		for _, x := range probes {
+			if got, want := h.BinIndex(x), BinIndexEdges(edges, x); got != want {
+				t.Fatalf("edges %v: BinIndex(%v) = %d, binary search %d", edges, x, got, want)
+			}
+		}
+	}
+}

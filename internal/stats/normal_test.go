@@ -212,6 +212,38 @@ func TestSplitRandStreamsIndependent(t *testing.T) {
 	}
 }
 
+// TestSplitSeedReseedMatchesSplitRand: one generator reseeded with
+// SplitSeed draws exactly the stream SplitRand allocates a fresh source
+// for, whatever the generator drew before the reseed.
+func TestSplitSeedReseedMatchesSplitRand(t *testing.T) {
+	reused := NewRand(0)
+	for _, seed := range []int64{0, 1, -7, 2016, math.MaxInt64, math.MinInt64} {
+		for stream := int64(-2); stream < 40; stream++ {
+			reused.Seed(SplitSeed(seed, stream))
+			fresh := SplitRand(seed, stream)
+			for k := 0; k < 64; k++ {
+				var got, want uint64
+				switch k % 4 {
+				case 0:
+					got, want = uint64(reused.Int63()), uint64(fresh.Int63())
+				case 1:
+					got, want = math.Float64bits(reused.Float64()), math.Float64bits(fresh.Float64())
+				case 2:
+					got, want = math.Float64bits(reused.NormFloat64()), math.Float64bits(fresh.NormFloat64())
+				default:
+					got, want = math.Float64bits(reused.ExpFloat64()), math.Float64bits(fresh.ExpFloat64())
+				}
+				if got != want {
+					t.Fatalf("seed %d stream %d draw %d: reseeded %#x, SplitRand %#x", seed, stream, k, got, want)
+				}
+			}
+			// Leave the reused generator mid-stream so the next reseed
+			// must discard real state.
+			reused.Int63()
+		}
+	}
+}
+
 func TestShuffleIsPermutation(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5, 6}
 	orig := make([]float64, len(xs))
