@@ -454,13 +454,15 @@ func BenchmarkDatasetGenerate(b *testing.B) {
 	}
 }
 
-func BenchmarkStreamingKLDObserve(b *testing.B) {
+// BenchmarkCompactKLDStreamObserve measures one live reading through the
+// Section VII-D stream: rebin one slot, rescore the window.
+func BenchmarkCompactKLDStreamObserve(b *testing.B) {
 	train, week := loadBenchSeries(b)
 	det, err := detect.NewKLDDetector(train, detect.KLDConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	stream, err := det.NewStream(train[:timeseries.SlotsPerWeek])
+	stream, err := det.NewCompactStream(train[:timeseries.SlotsPerWeek])
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -290,10 +290,12 @@ func cmdBench(args []string) error {
 	return nil
 }
 
-// populationBenches builds the -population suite: the naive baseline (a
-// serial per-consumer NewTrainedSuite loop — how callers trained fleets
-// before the batch trainer existed) and the PopulationTrainer in warm-start
-// and exact modes. Every entry reports consumers_per_sec; the trainer
+// populationBenches builds the -population suite: the naive baseline and
+// the PopulationTrainer in warm-start and exact modes. The baseline is a
+// serial loop of NewTrainedSuite calls, one per consumer: each call runs the
+// trainer's exact-mode code for one consumer on a private copy of its
+// series, with a fresh workspace and fresh KLD scratch, on one goroutine —
+// no scratch reuse across consumers, no warm start, no worker pool. Every entry reports consumers_per_sec; the trainer
 // entries add clustering/warm-start stats and their speedup over naive.
 // Dataset generation and matrix packing happen once, outside the timed
 // regions — the benchmark measures training, not synthesis.

@@ -59,7 +59,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		stream, err := det.NewStream(train.MustWeek(trainWeeks - 1))
+		stream, err := det.NewCompactStream(train.MustWeek(trainWeeks - 1))
 		if err != nil {
 			return err
 		}

@@ -3,8 +3,6 @@ package arima
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 )
 
 // Order specifies an ARIMA(p,d,q) model.
@@ -47,208 +45,16 @@ type Model struct {
 	LogLik float64   // Gaussian log-likelihood (conditional)
 }
 
-// yuleWalker fits AR(p) coefficients to a zero-mean series via the
-// Yule-Walker equations built from sample autocovariances.
-func yuleWalker(w []float64, p int) ([]float64, error) {
-	n := len(w)
-	if p <= 0 || n <= p {
-		return nil, fmt.Errorf("arima: cannot fit AR(%d) to %d observations", p, n)
-	}
-	// Biased autocovariances gamma_0..gamma_p.
-	gamma := make([]float64, p+1)
-	for lag := 0; lag <= p; lag++ {
-		var s float64
-		for i := 0; i+lag < n; i++ {
-			s += w[i] * w[i+lag]
-		}
-		gamma[lag] = s / float64(n)
-	}
-	if gamma[0] <= 0 {
-		return nil, fmt.Errorf("arima: zero-variance series")
-	}
-	// Toeplitz system R phi = r.
-	a := make([][]float64, p)
-	b := make([]float64, p)
-	for i := 0; i < p; i++ {
-		a[i] = make([]float64, p)
-		for j := 0; j < p; j++ {
-			lag := i - j
-			if lag < 0 {
-				lag = -lag
-			}
-			a[i][j] = gamma[lag]
-		}
-		b[i] = gamma[i+1]
-	}
-	return solveLinear(a, b)
-}
-
-// arResiduals returns the one-step residuals of an AR fit on w (zero-mean),
-// with the first p entries set to zero (undefined warm-up region).
-func arResiduals(w []float64, phi []float64) []float64 {
-	p := len(phi)
-	resid := make([]float64, len(w))
-	for t := p; t < len(w); t++ {
-		pred := 0.0
-		for i, c := range phi {
-			pred += c * w[t-1-i]
-		}
-		resid[t] = w[t] - pred
-	}
-	return resid
-}
-
-// diffShared is the per-D state SelectOrder computes once and shares across
-// every candidate with the same differencing order: the differenced series,
-// its mean, the demeaned series, and whether it is constant (degenerate).
-type diffShared struct {
-	n       int       // observations after differencing
-	mu      float64   // mean of the differenced series
-	z       []float64 // demeaned differenced series (read-only once built)
-	allZero bool
-}
-
-// newDiffShared differences and demeans y once for a given D.
-func newDiffShared(y []float64, d int) (*diffShared, error) {
-	w, err := Difference(y, d)
-	if err != nil {
-		return nil, err
-	}
-	var mu float64
-	for _, v := range w {
-		mu += v
-	}
-	mu /= float64(len(w))
-	sh := &diffShared{n: len(w), mu: mu, z: w, allZero: true}
-	for i, v := range w {
-		w[i] = v - mu
-		if w[i] != 0 {
-			sh.allZero = false
-		}
-	}
-	return sh, nil
-}
-
 // Fit estimates an ARIMA model of the given order from y using the
 // Hannan-Rissanen procedure: difference, demean, fit a long AR to estimate
-// innovations, then regress on lagged values and lagged innovations.
+// innovations, then regress on lagged values and lagged innovations. It is
+// FitTrained through a fresh workspace, keeping only the model.
 func Fit(y []float64, order Order) (*Model, error) {
-	if err := order.Validate(); err != nil {
-		return nil, err
-	}
-	sh, err := newDiffShared(y, order.D)
+	tf, err := FitTrained(y, order, NewWorkspace())
 	if err != nil {
 		return nil, err
 	}
-	return fitCandidate(sh, order)
-}
-
-// fitCandidate fits one order against the shared differenced series. The
-// shared state is read-only, so SelectOrder can call it concurrently.
-func fitCandidate(sh *diffShared, order Order) (*Model, error) {
-	minN := 3*(order.P+order.Q) + 20
-	if sh.n < minN {
-		return nil, fmt.Errorf("arima: %d observations after differencing; need at least %d for %v",
-			sh.n, minN, order)
-	}
-	mu, z := sh.mu, sh.z
-	if sh.allZero {
-		// Constant series: the model is deterministic with zero innovation
-		// variance. This arises for all-zero attack vectors and must not
-		// crash the detector.
-		return &Model{
-			Order:  order,
-			Phi:    make([]float64, order.P),
-			Theta:  make([]float64, order.Q),
-			Mu:     mu,
-			Sigma2: 0,
-			N:      sh.n,
-		}, nil
-	}
-
-	var phi, theta []float64
-	var err error
-	switch {
-	case order.Q == 0:
-		phi, err = yuleWalker(z, order.P)
-		if err != nil {
-			return nil, err
-		}
-		theta = []float64{}
-	default:
-		// Stage 1: long AR for innovation estimates.
-		longP := order.P + order.Q + 5
-		if maxP := len(z)/4 - 1; longP > maxP {
-			longP = maxP
-		}
-		if longP < order.P+order.Q {
-			longP = order.P + order.Q
-		}
-		longAR, err := yuleWalker(z, longP)
-		if err != nil {
-			return nil, err
-		}
-		eHat := arResiduals(z, longAR)
-
-		// Stage 2: OLS of z_t on p lags of z and q lags of eHat.
-		start := longP + order.Q
-		if start < order.P {
-			start = order.P
-		}
-		rows := len(z) - start
-		if rows < order.P+order.Q+5 {
-			return nil, fmt.Errorf("arima: insufficient data for Hannan-Rissanen stage 2 (%d usable rows)", rows)
-		}
-		// One backing array for the whole design matrix: per-row allocations
-		// dominated the fit's allocation profile (thousands of rows).
-		k := order.P + order.Q
-		design := make([][]float64, rows)
-		backing := make([]float64, rows*k)
-		target := make([]float64, rows)
-		for r := 0; r < rows; r++ {
-			t := start + r
-			row := backing[r*k : (r+1)*k : (r+1)*k]
-			for i := 0; i < order.P; i++ {
-				row[i] = z[t-1-i]
-			}
-			for j := 0; j < order.Q; j++ {
-				row[order.P+j] = eHat[t-1-j]
-			}
-			design[r] = row
-			target[r] = z[t]
-		}
-		beta, err := leastSquares(design, target)
-		if err != nil {
-			return nil, fmt.Errorf("arima: Hannan-Rissanen regression: %w", err)
-		}
-		phi = beta[:order.P]
-		theta = beta[order.P:]
-	}
-
-	m := &Model{
-		Order: order,
-		Phi:   clampStationary(phi),
-		Theta: clampInvertible(theta),
-		Mu:    mu,
-		N:     sh.n,
-	}
-
-	// Innovation variance from conditional residuals.
-	resid := m.residualsZ(z)
-	var ss float64
-	cnt := 0
-	warm := order.P + order.Q
-	for t := warm; t < len(resid); t++ {
-		ss += resid[t] * resid[t]
-		cnt++
-	}
-	if cnt > 0 {
-		m.Sigma2 = ss / float64(cnt)
-	}
-	if m.Sigma2 > 0 {
-		m.LogLik = -0.5 * float64(cnt) * (math.Log(2*math.Pi*m.Sigma2) + 1)
-	}
-	return m, nil
+	return tf.Model, nil
 }
 
 // residualsZ computes conditional one-step residuals on a zero-mean
@@ -316,109 +122,14 @@ func (m *Model) AIC() float64 {
 
 // SelectOrder fits every order in the candidate grid and returns the model
 // minimizing AIC. Orders that fail to fit are skipped; an error is returned
-// only when every candidate fails.
-//
-// Candidates are fitted concurrently on a bounded worker pool, with the
-// differencing and demeaning shared across every candidate with the same D.
-// The result is identical to fitting serially: each candidate's fit is
-// deterministic, and the best model is chosen by scanning candidates in
-// index order (ties and degenerate fits resolve exactly as the serial loop
-// did, never by goroutine completion order).
+// only when every candidate fails. It is SelectOrderTrained through a fresh
+// workspace, keeping only the model.
 func SelectOrder(y []float64, candidates []Order) (*Model, error) {
-	if len(candidates) == 0 {
-		return nil, fmt.Errorf("arima: no candidate orders")
+	tf, err := SelectOrderTrained(y, candidates, NewWorkspace())
+	if err != nil {
+		return nil, err
 	}
-
-	// Shared differencing: compute each distinct D once, serially. Invalid
-	// orders are skipped here; their validation error is reported per
-	// candidate below.
-	type sharedEntry struct {
-		sh  *diffShared
-		err error
-	}
-	shared := make(map[int]sharedEntry, 3)
-	for _, o := range candidates {
-		if o.Validate() != nil {
-			continue
-		}
-		if _, ok := shared[o.D]; !ok {
-			sh, err := newDiffShared(y, o.D)
-			shared[o.D] = sharedEntry{sh: sh, err: err}
-		}
-	}
-
-	models := make([]*Model, len(candidates))
-	errs := make([]error, len(candidates))
-	fitOne := func(i int) {
-		o := candidates[i]
-		if err := o.Validate(); err != nil {
-			errs[i] = err
-			return
-		}
-		entry := shared[o.D]
-		if entry.err != nil {
-			errs[i] = entry.err
-			return
-		}
-		models[i], errs[i] = fitCandidate(entry.sh, o)
-	}
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(candidates) {
-		workers = len(candidates)
-	}
-	if workers <= 1 {
-		for i := range candidates {
-			fitOne(i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		// Buffered to the full work list: the feeder never parks, so worker
-		// scheduling is the only concurrency in play.
-		next := make(chan int, len(candidates))
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range next {
-					fitOne(i)
-				}
-			}()
-		}
-		for i := range candidates {
-			next <- i
-		}
-		close(next)
-		wg.Wait()
-	}
-
-	// Deterministic reduction in candidate-index order — byte-identical to
-	// the historical serial scan.
-	var best *Model
-	var firstErr error
-	for i := range candidates {
-		m, err := models[i], errs[i]
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		if m.Sigma2 == 0 {
-			// Degenerate fit: acceptable only if nothing else works.
-			if best == nil {
-				best = m
-			}
-			continue
-		}
-		if best == nil || best.Sigma2 == 0 || m.AIC() < best.AIC() {
-			best = m
-		}
-	}
-	if best == nil {
-		return nil, fmt.Errorf("arima: all candidate orders failed: %w", firstErr)
-	}
-	return best, nil
+	return tf.Model, nil
 }
 
 // DefaultCandidates is a small grid of orders suitable for half-hourly

@@ -206,10 +206,11 @@ func TestDefaultCandidatesValid(t *testing.T) {
 }
 
 func TestYuleWalkerErrors(t *testing.T) {
-	if _, err := yuleWalker([]float64{1, 2}, 5); err == nil {
+	ws := NewWorkspace()
+	if _, err := ws.yuleWalkerWS([]float64{1, 2}, 5); err == nil {
 		t.Error("p >= n should error")
 	}
-	if _, err := yuleWalker(make([]float64, 50), 2); err == nil {
+	if _, err := ws.yuleWalkerWS(make([]float64, 50), 2); err == nil {
 		t.Error("zero-variance series should error")
 	}
 }

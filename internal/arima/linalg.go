@@ -64,54 +64,6 @@ func solveLinear(a [][]float64, b []float64) ([]float64, error) {
 	return b, nil
 }
 
-// leastSquares solves the overdetermined system X beta ≈ y by forming and
-// solving the normal equations XᵀX beta = Xᵀy. X is row-major with one row
-// per observation. A small ridge term stabilizes nearly collinear designs,
-// which arise when an attack vector makes the series locally constant.
-func leastSquares(x [][]float64, y []float64) ([]float64, error) {
-	rows := len(x)
-	if rows == 0 || rows != len(y) {
-		return nil, fmt.Errorf("arima: bad regression dimensions (%d rows, %d targets)", rows, len(y))
-	}
-	cols := len(x[0])
-	if cols == 0 {
-		return nil, fmt.Errorf("arima: regression needs at least one column")
-	}
-	if rows < cols {
-		return nil, fmt.Errorf("arima: underdetermined regression (%d rows < %d cols)", rows, cols)
-	}
-	xtx := make([][]float64, cols)
-	for i := range xtx {
-		xtx[i] = make([]float64, cols)
-	}
-	xty := make([]float64, cols)
-	for r := 0; r < rows; r++ {
-		row := x[r]
-		if len(row) != cols {
-			return nil, fmt.Errorf("arima: ragged design matrix at row %d", r)
-		}
-		for i := 0; i < cols; i++ {
-			xi := row[i]
-			if xi == 0 {
-				continue
-			}
-			for j := i; j < cols; j++ {
-				xtx[i][j] += xi * row[j]
-			}
-			xty[i] += xi * y[r]
-		}
-	}
-	// Mirror the upper triangle and add the ridge term.
-	const ridge = 1e-8
-	for i := 0; i < cols; i++ {
-		for j := 0; j < i; j++ {
-			xtx[i][j] = xtx[j][i]
-		}
-		xtx[i][i] += ridge
-	}
-	return solveLinear(xtx, xty)
-}
-
 // polyMul multiplies two polynomials in the backshift operator B given by
 // their coefficient slices (index = power of B, including the constant).
 func polyMul(a, b []float64) []float64 {

@@ -56,7 +56,7 @@ func TestLeastSquaresExact(t *testing.T) {
 	// y = 3 + 2x fit with [1, x] design.
 	x := [][]float64{{1, 0}, {1, 1}, {1, 2}, {1, 3}}
 	y := []float64{3, 5, 7, 9}
-	beta, err := leastSquares(x, y)
+	beta, err := NewWorkspace().leastSquaresWS(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestLeastSquaresOverdeterminedNoise(t *testing.T) {
 		noise := 0.01 * math.Sin(float64(i)*12.9898)
 		y[i] = 1.5 - 0.7*xi + noise
 	}
-	beta, err := leastSquares(x, y)
+	beta, err := NewWorkspace().leastSquaresWS(x, y)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,19 +87,20 @@ func TestLeastSquaresOverdeterminedNoise(t *testing.T) {
 }
 
 func TestLeastSquaresErrors(t *testing.T) {
-	if _, err := leastSquares(nil, nil); err == nil {
+	ws := NewWorkspace()
+	if _, err := ws.leastSquaresWS(nil, nil); err == nil {
 		t.Error("empty design should error")
 	}
-	if _, err := leastSquares([][]float64{{1}}, []float64{1, 2}); err == nil {
+	if _, err := ws.leastSquaresWS([][]float64{{1}}, []float64{1, 2}); err == nil {
 		t.Error("row/target mismatch should error")
 	}
-	if _, err := leastSquares([][]float64{{1, 2}}, []float64{1}); err == nil {
+	if _, err := ws.leastSquaresWS([][]float64{{1, 2}}, []float64{1}); err == nil {
 		t.Error("underdetermined should error")
 	}
-	if _, err := leastSquares([][]float64{{}}, []float64{1}); err == nil {
+	if _, err := ws.leastSquaresWS([][]float64{{}}, []float64{1}); err == nil {
 		t.Error("zero-column design should error")
 	}
-	if _, err := leastSquares([][]float64{{1, 2}, {1}}, []float64{1, 2}); err == nil {
+	if _, err := ws.leastSquaresWS([][]float64{{1, 2}, {1}}, []float64{1, 2}); err == nil {
 		t.Error("ragged design should error")
 	}
 }

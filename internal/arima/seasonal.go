@@ -146,13 +146,15 @@ func FitSeasonal(y []float64, order SeasonalOrder) (*SeasonalModel, error) {
 	if longP < maxLag+maxMALag {
 		longP = maxLag + maxMALag
 	}
+	ws := NewWorkspace()
 	var eHat []float64
 	if order.Q > 0 || order.QS > 0 {
-		longAR, err := yuleWalker(z, longP)
+		longAR, err := ws.yuleWalkerWS(z, longP)
 		if err != nil {
 			return nil, err
 		}
-		eHat = arResiduals(z, longAR)
+		eHat = make([]float64, len(z))
+		arResidualsInto(eHat, z, longAR)
 	}
 
 	// Regression design: non-seasonal AR lags, seasonal AR lags,
@@ -194,7 +196,7 @@ func FitSeasonal(y []float64, order SeasonalOrder) (*SeasonalModel, error) {
 		design[r] = row
 		target[r] = z[t]
 	}
-	beta, err := leastSquares(design, target)
+	beta, err := ws.leastSquaresWS(design, target)
 	if err != nil {
 		return nil, fmt.Errorf("arima: seasonal regression: %w", err)
 	}

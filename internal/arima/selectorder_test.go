@@ -20,36 +20,9 @@ func selectSeries(n int) []float64 {
 	return y
 }
 
-// selectOrderSerial is the historical serial scan SelectOrder must remain
-// byte-identical to: fit each candidate independently in index order and
-// reduce with the same degenerate/AIC rules.
-func selectOrderSerial(y []float64, candidates []Order) (*Model, error) {
-	var best *Model
-	var firstErr error
-	for _, o := range candidates {
-		m, err := Fit(y, o)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		if m.Sigma2 == 0 {
-			if best == nil {
-				best = m
-			}
-			continue
-		}
-		if best == nil || best.Sigma2 == 0 || m.AIC() < best.AIC() {
-			best = m
-		}
-	}
-	if best == nil {
-		return nil, firstErr
-	}
-	return best, nil
-}
-
+// TestSelectOrderMatchesSerial checks SelectOrder, whose candidate loop
+// shares one workspace and reduces as it goes, against the reference's
+// independent allocating fits reduced serially in index order.
 func TestSelectOrderMatchesSerial(t *testing.T) {
 	for _, n := range []int{120, 500, 2000} {
 		y := selectSeries(n)
@@ -57,12 +30,12 @@ func TestSelectOrderMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		want, err := selectOrderSerial(y, DefaultCandidates())
+		want, err := oracleSelectOrder(y, DefaultCandidates())
 		if err != nil {
 			t.Fatalf("n=%d serial: %v", n, err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("n=%d: parallel selection %+v != serial %+v", n, got, want)
+			t.Errorf("n=%d: selection %+v != serial reference %+v", n, got, want)
 		}
 	}
 }
@@ -90,8 +63,8 @@ func TestSelectOrderAllInvalid(t *testing.T) {
 	}
 }
 
-// TestFitDoesNotMutateInput guards the shared-differencing refactor: Fit and
-// SelectOrder must never write into the caller's series.
+// TestFitDoesNotMutateInput: the workspace differences a copy, so Fit and
+// SelectOrder never write into the caller's series.
 func TestFitDoesNotMutateInput(t *testing.T) {
 	y := selectSeries(300)
 	orig := append([]float64(nil), y...)

@@ -9,12 +9,14 @@ import (
 // workspace keeps one shared differencing buffer per admissible D.
 const maxD = 2
 
-// Workspace holds reusable scratch buffers for repeated model fits. A fit
-// through a Workspace performs exactly the same arithmetic, in exactly the
-// same order, as the allocating Fit/SelectOrder paths — the buffers only
-// replace `make` calls — so results are bit-identical. The population
-// trainer gives each worker one Workspace, amortizing the ~3 MB a cold
-// SelectOrder allocates per consumer down to O(workers) for the whole run.
+// Workspace holds reusable scratch buffers for repeated model fits; every
+// Hannan-Rissanen fit in the package runs through one. The buffers only
+// replace `make` calls, so a fit's arithmetic does not depend on whether
+// its workspace is fresh or reused (the package tests check both against an
+// allocating reference fitter, bit for bit). The population trainer gives
+// each worker one Workspace, amortizing the scratch a fresh workspace grows
+// per grid selection (megabytes on a year of half-hourly readings) down to
+// O(workers) for the whole run.
 //
 // A Workspace is NOT safe for concurrent use. Slices returned by the
 // *Trained entry points alias workspace memory and are valid only until the
@@ -70,8 +72,19 @@ func growFloat(buf *[]float64, n int) []float64 {
 	return (*buf)[:n]
 }
 
+// diffShared is the per-D state a workspace computes once per series and
+// shares across every candidate with the same differencing order: the
+// differenced series, its mean, the demeaned series, and whether it is
+// constant (degenerate).
+type diffShared struct {
+	n       int       // observations after differencing
+	mu      float64   // mean of the differenced series
+	z       []float64 // demeaned differenced series (read-only once built)
+	allZero bool
+}
+
 // diffFor differences and demeans the series for order D, computing each
-// distinct D once per series (the workspace analogue of newDiffShared).
+// distinct D once per series.
 func (ws *Workspace) diffFor(y []float64, d int) (*diffShared, error) {
 	if ws.haveDiff[d] {
 		return &ws.shared[d], ws.sharedErr[d]
@@ -109,9 +122,11 @@ func (ws *Workspace) diffFor(y []float64, d int) (*diffShared, error) {
 	return &ws.shared[d], nil
 }
 
-// yuleWalkerWS is yuleWalker sourcing its autocovariance vector and Toeplitz
-// system from workspace buffers. The returned coefficient slice aliases the
-// workspace and is valid until the next yuleWalkerWS call.
+// yuleWalkerWS fits AR(p) coefficients to a zero-mean series via the
+// Yule-Walker equations built from sample autocovariances, with the
+// autocovariance vector and Toeplitz system in workspace buffers. The
+// returned coefficient slice aliases the workspace and is valid until the
+// next yuleWalkerWS call.
 func (ws *Workspace) yuleWalkerWS(w []float64, p int) ([]float64, error) {
 	n := len(w)
 	if p <= 0 || n <= p {
@@ -148,9 +163,9 @@ func (ws *Workspace) yuleWalkerWS(w []float64, p int) ([]float64, error) {
 	return solveLinear(a, b)
 }
 
-// arResidualsInto is arResiduals writing into a caller-provided buffer of
-// len(w); the warm-up region [0, p) is zeroed explicitly, which a fresh
-// allocation got for free.
+// arResidualsInto writes the one-step residuals of an AR fit on w
+// (zero-mean) into a caller-provided buffer of len(w). The undefined
+// warm-up region [0, p) is zeroed explicitly, since the buffer is reused.
 func arResidualsInto(resid, w []float64, phi []float64) {
 	p := len(phi)
 	for t := 0; t < p && t < len(w); t++ {
@@ -165,8 +180,11 @@ func arResidualsInto(resid, w []float64, phi []float64) {
 	}
 }
 
-// leastSquaresWS is leastSquares with the normal-equation matrices sourced
-// from workspace buffers. The returned solution aliases the workspace.
+// leastSquaresWS solves the overdetermined system X beta ≈ y by forming and
+// solving the normal equations XᵀX beta = Xᵀy in workspace buffers. X is
+// row-major with one row per observation. A small ridge term stabilizes
+// nearly collinear designs, which arise when an attack vector makes the
+// series locally constant. The returned solution aliases the workspace.
 func (ws *Workspace) leastSquaresWS(x [][]float64, y []float64) ([]float64, error) {
 	rows := len(x)
 	if rows == 0 || rows != len(y) {
@@ -220,9 +238,10 @@ func (ws *Workspace) leastSquaresWS(x [][]float64, y []float64) ([]float64, erro
 	return solveLinear(xtx, xty)
 }
 
-// fitCandidateWS is fitCandidate with every intermediate buffer drawn from
-// the workspace. On success the candidate's conditional residuals are left
-// in ws.resid (length sh.n).
+// fitCandidateWS fits one order against the shared differenced series by
+// Hannan-Rissanen, with every intermediate buffer drawn from the workspace.
+// On success the candidate's conditional residuals are left in ws.resid
+// (length sh.n).
 func (ws *Workspace) fitCandidateWS(sh *diffShared, order Order) (*Model, error) {
 	minN := 3*(order.P+order.Q) + 20
 	if sh.n < minN {
@@ -232,9 +251,10 @@ func (ws *Workspace) fitCandidateWS(sh *diffShared, order Order) (*Model, error)
 	mu, z := sh.mu, sh.z
 	if sh.allZero {
 		// Constant series: deterministic model, zero innovation variance.
-		// Residuals of the zero-coefficient model on an all-zero series are
-		// all zero; materialize them so retained-fit consumers see the same
-		// state a cold NewPredictor would compute.
+		// This arises for all-zero attack vectors and must not crash the
+		// detector. Residuals of the zero-coefficient model on an all-zero
+		// series are all zero; materialize them so retained-fit consumers
+		// see the same state a cold NewPredictor would compute.
 		resid := growFloat(&ws.resid, sh.n)
 		for i := range resid {
 			resid[i] = 0
@@ -318,6 +338,7 @@ func (ws *Workspace) fitCandidateWS(sh *diffShared, order Order) (*Model, error)
 		N:     sh.n,
 	}
 
+	// Innovation variance from conditional residuals.
 	resid := growFloat(&ws.resid, len(z))
 	m.residualsZInto(resid, z)
 	var ss float64
@@ -386,7 +407,7 @@ func (tf *TrainedFit) PredictorAt(t int) (*Predictor, error) {
 	return p, nil
 }
 
-// FitTrained is Fit through a workspace, additionally returning the
+// FitTrained fits one order through a workspace (see Fit) and returns the
 // retained fit state for O(1) predictor placement.
 func FitTrained(y []float64, order Order, ws *Workspace) (*TrainedFit, error) {
 	if err := order.Validate(); err != nil {
@@ -410,81 +431,16 @@ func (ws *Workspace) fitRetained(y []float64, order Order) (*TrainedFit, error) 
 	return &TrainedFit{Model: m, y: y, z: sh.z, resid: ws.retain(sh.n)}, nil
 }
 
-// FitWS is Fit through a workspace: bit-identical results, O(1) steady-state
-// allocations (only the returned Model and its coefficient slices).
-func FitWS(y []float64, order Order, ws *Workspace) (*Model, error) {
-	tf, err := FitTrained(y, order, ws)
-	if err != nil {
-		return nil, err
-	}
-	return tf.Model, nil
-}
-
-// SelectOrderTrained is SelectOrder through a workspace: every candidate is
-// fitted serially with workspace scratch and the best model is chosen by
-// the same index-order reduction, so the selected model is bit-identical to
-// SelectOrder's. The winner's fit state is retained for O(1) predictor
-// placement.
+// SelectOrderTrained fits every candidate serially through the workspace
+// and returns the best one (see SelectOrder), with the winner's fit state
+// retained for O(1) predictor placement.
 func SelectOrderTrained(y []float64, candidates []Order, ws *Workspace) (*TrainedFit, error) {
 	if len(candidates) == 0 {
 		return nil, fmt.Errorf("arima: no candidate orders")
 	}
 	ws.beginSeries()
-	return ws.selectRetained(y, candidates)
-}
-
-// selectRetained runs the candidate grid serially with a streaming
-// index-order reduction (equivalent to SelectOrder's collect-then-scan:
-// candidates are visited in the same order and compared with the same
-// rules), retaining the running best candidate's residuals.
-func (ws *Workspace) selectRetained(y []float64, candidates []Order) (*TrainedFit, error) {
-	var best *TrainedFit
-	var firstErr error
-	for _, o := range candidates {
-		if err := o.Validate(); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		sh, err := ws.diffFor(y, o.D)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		m, err := ws.fitCandidateWS(sh, o)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		if m.Sigma2 == 0 {
-			// Degenerate fit: acceptable only if nothing else works.
-			if best == nil {
-				best = &TrainedFit{Model: m, y: y, z: sh.z, resid: ws.retain(sh.n)}
-			}
-			continue
-		}
-		if best == nil || best.Model.Sigma2 == 0 || m.AIC() < best.Model.AIC() {
-			best = &TrainedFit{Model: m, y: y, z: sh.z, resid: ws.retain(sh.n)}
-		}
-	}
-	if best == nil {
-		return nil, fmt.Errorf("arima: all candidate orders failed: %w", firstErr)
-	}
-	return best, nil
-}
-
-// SelectOrderWS is SelectOrder through a workspace; see SelectOrderTrained.
-func SelectOrderWS(y []float64, candidates []Order, ws *Workspace) (*Model, error) {
-	tf, err := SelectOrderTrained(y, candidates, ws)
-	if err != nil {
-		return nil, err
-	}
-	return tf.Model, nil
+	tf, _, err := ws.selectRetainedKnown(y, candidates, nil)
+	return tf, err
 }
 
 // WarmSelection reports how a warm-started order selection was resolved.
@@ -564,13 +520,15 @@ type knownFit struct {
 	m     *Model
 }
 
-// selectRetainedKnown is selectRetained with a set of pre-fitted candidates:
-// grid entries matching a known order reuse the cached model's AIC instead
-// of refitting. Comparison order and rules are exactly selectRetained's, so
-// the winning order is identical; only when a cached candidate wins is one
-// extra fit paid to rematerialize its retained state. Returns the number of
-// fits actually spent on known orders (0 or 1) so callers can account for
-// skipped work.
+// selectRetainedKnown is the one candidate loop. It visits the grid in
+// index order with a streaming reduction: a degenerate fit (Sigma2 == 0)
+// wins only if nothing else fits, otherwise the lowest AIC wins and ties
+// keep the earlier candidate. The running best candidate's residuals are
+// retained. Grid entries matching a known (already fitted) order reuse the
+// cached model's AIC instead of refitting, which leaves the winning order
+// unchanged; only when a cached candidate wins is one extra fit paid to
+// rematerialize its retained state. Returns the number of fits actually
+// spent on known orders (0 or 1) so callers can account for skipped work.
 func (ws *Workspace) selectRetainedKnown(y []float64, candidates []Order, known []knownFit) (*TrainedFit, int, error) {
 	cached := func(o Order) *Model {
 		for _, k := range known {

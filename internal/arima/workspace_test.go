@@ -43,23 +43,26 @@ func modelsIdentical(t *testing.T, tag string, a, b *Model) {
 	}
 }
 
-// TestFitWSBitIdentical proves the workspace fit path performs the exact
-// arithmetic of the allocating path, order by order, reusing one workspace
-// across fits and series.
+// TestFitWSBitIdentical proves the workspace fit performs the exact
+// arithmetic of the allocating reference fitter, order by order, both
+// through Fit (a fresh workspace per call) and through FitTrained reusing
+// one workspace across fits and series.
 func TestFitWSBitIdentical(t *testing.T) {
 	ws := NewWorkspace()
 	for _, seed := range []int64{1, 2, 3} {
 		y := synthSeries(8*336, seed)
 		for _, o := range DefaultCandidates() {
-			cold, err1 := Fit(y, o)
-			warm, err2 := FitWS(y, o, ws)
-			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("seed %d %v: error mismatch: %v vs %v", seed, o, err1, err2)
+			want, err1 := oracleFit(y, o)
+			fresh, err2 := Fit(y, o)
+			reused, err3 := FitTrained(y, o, ws)
+			if (err1 == nil) != (err2 == nil) || (err1 == nil) != (err3 == nil) {
+				t.Fatalf("seed %d %v: error mismatch: %v / %v / %v", seed, o, err1, err2, err3)
 			}
 			if err1 != nil {
 				continue
 			}
-			modelsIdentical(t, o.String(), cold, warm)
+			modelsIdentical(t, o.String()+" fresh", want, fresh)
+			modelsIdentical(t, o.String()+" reused", want, reused.Model)
 		}
 	}
 }
@@ -79,11 +82,11 @@ func TestFitWSDegenerate(t *testing.T) {
 	if tf.Model.Sigma2 != 0 {
 		t.Fatalf("constant series Sigma2 = %v, want 0", tf.Model.Sigma2)
 	}
-	cold, err := Fit(y, Order{P: 1, D: 0, Q: 0})
+	want, err := oracleFit(y, Order{P: 1, D: 0, Q: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	modelsIdentical(t, "degenerate", cold, tf.Model)
+	modelsIdentical(t, "degenerate", want, tf.Model)
 	for i, r := range tf.resid {
 		if r != 0 {
 			t.Fatalf("degenerate resid[%d] = %v, want 0", i, r)
@@ -91,18 +94,19 @@ func TestFitWSDegenerate(t *testing.T) {
 	}
 }
 
-// TestSelectOrderWSBitIdentical proves workspace grid selection (streaming
-// reduction) matches SelectOrder's collect-then-scan reduction exactly.
+// TestSelectOrderWSBitIdentical proves workspace grid selection through
+// one reused workspace (streaming reduction) matches the reference's
+// independent fits and index-order reduction exactly.
 func TestSelectOrderWSBitIdentical(t *testing.T) {
 	ws := NewWorkspace()
 	for _, seed := range []int64{10, 11, 12, 13, 14, 15, 16, 17} {
 		y := synthSeries(8*336, seed)
-		cold, err1 := SelectOrder(y, DefaultCandidates())
-		warm, err2 := SelectOrderWS(y, DefaultCandidates(), ws)
+		want, err1 := oracleSelectOrder(y, DefaultCandidates())
+		got, err2 := SelectOrderTrained(y, DefaultCandidates(), ws)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("seed %d: errors %v / %v", seed, err1, err2)
 		}
-		modelsIdentical(t, "select", cold, warm)
+		modelsIdentical(t, "select", want, got.Model)
 	}
 }
 
@@ -181,7 +185,7 @@ func TestPredictorAtBounds(t *testing.T) {
 func TestSelectOrderWarm(t *testing.T) {
 	ws := NewWorkspace()
 	y := synthSeries(8*336, 99)
-	cold, err := SelectOrder(y, DefaultCandidates())
+	cold, err := oracleSelectOrder(y, DefaultCandidates())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +225,7 @@ func TestSelectOrderWarm(t *testing.T) {
 	if sel.FitsSkipped != len(DefaultCandidates())-1 {
 		t.Errorf("unscreened FitsSkipped = %d, want %d", sel.FitsSkipped, len(DefaultCandidates())-1)
 	}
-	wantWarm, err := Fit(y, other)
+	wantWarm, err := oracleFit(y, other)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,19 +237,19 @@ func TestSelectOrderWarm(t *testing.T) {
 func TestWorkspaceAllocsSteadyState(t *testing.T) {
 	y := synthSeries(8*336, 5)
 	ws := NewWorkspace()
-	if _, err := SelectOrderWS(y, DefaultCandidates(), ws); err != nil {
+	if _, err := SelectOrderTrained(y, DefaultCandidates(), ws); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := SelectOrderWS(y, DefaultCandidates(), ws); err != nil {
+		if _, err := SelectOrderTrained(y, DefaultCandidates(), ws); err != nil {
 			t.Fatal(err)
 		}
 	})
 	// The surviving allocations are the Model structs, their coefficient
 	// slices (clamp copies), and the TrainedFit wrappers — all outputs, all
-	// O(candidates). Anything near the cold path's ~126 allocs means a
+	// O(candidates). Anything near a fresh workspace's count means a
 	// buffer failed to stick.
 	if allocs > 60 {
-		t.Errorf("SelectOrderWS allocates %.0f objects per run; scratch is not being reused", allocs)
+		t.Errorf("SelectOrderTrained allocates %.0f objects per run; scratch is not being reused", allocs)
 	}
 }

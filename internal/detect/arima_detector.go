@@ -54,39 +54,19 @@ type ARIMADetector struct {
 	peak      float64          // largest training reading, a proxy for service size
 }
 
-// NewARIMADetector fits the model on the training series and calibrates the
-// violation threshold by replaying the trailing training weeks.
+// NewARIMADetector fits the model on a private copy of the training series
+// and calibrates the violation threshold over the trailing training weeks.
 func NewARIMADetector(train timeseries.Series, cfg ARIMAConfig) (*ARIMADetector, error) {
 	cfg = cfg.withDefaults()
 	if err := validateARIMATrain(train); err != nil {
 		return nil, err
 	}
-	var model *arima.Model
-	var err error
-	if cfg.Order == (arima.Order{}) {
-		model, err = arima.SelectOrder(train, arima.DefaultCandidates())
-	} else {
-		model, err = arima.Fit(train, cfg.Order)
-	}
+	train = train.Clone()
+	tf, _, err := fitARIMA(train, cfg.Order, arima.DefaultCandidates(), nil, 0, arima.NewWorkspace())
 	if err != nil {
-		return nil, fmt.Errorf("detect: fitting ARIMA: %w", err)
-	}
-	return newARIMADetectorFitted(train, cfg, model)
-}
-
-// NewARIMADetectorWithModel builds the detector around a model that was
-// already fitted on the same training series, skipping order selection.
-// TrainedSuite uses it to train the ARIMA and Integrated ARIMA detectors
-// (and the attacker's replicas) from a single grid fit.
-func NewARIMADetectorWithModel(train timeseries.Series, cfg ARIMAConfig, model *arima.Model) (*ARIMADetector, error) {
-	cfg = cfg.withDefaults()
-	if err := validateARIMATrain(train); err != nil {
 		return nil, err
 	}
-	if model == nil {
-		return nil, fmt.Errorf("detect: nil ARIMA model")
-	}
-	return newARIMADetectorFitted(train, cfg, model)
+	return newARIMADetectorFromTrained(train, cfg, tf)
 }
 
 func validateARIMATrain(train timeseries.Series) error {
@@ -99,13 +79,48 @@ func validateARIMATrain(train timeseries.Series) error {
 	return nil
 }
 
-// newARIMADetectorFitted calibrates the violation threshold and warms the
-// shared predictor for a fitted model.
-func newARIMADetectorFitted(train timeseries.Series, cfg ARIMAConfig, model *arima.Model) (*ARIMADetector, error) {
+// fitARIMA is the one ARIMA fit switch behind every detector constructor: a
+// fixed order (non-zero) is fitted directly; otherwise a warm order, when
+// given, is tried against the candidate grid, and the full grid is searched
+// when not. The returned WarmSelection is nil when no warm start was
+// attempted. The fit aliases train and ws, so both must stay untouched
+// while it is in use.
+func fitARIMA(train timeseries.Series, order arima.Order, candidates []arima.Order,
+	warm *arima.Order, margin float64, ws *arima.Workspace) (*arima.TrainedFit, *arima.WarmSelection, error) {
+	var tf *arima.TrainedFit
+	var sel *arima.WarmSelection
+	var err error
+	switch {
+	case order != (arima.Order{}):
+		tf, err = arima.FitTrained(train, order, ws)
+	case warm != nil:
+		var s arima.WarmSelection
+		tf, s, err = arima.SelectOrderWarmTrained(train, candidates, *warm, margin, ws)
+		sel = &s
+	default:
+		tf, err = arima.SelectOrderTrained(train, candidates, ws)
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("detect: fitting ARIMA: %w", err)
+	}
+	return tf, sel, nil
+}
+
+// newARIMADetectorFromTrained is the one ARIMA-detector assembly. It
+// calibrates the violation threshold by replaying the trailing training
+// weeks — recording each week's violation fraction and tolerating the worst
+// observed plus a margin, which keeps the false-positive rate on normal
+// weeks low without hand-tuned constants — and warms the predictor that
+// Tracker clones. Both predictors are placed from the fit's retained state
+// in O(P+Q+D) (tf.PredictorAt(t) equals model.NewPredictor(train[:t]) bit
+// for bit) instead of replaying the training series. train is retained
+// as-is, not cloned: the caller owns it and must keep it immutable while
+// the detector lives.
+func newARIMADetectorFromTrained(train timeseries.Series, cfg ARIMAConfig, tf *arima.TrainedFit) (*ARIMADetector, error) {
 	d := &ARIMADetector{
 		cfg:   cfg,
-		model: model,
-		train: train.Clone(),
+		model: tf.Model,
+		train: train,
 		z:     stats.StdNormalQuantile(0.5 + cfg.Level/2),
 	}
 	for _, v := range train {
@@ -113,11 +128,6 @@ func newARIMADetectorFitted(train timeseries.Series, cfg ARIMAConfig, model *ari
 			d.peak = v
 		}
 	}
-
-	// Calibrate: replay the trailing weeks of the training series and
-	// record each week's violation fraction; tolerate the worst observed
-	// plus a margin. This keeps the false-positive rate on normal weeks
-	// low without hand-tuned constants.
 	calWeeks := cfg.CalibrationWeeks
 	if calWeeks > train.Weeks()-1 {
 		calWeeks = train.Weeks() - 1
@@ -125,10 +135,11 @@ func newARIMADetectorFitted(train timeseries.Series, cfg ARIMAConfig, model *ari
 	worst := 0.0
 	if calWeeks > 0 {
 		start := (train.Weeks() - calWeeks) * timeseries.SlotsPerWeek
-		tracker, err := d.trackerFrom(train[:start])
+		pred, err := tf.PredictorAt(start)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("detect: warming predictor: %w", err)
 		}
+		tracker := &CITracker{pred: pred, z: d.z}
 		for w := 0; w < calWeeks; w++ {
 			violations := 0
 			for s := 0; s < timeseries.SlotsPerWeek; s++ {
@@ -147,10 +158,7 @@ func newARIMADetectorFitted(train timeseries.Series, cfg ARIMAConfig, model *ari
 	}
 	d.threshold = worst + cfg.ViolationMargin
 
-	// Warm one predictor over the full training series; Tracker() clones its
-	// O(P+Q+D) state instead of replaying the history on every detection
-	// pass or attack trial.
-	warm, err := d.model.NewPredictor(d.train)
+	warm, err := tf.PredictorAt(len(train))
 	if err != nil {
 		return nil, fmt.Errorf("detect: warming predictor: %w", err)
 	}
@@ -216,14 +224,6 @@ func (d *ARIMADetector) detectWeek(week timeseries.Series) (Verdict, error) {
 // is a cheap clone of the detector's pre-warmed predictor state.
 func (d *ARIMADetector) Tracker() (*CITracker, error) {
 	return &CITracker{pred: d.warm.Clone(), z: d.z}, nil
-}
-
-func (d *ARIMADetector) trackerFrom(history timeseries.Series) (*CITracker, error) {
-	pred, err := d.model.NewPredictor(history)
-	if err != nil {
-		return nil, fmt.Errorf("detect: warming predictor: %w", err)
-	}
-	return &CITracker{pred: pred, z: d.z}, nil
 }
 
 // CITracker exposes the rolling one-step confidence interval. The utility's

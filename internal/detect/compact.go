@@ -2,6 +2,7 @@ package detect
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"unsafe"
 
@@ -9,25 +10,44 @@ import (
 	"repro/internal/timeseries"
 )
 
-// CompactKLDStream is the fleet-scale form of StreamingKLD: the same
-// window semantics, verdicts, and coverage gate, but holding per-slot *bin
-// indices* instead of raw readings. A raw 336-slot float64 window alone is
-// 2688 bytes; the compact state — one byte per slot, a uint16 tally per
-// histogram bin, a bad-slot bitset, and its own copy of the frozen bin
-// edges and X distribution — fits a consumer in well under 1 KiB, so a
-// million-meter fleet's streaming state fits in RAM (the serve layer's
-// memory accounting test pins this).
+// CompactKLDStream answers the paper's week-long-latency objection to the
+// KLD detector (Section VII-D): "the new week vector can be completed with
+// trusted data from a week in the training set. As new consumption readings
+// are recorded, they will replace the historic readings in the week vector.
+// If the week vector contains sufficiently anomalous readings right at the
+// beginning, it may appear anomalous before a full week of new data has
+// been collected." Ref [3] uses the same construction to measure
+// time-to-detection. The stream is seeded with a trusted historic week;
+// each Observe replaces the next weekly slot with the live reading and
+// re-judges the mixed window.
+//
+// Live AMI feeds lose and corrupt readings, so the stream also accepts
+// quality-annotated observations (ObserveStatus): a Missing or Corrupt slot
+// keeps the trusted value already in the window (seasonal carry from the
+// historic seed, or the previous lap's live reading) and counts against the
+// window's coverage. When the fraction of trusted window slots falls below
+// the policy's coverage gate, verdicts are returned Inconclusive instead of
+// definite — a mostly-dead meter must read as *faulty*, not as evidence of
+// theft. The serve layer aggregates Coverage and Filled across consumers
+// into fleet-level gauges.
+//
+// The stream holds per-slot *bin indices* instead of raw readings. A raw
+// 336-slot float64 window alone is 2688 bytes; the compact state — one
+// byte per slot, a uint16 tally per histogram bin, a bad-slot bitset, and
+// its own copy of the frozen bin edges and X distribution — fits a consumer
+// in well under 1 KiB, so a million-meter fleet's streaming state fits in
+// RAM (the serve layer's memory accounting test pins this).
 //
 // Carrying the edges and X probabilities itself makes the state
 // self-contained: the service can drop the full KLDDetector (training
 // matrix, per-week divergences, scratch pools) after constructing the
 // stream. The trade is that raw window values are gone — a Reseed rebins
-// the new seed only into slots that hold no trusted live reading, exactly
-// like StreamingKLD.Reseed, because live slots keep their already-binned
-// contribution.
+// the new seed only into slots that hold no trusted live reading, because
+// live slots keep their already-binned contribution.
 //
-// Verdicts are bit-identical to StreamingKLD over the same observation
-// sequence: the window distribution is counts/336, exactly what
+// Verdicts are bit-identical to re-running KLDDetector.Detect over the raw
+// mixed window (the package tests keep that raw-window stream as a
+// reference): the window distribution is counts/336, exactly what
 // Histogram.DistributionInto computes (counts below 2^53 are exact in
 // float64), and the divergence and verdict rendering run through the same
 // stats.KLDivergenceWith and kldVerdict code paths.
@@ -55,7 +75,8 @@ var compactScratch = sync.Pool{New: func() any { return &kldScratch{} }}
 const maxCompactBins = 256
 
 // NewCompactStream seeds a compact streaming evaluator with a trusted
-// historic week, typically the final training week. The returned stream is
+// historic week (336 readings), typically the final training week. The
+// default QualityPolicy governs ObserveStatus. The returned stream is
 // independent of the detector: it copies the frozen edges, X distribution,
 // and threshold, so the (much larger) detector may be released afterwards.
 func (d *KLDDetector) NewCompactStream(seedWeek timeseries.Series) (*CompactKLDStream, error) {
@@ -133,7 +154,8 @@ func (s *CompactKLDStream) ObserveStatus(v float64, status timeseries.ReadingSta
 }
 
 // observe writes the slot's bin, updates the tallies and coverage
-// bookkeeping, and evaluates the window under the coverage gate.
+// bookkeeping, and evaluates the window under the coverage gate. After 336
+// observations the window holds only live data and wraps around.
 func (s *CompactKLDStream) observe(bin int, status timeseries.ReadingStatus) (Verdict, error) {
 	p := int(s.pos)
 	wasBad := s.badBit(p)
@@ -179,11 +201,12 @@ func (s *CompactKLDStream) verdict() (Verdict, error) {
 	return kldVerdict(ka, s.threshold, s.significance), nil
 }
 
-// Reseed swaps the trusted historic seed behind the stream
-// (StreamDetector): slots holding trusted live readings keep their binned
-// contribution; untouched seed slots and untrusted stand-ins are rebinned
-// from the new seed week and coverage accounting resets to full. Mirrors
-// StreamingKLD.Reseed exactly.
+// Reseed swaps the trusted historic seed behind the stream — the rolling
+// re-train path (StreamDetector). Slots holding trusted live readings keep
+// their binned contribution: a re-train must never flip the verdict
+// contribution of data the meter actually reported. Untouched seed slots
+// and untrusted stand-ins are rebinned from the new seed week and coverage
+// accounting resets to full.
 func (s *CompactKLDStream) Reseed(seed timeseries.Series) error {
 	if err := validateWeek(seed); err != nil {
 		return err
@@ -204,8 +227,10 @@ func (s *CompactKLDStream) Reseed(seed timeseries.Series) error {
 	return nil
 }
 
-// live mirrors StreamingKLD.live: slot i has been written by an
-// observation rather than still holding untouched historic seed.
+// live reports whether slot i has been written by an observation (trusted
+// or stand-in) rather than still holding untouched historic seed. During
+// the first lap pos == filled, so exactly the slots below pos are live;
+// after the window wraps every slot is.
 func (s *CompactKLDStream) live(i int) bool {
 	return s.filled == timeseries.SlotsPerWeek || i < int(s.pos)
 }
@@ -243,4 +268,32 @@ func (s *CompactKLDStream) MemoryFootprint() int {
 		(cap(s.edges)+cap(s.xprobs))*8 +
 		cap(s.counts)*2 +
 		cap(s.bins) + cap(s.bad)
+}
+
+// checkStreamReading rejects readings no streaming window may absorb: a NaN
+// entering the window would poison every verdict for the next 336
+// observations, an infinity would degenerate the histogram, and negative
+// consumption is a protocol violation. Shared by every StreamDetector so
+// rejection messages are uniform.
+func checkStreamReading(v float64) error {
+	if math.IsNaN(v) {
+		return fmt.Errorf("detect: non-finite reading NaN")
+	}
+	if math.IsInf(v, 0) {
+		return fmt.Errorf("detect: non-finite reading %g", v)
+	}
+	if v < 0 {
+		return fmt.Errorf("detect: negative reading %g", v)
+	}
+	return nil
+}
+
+// coverageVerdict is the shared below-the-gate Inconclusive verdict, worded
+// identically for every streaming evaluator.
+func coverageVerdict(cov, minCov float64, nbad int) Verdict {
+	return Verdict{
+		Inconclusive: true,
+		Reason: fmt.Sprintf("window coverage %.1f%% below the %.0f%% gate (%d of %d slots untrusted) — verdict inconclusive",
+			100*cov, 100*minCov, nbad, timeseries.SlotsPerWeek),
+	}
 }

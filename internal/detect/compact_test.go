@@ -7,8 +7,8 @@ import (
 	"repro/internal/timeseries"
 )
 
-// TestCompactStreamMatchesFull drives the compact and full streaming
-// evaluators through an identical mixed-quality observation sequence —
+// TestCompactStreamMatchesFull drives the compact stream and the raw-window
+// reference through an identical mixed-quality observation sequence —
 // trusted readings, gaps, corruption, a mid-stream reseed, and more than a
 // full window of wrap-around — and requires bit-identical verdicts at every
 // step. This is the contract that lets serve hold only the compact state
@@ -22,7 +22,7 @@ func TestCompactStreamMatchesFull(t *testing.T) {
 	seed := train.MustWeek(train.Weeks() - 1)
 	newSeed := train.MustWeek(train.Weeks() - 3)
 
-	full, err := d.NewStream(seed)
+	full, err := d.newStreamingKLD(seed, QualityPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}

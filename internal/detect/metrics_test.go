@@ -91,28 +91,27 @@ func TestStreamNoSharedGauges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := len(reg.Snapshot().Metrics)
-	s, err := d.NewStream(train[len(train)-timeseries.SlotsPerWeek:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	week := test.MustWeek(0)
-	if _, err := s.Observe(week[0]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.ObserveStatus(0, timeseries.StatusMissing); err != nil {
-		t.Fatal(err)
-	}
-	for _, m := range reg.Snapshot().Metrics {
-		if strings.Contains(m.Name, "stream_window") {
-			t.Errorf("stream registered shared gauge %q; per-stream gauges were removed", m.Name)
+	for _, mk := range streamMakers() {
+		before := len(reg.Snapshot().Metrics)
+		s := mk.make(t, d, train[len(train)-timeseries.SlotsPerWeek:])
+		week := test.MustWeek(0)
+		if _, err := s.Observe(week[0]); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if got := len(reg.Snapshot().Metrics); got != before {
-		t.Errorf("stream construction/advance registered %d new instruments, want 0", got-before)
-	}
-	want := 1 - 1.0/timeseries.SlotsPerWeek
-	if got := s.Coverage(); got != want {
-		t.Errorf("stream coverage = %g, want %g", got, want)
+		if _, err := s.ObserveStatus(0, timeseries.StatusMissing); err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range reg.Snapshot().Metrics {
+			if strings.Contains(m.Name, "stream_window") {
+				t.Errorf("%s: stream registered shared gauge %q; per-stream gauges were removed", mk.name, m.Name)
+			}
+		}
+		if got := len(reg.Snapshot().Metrics); got != before {
+			t.Errorf("%s: stream construction/advance registered %d new instruments, want 0", mk.name, got-before)
+		}
+		want := 1 - 1.0/timeseries.SlotsPerWeek
+		if got := s.Coverage(); got != want {
+			t.Errorf("%s: stream coverage = %g, want %g", mk.name, got, want)
+		}
 	}
 }

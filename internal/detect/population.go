@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/arima"
 	"repro/internal/obs"
-	"repro/internal/stats"
 	"repro/internal/timeseries"
 )
 
@@ -27,8 +26,8 @@ const (
 	WarmStartMargin TrainMode = iota
 	// WarmStartExact runs the full candidate grid for every consumer. The
 	// resulting suites are byte-identical to per-consumer NewTrainedSuite;
-	// the speedup comes only from scratch reuse and retained-fit predictor
-	// placement.
+	// the speedup over a NewTrainedSuite loop comes only from scratch reuse,
+	// training on views instead of copies, and the worker pool.
 	WarmStartExact
 )
 
@@ -138,14 +137,14 @@ type workerStats struct {
 }
 
 // PopulationTrainer trains detector suites for whole consumer populations.
-// It exists because per-consumer NewTrainedSuite spends most of its time on
-// work that repeats across a population: every consumer re-allocates ~3 MB
-// of fitting scratch, re-fits a 7-candidate ARIMA grid even when its
-// neighbors already revealed the winning order, and replays two full
-// predictor warm-ups that the fit already computed. The trainer amortizes
-// scratch to O(workers), reuses retained fit state for O(P+Q+D) predictor
-// placement, reuses one set of KLD tally buffers per worker, and — in
-// warm-start mode — shares grid-search outcomes within shape clusters.
+// It exists because a per-consumer NewTrainedSuite loop repeats work across
+// a population: every consumer copies its series, grows megabytes of fresh
+// fitting scratch, and re-fits a 7-candidate ARIMA grid even when its
+// neighbors already revealed the winning order. The trainer trains on views
+// of one PopulationMatrix, amortizes the ARIMA workspace and the KLD tally
+// buffers to O(workers), and — in warm-start mode — shares grid-search
+// outcomes within shape clusters. Per consumer it runs the same fit switch
+// and suite assembly as NewTrainedSuite.
 //
 // Results are deterministic for any worker count: clustering is a serial
 // pass in consumer index order, and each consumer's training depends only
@@ -281,12 +280,12 @@ func (t *PopulationTrainer) runPhase(pop *timeseries.PopulationMatrix, indices [
 			defer wg.Done()
 			sc := newTrainScratch()
 			for i := range work {
-				warm, haveWarm := arima.Order{}, false
+				var warm *arima.Order
 				if ci := assignment[i]; ci >= 0 && clusters[ci].ok {
-					warm, haveWarm = clusters[ci].order, true
+					warm = &clusters[ci].order
 				}
 				start := t.cfg.Clock.Now()
-				suite, sel, err := t.trainOneSafe(pop, i, warm, haveWarm, sc)
+				suite, sel, err := t.trainOneSafe(pop, i, warm, sc)
 				st.busySeconds += t.cfg.Clock.Since(start).Seconds()
 				if errors.Is(err, errTrainPanic) {
 					sc = newTrainScratch()
@@ -321,7 +320,7 @@ var errTrainPanic = errors.New("panic")
 // trainOneSafe is trainOne with panic containment: a panicking consumer
 // becomes that consumer's error instead of crashing the process.
 func (t *PopulationTrainer) trainOneSafe(pop *timeseries.PopulationMatrix, i int,
-	warm arima.Order, haveWarm bool, sc *trainScratch) (suite *TrainedSuite, sel *arima.WarmSelection, err error) {
+	warm *arima.Order, sc *trainScratch) (suite *TrainedSuite, sel *arima.WarmSelection, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			suite, sel, err = nil, nil, fmt.Errorf("%w: %v", errTrainPanic, r)
@@ -330,36 +329,22 @@ func (t *PopulationTrainer) trainOneSafe(pop *timeseries.PopulationMatrix, i int
 	if trainHook != nil {
 		trainHook(i)
 	}
-	return t.trainOne(pop, i, warm, haveWarm, sc)
+	return t.trainOne(pop, i, warm, sc)
 }
 
 // trainOne fits one consumer's suite with worker-local scratch. The
-// returned WarmSelection is nil when no warm start was attempted.
+// returned WarmSelection is nil when no warm start was attempted (warm is
+// nil).
 func (t *PopulationTrainer) trainOne(pop *timeseries.PopulationMatrix, i int,
-	warm arima.Order, haveWarm bool, sc *trainScratch) (*TrainedSuite, *arima.WarmSelection, error) {
+	warm *arima.Order, sc *trainScratch) (*TrainedSuite, *arima.WarmSelection, error) {
 	train := pop.Series(i)
-	acfg := t.cfg.Suite.ARIMA.withDefaults()
 	if err := validateARIMATrain(train); err != nil {
 		return nil, nil, err
 	}
-
-	var tf *arima.TrainedFit
-	var sel *arima.WarmSelection
-	var err error
-	switch {
-	case acfg.Order != (arima.Order{}):
-		tf, err = arima.FitTrained(train, acfg.Order, sc.ws)
-	case haveWarm:
-		var s arima.WarmSelection
-		tf, s, err = arima.SelectOrderWarmTrained(train, t.cfg.Candidates, warm, t.cfg.AICMargin, sc.ws)
-		sel = &s
-	default:
-		tf, err = arima.SelectOrderTrained(train, t.cfg.Candidates, sc.ws)
-	}
+	tf, sel, err := fitARIMA(train, t.cfg.Suite.ARIMA.Order, t.cfg.Candidates, warm, t.cfg.AICMargin, sc.ws)
 	if err != nil {
-		return nil, nil, fmt.Errorf("detect: fitting ARIMA: %w", err)
+		return nil, nil, err
 	}
-
 	suite, err := newSuiteFromTrained(train, pop.Matrix(i), t.cfg.Suite, tf, sc)
 	if err != nil {
 		return nil, nil, err
@@ -436,100 +421,4 @@ type trainScratch struct {
 
 func newTrainScratch() *trainScratch {
 	return &trainScratch{ws: arima.NewWorkspace()}
-}
-
-// newSuiteFromTrained assembles a TrainedSuite from a retained fit and a
-// week-matrix view, performing the same arithmetic as NewTrainedSuite
-// without its redundant passes: the calibration tracker and the warm
-// predictor are placed in O(P+Q+D) from the fit's retained state instead of
-// replaying the training series, and both KLD detectors train in the
-// worker's reusable tally buffers. All intermediate results are
-// bit-identical to the cold constructors'.
-func newSuiteFromTrained(train timeseries.Series, matrix *timeseries.WeekMatrix,
-	cfg SuiteConfig, tf *arima.TrainedFit, sc *trainScratch) (*TrainedSuite, error) {
-	arimaDet, err := newARIMADetectorFromTrained(train, cfg.ARIMA.withDefaults(), tf)
-	if err != nil {
-		return nil, err
-	}
-	integrated, err := NewIntegratedARIMADetectorWithInner(arimaDet, matrix, cfg.Integrated)
-	if err != nil {
-		return nil, err
-	}
-	kldBase, err := newKLDDetector(matrix, cfg.KLD, &sc.kld)
-	if err != nil {
-		return nil, err
-	}
-	s := &TrainedSuite{
-		train:      train,
-		matrix:     matrix,
-		arimaDet:   arimaDet,
-		integrated: integrated,
-		kldBase:    kldBase,
-	}
-	if cfg.PriceKLD.Tier != nil {
-		s.priceBase, err = newPriceKLDDetector(matrix, cfg.PriceKLD, &sc.kld)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
-}
-
-// newARIMADetectorFromTrained is newARIMADetectorFitted sourcing both
-// predictors from the retained fit state. tf.PredictorAt(t) is bit-identical
-// to model.NewPredictor(train[:t]) — differencing, demeaning, and the
-// residual recursion are all prefix-stable — so the calibration replay and
-// the warmed predictor match the cold path exactly while skipping two full
-// passes over the training series. train is retained as-is, not cloned: the
-// population storage owns it and must stay immutable while the detector
-// lives.
-func newARIMADetectorFromTrained(train timeseries.Series, cfg ARIMAConfig, tf *arima.TrainedFit) (*ARIMADetector, error) {
-	d := &ARIMADetector{
-		cfg:   cfg,
-		model: tf.Model,
-		train: train,
-		z:     stats.StdNormalQuantile(0.5 + cfg.Level/2),
-	}
-	for _, v := range train {
-		if v > d.peak {
-			d.peak = v
-		}
-	}
-	calWeeks := cfg.CalibrationWeeks
-	if calWeeks > train.Weeks()-1 {
-		calWeeks = train.Weeks() - 1
-	}
-	worst := 0.0
-	if calWeeks > 0 {
-		start := (train.Weeks() - calWeeks) * timeseries.SlotsPerWeek
-		pred, err := tf.PredictorAt(start)
-		if err != nil {
-			return nil, fmt.Errorf("detect: warming predictor: %w", err)
-		}
-		tracker := &CITracker{pred: pred, z: d.z}
-		for w := 0; w < calWeeks; w++ {
-			violations := 0
-			for s := 0; s < timeseries.SlotsPerWeek; s++ {
-				v := train[start+w*timeseries.SlotsPerWeek+s]
-				lo, hi := tracker.Bounds()
-				if v < lo || v > hi {
-					violations++
-				}
-				tracker.Observe(v)
-			}
-			frac := float64(violations) / timeseries.SlotsPerWeek
-			if frac > worst {
-				worst = frac
-			}
-		}
-	}
-	d.threshold = worst + cfg.ViolationMargin
-
-	warm, err := tf.PredictorAt(len(train))
-	if err != nil {
-		return nil, fmt.Errorf("detect: warming predictor: %w", err)
-	}
-	d.warm = warm
-	d.initEval(d)
-	return d, nil
 }

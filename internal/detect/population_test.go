@@ -59,6 +59,25 @@ func suitesIdentical(t *testing.T, tag string, got, want *TrainedSuite) {
 	if got.ARIMA().HistoricPeak() != want.ARIMA().HistoricPeak() {
 		t.Fatalf("%s: peaks differ", tag)
 	}
+	// The warmed predictor: confidence bounds stepped over the first
+	// training week must agree bit for bit.
+	gt, err := got.ARIMA().Tracker()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wt, err := want.ARIMA().Tracker()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for slot, v := range want.Train()[:timeseries.SlotsPerWeek] {
+		glo, ghi := gt.Bounds()
+		wlo, whi := wt.Bounds()
+		if math.Float64bits(glo) != math.Float64bits(wlo) || math.Float64bits(ghi) != math.Float64bits(whi) {
+			t.Fatalf("%s: slot %d bounds [%v, %v] vs [%v, %v]", tag, slot, glo, ghi, wlo, whi)
+		}
+		gt.Observe(v)
+		wt.Observe(v)
+	}
 	glo, ghi := got.Integrated().MeanBounds()
 	wlo, whi := want.Integrated().MeanBounds()
 	if math.Float64bits(glo) != math.Float64bits(wlo) || math.Float64bits(ghi) != math.Float64bits(whi) ||
@@ -101,8 +120,9 @@ func suitesIdentical(t *testing.T, tag string, got, want *TrainedSuite) {
 }
 
 // TestPopulationExactBitIdentical is the exactness guarantee: exact-mode
-// population training must reproduce per-consumer NewTrainedSuite bit for
-// bit — same models, thresholds, divergences, and verdicts.
+// population training must reproduce the cold reference assembly
+// (oracleTrainedSuite) bit for bit — same models, thresholds, divergences,
+// and verdicts.
 func TestPopulationExactBitIdentical(t *testing.T) {
 	trains := popFixture(t, 6, 2, 14, 12)
 	cfg := popSuiteConfig()
@@ -121,7 +141,7 @@ func TestPopulationExactBitIdentical(t *testing.T) {
 		if res.Errors[i] != nil {
 			t.Fatalf("consumer %d: %v", i, res.Errors[i])
 		}
-		want, err := NewTrainedSuite(trains[i], cfg)
+		want, err := oracleTrainedSuite(trains[i], cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +271,7 @@ func TestPopulationDegenerateConsumer(t *testing.T) {
 	if res.Errors[last] != nil {
 		t.Fatalf("flat consumer failed: %v", res.Errors[last])
 	}
-	want, err := NewTrainedSuite(flat, SuiteConfig{KLD: KLDConfig{Significance: 0.05}})
+	want, err := oracleTrainedSuite(flat, SuiteConfig{KLD: KLDConfig{Significance: 0.05}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +309,7 @@ func TestPopulationExactPaperFixture(t *testing.T) {
 		t.Fatalf("%d consumers failed", res.Stats.Failed)
 	}
 	for i := range trains {
-		want, err := NewTrainedSuite(trains[i], cfg)
+		want, err := oracleTrainedSuite(trains[i], cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -337,7 +357,7 @@ func TestPopulationFixedOrder(t *testing.T) {
 		if res.Errors[i] != nil {
 			t.Fatalf("consumer %d: %v", i, res.Errors[i])
 		}
-		want, err := NewTrainedSuite(trains[i], cfg)
+		want, err := oracleTrainedSuite(trains[i], cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

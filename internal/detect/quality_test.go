@@ -195,25 +195,26 @@ func TestStreamingKLDRejectsNonFinite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := d.NewStream(train.MustWeek(train.Weeks() - 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.5} {
-		if _, err := s.Observe(bad); err == nil {
-			t.Errorf("Observe(%v) should error", bad)
-		}
-	}
-	// Rejected readings must not advance or poison the window.
-	if s.Filled() != 0 {
-		t.Errorf("rejected readings advanced the window: Filled = %d", s.Filled())
-	}
-	v, err := s.Observe(train[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.IsNaN(v.Score) {
-		t.Error("window poisoned by a rejected reading: score is NaN")
+	for _, mk := range streamMakers() {
+		t.Run(mk.name, func(t *testing.T) {
+			s := mk.make(t, d, train.MustWeek(train.Weeks()-1))
+			for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.5} {
+				if _, err := s.Observe(bad); err == nil {
+					t.Errorf("Observe(%v) should error", bad)
+				}
+			}
+			// Rejected readings must not advance or poison the window.
+			if s.Filled() != 0 {
+				t.Errorf("rejected readings advanced the window: Filled = %d", s.Filled())
+			}
+			v, err := s.Observe(train[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.IsNaN(v.Score) {
+				t.Error("window poisoned by a rejected reading: score is NaN")
+			}
+		})
 	}
 }
 
@@ -224,36 +225,43 @@ func TestStreamingKLDObserveStatus(t *testing.T) {
 		t.Fatal(err)
 	}
 	seed := train.MustWeek(train.Weeks() - 1)
-	s, err := d.NewStream(seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A corrupt reading keeps the trusted seed value in the window.
-	v, err := s.ObserveStatus(math.NaN(), timeseries.StatusCorrupt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Inconclusive {
-		t.Error("one bad slot out of 336 should stay above the gate")
-	}
-	if got := s.Window()[0]; got != seed[0] {
-		t.Errorf("corrupt slot replaced trusted value: got %g, want %g", got, seed[0])
-	}
-	if cov := s.Coverage(); cov >= 1 {
-		t.Errorf("coverage should drop below 1 after a corrupt slot, got %g", cov)
-	}
-	// A later trusted lap over the same slot restores full coverage.
-	week := test.MustWeek(0)
-	for i, r := range week {
-		if _, err := s.ObserveStatus(r, timeseries.StatusOK); err != nil {
-			t.Fatalf("slot %d: %v", i, err)
-		}
-	}
-	if cov := s.Coverage(); cov != 1 {
-		t.Errorf("coverage after a full trusted lap = %g, want 1", cov)
-	}
-	if _, err := s.ObserveStatus(1, timeseries.ReadingStatus(99)); err == nil {
-		t.Error("unknown status should error")
+	for _, mk := range streamMakers() {
+		t.Run(mk.name, func(t *testing.T) {
+			s := mk.make(t, d, seed)
+			// A corrupt reading keeps the trusted seed value in the window:
+			// the verdict equals a twin stream's that was fed that value.
+			v, err := s.ObserveStatus(math.NaN(), timeseries.StatusCorrupt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v.Inconclusive {
+				t.Error("one bad slot out of 336 should stay above the gate")
+			}
+			twin := mk.make(t, d, seed)
+			tv, err := twin.Observe(seed[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v != tv {
+				t.Errorf("corrupt slot replaced the trusted value: verdict %+v, want %+v", v, tv)
+			}
+			if cov := s.Coverage(); cov >= 1 {
+				t.Errorf("coverage should drop below 1 after a corrupt slot, got %g", cov)
+			}
+			// A later trusted lap over the same slot restores full coverage.
+			week := test.MustWeek(0)
+			for i, r := range week {
+				if _, err := s.ObserveStatus(r, timeseries.StatusOK); err != nil {
+					t.Fatalf("slot %d: %v", i, err)
+				}
+			}
+			if cov := s.Coverage(); cov != 1 {
+				t.Errorf("coverage after a full trusted lap = %g, want 1", cov)
+			}
+			if _, err := s.ObserveStatus(1, timeseries.ReadingStatus(99)); err == nil {
+				t.Error("unknown status should error")
+			}
+		})
 	}
 }
 
@@ -263,31 +271,36 @@ func TestStreamingKLDInconclusiveBelowGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := d.NewStreamWithPolicy(train.MustWeek(train.Weeks()-1), QualityPolicy{MinCoverage: 0.9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Drop 10% of the window plus one: coverage crosses below the 90% gate.
-	bad := timeseries.SlotsPerWeek/10 + 1
-	var last Verdict
-	for i := 0; i < bad; i++ {
-		last, err = s.ObserveStatus(0, timeseries.StatusMissing)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !last.Inconclusive {
-		t.Fatalf("verdict at %.1f%% coverage should be inconclusive: %+v", 100*s.Coverage(), last)
-	}
-	// A full trusted lap overwrites every dropped slot; verdicts become
-	// definite again.
-	for i := 0; i < timeseries.SlotsPerWeek; i++ {
-		last, err = s.Observe(train[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if last.Inconclusive {
-		t.Fatalf("verdict after refill should be definite: %+v", last)
+	for _, mk := range streamMakers() {
+		t.Run(mk.name, func(t *testing.T) {
+			s, err := mk.new(d, train.MustWeek(train.Weeks()-1), QualityPolicy{MinCoverage: 0.9})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Drop 10% of the window plus one: coverage crosses below the
+			// 90% gate.
+			bad := timeseries.SlotsPerWeek/10 + 1
+			var last Verdict
+			for i := 0; i < bad; i++ {
+				last, err = s.ObserveStatus(0, timeseries.StatusMissing)
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !last.Inconclusive {
+				t.Fatalf("verdict at %.1f%% coverage should be inconclusive: %+v", 100*s.Coverage(), last)
+			}
+			// A full trusted lap overwrites every dropped slot; verdicts
+			// become definite again.
+			for i := 0; i < timeseries.SlotsPerWeek; i++ {
+				last, err = s.Observe(train[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if last.Inconclusive {
+				t.Fatalf("verdict after refill should be definite: %+v", last)
+			}
+		})
 	}
 }

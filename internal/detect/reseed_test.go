@@ -6,9 +6,8 @@ import (
 	"repro/internal/timeseries"
 )
 
-// reseedStreams builds a detector plus two interchangeable streams (full
-// and compact) seeded with the final training week, and returns a distinct
-// trusted week to reseed with.
+// reseedFixture builds a detector plus its seed (the final training week),
+// a distinct trusted week to reseed with, and the test readings.
 func reseedFixture(t *testing.T) (d *KLDDetector, test timeseries.Series, oldSeed, newSeed timeseries.Series) {
 	t.Helper()
 	train, tst := testConsumer(t, 415, 30, 28)
@@ -164,30 +163,31 @@ func TestReseedValidatesSeed(t *testing.T) {
 	}
 }
 
-// streamMaker builds one StreamDetector flavour for the shared reseed and
-// equivalence suites.
+// streamMaker builds one StreamDetector flavour for the shared stream
+// suites: the compact production stream and the raw-window reference
+// (streaming_oracle_test.go).
 type streamMaker struct {
 	name string
-	make func(t *testing.T, d *KLDDetector, seed timeseries.Series) StreamDetector
+	new  func(d *KLDDetector, seed timeseries.Series, policy QualityPolicy) (StreamDetector, error)
+}
+
+// make builds the flavour's stream under the default quality policy.
+func (mk streamMaker) make(t *testing.T, d *KLDDetector, seed timeseries.Series) StreamDetector {
+	t.Helper()
+	s, err := mk.new(d, seed, QualityPolicy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func streamMakers() []streamMaker {
 	return []streamMaker{
-		{"full", func(t *testing.T, d *KLDDetector, seed timeseries.Series) StreamDetector {
-			t.Helper()
-			s, err := d.NewStream(seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
+		{"full", func(d *KLDDetector, seed timeseries.Series, policy QualityPolicy) (StreamDetector, error) {
+			return d.newStreamingKLD(seed, policy)
 		}},
-		{"compact", func(t *testing.T, d *KLDDetector, seed timeseries.Series) StreamDetector {
-			t.Helper()
-			s, err := d.NewCompactStream(seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
+		{"compact", func(d *KLDDetector, seed timeseries.Series, policy QualityPolicy) (StreamDetector, error) {
+			return d.NewCompactStreamWithPolicy(seed, policy)
 		}},
 	}
 }

@@ -6,9 +6,8 @@ import "repro/internal/timeseries"
 // per-consumer evaluator that advances one reading at a time over a rolling
 // window and re-judges the window after every observation. It is the
 // contract the always-on detection service (internal/serve) plugs detectors
-// into, so the KLD paths — the full StreamingKLD and the compact
-// fleet-scale state — are interchangeable behind one interface, and future
-// ARIMA/masked streaming evaluators slot in without touching the service.
+// into: CompactKLDStream implements it today, and future ARIMA/masked
+// streaming evaluators slot in without touching the service.
 //
 // A StreamDetector is not safe for concurrent use; the service serializes
 // observations per consumer.
@@ -42,8 +41,4 @@ type StreamDetector interface {
 	Reseed(seed timeseries.Series) error
 }
 
-// Interface compliance: both KLD streaming evaluators satisfy the contract.
-var (
-	_ StreamDetector = (*StreamingKLD)(nil)
-	_ StreamDetector = (*CompactKLDStream)(nil)
-)
+var _ StreamDetector = (*CompactKLDStream)(nil)

@@ -6,19 +6,24 @@ import (
 	"repro/internal/timeseries"
 )
 
+// The TestStreamingKLD* tests run over every stream flavour (streamMakers):
+// the compact production stream and the raw-window reference.
+
 func TestStreamingKLDSeedValidation(t *testing.T) {
 	train, _ := testConsumer(t, 71, 20, 18)
 	d, err := NewKLDDetector(train, KLDConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.NewStream(make(timeseries.Series, 5)); err == nil {
-		t.Error("short seed week should error")
-	}
-	bad := make(timeseries.Series, timeseries.SlotsPerWeek)
-	bad[0] = -1
-	if _, err := d.NewStream(bad); err == nil {
-		t.Error("invalid seed week should error")
+	for _, mk := range streamMakers() {
+		if _, err := mk.new(d, make(timeseries.Series, 5), QualityPolicy{}); err == nil {
+			t.Errorf("%s: short seed week should error", mk.name)
+		}
+		bad := make(timeseries.Series, timeseries.SlotsPerWeek)
+		bad[0] = -1
+		if _, err := mk.new(d, bad, QualityPolicy{}); err == nil {
+			t.Errorf("%s: invalid seed week should error", mk.name)
+		}
 	}
 }
 
@@ -29,30 +34,31 @@ func TestStreamingKLDTrustedSeedStaysQuiet(t *testing.T) {
 		t.Fatal(err)
 	}
 	seed := train.MustWeek(train.Weeks() - 1)
-	s, err := d.NewStream(seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Feeding a normal live week should not fire (barring the detector's
-	// baseline FP behaviour — verify the full window verdict matches the
-	// batch verdict at the end).
-	normal := test.MustWeek(0)
-	var last Verdict
-	for _, v := range normal {
-		last, err = s.Observe(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s.Filled() != timeseries.SlotsPerWeek {
-		t.Errorf("Filled = %d, want %d", s.Filled(), timeseries.SlotsPerWeek)
-	}
-	batch, err := d.Detect(normal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if last.Anomalous != batch.Anomalous || last.Score != batch.Score {
-		t.Errorf("full streamed window must equal batch verdict: %+v vs %+v", last, batch)
+	for _, mk := range streamMakers() {
+		t.Run(mk.name, func(t *testing.T) {
+			s := mk.make(t, d, seed)
+			// Feeding a normal live week should not fire (barring the
+			// detector's baseline FP behaviour — verify the full window
+			// verdict matches the batch verdict at the end).
+			normal := test.MustWeek(0)
+			var last Verdict
+			for _, v := range normal {
+				last, err = s.Observe(v)
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if s.Filled() != timeseries.SlotsPerWeek {
+				t.Errorf("Filled = %d, want %d", s.Filled(), timeseries.SlotsPerWeek)
+			}
+			batch, err := d.Detect(normal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if last.Anomalous != batch.Anomalous || last.Score != batch.Score {
+				t.Errorf("full streamed window must equal batch verdict: %+v vs %+v", last, batch)
+			}
+		})
 	}
 }
 
@@ -64,28 +70,29 @@ func TestStreamingKLDDetectsBeforeFullWeek(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := d.NewStream(train.MustWeek(train.Weeks() - 1))
-	if err != nil {
-		t.Fatal(err)
+	for _, mk := range streamMakers() {
+		t.Run(mk.name, func(t *testing.T) {
+			s := mk.make(t, d, train.MustWeek(train.Weeks()-1))
+			fired := -1
+			for i := 0; i < timeseries.SlotsPerWeek; i++ {
+				v, err := s.Observe(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if v.Anomalous {
+					fired = i + 1
+					break
+				}
+			}
+			if fired < 0 {
+				t.Fatal("all-zero stream never fired")
+			}
+			if fired >= timeseries.SlotsPerWeek {
+				t.Errorf("detection at slot %d, want before a full week", fired)
+			}
+			t.Logf("all-zero attack detected after %d readings (%.1f hours)", fired, float64(fired)*0.5)
+		})
 	}
-	fired := -1
-	for i := 0; i < timeseries.SlotsPerWeek; i++ {
-		v, err := s.Observe(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v.Anomalous {
-			fired = i + 1
-			break
-		}
-	}
-	if fired < 0 {
-		t.Fatal("all-zero stream never fired")
-	}
-	if fired >= timeseries.SlotsPerWeek {
-		t.Errorf("detection at slot %d, want before a full week", fired)
-	}
-	t.Logf("all-zero attack detected after %d readings (%.1f hours)", fired, float64(fired)*0.5)
 }
 
 func TestStreamingKLDNegativeReading(t *testing.T) {
@@ -94,19 +101,20 @@ func TestStreamingKLDNegativeReading(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := d.NewStream(train.MustWeek(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Observe(-1); err == nil {
-		t.Error("negative reading should error")
+	for _, mk := range streamMakers() {
+		s := mk.make(t, d, train.MustWeek(0))
+		if _, err := s.Observe(-1); err == nil {
+			t.Errorf("%s: negative reading should error", mk.name)
+		}
 	}
 }
 
+// TestStreamingKLDWindowCopy covers the reference stream's window accessor,
+// which the compact stream (holding bin indices) does not have.
 func TestStreamingKLDWindowCopy(t *testing.T) {
 	train, _ := testConsumer(t, 75, 10, 8)
 	d, _ := NewKLDDetector(train, KLDConfig{})
-	s, _ := d.NewStream(train.MustWeek(0))
+	s, _ := d.newStreamingKLD(train.MustWeek(0), QualityPolicy{})
 	w := s.Window()
 	w[0] = 99999
 	if s.Window()[0] == 99999 {

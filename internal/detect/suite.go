@@ -47,51 +47,56 @@ type TrainedSuite struct {
 	priceBase  *PriceKLDDetector
 }
 
-// NewTrainedSuite trains the shared artifacts on the consumer's historic
-// readings.
+// NewTrainedSuite trains the shared artifacts on a private copy of the
+// consumer's historic readings. It is the population trainer's exact-mode
+// path for one consumer: the same fit switch and the same suite assembly,
+// with fresh scratch.
 func NewTrainedSuite(train timeseries.Series, cfg SuiteConfig) (*TrainedSuite, error) {
-	acfg := cfg.ARIMA.withDefaults()
 	if err := validateARIMATrain(train); err != nil {
 		return nil, err
 	}
-
-	var model *arima.Model
-	var err error
-	if acfg.Order == (arima.Order{}) {
-		model, err = arima.SelectOrder(train, arima.DefaultCandidates())
-	} else {
-		model, err = arima.Fit(train, acfg.Order)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("detect: fitting ARIMA: %w", err)
-	}
-	arimaDet, err := newARIMADetectorFitted(train, acfg, model)
-	if err != nil {
-		return nil, err
-	}
-
+	train = train.Clone()
 	matrix, err := timeseries.NewWeekMatrix(train, 0)
 	if err != nil {
 		return nil, fmt.Errorf("detect: suite training: %w", err)
+	}
+	sc := newTrainScratch()
+	tf, _, err := fitARIMA(train, cfg.ARIMA.Order, arima.DefaultCandidates(), nil, 0, sc.ws)
+	if err != nil {
+		return nil, err
+	}
+	return newSuiteFromTrained(train, matrix, cfg, tf, sc)
+}
+
+// newSuiteFromTrained is the one suite assembly, shared by NewTrainedSuite
+// and the population trainer: it builds every detector row from a retained
+// fit and the training week matrix, training both KLD detectors in the
+// scratch's reusable tally buffers. train and matrix are retained as-is,
+// not copied: the population trainer passes views of its storage, which
+// must stay immutable while the suite lives.
+func newSuiteFromTrained(train timeseries.Series, matrix *timeseries.WeekMatrix,
+	cfg SuiteConfig, tf *arima.TrainedFit, sc *trainScratch) (*TrainedSuite, error) {
+	arimaDet, err := newARIMADetectorFromTrained(train, cfg.ARIMA.withDefaults(), tf)
+	if err != nil {
+		return nil, err
 	}
 	integrated, err := NewIntegratedARIMADetectorWithInner(arimaDet, matrix, cfg.Integrated)
 	if err != nil {
 		return nil, err
 	}
-	kldBase, err := NewKLDDetectorFromMatrix(matrix, cfg.KLD)
+	kldBase, err := newKLDDetector(matrix, cfg.KLD, &sc.kld)
 	if err != nil {
 		return nil, err
 	}
-
 	s := &TrainedSuite{
-		train:      arimaDet.train, // already cloned by the detector
+		train:      train,
 		matrix:     matrix,
 		arimaDet:   arimaDet,
 		integrated: integrated,
 		kldBase:    kldBase,
 	}
 	if cfg.PriceKLD.Tier != nil {
-		s.priceBase, err = NewPriceKLDDetectorFromMatrix(matrix, cfg.PriceKLD)
+		s.priceBase, err = newPriceKLDDetector(matrix, cfg.PriceKLD, &sc.kld)
 		if err != nil {
 			return nil, err
 		}

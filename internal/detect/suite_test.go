@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -11,12 +12,7 @@ import (
 func testSuite(t *testing.T) (*TrainedSuite, timeseries.Series, timeseries.Series) {
 	t.Helper()
 	train, test := testConsumer(t, 41, 14, 12)
-	scheme := pricing.Nightsaver()
-	tierFn := func(slot int) int { return int(scheme.TierOf(timeseries.Slot(slot))) }
-	suite, err := NewTrainedSuite(train, SuiteConfig{
-		KLD:      KLDConfig{Significance: 0.05},
-		PriceKLD: PriceKLDConfig{NTiers: 2, Tier: tierFn, Significance: 0.05},
-	})
+	suite, err := NewTrainedSuite(train, popSuiteConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,10 +20,18 @@ func testSuite(t *testing.T) (*TrainedSuite, timeseries.Series, timeseries.Serie
 }
 
 // TestTrainedSuiteMatchesIndependentFits is the fit-once regression test:
-// every detector the suite hands out must be indistinguishable from one
-// trained independently on the same series.
+// the suite matches the cold reference assembly bit for bit, and every
+// detector it hands out is indistinguishable from one trained
+// independently on the same series.
 func TestTrainedSuiteMatchesIndependentFits(t *testing.T) {
 	suite, train, week := testSuite(t)
+
+	// The whole suite equals the cold reference assembly.
+	want, err := oracleTrainedSuite(train, popSuiteConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	suitesIdentical(t, "oracle", suite, want)
 
 	// The shared ARIMA model equals an independent grid selection.
 	indep, err := NewARIMADetector(train, ARIMAConfig{})
@@ -181,5 +185,77 @@ func TestPredictorCloneMatchesRewarm(t *testing.T) {
 		}
 		t1.Observe(v)
 		t2.Observe(v)
+	}
+}
+
+// TestConstructorsCopyTrainingSeries: only the population trainer aliases
+// its storage. The one-series constructors keep a private copy of the
+// caller's series, so overwriting it after construction changes no verdict
+// (plain or masked, which imputes from the final training week) and no
+// Train() value.
+func TestConstructorsCopyTrainingSeries(t *testing.T) {
+	train, test := testConsumer(t, 43, 14, 12)
+	orig := train.Clone()
+	arimaDet, err := NewARIMADetector(train, ARIMAConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	integ, err := NewIntegratedARIMADetector(train, IntegratedARIMAConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	suite, err := NewTrainedSuite(train, popSuiteConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	suiteKLD, err := suite.KLD(0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dets := map[string]Detector{
+		"arima":            arimaDet,
+		"integrated":       integ,
+		"suite-arima":      suite.ARIMA(),
+		"suite-integrated": suite.Integrated(),
+		"suite-kld":        suiteKLD,
+	}
+
+	normal := test.MustWeek(0)
+	attacked := normal.Clone()
+	for i := range attacked {
+		attacked[i] *= 0.3
+	}
+	mask := timeseries.NewMask(timeseries.SlotsPerWeek)
+	for _, i := range []int{5, 60, 200} {
+		mask[i] = timeseries.StatusMissing
+	}
+	verdicts := func() map[string]Verdict {
+		out := make(map[string]Verdict)
+		for name, d := range dets {
+			for wi, week := range []timeseries.Series{normal, attacked} {
+				v, err := d.Detect(week)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				out[fmt.Sprintf("%s/%d", name, wi)] = v
+				mv, err := d.DetectMasked(week, mask, QualityPolicy{})
+				if err != nil {
+					t.Fatalf("%s masked: %v", name, err)
+				}
+				out[fmt.Sprintf("%s/%d/masked", name, wi)] = mv
+			}
+		}
+		return out
+	}
+	before := verdicts()
+
+	for i := range train {
+		train[i] = 50 + float64(i%7)
+	}
+	if after := verdicts(); !reflect.DeepEqual(after, before) {
+		t.Errorf("overwriting the caller's series changed verdicts:\nbefore %+v\nafter  %+v", before, after)
+	}
+	if !reflect.DeepEqual(suite.Train(), orig) {
+		t.Error("overwriting the caller's series changed the suite's Train()")
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/detect"
@@ -14,8 +15,19 @@ func TestTimeToDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sum.Outcomes) != 6 {
-		t.Fatalf("outcomes = %d", len(sum.Outcomes))
+	// Every consumer's latency is pinned. The values were recorded from the
+	// raw-window stream the compact stream replaced; the compact stream's
+	// verdicts are bit-identical, so the latencies must not move.
+	want := []TTDOutcome{
+		{1000, true, 89}, {1001, true, 60}, {1002, true, 55},
+		{1003, true, 70}, {1004, true, 17}, {1005, true, 19},
+	}
+	if !reflect.DeepEqual(sum.Outcomes, want) {
+		t.Fatalf("outcomes changed:\n got %v\nwant %v", sum.Outcomes, want)
+	}
+	if sum.DetectedFrac != 1 || sum.MedianSlots != 57.5 || sum.MeanSlots != 155.0/3 {
+		t.Errorf("summary = %g detected, median %g, mean %g; want 1, 57.5, %g",
+			sum.DetectedFrac, sum.MedianSlots, sum.MeanSlots, 155.0/3)
 	}
 	if sum.DetectedFrac <= 0 {
 		t.Fatal("streaming detection should catch at least some consumers")

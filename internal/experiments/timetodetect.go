@@ -36,8 +36,8 @@ type TTDSummary struct {
 }
 
 // TimeToDetection implements the ref-[3]-style streaming measurement the
-// paper invokes in Section VII-D: for each consumer, a StreamingKLD window
-// is seeded with the final training week and fed the Attack-Class-1B
+// paper invokes in Section VII-D: for each consumer, a compact KLD stream
+// (detect.CompactKLDStream) is seeded with the final training week and fed the Attack-Class-1B
 // Integrated ARIMA vector one reading at a time; the latency is the number
 // of attack readings observed before the detector first fires. The paper's
 // week-long upper bound corresponds to 336 slots; the point of the
@@ -80,7 +80,7 @@ func TimeToDetection(opts Options) (*TTDSummary, error) {
 			return nil, fmt.Errorf("experiments: consumer %d: %w", c.ID, err)
 		}
 
-		stream, err := kld.NewStream(train.MustWeek(train.Weeks() - 1))
+		stream, err := kld.NewCompactStream(train.MustWeek(train.Weeks() - 1))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: consumer %d: %w", c.ID, err)
 		}
