@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check lint lint-suppressions race race-hot bench bench-quick bench-population collect-smoke chaos-smoke serve-smoke fuzz faults-smoke verify
+.PHONY: build test vet fmt-check lint lint-suppressions race race-hot bench-quick bench-population collect-smoke chaos-smoke serve-smoke fuzz faults-smoke verify
 
 build:
 	$(GO) build ./...
@@ -50,20 +50,11 @@ bench-quick:
 	$(GO) test -run=NONE -bench 'BenchmarkSelectOrder|BenchmarkTrainedSuite|BenchmarkKLDDetect|BenchmarkKLDTrain|BenchmarkIntegratedARIMAAttack|BenchmarkDatasetGenerate' -benchtime=1x -benchmem .
 	$(GO) test -run=NONE -bench 'BenchmarkCodecRecvBatch48' -benchtime=10000x -benchmem ./internal/ami
 
-# bench: record the full benchmark trajectory into results/bench/BENCH_<date>.json.
-bench:
-	$(GO) run ./cmd/fdeta bench
-
-# bench-population: smoke the population-training benchmark on a small
-# fleet and assert the report carries a positive consumers-per-second and
-# the trainer metrics (no jq in CI, so plain grep over the JSON).
+# bench-population: smoke the population trainer on a 100-consumer, 8-week
+# fleet. BenchmarkPopulationTrain fails unless every consumer trains and the
+# reported consumers/s is positive.
 bench-population:
-	$(GO) run ./cmd/fdeta bench -population -consumers 100 -trainweeks 8 -o /tmp/fdeta-bench-population.json
-	@grep -q '"consumers_per_sec": [1-9]' /tmp/fdeta-bench-population.json || \
-		{ echo "bench-population: consumers_per_sec missing or zero"; exit 1; }
-	@for key in speedup_vs_naive warm_hits grid_fits_skipped; do \
-		grep -q "\"$$key\"" /tmp/fdeta-bench-population.json || \
-			{ echo "bench-population: $$key missing from report"; exit 1; }; done
+	$(GO) test -run=NONE -bench=BenchmarkPopulationTrain -benchtime=1x .
 
 # collect-smoke: the ingestion tier end to end under the race detector — a
 # sharded head-end and a persistent-connection pool multiplexing a

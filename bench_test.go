@@ -11,7 +11,7 @@
 //	BenchmarkAblationTrainLen  — training-length sweep
 //
 // plus component microbenchmarks for the hot paths (KLD scoring, ARIMA
-// fitting, attack generation, balance checking).
+// fitting, population training, attack generation, balance checking).
 //
 // Benchmarks default to the scaled-down Quick protocol so `go test -bench=.`
 // terminates promptly; set FDETA_BENCH_FULL=1 to run the paper's full
@@ -386,6 +386,53 @@ func BenchmarkTrainedSuite(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkPopulationTrain trains a 100-consumer, 8-week fleet (the
+// paper's mix: 80% residential, 10% SMEs, 10% unclassified) through the
+// population trainer on GOMAXPROCS workers and reports consumers/s.
+// Synthesis and matrix packing run once, outside the timed region. It fails
+// when any consumer fails to train, so `make bench-population` doubles as a
+// smoke of the trainer.
+func BenchmarkPopulationTrain(b *testing.B) {
+	const consumers, weeks = 100, 8
+	ds, err := dataset.Generate(dataset.Config{
+		Residential:  consumers * 8 / 10,
+		SMEs:         consumers / 10,
+		Unclassified: consumers - consumers*8/10 - consumers/10,
+		Weeks:        weeks,
+		Seed:         2016,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	series := make([]timeseries.Series, len(ds.Consumers))
+	for i := range ds.Consumers {
+		series[i] = ds.Consumers[i].Demand
+	}
+	pop, err := timeseries.PopulationFromSeries(series, weeks)
+	if err != nil {
+		b.Fatal(err)
+	}
+	trainer := detect.NewPopulationTrainer(detect.PopulationConfig{
+		Suite: detect.SuiteConfig{KLD: detect.KLDConfig{Significance: 0.05}},
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := trainer.Train(pop)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Stats.Failed > 0 {
+			b.Fatalf("%d of %d consumers failed to train", res.Stats.Failed, res.Stats.Consumers)
+		}
+	}
+	perSec := float64(b.N*pop.Consumers()) / b.Elapsed().Seconds()
+	if !(perSec > 0) {
+		b.Fatalf("consumers/s = %v, want > 0", perSec)
+	}
+	b.ReportMetric(perSec, "consumers/s")
 }
 
 func BenchmarkIntegratedARIMAAttack(b *testing.B) {

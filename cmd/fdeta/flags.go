@@ -12,7 +12,7 @@ import (
 
 // runFlags holds the flags every long-running fdeta subcommand shares:
 // CPU/heap profiling and the opt-in HTTP admin endpoint. Evaluation-driven
-// commands compose it into evalFlags; `detect`, `collect`, and `bench` bind
+// commands compose it into evalFlags; `detect`, `collect`, and `serve` bind
 // it directly.
 type runFlags struct {
 	cpuprofile  string

@@ -27,7 +27,6 @@
 //	collect       concurrent TCP collection harness over the AMI head-end
 //	serve         always-on streaming detection service with tiered alerts
 //	chaos         kill -9/restart durability harness for the WAL-backed head-end
-//	bench         benchmark trajectory recorder (BENCH_<date>.json)
 //
 // Run `fdeta <subcommand> -h` for per-command flags.
 package main
@@ -99,8 +98,6 @@ func run(args []string) int {
 		err = cmdServe(rest)
 	case "chaos":
 		err = cmdChaos(rest)
-	case "bench":
-		err = cmdBench(rest)
 	case "help", "-h", "--help":
 		usage()
 		return 0
@@ -133,8 +130,7 @@ Operations:
   serve         always-on streaming detection service: compact per-consumer
                 detector state fed by the head-end's accepted-reading tap,
                 tiered alerts over JSONL + SSE + the admin endpoint, rolling
-                re-train without stopping (-smoke for CI, -bench-consumers
-                for the fleet-scale footprint)
+                re-train without stopping (-smoke for CI)
   chaos         kill -9/restart durability harness: proves acked readings
                 survive crashes of the WAL-backed sharded head-end
 
@@ -159,20 +155,16 @@ Extensions:
   fp-profile         false-positive calibration over all normal test weeks
   report             regenerate the complete evaluation into a markdown report
   bill               weekly statements + revenue assurance
-  bench              run table + component benchmarks, write BENCH_<date>.json
 
 Evaluation commands accept -parallelism (worker goroutines; results are
-identical at any setting), -warmstart (clustered warm-start order
-selection instead of the exact full grid; metrics stay within the
-pinned tolerance of exact training), -cpuprofile/-memprofile (pprof
-output files), -fault SPEC (inject meter faults into the monitored
-weeks), -checkpoint FILE (crash-safe per-consumer progress; rerun to
-resume), and -strict (fail fast instead of quarantining a failing
-consumer).
+identical at any setting), -cpuprofile/-memprofile (pprof output files),
+-fault SPEC (inject meter faults into the monitored weeks), -checkpoint
+FILE (crash-safe per-consumer progress; rerun to resume), and -strict
+(fail fast instead of quarantining a failing consumer).
 
-Long-running commands (detect, collect, bench, and every evaluation
-command) also accept -metrics-addr ADDR: an opt-in HTTP admin endpoint
-serving /metrics (Prometheus text), /metrics.json, /healthz, and
-/debug/pprof for the duration of the run. Unset means no listener.
+Long-running commands (detect, collect, and every evaluation command)
+also accept -metrics-addr ADDR: an opt-in HTTP admin endpoint serving
+/metrics (Prometheus text), /metrics.json, /healthz, and /debug/pprof
+for the duration of the run. Unset means no listener.
 `)
 }

@@ -8,8 +8,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"runtime"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -28,8 +26,7 @@ import (
 // per-consumer detector state, with tiered alerts on JSONL, SSE, and the
 // admin endpoint. The default mode demonstrates the full loop on a
 // synthetic fleet (driven over real TCP) until the data runs out or
-// SIGTERM; -smoke is the CI assertion variant; -bench-consumers measures
-// per-consumer memory and observation throughput at fleet scale.
+// SIGTERM; -smoke is the CI assertion variant.
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	rf := bindRunFlags(fs)
@@ -42,14 +39,9 @@ func cmdServe(args []string) error {
 	alertOut := fs.String("alerts-out", "", "append alert events to this JSONL file (empty = stdout summary only)")
 	retrainEvery := fs.Duration("retrain-interval", 0, "rolling re-train cadence for the live loop (0 = re-train once after the history phase)")
 	smoke := fs.Bool("smoke", false, "CI smoke: one honest + one tampered meter; exit non-zero unless exactly the tampered meter raises a HIGH alert")
-	benchConsumers := fs.Int("bench-consumers", 0, "register this many compact streams and report bytes/consumer and observations/s instead of serving")
-	benchOut := fs.String("bench-out", "", "write a BENCH_*.json record of the -bench-consumers run")
 	adminAddr := fs.String("admin-addr", "127.0.0.1:0", "address for the admin endpoint serving /alerts, /consumers/{id}, /dashboard.json and /metrics")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *benchConsumers > 0 {
-		return rf.run(func() error { return serveBench(*benchConsumers, *seed, *benchOut) })
 	}
 	if *weeks < *trainWeeks+2 {
 		return fmt.Errorf("serve: -weeks must be >= train+2 (%d)", *trainWeeks+2)
@@ -341,131 +333,5 @@ func streamFleet(ctx context.Context, addr string, ds *dataset.Dataset, ids []st
 			return err
 		}
 	}
-	return nil
-}
-
-// serveBench measures the service's fleet-scale footprint: bytes of heap
-// per registered consumer (the ~1KB/consumer contract) and observation
-// throughput through the sink path, without the wire.
-func serveBench(consumers int, seed int64, benchOut string) error {
-	const templates = 64
-	fmt.Printf("serve: bench — registering %d consumers over %d detector templates\n", consumers, templates)
-	ds, err := dataset.Generate(dataset.Config{Residential: templates, Weeks: 4, Seed: seed})
-	if err != nil {
-		return err
-	}
-	type tmpl struct {
-		d    *detect.KLDDetector
-		seed timeseries.Series
-	}
-	tmpls := make([]tmpl, templates)
-	for i := range tmpls {
-		d, err := detect.NewKLDDetector(ds.Consumers[i].Demand, detect.KLDConfig{})
-		if err != nil {
-			return err
-		}
-		tmpls[i] = tmpl{d: d, seed: ds.Consumers[i].Demand.MustWeek(3)}
-	}
-
-	srv, err := serve.New(serve.WithWorkers(runtime.GOMAXPROCS(0)))
-	if err != nil {
-		return err
-	}
-	defer func() { _ = srv.Close() }()
-
-	heap := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
-
-	before := heap()
-	start := time.Now()
-	for i := 0; i < consumers; i++ {
-		tm := tmpls[i%templates]
-		sd, err := tm.d.NewCompactStream(tm.seed)
-		if err != nil {
-			return err
-		}
-		if err := srv.Register(fmt.Sprintf("meter-%07d", i), sd, 0); err != nil {
-			return err
-		}
-	}
-	regElapsed := time.Since(start)
-	perConsumer := float64(heap()-before) / float64(consumers)
-
-	// Throughput: one day of readings for a rotating slice of the fleet,
-	// delivered through the sink exactly as the head-end would.
-	sink := srv.Sink()
-	feed := consumers
-	if feed > 20000 {
-		feed = 20000
-	}
-	day := make([]ami.BatchReading, timeseries.SlotsPerDay)
-	start = time.Now()
-	for i := 0; i < feed; i++ {
-		prof := tmpls[i%templates].seed
-		for s := range day {
-			day[s] = ami.BatchReading{Slot: int64(s), KW: prof[s]}
-		}
-		sink(fmt.Sprintf("meter-%07d", i), day)
-	}
-	srv.Flush()
-	obsElapsed := time.Since(start)
-	observed := srv.Stats().Observed
-	rate := float64(observed) / obsElapsed.Seconds()
-
-	fmt.Printf("serve: bench — %d consumers registered in %s, %.0f B/consumer heap\n",
-		consumers, regElapsed.Round(time.Millisecond), perConsumer)
-	fmt.Printf("serve: bench — %d observations in %s (%.0f obs/s)\n",
-		observed, obsElapsed.Round(time.Millisecond), rate)
-	if perConsumer > 1024 {
-		return fmt.Errorf("serve: bench: %.0f B/consumer exceeds the 1KB budget", perConsumer)
-	}
-
-	if benchOut == "" {
-		return nil
-	}
-	report := BenchReport{
-		Date:       time.Now().UTC().Format("2006-01-02"),
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Protocol:   "serve",
-		Results: []BenchResult{{
-			Name:       "ServeFleetFootprint",
-			Iterations: consumers,
-			NsPerOp:    float64(regElapsed.Nanoseconds()) / float64(consumers),
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			Workers:    runtime.GOMAXPROCS(0),
-			Metrics: map[string]float64{
-				"consumers":          float64(consumers),
-				"bytes_per_consumer": perConsumer,
-			},
-		}, {
-			Name:       "ServeObservePath",
-			Iterations: int(observed),
-			NsPerOp:    float64(obsElapsed.Nanoseconds()) / float64(observed),
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			Workers:    runtime.GOMAXPROCS(0),
-			Metrics: map[string]float64{
-				"observations_per_sec": rate,
-				"fed_consumers":        float64(feed),
-			},
-		}},
-	}
-	if err := os.MkdirAll(filepath.Dir(benchOut), 0o755); err != nil {
-		return err
-	}
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(benchOut, buf, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("serve: wrote %s\n", benchOut)
 	return nil
 }

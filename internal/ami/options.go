@@ -50,12 +50,6 @@ func WithWALSync(p WALSyncPolicy) Option {
 	return func(h *ShardedHeadEnd) { h.cfg.WALSync = p }
 }
 
-// WithWALSyncInterval sets the background fsync cadence under the
-// interval policy (0 = DefaultWALSyncInterval).
-func WithWALSyncInterval(d time.Duration) Option {
-	return func(h *ShardedHeadEnd) { h.cfg.WALSyncInterval = d }
-}
-
 // WithWALSegmentBytes sets the segment rotation threshold
 // (0 = DefaultWALSegmentBytes). Tests shrink it to force rotation.
 func WithWALSegmentBytes(n int64) Option {

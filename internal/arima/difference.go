@@ -23,23 +23,6 @@ func Difference(y []float64, d int) ([]float64, error) {
 	return cur, nil
 }
 
-// SeasonalDifference applies (1-B^s): each value minus the value one season
-// earlier. It is used to remove the strong weekly/daily periodicity of
-// electricity consumption before fitting a low-order ARMA.
-func SeasonalDifference(y []float64, season int) ([]float64, error) {
-	if season <= 0 {
-		return nil, fmt.Errorf("arima: season must be positive, got %d", season)
-	}
-	if len(y) <= season {
-		return nil, fmt.Errorf("arima: series of length %d too short for season %d", len(y), season)
-	}
-	out := make([]float64, len(y)-season)
-	for i := season; i < len(y); i++ {
-		out[i-season] = y[i] - y[i-season]
-	}
-	return out, nil
-}
-
 // Integrate inverts Difference: given the d last values of the original
 // series (tail, oldest first) and a differenced continuation, it rebuilds
 // the original-scale continuation. It is the forecasting-time inverse used

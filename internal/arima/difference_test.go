@@ -46,26 +46,6 @@ func TestDifferenceErrors(t *testing.T) {
 	}
 }
 
-func TestSeasonalDifference(t *testing.T) {
-	y := []float64{1, 2, 3, 11, 12, 13}
-	sd, err := SeasonalDifference(y, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range sd {
-		if v != 10 {
-			t.Errorf("seasonal diff = %v, want all 10", sd)
-			break
-		}
-	}
-	if _, err := SeasonalDifference(y, 0); err == nil {
-		t.Error("zero season should error")
-	}
-	if _, err := SeasonalDifference(y, 6); err == nil {
-		t.Error("season >= length should error")
-	}
-}
-
 func TestIntegrateRoundTrip(t *testing.T) {
 	rng := stats.NewRand(5)
 	for d := 0; d <= 2; d++ {

@@ -4,6 +4,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 // selectSeries builds a deterministic AR(2)-flavoured series long enough for
@@ -76,5 +78,52 @@ func TestFitDoesNotMutateInput(t *testing.T) {
 	}
 	if !reflect.DeepEqual(y, orig) {
 		t.Error("input series was mutated")
+	}
+}
+
+// TestSelectOrderTieBreak pins the candidate loop's reduction: a later
+// candidate replaces the running best only with a strictly lower AIC, so an
+// AIC race is decided by grid order, never by a margin. The population
+// trainer's suites are bit-identical to the reference only under this rule.
+func TestSelectOrderTieBreak(t *testing.T) {
+	// Near tie: on this AR(1) draw, ARIMA(2,0,0) lands 0.1 AIC above
+	// ARIMA(1,0,0), so any "within a margin" rule would pick it.
+	y := simulateARMA(stats.NewRand(2), 400, 2, []float64{0.5}, nil)
+	ar1, ar2 := Order{P: 1}, Order{P: 2}
+	m1, err := oracleFit(y, ar1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, err := oracleFit(y, ar2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gap := m2.AIC() - m1.AIC(); !(gap > 0 && gap <= 1) {
+		t.Fatalf("fixture drifted: AIC gap %v, want in (0, 1]", gap)
+	}
+	got, err := SelectOrder(y, []Order{ar1, ar2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Order != ar1 {
+		t.Errorf("near tie: selected %v, want the earlier, lower-AIC %v", got.Order, ar1)
+	}
+
+	// Exact tie: the grid lists ARIMA(1,0,0) twice around the worse ARIMA(2,0,0).
+	// Both visits fit the same model, so only the retained state tells them
+	// apart: the first visit's residuals go into the buffer ws.resid holds
+	// on entry, and the second visit writes into the other one.
+	ws := NewWorkspace()
+	first := make([]float64, len(y))
+	ws.resid = first
+	tf, err := SelectOrderTrained(y, []Order{ar1, ar2, ar1}, ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tf.Model.Order != ar1 {
+		t.Fatalf("exact tie: selected %v, want %v", tf.Model.Order, ar1)
+	}
+	if &tf.resid[0] != &first[0] {
+		t.Error("exact tie: the later duplicate replaced the first-listed winner")
 	}
 }

@@ -414,12 +414,6 @@ func FitTrained(y []float64, order Order, ws *Workspace) (*TrainedFit, error) {
 		return nil, err
 	}
 	ws.beginSeries()
-	return ws.fitRetained(y, order)
-}
-
-// fitRetained fits one order against the (possibly cached) shared
-// differencing state, retaining the residuals.
-func (ws *Workspace) fitRetained(y []float64, order Order) (*TrainedFit, error) {
 	sh, err := ws.diffFor(y, order.D)
 	if err != nil {
 		return nil, err
@@ -439,117 +433,17 @@ func SelectOrderTrained(y []float64, candidates []Order, ws *Workspace) (*Traine
 		return nil, fmt.Errorf("arima: no candidate orders")
 	}
 	ws.beginSeries()
-	tf, _, err := ws.selectRetainedKnown(y, candidates, nil)
-	return tf, err
+	return ws.selectRetained(y, candidates)
 }
 
-// WarmSelection reports how a warm-started order selection was resolved.
-type WarmSelection struct {
-	// WarmAccepted is true when the warm order was accepted and the
-	// candidate grid skipped.
-	WarmAccepted bool
-	// FitsSkipped is the number of candidate fits the warm start avoided
-	// relative to running the full grid.
-	FitsSkipped int
-}
-
-// SelectOrderWarmTrained performs warm-started order selection: fit the
-// warm order first and accept it — skipping the full candidate grid — when
-// its AIC is within margin of a cheap screening candidate's (the first grid
-// candidate different from the warm order). Screening can be disabled by a
-// negative margin, accepting any successful warm fit outright. On any
-// evidence against the warm order (fit failure, degenerate fit, or the
-// screen beating it by more than margin) the full grid runs, so the result
-// degrades to exactly SelectOrderTrained. The differencing cache is shared
-// between the warm, screen, and fallback fits.
-func SelectOrderWarmTrained(y []float64, candidates []Order, warm Order, margin float64, ws *Workspace) (*TrainedFit, WarmSelection, error) {
-	if len(candidates) == 0 {
-		return nil, WarmSelection{}, fmt.Errorf("arima: no candidate orders")
-	}
-	ws.beginSeries()
-	// full falls back to the grid. Fits already performed (the warm fit, the
-	// screen fit) are passed down as cached models so the fallback does not
-	// pay for them twice; the selected order is identical either way because
-	// fitting is deterministic in (series, order).
-	full := func(known ...knownFit) (*TrainedFit, WarmSelection, error) {
-		tf, refits, err := ws.selectRetainedKnown(y, candidates, known)
-		return tf, WarmSelection{FitsSkipped: len(known) - refits}, err
-	}
-	if warm.Validate() != nil {
-		return full()
-	}
-	wf, err := ws.fitRetained(y, warm)
-	if err != nil || wf.Model.Sigma2 == 0 {
-		return full()
-	}
-	accept := WarmSelection{WarmAccepted: true, FitsSkipped: len(candidates) - 1}
-	if margin < 0 {
-		return wf, accept, nil
-	}
-	var screen *Order
-	for i := range candidates {
-		if candidates[i] != warm && candidates[i].Validate() == nil {
-			screen = &candidates[i]
-			break
-		}
-	}
-	if screen == nil {
-		// The grid contains nothing but the warm order: it IS the grid.
-		return wf, accept, nil
-	}
-	accept.FitsSkipped--
-	sh, err := ws.diffFor(y, screen.D)
-	if err != nil {
-		return full(knownFit{order: warm, m: wf.Model})
-	}
-	// Note: this fit overwrites ws.resid but not wf's retained buffer.
-	sm, err := ws.fitCandidateWS(sh, *screen)
-	if err != nil {
-		return full(knownFit{order: warm, m: wf.Model})
-	}
-	if sm.Sigma2 == 0 || wf.Model.AIC() <= sm.AIC()+margin {
-		return wf, accept, nil
-	}
-	return full(knownFit{order: warm, m: wf.Model}, knownFit{order: *screen, m: sm})
-}
-
-// knownFit is a candidate fit the warm-start path already paid for, reused
-// by the grid fallback. The model must be non-degenerate (Sigma2 > 0).
-type knownFit struct {
-	order Order
-	m     *Model
-}
-
-// selectRetainedKnown is the one candidate loop. It visits the grid in
-// index order with a streaming reduction: a degenerate fit (Sigma2 == 0)
-// wins only if nothing else fits, otherwise the lowest AIC wins and ties
-// keep the earlier candidate. The running best candidate's residuals are
-// retained. Grid entries matching a known (already fitted) order reuse the
-// cached model's AIC instead of refitting, which leaves the winning order
-// unchanged; only when a cached candidate wins is one extra fit paid to
-// rematerialize its retained state. Returns the number of fits actually
-// spent on known orders (0 or 1) so callers can account for skipped work.
-func (ws *Workspace) selectRetainedKnown(y []float64, candidates []Order, known []knownFit) (*TrainedFit, int, error) {
-	cached := func(o Order) *Model {
-		for _, k := range known {
-			if k.order == o {
-				return k.m
-			}
-		}
-		return nil
-	}
+// selectRetained is the one candidate loop. It visits the grid in index
+// order with a streaming reduction: a degenerate fit (Sigma2 == 0) wins only
+// if nothing else fits, otherwise the lowest AIC wins and ties keep the
+// earlier candidate. The running best candidate's residuals are retained.
+func (ws *Workspace) selectRetained(y []float64, candidates []Order) (*TrainedFit, error) {
 	var best *TrainedFit
 	var firstErr error
 	for _, o := range candidates {
-		if m := cached(o); m != nil {
-			// Known fits are non-degenerate, so the degenerate-best rule
-			// never applies to them. z/resid stay nil: rematerialized below
-			// only if this candidate wins.
-			if best == nil || best.Model.Sigma2 == 0 || m.AIC() < best.Model.AIC() {
-				best = &TrainedFit{Model: m, y: y}
-			}
-			continue
-		}
 		if err := o.Validate(); err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -581,16 +475,7 @@ func (ws *Workspace) selectRetainedKnown(y []float64, candidates []Order, known 
 		}
 	}
 	if best == nil {
-		return nil, 0, fmt.Errorf("arima: all candidate orders failed: %w", firstErr)
+		return nil, fmt.Errorf("arima: all candidate orders failed: %w", firstErr)
 	}
-	if best.z == nil {
-		// A cached candidate won: refit it once to rebuild the retained
-		// series state (deterministic, so the model is bit-identical).
-		tf, err := ws.fitRetained(y, best.Model.Order)
-		if err != nil {
-			return nil, 1, err
-		}
-		return tf, 1, nil
-	}
-	return best, 0, nil
+	return best, nil
 }

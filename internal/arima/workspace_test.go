@@ -179,59 +179,6 @@ func TestPredictorAtBounds(t *testing.T) {
 	}
 }
 
-// TestSelectOrderWarm covers the warm-start decision rule: a good warm
-// order is accepted with the grid skipped, a hostile warm order falls back
-// to the full grid, and the fallback is bit-identical to cold selection.
-func TestSelectOrderWarm(t *testing.T) {
-	ws := NewWorkspace()
-	y := synthSeries(8*336, 99)
-	cold, err := oracleSelectOrder(y, DefaultCandidates())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Warm order = the true winner: must be accepted.
-	tf, sel, err := SelectOrderWarmTrained(y, DefaultCandidates(), cold.Order, 2.0, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sel.WarmAccepted {
-		t.Fatalf("true winner %v not warm-accepted", cold.Order)
-	}
-	if sel.FitsSkipped != len(DefaultCandidates())-2 {
-		t.Errorf("FitsSkipped = %d, want %d", sel.FitsSkipped, len(DefaultCandidates())-2)
-	}
-	modelsIdentical(t, "warm-hit", cold, tf.Model)
-
-	// Invalid warm order: full grid, bit-identical to cold selection.
-	tf, sel, err = SelectOrderWarmTrained(y, DefaultCandidates(), Order{}, 2.0, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sel.WarmAccepted {
-		t.Error("invalid warm order must not be accepted")
-	}
-	modelsIdentical(t, "warm-fallback", cold, tf.Model)
-
-	// Negative margin disables screening: any successful warm fit accepted.
-	other := Order{P: 1, D: 0, Q: 0}
-	tf, sel, err = SelectOrderWarmTrained(y, DefaultCandidates(), other, -1, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sel.WarmAccepted || tf.Model.Order != other {
-		t.Errorf("unscreened warm start: accepted=%v order=%v", sel.WarmAccepted, tf.Model.Order)
-	}
-	if sel.FitsSkipped != len(DefaultCandidates())-1 {
-		t.Errorf("unscreened FitsSkipped = %d, want %d", sel.FitsSkipped, len(DefaultCandidates())-1)
-	}
-	wantWarm, err := oracleFit(y, other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	modelsIdentical(t, "warm-forced", wantWarm, tf.Model)
-}
-
 // TestWorkspaceAllocsSteadyState: after warm-up, a workspace grid selection
 // allocates only the returned models (no per-fit buffer churn).
 func TestWorkspaceAllocsSteadyState(t *testing.T) {

@@ -62,7 +62,7 @@ func NewARIMADetector(train timeseries.Series, cfg ARIMAConfig) (*ARIMADetector,
 		return nil, err
 	}
 	train = train.Clone()
-	tf, _, err := fitARIMA(train, cfg.Order, arima.DefaultCandidates(), nil, 0, arima.NewWorkspace())
+	tf, err := fitARIMA(train, cfg.Order, arima.NewWorkspace())
 	if err != nil {
 		return nil, err
 	}
@@ -80,30 +80,21 @@ func validateARIMATrain(train timeseries.Series) error {
 }
 
 // fitARIMA is the one ARIMA fit switch behind every detector constructor: a
-// fixed order (non-zero) is fitted directly; otherwise a warm order, when
-// given, is tried against the candidate grid, and the full grid is searched
-// when not. The returned WarmSelection is nil when no warm start was
-// attempted. The fit aliases train and ws, so both must stay untouched
-// while it is in use.
-func fitARIMA(train timeseries.Series, order arima.Order, candidates []arima.Order,
-	warm *arima.Order, margin float64, ws *arima.Workspace) (*arima.TrainedFit, *arima.WarmSelection, error) {
+// fixed order (non-zero) is fitted directly; otherwise the full default
+// candidate grid is searched. The fit aliases train and ws, so both must
+// stay untouched while it is in use.
+func fitARIMA(train timeseries.Series, order arima.Order, ws *arima.Workspace) (*arima.TrainedFit, error) {
 	var tf *arima.TrainedFit
-	var sel *arima.WarmSelection
 	var err error
-	switch {
-	case order != (arima.Order{}):
+	if order != (arima.Order{}) {
 		tf, err = arima.FitTrained(train, order, ws)
-	case warm != nil:
-		var s arima.WarmSelection
-		tf, s, err = arima.SelectOrderWarmTrained(train, candidates, *warm, margin, ws)
-		sel = &s
-	default:
-		tf, err = arima.SelectOrderTrained(train, candidates, ws)
+	} else {
+		tf, err = arima.SelectOrderTrained(train, arima.DefaultCandidates(), ws)
 	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("detect: fitting ARIMA: %w", err)
+		return nil, fmt.Errorf("detect: fitting ARIMA: %w", err)
 	}
-	return tf, sel, nil
+	return tf, nil
 }
 
 // newARIMADetectorFromTrained is the one ARIMA-detector assembly. It

@@ -41,20 +41,15 @@ const (
 // The population-trainer instrument names (the fdeta_train_* namespace,
 // also owned by this package).
 const (
-	metricTrainConsumers   = "fdeta_train_consumers_total"
-	metricTrainWarmStarts  = "fdeta_train_warm_starts_total"
-	metricTrainFitsSkipped = "fdeta_train_grid_fits_skipped_total"
-	metricTrainWorkers     = "fdeta_train_workers"
+	metricTrainConsumers = "fdeta_train_consumers_total"
+	metricTrainWorkers   = "fdeta_train_workers"
 )
 
 // trainerMetrics are the population trainer's instruments.
 type trainerMetrics struct {
-	trainedOK   *obs.Counter
-	trainedErr  *obs.Counter
-	warmHits    *obs.Counter
-	warmMisses  *obs.Counter
-	fitsSkipped *obs.Counter
-	workers     *obs.Gauge
+	trainedOK  *obs.Counter
+	trainedErr *obs.Counter
+	workers    *obs.Gauge
 }
 
 func newTrainerMetrics() *trainerMetrics {
@@ -64,12 +59,6 @@ func newTrainerMetrics() *trainerMetrics {
 			"consumers processed by the population trainer, by result", obs.L("result", "ok")),
 		trainedErr: reg.Counter(metricTrainConsumers,
 			"consumers processed by the population trainer, by result", obs.L("result", "error")),
-		warmHits: reg.Counter(metricTrainWarmStarts,
-			"warm-start order selections by outcome", obs.L("outcome", "hit")),
-		warmMisses: reg.Counter(metricTrainWarmStarts,
-			"warm-start order selections by outcome", obs.L("outcome", "miss")),
-		fitsSkipped: reg.Counter(metricTrainFitsSkipped,
-			"ARIMA grid candidate fits avoided by warm starts"),
 		workers: reg.Gauge(metricTrainWorkers,
 			"worker-pool size of the most recent population training run"),
 	}
@@ -88,9 +77,6 @@ func (m *trainerMetrics) observeRun(s PopulationStats) {
 	}
 	m.trainedOK.Add(int64(s.Consumers - s.Failed))
 	m.trainedErr.Add(int64(s.Failed))
-	m.warmHits.Add(int64(s.WarmHits))
-	m.warmMisses.Add(int64(s.WarmMisses))
-	m.fitsSkipped.Add(int64(s.GridFitsSkipped))
 }
 
 // scoreBuckets span the detectors' test statistics: violation fractions in

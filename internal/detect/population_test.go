@@ -119,23 +119,20 @@ func suitesIdentical(t *testing.T, tag string, got, want *TrainedSuite) {
 	}
 }
 
-// TestPopulationExactBitIdentical is the exactness guarantee: exact-mode
-// population training must reproduce the cold reference assembly
+// TestPopulationExactBitIdentical is the exactness guarantee: population
+// training must reproduce the cold reference assembly
 // (oracleTrainedSuite) bit for bit — same models, thresholds, divergences,
 // and verdicts.
 func TestPopulationExactBitIdentical(t *testing.T) {
 	trains := popFixture(t, 6, 2, 14, 12)
 	cfg := popSuiteConfig()
-	trainer := NewPopulationTrainer(PopulationConfig{Suite: cfg, Mode: WarmStartExact, Workers: 3})
+	trainer := NewPopulationTrainer(PopulationConfig{Suite: cfg, Workers: 3})
 	res, err := trainer.TrainSeries(trains, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Stats.Consumers != len(trains) || res.Stats.Failed != 0 {
 		t.Fatalf("stats: %+v", res.Stats)
-	}
-	if res.Stats.WarmHits != 0 || res.Stats.WarmMisses != 0 || res.Stats.GridFitsSkipped != 0 {
-		t.Fatalf("exact mode must not warm-start: %+v", res.Stats)
 	}
 	for i, got := range res.Suites {
 		if res.Errors[i] != nil {
@@ -168,96 +165,54 @@ func TestPopulationExactBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPopulationWarmDeterministic: margin-mode results are identical for
-// any worker count, and warm starts actually fire.
-func TestPopulationWarmDeterministic(t *testing.T) {
-	trains := popFixture(t, 10, 3, 14, 12)
-	cfg := popSuiteConfig()
-	var base *PopulationResult
-	for _, workers := range []int{1, 4} {
-		trainer := NewPopulationTrainer(PopulationConfig{Suite: cfg, Workers: workers})
-		res, err := trainer.TrainSeries(trains, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Stats.Failed != 0 {
-			t.Fatalf("workers=%d: %d consumers failed", workers, res.Stats.Failed)
-		}
-		if base == nil {
-			base = res
-			if res.Stats.Clusters < 1 {
-				t.Fatalf("no clusters formed: %+v", res.Stats)
-			}
-			if res.Stats.WarmHits+res.Stats.WarmMisses == 0 {
-				t.Fatalf("no warm starts attempted: %+v", res.Stats)
-			}
-			if res.Stats.WarmHits > 0 && res.Stats.GridFitsSkipped == 0 {
-				t.Fatalf("warm hits without skipped fits: %+v", res.Stats)
-			}
-			continue
-		}
-		if res.Stats != base.Stats {
-			t.Fatalf("stats depend on worker count: %+v vs %+v", res.Stats, base.Stats)
-		}
-		for i := range res.Suites {
-			suitesIdentical(t, "workers", res.Suites[i], base.Suites[i])
-		}
-	}
-}
-
 // TestPopulationContainsPanic: a consumer whose training panics gets the
 // panic as its error, and every other consumer trains exactly as in a
-// clean run, at any worker count and in both modes. A panicking warm-start
-// cluster seed sends its followers to the full grid instead of crashing.
+// clean run, at any worker count.
 func TestPopulationContainsPanic(t *testing.T) {
 	trains := popFixture(t, 10, 3, 14, 12)
 	cfg := popSuiteConfig()
-	clean, err := NewPopulationTrainer(PopulationConfig{Suite: cfg, Mode: WarmStartExact}).TrainSeries(trains, 0)
+	clean, err := NewPopulationTrainer(PopulationConfig{Suite: cfg}).TrainSeries(trains, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const victim = 0 // consumer 0 is also the first warm-start cluster seed
+	const victim = 0
 	trainHook = func(i int) {
 		if i == victim {
 			panic("synthetic training crash")
 		}
 	}
 	defer func() { trainHook = nil }()
-	for _, mode := range []TrainMode{WarmStartExact, WarmStartMargin} {
-		for _, workers := range []int{1, 4} {
-			tag := fmt.Sprintf("%s/workers=%d", mode, workers)
-			res, err := NewPopulationTrainer(PopulationConfig{Suite: cfg, Mode: mode, Workers: workers}).TrainSeries(trains, 0)
-			if err != nil {
-				t.Fatalf("%s: a panicking consumer must not fail the population: %v", tag, err)
+	for _, workers := range []int{1, 4} {
+		tag := fmt.Sprintf("workers=%d", workers)
+		res, err := NewPopulationTrainer(PopulationConfig{Suite: cfg, Workers: workers}).TrainSeries(trains, 0)
+		if err != nil {
+			t.Fatalf("%s: a panicking consumer must not fail the population: %v", tag, err)
+		}
+		if res.Suites[victim] != nil || res.Errors[victim] == nil ||
+			!strings.Contains(res.Errors[victim].Error(), "synthetic training crash") {
+			t.Fatalf("%s: victim suite %v, error %v; want no suite and the panic as the error",
+				tag, res.Suites[victim], res.Errors[victim])
+		}
+		if res.Stats.Failed != 1 {
+			t.Errorf("%s: Failed = %d, want 1", tag, res.Stats.Failed)
+		}
+		if res.BusySeconds <= 0 {
+			t.Errorf("%s: BusySeconds = %g, want > 0", tag, res.BusySeconds)
+		}
+		for i := range trains {
+			if i == victim {
+				continue
 			}
-			if res.Suites[victim] != nil || res.Errors[victim] == nil ||
-				!strings.Contains(res.Errors[victim].Error(), "synthetic training crash") {
-				t.Fatalf("%s: victim suite %v, error %v; want no suite and the panic as the error",
-					tag, res.Suites[victim], res.Errors[victim])
+			if res.Errors[i] != nil {
+				t.Fatalf("%s: consumer %d: %v", tag, i, res.Errors[i])
 			}
-			if res.Stats.Failed != 1 {
-				t.Errorf("%s: Failed = %d, want 1", tag, res.Stats.Failed)
-			}
-			if res.BusySeconds <= 0 {
-				t.Errorf("%s: BusySeconds = %g, want > 0", tag, res.BusySeconds)
-			}
-			for i := range trains {
-				if i == victim {
-					continue
-				}
-				if res.Errors[i] != nil {
-					t.Fatalf("%s: consumer %d: %v", tag, i, res.Errors[i])
-				}
-				if mode == WarmStartExact {
-					suitesIdentical(t, tag, res.Suites[i], clean.Suites[i])
-				}
-			}
+			suitesIdentical(t, tag, res.Suites[i], clean.Suites[i])
 		}
 	}
 }
 
-// TestPopulationDegenerateConsumer: a flat consumer cannot be mean-
-// normalized into a cluster and must still train via the full grid.
+// TestPopulationDegenerateConsumer: a flat consumer trains via the full grid
+// to the same degenerate model as the reference.
 func TestPopulationDegenerateConsumer(t *testing.T) {
 	trains := popFixture(t, 3, 0, 14, 12)
 	flat := make(timeseries.Series, len(trains[0]))
@@ -281,8 +236,7 @@ func TestPopulationDegenerateConsumer(t *testing.T) {
 }
 
 // TestPopulationExactPaperFixture extends the exactness guarantee to the
-// paper's full 500-consumer fixture: every consumer's exact-mode model and
-// thresholds must match cold training bit for bit. Skipped in -short runs —
+// paper's full 500-consumer fixture: every consumer's model and thresholds must match cold training bit for bit. Skipped in -short runs —
 // it trains the population twice.
 func TestPopulationExactPaperFixture(t *testing.T) {
 	if testing.Short() {
@@ -300,7 +254,7 @@ func TestPopulationExactPaperFixture(t *testing.T) {
 		}
 	}
 	cfg := SuiteConfig{KLD: KLDConfig{Significance: 0.05}}
-	trainer := NewPopulationTrainer(PopulationConfig{Suite: cfg, Mode: WarmStartExact})
+	trainer := NewPopulationTrainer(PopulationConfig{Suite: cfg})
 	res, err := trainer.TrainSeries(trains, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -340,8 +294,8 @@ func TestPopulationErrors(t *testing.T) {
 	}
 }
 
-// TestPopulationFixedOrder: a pinned ARIMA order sidesteps clustering and
-// matches per-consumer training with the same order.
+// TestPopulationFixedOrder: a pinned ARIMA order skips the grid and matches
+// per-consumer training with the same order.
 func TestPopulationFixedOrder(t *testing.T) {
 	trains := popFixture(t, 3, 0, 14, 12)
 	cfg := SuiteConfig{ARIMA: ARIMAConfig{Order: arima.Order{P: 1, D: 1, Q: 0}}, KLD: KLDConfig{Significance: 0.05}}
@@ -349,9 +303,6 @@ func TestPopulationFixedOrder(t *testing.T) {
 	res, err := trainer.TrainSeries(trains, 0)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.Stats.Clusters != 0 || res.Stats.WarmHits+res.Stats.WarmMisses != 0 {
-		t.Fatalf("fixed order must not cluster or warm-start: %+v", res.Stats)
 	}
 	for i := range trains {
 		if res.Errors[i] != nil {

@@ -48,9 +48,9 @@ type TrainedSuite struct {
 }
 
 // NewTrainedSuite trains the shared artifacts on a private copy of the
-// consumer's historic readings. It is the population trainer's exact-mode
-// path for one consumer: the same fit switch and the same suite assembly,
-// with fresh scratch.
+// consumer's historic readings. It is the population trainer's path for one
+// consumer: the same fit switch and the same suite assembly, with fresh
+// scratch.
 func NewTrainedSuite(train timeseries.Series, cfg SuiteConfig) (*TrainedSuite, error) {
 	if err := validateARIMATrain(train); err != nil {
 		return nil, err
@@ -61,7 +61,7 @@ func NewTrainedSuite(train timeseries.Series, cfg SuiteConfig) (*TrainedSuite, e
 		return nil, fmt.Errorf("detect: suite training: %w", err)
 	}
 	sc := newTrainScratch()
-	tf, _, err := fitARIMA(train, cfg.ARIMA.Order, arima.DefaultCandidates(), nil, 0, sc.ws)
+	tf, err := fitARIMA(train, cfg.ARIMA.Order, sc.ws)
 	if err != nil {
 		return nil, err
 	}

@@ -295,12 +295,11 @@ type trainedConsumer struct {
 }
 
 // trainConsumers splits the consumers marked in need and trains all their
-// detector suites in one population-trainer pass: WarmStartExact, which is
-// byte-identical to training each consumer alone, or WarmStartMargin under
-// opts.WarmStart. A consumer whose split or training fails (or panics)
-// carries its error, a training error wrapped as "detector suite: ..."; a
-// failure of the population as a whole fails the call. busy is the split
-// and training work in worker-seconds.
+// detector suites in one population-trainer pass, byte-identical to
+// training each consumer alone. A consumer whose split or training fails
+// (or panics) carries its error, a training error wrapped as "detector
+// suite: ..."; a failure of the population as a whole fails the call. busy
+// is the split and training work in worker-seconds.
 func trainConsumers(consumers []dataset.Consumer, need []bool, opts Options, par int) (out []trainedConsumer, busy float64, err error) {
 	out = make([]trainedConsumer, len(consumers))
 	var trains []timeseries.Series
@@ -322,14 +321,9 @@ func trainConsumers(consumers []dataset.Consumer, need []bool, opts Options, par
 		return out, 0, nil
 	}
 	busy = clk.Since(start).Seconds()
-	mode := detect.WarmStartExact
-	if opts.WarmStart {
-		mode = detect.WarmStartMargin
-	}
 	trainer := detect.NewPopulationTrainer(detect.PopulationConfig{
 		Suite:   suiteConfig(opts),
 		Workers: par,
-		Mode:    mode,
 		Clock:   clk,
 	})
 	res, err := trainer.TrainSeries(trains, opts.TrainWeeks)
@@ -389,13 +383,11 @@ func RunEvaluation(opts Options) (*Evaluation, error) {
 	// Every consumer still to evaluate trains in one population pass before
 	// the per-consumer protocol; the population trainer registers its
 	// fdeta_train_* instruments on the detect metrics registry. Resumed
-	// consumers are not trained — except under WarmStart, whose shape
-	// clustering spans the whole population so that a resumed run's warm
-	// orders match an uninterrupted run's.
+	// consumers are not trained.
 	need := make([]bool, len(consumers))
 	for i := range consumers {
 		_, done := resumed[consumers[i].ID]
-		need[i] = !done || opts.WarmStart
+		need[i] = !done
 	}
 	trained, trainBusy, err := trainConsumers(consumers, need, opts, par)
 	if err != nil {

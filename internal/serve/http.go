@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/timeseries"
@@ -80,7 +81,7 @@ func (s *Server) Dashboard() Dashboard {
 		CoverageMean:  s.met.covMean.Value(),
 		WindowFillAvg: s.met.fillMean.Value(),
 		SlotsPerWeek:  timeseries.SlotsPerWeek,
-		UptimeSeconds: s.clock.Now().Sub(s.start).Seconds(),
+		UptimeSeconds: time.Since(s.start).Seconds(),
 	}
 }
 

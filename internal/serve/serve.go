@@ -91,19 +91,9 @@ func WithAlertLog(w interface{ Write([]byte) (int, error) }) Option {
 	return func(s *Server) { s.alertLog = newJSONLLog(w) }
 }
 
-// WithClock injects the clock stamping alert events (tests pin it).
-func WithClock(c obs.Clock) Option {
-	return func(s *Server) { s.clock = c }
-}
-
 // WithWorkers sets the observation worker count (0 = DefaultWorkers).
 func WithWorkers(n int) Option {
 	return func(s *Server) { s.workers = n }
-}
-
-// WithQueueDepth sets each worker's queue bound (0 = DefaultQueueDepth).
-func WithQueueDepth(n int) Option {
-	return func(s *Server) { s.queueDepth = n }
 }
 
 // consumer is the per-meter streaming state. The stream itself dominates
@@ -145,8 +135,6 @@ type Server struct {
 	retrain      RetrainFunc
 	retrainEvery time.Duration
 	workers      int
-	queueDepth   int
-	clock        obs.Clock
 	log          *slog.Logger
 	met          *serveMetrics
 	alertLog     *jsonlLog
@@ -192,25 +180,19 @@ func New(opts ...Option) (*Server, error) {
 	if s.workers <= 0 {
 		s.workers = DefaultWorkers
 	}
-	if s.queueDepth <= 0 {
-		s.queueDepth = DefaultQueueDepth
-	}
 	if s.retrainEvery < 0 {
 		return nil, fmt.Errorf("serve: negative retrain interval %v", s.retrainEvery)
 	}
 	if s.retrainEvery > 0 && s.retrain == nil {
 		return nil, fmt.Errorf("serve: WithRetrainInterval requires WithRetrain")
 	}
-	if s.clock == nil {
-		s.clock = obs.Wall()
-	}
 	if s.met == nil {
 		s.met = newServeMetrics(obs.NewRegistry())
 	}
-	s.start = s.clock.Now()
+	s.start = time.Now()
 	s.queues = make([]chan job, s.workers)
 	for i := range s.queues {
-		q := make(chan job, s.queueDepth)
+		q := make(chan job, DefaultQueueDepth)
 		s.queues[i] = q
 		s.wg.Add(1)
 		go s.worker(q)
@@ -406,7 +388,7 @@ func (s *Server) judge(c *consumer, slot int64, v detect.Verdict, pending *[]Ale
 func (s *Server) newEvent(c *consumer, slot int64, v detect.Verdict, ratio float64, tier string) AlertEvent {
 	return AlertEvent{
 		Seq:       s.seq.Add(1),
-		Time:      s.clock.Now().UTC(),
+		Time:      time.Now().UTC(),
 		Consumer:  c.id,
 		Tier:      tier,
 		Slot:      slot,
