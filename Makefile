@@ -47,7 +47,7 @@ race-hot:
 # and MAC check of one signed 48-reading v3 frame) is cheap, so it runs a
 # fixed 10k frames for a stable ns/reading.
 bench-quick:
-	$(GO) test -run=NONE -bench 'BenchmarkSelectOrder|BenchmarkTrainedSuite|BenchmarkKLDDetect|BenchmarkKLDTrain|BenchmarkIntegratedARIMAAttack|BenchmarkDatasetGenerate' -benchtime=1x -benchmem .
+	$(GO) test -run=NONE -bench 'BenchmarkSelectOrder|BenchmarkTrainedSuite|BenchmarkKLDDetect|BenchmarkKLDTrain|BenchmarkIntegratedARIMAAttack|BenchmarkWorstIntegrated|BenchmarkDatasetGenerate' -benchtime=1x -benchmem .
 	$(GO) test -run=NONE -bench 'BenchmarkCodecRecvBatch48' -benchtime=10000x -benchmem ./internal/ami
 
 # bench-population: smoke the population trainer on a 100-consumer, 8-week

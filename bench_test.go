@@ -30,6 +30,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/detect"
 	"repro/internal/experiments"
+	"repro/internal/pricing"
 	"repro/internal/stats"
 	"repro/internal/timeseries"
 	"repro/internal/topology"
@@ -446,6 +447,38 @@ func BenchmarkIntegratedARIMAAttack(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := attack.IntegratedARIMAAttack(det, attack.Up, attack.IntegratedARIMAConfig{}, rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkWorstIntegrated runs one direction of the evaluation's attack
+// loop at the paper's 50 trials: each trial reseeds one generator onto its
+// stream, draws an Integrated ARIMA week into a reused buffer and takes
+// the replica's verdict from the replay that generated it, and the most
+// profitable evading week is kept.
+func BenchmarkWorstIntegrated(b *testing.B) {
+	train, week := loadBenchSeries(b)
+	det, err := detect.NewIntegratedARIMADetector(train, detect.IntegratedARIMAConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	scheme := benchOptions().Scheme
+	start := timeseries.Slot(len(train))
+	normalBill := pricing.Bill(scheme, week, start)
+	overbill := func(v timeseries.Series) (float64, error) {
+		return pricing.Bill(scheme, v, start) - normalBill, nil
+	}
+	rng := stats.NewRand(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		base := int64(i)
+		_, _, err := attack.WorstCaseEvading(50, func(trial int, buf timeseries.Series) (timeseries.Series, detect.Verdict, error) {
+			rng.Seed(stats.SplitSeed(base, int64(trial)))
+			return attack.IntegratedARIMATrial(det, attack.Up, attack.IntegratedARIMAConfig{}, rng, buf)
+		}, overbill)
+		if err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -207,10 +207,10 @@ func TestDefaultCandidatesValid(t *testing.T) {
 
 func TestYuleWalkerErrors(t *testing.T) {
 	ws := NewWorkspace()
-	if _, err := ws.yuleWalkerWS([]float64{1, 2}, 5); err == nil {
+	if _, err := ws.yuleWalkerWS(&diffShared{n: 2, z: []float64{1, 2}}, 5); err == nil {
 		t.Error("p >= n should error")
 	}
-	if _, err := ws.yuleWalkerWS(make([]float64, 50), 2); err == nil {
+	if _, err := ws.yuleWalkerWS(&diffShared{n: 50, z: make([]float64, 50)}, 2); err == nil {
 		t.Error("zero-variance series should error")
 	}
 }

@@ -28,8 +28,7 @@ type Workspace struct {
 	haveDiff  [maxD + 1]bool
 	diffBuf   [maxD + 1][]float64
 
-	// Yule-Walker scratch: autocovariances and the Toeplitz system.
-	gamma     []float64
+	// Yule-Walker scratch: the Toeplitz system.
 	ywRows    [][]float64
 	ywBacking []float64
 	ywB       []float64
@@ -74,13 +73,30 @@ func growFloat(buf *[]float64, n int) []float64 {
 
 // diffShared is the per-D state a workspace computes once per series and
 // shares across every candidate with the same differencing order: the
-// differenced series, its mean, the demeaned series, and whether it is
-// constant (degenerate).
+// differenced series, its mean, the demeaned series, whether it is
+// constant (degenerate), and the autocovariances computed so far.
 type diffShared struct {
 	n       int       // observations after differencing
 	mu      float64   // mean of the differenced series
 	z       []float64 // demeaned differenced series (read-only once built)
 	allZero bool
+	gamma   []float64 // biased autocovariances γ(0..len-1) of z
+}
+
+// autocov returns γ(0..p) of the demeaned series, computing only the lags
+// no earlier candidate of this differencing order needed. Each lag is the
+// same sum in the same order whichever fit asks for it first, so sharing
+// changes no bit of any fit.
+func (sh *diffShared) autocov(p int) []float64 {
+	n := len(sh.z)
+	for lag := len(sh.gamma); lag <= p; lag++ {
+		var s float64
+		for i := 0; i+lag < n; i++ {
+			s += sh.z[i] * sh.z[i+lag]
+		}
+		sh.gamma = append(sh.gamma, s/float64(n))
+	}
+	return sh.gamma[:p+1]
 }
 
 // diffFor differences and demeans the series for order D, computing each
@@ -111,7 +127,7 @@ func (ws *Workspace) diffFor(y []float64, d int) (*diffShared, error) {
 		mu += v
 	}
 	mu /= float64(len(buf))
-	sh := diffShared{n: len(buf), mu: mu, z: buf, allZero: true}
+	sh := diffShared{n: len(buf), mu: mu, z: buf, allZero: true, gamma: ws.shared[d].gamma[:0]}
 	for i, v := range buf {
 		buf[i] = v - mu
 		if buf[i] != 0 {
@@ -122,24 +138,17 @@ func (ws *Workspace) diffFor(y []float64, d int) (*diffShared, error) {
 	return &ws.shared[d], nil
 }
 
-// yuleWalkerWS fits AR(p) coefficients to a zero-mean series via the
-// Yule-Walker equations built from sample autocovariances, with the
-// autocovariance vector and Toeplitz system in workspace buffers. The
-// returned coefficient slice aliases the workspace and is valid until the
-// next yuleWalkerWS call.
-func (ws *Workspace) yuleWalkerWS(w []float64, p int) ([]float64, error) {
-	n := len(w)
+// yuleWalkerWS fits AR(p) coefficients to the shared zero-mean series via
+// the Yule-Walker equations built from its sample autocovariances (shared
+// across the candidates of one differencing order), with the Toeplitz
+// system in workspace buffers. The returned coefficient slice aliases the
+// workspace and is valid until the next yuleWalkerWS call.
+func (ws *Workspace) yuleWalkerWS(sh *diffShared, p int) ([]float64, error) {
+	n := len(sh.z)
 	if p <= 0 || n <= p {
 		return nil, fmt.Errorf("arima: cannot fit AR(%d) to %d observations", p, n)
 	}
-	gamma := growFloat(&ws.gamma, p+1)
-	for lag := 0; lag <= p; lag++ {
-		var s float64
-		for i := 0; i+lag < n; i++ {
-			s += w[i] * w[i+lag]
-		}
-		gamma[lag] = s / float64(n)
-	}
+	gamma := sh.autocov(p)
 	if gamma[0] <= 0 {
 		return nil, fmt.Errorf("arima: zero-variance series")
 	}
@@ -273,7 +282,7 @@ func (ws *Workspace) fitCandidateWS(sh *diffShared, order Order) (*Model, error)
 	var err error
 	switch {
 	case order.Q == 0:
-		phi, err = ws.yuleWalkerWS(z, order.P)
+		phi, err = ws.yuleWalkerWS(sh, order.P)
 		if err != nil {
 			return nil, err
 		}
@@ -287,7 +296,7 @@ func (ws *Workspace) fitCandidateWS(sh *diffShared, order Order) (*Model, error)
 		if longP < order.P+order.Q {
 			longP = order.P + order.Q
 		}
-		longAR, err := ws.yuleWalkerWS(z, longP)
+		longAR, err := ws.yuleWalkerWS(sh, longP)
 		if err != nil {
 			return nil, err
 		}

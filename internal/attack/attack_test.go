@@ -381,17 +381,18 @@ func TestOptimalSwapGeneral(t *testing.T) {
 }
 
 func TestWorstCaseEvading(t *testing.T) {
-	gen := func(i int) (timeseries.Series, error) {
-		return timeseries.Series{float64(i)}, nil
+	// Detector flags everything above 5: the best evading trial is 5.
+	gen := func(flag func(float64) bool) func(int, timeseries.Series) (timeseries.Series, detect.Verdict, error) {
+		return func(i int, buf timeseries.Series) (timeseries.Series, detect.Verdict, error) {
+			v := append(buf[:0], float64(i))
+			return v, detect.Verdict{Anomalous: flag(v[0]), Score: v[0]}, nil
+		}
 	}
 	profit := func(v timeseries.Series) (float64, error) {
 		return v[0], nil // later trials more profitable
 	}
-	// Detector flags everything above 5: the best evading trial is 5.
-	check := func(v timeseries.Series) (detect.Verdict, error) {
-		return detect.Verdict{Anomalous: v[0] > 5, Score: v[0]}, nil
-	}
-	best, p, err := WorstCaseEvading(10, gen, profit, check)
+	above5 := gen(func(x float64) bool { return x > 5 })
+	best, p, err := WorstCaseEvading(10, above5, profit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,39 +400,104 @@ func TestWorstCaseEvading(t *testing.T) {
 		t.Errorf("best = %v profit %g, want trial 5", best, p)
 	}
 	// Everything flagged: fall back to the least suspicious (min score).
-	flagAll := func(v timeseries.Series) (detect.Verdict, error) {
-		return detect.Verdict{Anomalous: true, Score: v[0]}, nil
-	}
-	best, p, err = WorstCaseEvading(10, gen, profit, flagAll)
+	flagAll := gen(func(float64) bool { return true })
+	best, p, err = WorstCaseEvading(10, flagAll, profit)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if best[0] != 0 || p != 0 {
 		t.Errorf("fallback should pick min-score trial 0, got %v profit %g", best, p)
 	}
-	if _, _, err := WorstCaseEvading(0, gen, profit, check); err == nil {
-		t.Error("zero trials should error")
-	}
-}
-
-func TestWorstCasePicksMaxProfit(t *testing.T) {
-	gen := func(i int) (timeseries.Series, error) {
-		return timeseries.Series{float64(i)}, nil
-	}
-	profit := func(v timeseries.Series) (float64, error) {
-		// Profit peaks at trial 3.
+	// Profit peaking mid-run with nothing flagged: the maximum wins even
+	// though later trials overwrite the spare buffer.
+	peak := func(v timeseries.Series) (float64, error) {
 		d := v[0] - 3
 		return 10 - d*d, nil
 	}
-	best, p, err := WorstCase(10, gen, profit)
+	best, p, err = WorstCaseEvading(10, gen(func(float64) bool { return false }), peak)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if best[0] != 3 || p != 10 {
 		t.Errorf("best = %v profit %g, want [3] 10", best, p)
 	}
-	if _, _, err := WorstCase(0, gen, profit); err == nil {
+	if _, _, err := WorstCaseEvading(0, above5, profit); err == nil {
 		t.Error("zero trials should error")
+	}
+}
+
+// TestWorstCaseEvadingReusesTwoBuffers checks that a generator filling the
+// buffer it is handed costs two vectors per call, however many trials run.
+func TestWorstCaseEvadingReusesTwoBuffers(t *testing.T) {
+	seen := map[*float64]bool{}
+	gen := func(i int, buf timeseries.Series) (timeseries.Series, detect.Verdict, error) {
+		if cap(buf) < 4 {
+			buf = make(timeseries.Series, 4)
+		}
+		buf = buf[:4]
+		seen[&buf[0]] = true
+		for j := range buf {
+			buf[j] = float64(i*7%11 + j)
+		}
+		return buf, detect.Verdict{Anomalous: i%3 == 0, Score: float64(i)}, nil
+	}
+	best, p, err := WorstCaseEvading(50, gen, func(v timeseries.Series) (float64, error) { return v[0], nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 2 {
+		t.Errorf("trials used %d buffers, want 2", len(seen))
+	}
+	// i*7%11 peaks at 10 for i = 3 (flagged), 14 (evading), ...
+	if p != 10 || best[0] != 10 || best[3] != 13 {
+		t.Errorf("best = %v profit %g, want the first evading trial at 10", best, p)
+	}
+}
+
+// TestIntegratedARIMATrialMatchesDetect checks the in-replay self-check:
+// every trial's vector equals IntegratedARIMAAttack's from the same stream,
+// and its verdict equals Detect's, including for a detector whose interval
+// collapses so the truncation bound is padded.
+func TestIntegratedARIMATrialMatchesDetect(t *testing.T) {
+	train, _ := testConsumer(t, 52, 12, 10)
+	flat := make(timeseries.Series, len(train))
+	for i := range flat {
+		flat[i] = 1.5
+	}
+	for name, series := range map[string]timeseries.Series{"consumer": train, "constant": flat} {
+		det, err := detect.NewIntegratedARIMADetector(series, detect.IntegratedARIMAConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf timeseries.Series
+		for _, dir := range []Direction{Up, Down} {
+			for seed := int64(0); seed < 6; seed++ {
+				want, err := IntegratedARIMAAttack(det, dir, IntegratedARIMAConfig{}, stats.NewRand(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantV, err := det.Detect(want)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, gotV, err := IntegratedARIMATrial(det, dir, IntegratedARIMAConfig{}, stats.NewRand(seed), buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s %v seed %d: slot %d = %v, want %v", name, dir, seed, i, got[i], want[i])
+					}
+				}
+				if gotV != wantV {
+					t.Fatalf("%s %v seed %d: verdict %+v, want %+v", name, dir, seed, gotV, wantV)
+				}
+				buf = got
+			}
+		}
+	}
+	if _, _, err := IntegratedARIMATrial(nil, Up, IntegratedARIMAConfig{}, nil, nil); err == nil {
+		t.Error("nil rng should error")
 	}
 }
 

@@ -124,9 +124,37 @@ func (c IntegratedARIMAConfig) withDefaults() IntegratedARIMAConfig {
 // by construction, while deterministic patterns are avoided by the random
 // draw (Section VIII-B: "We inject attacks using random numbers...").
 func IntegratedARIMAAttack(det *detect.IntegratedARIMADetector, dir Direction, cfg IntegratedARIMAConfig, rng *rand.Rand) (timeseries.Series, error) {
+	vec, _, err := integratedARIMA(det, dir, cfg, rng, nil)
+	return vec, err
+}
+
+// IntegratedARIMATrial is one trial of the paper's attack protocol:
+// IntegratedARIMAAttack drawn into buf's storage (reallocated only when
+// buf is shorter than a week) together with Mallory's self-check. The
+// replica's tracker that bounds each draw also judges it, so the verdict
+// is exactly det.Detect(vec)'s without replaying the week a second time.
+func IntegratedARIMATrial(det *detect.IntegratedARIMADetector, dir Direction, cfg IntegratedARIMAConfig,
+	rng *rand.Rand, buf timeseries.Series) (timeseries.Series, detect.Verdict, error) {
+	vec, violations, err := integratedARIMA(det, dir, cfg, rng, buf)
+	if err != nil {
+		return nil, detect.Verdict{}, err
+	}
+	v, err := det.JudgeReplayed(vec, violations)
+	if err != nil {
+		return nil, detect.Verdict{}, fmt.Errorf("attack: self-check: %w", err)
+	}
+	return vec, v, nil
+}
+
+// integratedARIMA draws one Integrated ARIMA week into buf's storage and
+// counts the readings that fall outside the replica's confidence interval
+// — the raw Bounds(), before the truncation interval is padded — which is
+// the count the detector's own replay of the week would reach.
+func integratedARIMA(det *detect.IntegratedARIMADetector, dir Direction, cfg IntegratedARIMAConfig,
+	rng *rand.Rand, buf timeseries.Series) (vec timeseries.Series, violations int, err error) {
 	cfg = cfg.withDefaults()
 	if rng == nil {
-		return nil, fmt.Errorf("attack: rng is required")
+		return nil, 0, fmt.Errorf("attack: rng is required")
 	}
 	meanLo, meanHi := det.MeanBounds()
 	var target float64
@@ -139,7 +167,7 @@ func IntegratedARIMAAttack(det *detect.IntegratedARIMADetector, dir Direction, c
 			target = 0
 		}
 	default:
-		return nil, fmt.Errorf("attack: invalid direction %v", dir)
+		return nil, 0, fmt.Errorf("attack: invalid direction %v", dir)
 	}
 	sigma := cfg.SigmaFraction * math.Sqrt(det.VarianceCap())
 	if sigma <= 0 || math.IsNaN(sigma) {
@@ -150,11 +178,15 @@ func IntegratedARIMAAttack(det *detect.IntegratedARIMADetector, dir Direction, c
 
 	tracker, err := det.Inner().Tracker()
 	if err != nil {
-		return nil, fmt.Errorf("attack: replicating detector: %w", err)
+		return nil, 0, fmt.Errorf("attack: replicating detector: %w", err)
 	}
-	vec := make(timeseries.Series, timeseries.SlotsPerWeek)
+	if cap(buf) < timeseries.SlotsPerWeek {
+		buf = make(timeseries.Series, timeseries.SlotsPerWeek)
+	}
+	vec = buf[:timeseries.SlotsPerWeek]
 	for i := range vec {
-		lo, hi := tracker.Bounds()
+		ciLo, ciHi := tracker.Bounds()
+		lo, hi := ciLo, ciHi
 		if lo < 0 {
 			lo = 0
 		}
@@ -163,13 +195,16 @@ func IntegratedARIMAAttack(det *detect.IntegratedARIMADetector, dir Direction, c
 		}
 		tn, err := stats.NewTruncNormal(target, sigma, lo, hi)
 		if err != nil {
-			return nil, fmt.Errorf("attack: slot %d: %w", i, err)
+			return nil, 0, fmt.Errorf("attack: slot %d: %w", i, err)
 		}
 		v := tn.Sample(rng)
+		if v < ciLo || v > ciHi {
+			violations++
+		}
 		vec[i] = v
 		tracker.Observe(v)
 	}
-	return vec, nil
+	return vec, violations, nil
 }
 
 // OptimalSwap realizes the "Optimal swap attack" of Attack Classes 3A/3B
@@ -247,52 +282,34 @@ func OptimalSwapGeneral(week timeseries.Series, prices []float64) (timeseries.Se
 	return out, nil
 }
 
-// WorstCase runs the paper's multi-trial protocol (Section VIII-B): it
-// generates trials attack vectors and returns the one maximizing Mallory's
-// profit. The paper uses 50 trials "to reduce bias in the samples obtained
-// from the distribution".
-func WorstCase(trials int, gen func(trial int) (timeseries.Series, error), profit func(timeseries.Series) (float64, error)) (timeseries.Series, float64, error) {
+// WorstCaseEvading runs the paper's multi-trial protocol (Section VIII-B)
+// with the attacker's self-check: it generates trials attack vectors — 50
+// in the paper, "to reduce bias in the samples obtained from the
+// distribution" — and, because Mallory replicates the target detector,
+// returns the maximum-profit vector among those her replica does NOT flag.
+// Only when every trial is flagged does she fall back to the
+// least-suspicious (minimum-score) vector — the situation the paper
+// observes for consumers whose readings are "so low to begin with" that no
+// truncated-normal draw stays stealthy (Section VIII-F2).
+//
+// gen returns a trial's vector and the replica's verdict on it, and may
+// build the vector in buf's storage: the loop hands it back one spare
+// buffer, so a generator that reuses buf allocates two vectors per call,
+// not one per trial.
+func WorstCaseEvading(trials int, gen func(trial int, buf timeseries.Series) (timeseries.Series, detect.Verdict, error),
+	profit func(timeseries.Series) (float64, error)) (timeseries.Series, float64, error) {
 	if trials <= 0 {
 		return nil, 0, fmt.Errorf("attack: trials must be positive, got %d", trials)
 	}
-	var best timeseries.Series
-	bestProfit := math.Inf(-1)
-	for i := 0; i < trials; i++ {
-		vec, err := gen(i)
-		if err != nil {
-			return nil, 0, fmt.Errorf("attack: trial %d: %w", i, err)
-		}
-		p, err := profit(vec)
-		if err != nil {
-			return nil, 0, fmt.Errorf("attack: trial %d profit: %w", i, err)
-		}
-		if p > bestProfit {
-			bestProfit = p
-			best = vec
-		}
-	}
-	return best, bestProfit, nil
-}
-
-// WorstCaseEvading refines WorstCase with the attacker's self-check:
-// Mallory replicates the target detector, so she submits the maximum-profit
-// vector among those her replica does NOT flag. Only when every trial is
-// flagged does she fall back to the least-suspicious (minimum-score)
-// vector — the situation the paper observes for consumers whose readings
-// are "so low to begin with" that no truncated-normal draw stays stealthy
-// (Section VIII-F2).
-func WorstCaseEvading(trials int, gen func(trial int) (timeseries.Series, error),
-	profit func(timeseries.Series) (float64, error),
-	check func(timeseries.Series) (detect.Verdict, error)) (timeseries.Series, float64, error) {
-	if trials <= 0 {
-		return nil, 0, fmt.Errorf("attack: trials must be positive, got %d", trials)
-	}
-	var bestEvading, leastSuspicious timeseries.Series
+	// best holds the best evading vector once one exists, and until then
+	// the least suspicious one; spare is the buffer the next trial may fill.
+	var best, spare timeseries.Series
+	evading := false
 	bestProfit := math.Inf(-1)
 	minScore := math.Inf(1)
 	var fallbackProfit float64
 	for i := 0; i < trials; i++ {
-		vec, err := gen(i)
+		vec, v, err := gen(i, spare)
 		if err != nil {
 			return nil, 0, fmt.Errorf("attack: trial %d: %w", i, err)
 		}
@@ -300,22 +317,21 @@ func WorstCaseEvading(trials int, gen func(trial int) (timeseries.Series, error)
 		if err != nil {
 			return nil, 0, fmt.Errorf("attack: trial %d profit: %w", i, err)
 		}
-		v, err := check(vec)
-		if err != nil {
-			return nil, 0, fmt.Errorf("attack: trial %d self-check: %w", i, err)
-		}
-		if !v.Anomalous && p > bestProfit {
+		switch {
+		case !v.Anomalous && p > bestProfit:
 			bestProfit = p
-			bestEvading = vec
-		}
-		if v.Score < minScore {
+			evading = true
+		case !evading && v.Score < minScore:
 			minScore = v.Score
-			leastSuspicious = vec
 			fallbackProfit = p
+		default:
+			spare = vec
+			continue
 		}
+		best, spare = vec, best
 	}
-	if bestEvading != nil {
-		return bestEvading, bestProfit, nil
+	if evading {
+		return best, bestProfit, nil
 	}
-	return leastSuspicious, fallbackProfit, nil
+	return best, fallbackProfit, nil
 }

@@ -185,18 +185,26 @@ func (d *ARIMADetector) detectWeek(week timeseries.Series) (Verdict, error) {
 	if err := validateWeek(week); err != nil {
 		return Verdict{}, err
 	}
-	tracker, err := d.Tracker()
-	if err != nil {
-		return Verdict{}, err
-	}
-	violations := 0
+	return d.verdictFor(d.violations(week)), nil
+}
+
+// violations replays a fresh tracker over the week and counts the readings
+// outside the interval predicted for them.
+func (d *ARIMADetector) violations(week timeseries.Series) int {
+	tracker := d.tracker()
+	n := 0
 	for _, v := range week {
 		lo, hi := tracker.Bounds()
 		if v < lo || v > hi {
-			violations++
+			n++
 		}
 		tracker.Observe(v)
 	}
+	return n
+}
+
+// verdictFor judges a week from its count of out-of-interval readings.
+func (d *ARIMADetector) verdictFor(violations int) Verdict {
 	frac := float64(violations) / timeseries.SlotsPerWeek
 	verdict := Verdict{
 		Score:     frac,
@@ -207,14 +215,18 @@ func (d *ARIMADetector) detectWeek(week timeseries.Series) (Verdict, error) {
 		verdict.Reason = fmt.Sprintf("%.1f%% of readings outside the %.0f%% confidence interval",
 			100*frac, 100*d.cfg.Level)
 	}
-	return verdict, nil
+	return verdict
 }
 
 // Tracker returns a confidence-interval tracker warmed on the full training
 // series, positioned to judge the first reading after training. The tracker
 // is a cheap clone of the detector's pre-warmed predictor state.
 func (d *ARIMADetector) Tracker() (*CITracker, error) {
-	return &CITracker{pred: d.warm.Clone(), z: d.z}, nil
+	return d.tracker(), nil
+}
+
+func (d *ARIMADetector) tracker() *CITracker {
+	return &CITracker{pred: d.warm.Clone(), z: d.z}
 }
 
 // CITracker exposes the rolling one-step confidence interval. The utility's
@@ -347,13 +359,40 @@ func (d *IntegratedARIMADetector) detectWeek(week timeseries.Series) (Verdict, e
 	if err := validateWeek(week); err != nil {
 		return Verdict{}, err
 	}
-	base, err := d.inner.detectWeek(week)
-	if err != nil {
+	return d.judge(week, d.inner.violations(week)), nil
+}
+
+// JudgeReplayed returns exactly Detect(week)'s verdict for a week whose
+// ARIMA violations the caller has already counted: a tracker from
+// Inner().Tracker() replayed over the week, each reading compared against
+// the Bounds() returned just before it was observed. The Integrated ARIMA
+// attack counts them while it generates the week, so the attacker's
+// self-check costs no second replay. The verdict is counted on the
+// detector's metrics like any Detect.
+func (d *IntegratedARIMADetector) JudgeReplayed(week timeseries.Series, violations int) (Verdict, error) {
+	v, err := d.judgeReplayed(week, violations)
+	d.met.observe(v, err)
+	return v, err
+}
+
+func (d *IntegratedARIMADetector) judgeReplayed(week timeseries.Series, violations int) (Verdict, error) {
+	if err := validateWeek(week); err != nil {
 		return Verdict{}, err
 	}
+	if violations < 0 || violations > len(week) {
+		return Verdict{}, fmt.Errorf("detect: %d violations in a week of %d readings", violations, len(week))
+	}
+	return d.judge(week, violations), nil
+}
+
+// judge is the integrated judgement of a validated week with the given
+// ARIMA violation count: the inner ARIMA verdict first, then the week's
+// mean and variance against the historic bands.
+func (d *IntegratedARIMADetector) judge(week timeseries.Series, violations int) Verdict {
+	base := d.inner.verdictFor(violations)
 	if base.Anomalous {
 		base.Reason = "arima: " + base.Reason
-		return base, nil
+		return base
 	}
 	mean, std := stats.MeanStd(week)
 	variance := std * std
@@ -365,19 +404,19 @@ func (d *IntegratedARIMADetector) detectWeek(week timeseries.Series) (Verdict, e
 			Threshold: d.meanHi,
 			Reason: fmt.Sprintf("week mean %.4g outside historic band [%.4g, %.4g]",
 				mean, d.meanLo, d.meanHi),
-		}, nil
+		}
 	case variance > d.varHi:
 		return Verdict{
 			Anomalous: true,
 			Score:     variance,
 			Threshold: d.varHi,
 			Reason:    fmt.Sprintf("week variance %.4g above historic cap %.4g", variance, d.varHi),
-		}, nil
+		}
 	}
 	// Report the mean-proximity as the score for diagnostics.
 	score := 0.0
 	if d.meanHi > d.meanLo {
 		score = (mean - d.meanLo) / (d.meanHi - d.meanLo)
 	}
-	return Verdict{Score: score, Threshold: 1}, nil
+	return Verdict{Score: score, Threshold: 1}
 }

@@ -234,6 +234,53 @@ func TestIntegratedARIMADetectorVarianceCheck(t *testing.T) {
 	}
 }
 
+// TestIntegratedJudgeReplayed checks that judging a week from a caller's
+// replay count reaches Detect's verdict on every path (normal, ARIMA
+// violation, mean band) and rejects counts no replay can produce.
+func TestIntegratedJudgeReplayed(t *testing.T) {
+	train, test := testConsumer(t, 27, 16, 14)
+	d, err := NewIntegratedARIMADetector(train, IntegratedARIMAConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	normal := test.MustWeek(0)
+	zeros := make(timeseries.Series, timeseries.SlotsPerWeek)
+	doubled := normal.Scale(2)
+	for name, week := range map[string]timeseries.Series{"normal": normal, "zeros": zeros, "doubled": doubled} {
+		tr, err := d.Inner().Tracker()
+		if err != nil {
+			t.Fatal(err)
+		}
+		violations := 0
+		for _, v := range week {
+			if lo, hi := tr.Bounds(); v < lo || v > hi {
+				violations++
+			}
+			tr.Observe(v)
+		}
+		want, err := d.Detect(week)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := d.JudgeReplayed(week, violations)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s week: JudgeReplayed %+v, Detect %+v", name, got, want)
+		}
+	}
+	if _, err := d.JudgeReplayed(normal, -1); err == nil {
+		t.Error("negative violation count should error")
+	}
+	if _, err := d.JudgeReplayed(normal, len(normal)+1); err == nil {
+		t.Error("violation count above the week length should error")
+	}
+	if _, err := d.JudgeReplayed(normal[:10], 0); err == nil {
+		t.Error("short week should error")
+	}
+}
+
 func TestIntegratedARIMADetectorShortTraining(t *testing.T) {
 	if _, err := NewIntegratedARIMADetector(make(timeseries.Series, 5), IntegratedARIMAConfig{}); err == nil {
 		t.Error("short training should error")

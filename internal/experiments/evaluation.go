@@ -598,18 +598,25 @@ func evaluateConsumer(c *dataset.Consumer, opts Options, tc *trainedConsumer) co
 	// Generate the attack vectors.
 	rng := stats.SplitRand(opts.Seed, int64(c.ID))
 
-	// Class 1B and 2A/2B: worst-of-N Integrated ARIMA attack.
-	vec1B, err := worstIntegrated(integDet, attack.Up, opts, rng, func(vec timeseries.Series) (float64, error) {
+	// Every vector is a full week priced against the same normal week, so
+	// that week's bill is computed once: overbill and profit are then the
+	// same subtraction pricing.NeighbourLoss and pricing.Profit perform.
+	normalBill := pricing.Bill(opts.Scheme, normalWeek, attackStart)
+	overbill := func(vec timeseries.Series) (float64, error) {
 		// Mallory's profit from victim over-report: what the victim is
 		// overbilled (Eq. 10 summed = α).
-		return pricing.NeighbourLoss(opts.Scheme, normalWeek, vec, attackStart)
-	})
+		return pricing.Bill(opts.Scheme, vec, attackStart) - normalBill, nil
+	}
+	profit := func(vec timeseries.Series) (float64, error) {
+		return normalBill - pricing.Bill(opts.Scheme, vec, attackStart), nil
+	}
+
+	// Class 1B and 2A/2B: worst-of-N Integrated ARIMA attack.
+	vec1B, err := worstIntegrated(integDet, attack.Up, opts, rng, overbill)
 	if err != nil {
 		return fail(fmt.Errorf("1B attack: %w", err))
 	}
-	vec2A, err := worstIntegrated(integDet, attack.Down, opts, rng, func(vec timeseries.Series) (float64, error) {
-		return pricing.Profit(opts.Scheme, normalWeek, vec, attackStart)
-	})
+	vec2A, err := worstIntegrated(integDet, attack.Down, opts, rng, profit)
 	if err != nil {
 		return fail(fmt.Errorf("2A/2B attack: %w", err))
 	}
@@ -637,7 +644,7 @@ func evaluateConsumer(c *dataset.Consumer, opts Options, tc *trainedConsumer) co
 		if err != nil {
 			return 0, 0, err
 		}
-		usd, err = pricing.NeighbourLoss(opts.Scheme, normalWeek, vec, attackStart)
+		usd, err = overbill(vec)
 		return kwh, usd, err
 	}
 	gain2A := func(vec timeseries.Series) (kwh, usd float64, err error) {
@@ -645,15 +652,12 @@ func evaluateConsumer(c *dataset.Consumer, opts Options, tc *trainedConsumer) co
 		if err != nil {
 			return 0, 0, err
 		}
-		usd, err = pricing.Profit(opts.Scheme, normalWeek, vec, attackStart)
+		usd, err = profit(vec)
 		return kwh, usd, err
 	}
 	gainSwap := func(vec timeseries.Series) (kwh, usd float64, err error) {
-		usd, err = pricing.Profit(opts.Scheme, normalWeek, vec, attackStart)
-		if err != nil {
-			return 0, 0, err
-		}
-		return 0, usd, nil // a pure swap steals no net energy
+		usd, err = profit(vec)
+		return 0, usd, err // a pure swap steals no net energy
 	}
 
 	// Detector sets per scenario: the KLD rows use the price-conditioned
@@ -706,6 +710,9 @@ func evaluateConsumer(c *dataset.Consumer, opts Options, tc *trainedConsumer) co
 		}
 	}
 
+	// Each detector judges the normal test week once; the rows it serves
+	// in several scenarios share that verdict.
+	normalVerdicts := make(map[detect.Detector]detect.Verdict, 6)
 	for _, s := range Scenarios() {
 		dets := weekDetectors
 		if s == Scen3A3B {
@@ -725,9 +732,13 @@ func evaluateConsumer(c *dataset.Consumer, opts Options, tc *trainedConsumer) co
 			if err != nil {
 				return fail(fmt.Errorf("%s on %s attack: %w", dp.id, s, err))
 			}
-			normal, err := dp.det.DetectMasked(normalWeek, normalMask, opts.Quality)
-			if err != nil {
-				return fail(fmt.Errorf("%s on normal week: %w", dp.id, err))
+			normal, ok := normalVerdicts[dp.det]
+			if !ok {
+				normal, err = dp.det.DetectMasked(normalWeek, normalMask, opts.Quality)
+				if err != nil {
+					return fail(fmt.Errorf("%s on normal week: %w", dp.id, err))
+				}
+				normalVerdicts[dp.det] = normal
 			}
 			o := ConsumerOutcome{
 				ConsumerID:    c.ID,
@@ -755,15 +766,15 @@ func evaluateConsumer(c *dataset.Consumer, opts Options, tc *trainedConsumer) co
 // worstIntegrated draws opts.Trials Integrated-ARIMA vectors and keeps the
 // maximum-profit one among those Mallory's replica of the Integrated ARIMA
 // detector does not flag (Section VIII-B's 50-trial protocol plus the
-// attacker's self-check).
+// attacker's self-check, judged in the replay that generates each trial).
 func worstIntegrated(det *detect.IntegratedARIMADetector, dir attack.Direction, opts Options,
 	rng interface{ Int63() int64 }, profit func(timeseries.Series) (float64, error)) (timeseries.Series, error) {
 	base := rng.Int63()
 	// Trial t draws SplitRand(base, t)'s stream from one reseeded generator.
 	trialRNG := stats.NewRand(0)
-	vec, _, err := attack.WorstCaseEvading(opts.Trials, func(trial int) (timeseries.Series, error) {
+	vec, _, err := attack.WorstCaseEvading(opts.Trials, func(trial int, buf timeseries.Series) (timeseries.Series, detect.Verdict, error) {
 		trialRNG.Seed(stats.SplitSeed(base, int64(trial)))
-		return attack.IntegratedARIMAAttack(det, dir, attack.IntegratedARIMAConfig{}, trialRNG)
-	}, profit, det.Detect)
+		return attack.IntegratedARIMATrial(det, dir, attack.IntegratedARIMAConfig{}, trialRNG, buf)
+	}, profit)
 	return vec, err
 }

@@ -97,17 +97,6 @@ func KLDivergenceWith(p, q []float64, opts KLOptions, s *KLScratch) (float64, er
 	return d, nil
 }
 
-// MustKLDivergence is KLDivergence for callers that have already validated
-// their inputs (equal-length, nonempty, nonnegative). It panics on error and
-// exists for hot loops in the benchmark harness.
-func MustKLDivergence(p, q []float64, opts KLOptions) float64 {
-	d, err := KLDivergence(p, q, opts)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 // SymmetricKLDivergence returns D(p||q) + D(q||p), a symmetric dissimilarity
 // sometimes preferred when neither distribution is a privileged baseline.
 func SymmetricKLDivergence(p, q []float64, opts KLOptions) (float64, error) {

@@ -105,15 +105,6 @@ func TestKLDivergenceErrors(t *testing.T) {
 	}
 }
 
-func TestMustKLDivergencePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustKLDivergence should panic on invalid input")
-		}
-	}()
-	MustKLDivergence([]float64{1}, []float64{1, 2}, KLOptions{})
-}
-
 func TestSymmetricKL(t *testing.T) {
 	p := []float64{0.7, 0.3}
 	q := []float64{0.3, 0.7}
