@@ -43,12 +43,16 @@ race-hot:
 # bench-quick: one pass over the hot-path microbenchmarks — enough to catch
 # a gross perf/allocation regression without a full benchmark session. The
 # set-up path is covered by population synthesis (BenchmarkDatasetGenerate)
-# and KLD training (BenchmarkKLDTrain). The wire-codec bench (recv, decode
-# and MAC check of one signed 48-reading v3 frame) is cheap, so it runs a
-# fixed 10k frames for a stable ns/reading.
+# and KLD training (BenchmarkKLDTrain). The per-reading benches are cheap,
+# so each runs a fixed count for a stable figure: the compact KLD stream's
+# Observe on an honest and a zero-reporting (flagged) meter, 100k readings
+# each; the wire codec (recv, decode and MAC check of one signed 48-reading
+# v3 frame) and the shard store's apply of one 48-reading day frame, 10k
+# frames each.
 bench-quick:
 	$(GO) test -run=NONE -bench 'BenchmarkSelectOrder|BenchmarkTrainedSuite|BenchmarkKLDDetect|BenchmarkKLDTrain|BenchmarkIntegratedARIMAAttack|BenchmarkWorstIntegrated|BenchmarkDatasetGenerate' -benchtime=1x -benchmem .
-	$(GO) test -run=NONE -bench 'BenchmarkCodecRecvBatch48' -benchtime=10000x -benchmem ./internal/ami
+	$(GO) test -run=NONE -bench 'BenchmarkCompactKLDStreamObserve' -benchtime=100000x -benchmem .
+	$(GO) test -run=NONE -bench 'BenchmarkCodecRecvBatch48|BenchmarkShardStoreApply48' -benchtime=10000x -benchmem ./internal/ami
 
 # bench-population: smoke the population trainer on a 100-consumer, 8-week
 # fleet. BenchmarkPopulationTrain fails unless every consumer trains and the

@@ -535,23 +535,46 @@ func BenchmarkDatasetGenerate(b *testing.B) {
 }
 
 // BenchmarkCompactKLDStreamObserve measures one live reading through the
-// Section VII-D stream: rebin one slot, rescore the window.
+// Section VII-D stream: rebin one slot, and rescore the window when its
+// tally changed. "honest" replays the consumer's later training weeks
+// (each lap a different week, so a reading often changes its slot's bin);
+// "theft" is a meter reporting zero, flagged on every reading after a lap.
 func BenchmarkCompactKLDStreamObserve(b *testing.B) {
-	train, week := loadBenchSeries(b)
+	train, _ := loadBenchSeries(b)
 	det, err := detect.NewKLDDetector(train, detect.KLDConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	stream, err := det.NewCompactStream(train[:timeseries.SlotsPerWeek])
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := stream.Observe(week[i%timeseries.SlotsPerWeek]); err != nil {
-			b.Fatal(err)
-		}
+	live := train[timeseries.SlotsPerWeek:]
+	for _, bc := range []struct {
+		name    string
+		reading func(i int) float64
+	}{
+		{"honest", func(i int) float64 { return live[i%len(live)] }},
+		{"theft", func(int) float64 { return 0 }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			stream, err := det.NewCompactStream(train[:timeseries.SlotsPerWeek])
+			if err != nil {
+				b.Fatal(err)
+			}
+			var v detect.Verdict
+			for i := 0; i < timeseries.SlotsPerWeek; i++ {
+				if v, err = stream.Observe(bc.reading(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if bc.name == "theft" && !v.Anomalous {
+				b.Fatalf("a zero-reporting week is not flagged: %+v", v)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := stream.Observe(bc.reading(timeseries.SlotsPerWeek + i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

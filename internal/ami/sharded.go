@@ -44,13 +44,14 @@ type ingestJob struct {
 	shutdown bool
 }
 
-// ingestShard owns one partition of the readings store: a private map, a
-// private mutex, and an async queue drained by a dedicated worker. Meter
-// IDs are hash-partitioned across shards, so two sessions for different
-// meters on different shards never contend on a lock or a map.
+// ingestShard owns one partition of the readings store: a private map of
+// each meter's day pages, a private mutex, and an async queue drained by a
+// dedicated worker. Meter IDs are hash-partitioned across shards, so two
+// sessions for different meters on different shards never contend on a
+// lock or a map.
 type ingestShard struct {
 	mu       sync.Mutex
-	readings map[string]map[timeseries.Slot]float64
+	readings map[string]*meterPages
 
 	queue  chan ingestJob
 	stored *obs.Counter // fdeta_ami_shard_readings_total{shard=i}
@@ -105,20 +106,24 @@ func (s *ingestShard) run(log *slog.Logger) {
 			continue
 		}
 		s.mu.Lock()
-		m, ok := s.readings[job.meterID]
-		if !ok {
-			m = make(map[timeseries.Slot]float64, len(job.readings))
-			s.readings[job.meterID] = m
-		}
-		for _, r := range job.readings {
-			m[timeseries.Slot(r.Slot)] = r.KW
-		}
+		s.put(job.meterID, job.readings)
 		s.mu.Unlock()
 		s.stored.Add(int64(len(job.readings)))
 		if s.sink != nil {
 			s.sink(job.meterID, job.readings)
 		}
 	}
+}
+
+// put stores one meter's readings. Callers hold s.mu, or own the shard
+// outright during recovery.
+func (s *ingestShard) put(meterID string, rs []BatchReading) {
+	m := s.readings[meterID]
+	if m == nil {
+		m = &meterPages{pages: make(map[int64]*dayPage)}
+		s.readings[meterID] = m
+	}
+	m.put(rs)
 }
 
 // snapshot streams the shard store through write in WAL-record-sized
@@ -128,23 +133,16 @@ func (s *ingestShard) run(log *slog.Logger) {
 func (s *ingestShard) snapshot(write func(meterID string, rs []BatchReading) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	chunk := make([]BatchReading, 0, walSnapshotChunk)
+	var buf []BatchReading
 	for meterID, m := range s.readings {
-		chunk = chunk[:0]
-		for slot, kw := range m {
-			chunk = append(chunk, BatchReading{Slot: int64(slot), KW: kw})
-			if len(chunk) == walSnapshotChunk {
-				//lint:ignore lockhold snapshot must stream under the shard lock for a consistent view; write is the compactor's own file appender, not an arbitrary caller hook
-				if err := write(meterID, chunk); err != nil {
-					return err
-				}
-				chunk = chunk[:0]
-			}
-		}
-		if len(chunk) > 0 {
-			if err := write(meterID, chunk); err != nil {
+		buf = m.appendAll(buf[:0])
+		for rs := buf; len(rs) > 0; {
+			n := min(len(rs), walSnapshotChunk)
+			//lint:ignore lockhold snapshot must stream under the shard lock for a consistent view; write is the compactor's own file appender, not an arbitrary caller hook
+			if err := write(meterID, rs[:n]); err != nil {
 				return err
 			}
+			rs = rs[n:]
 		}
 	}
 	return nil
@@ -255,7 +253,7 @@ func NewSharded(shards int, opts ...Option) *ShardedHeadEnd {
 	for i := 0; i < shards; i++ {
 		label := obs.L("shard", strconv.Itoa(i))
 		s := &ingestShard{
-			readings: make(map[string]map[timeseries.Slot]float64),
+			readings: make(map[string]*meterPages),
 			sink:     sh.sink,
 			queue:    make(chan ingestJob, sh.cfg.QueueDepth),
 			stored: reg.Counter(metricShardStored,
@@ -323,17 +321,7 @@ func (sh *ShardedHeadEnd) openWALs() error {
 				"failed WAL appends, syncs, and compactions on this shard", label),
 		}
 		dir := filepath.Join(sh.cfg.WALDir, fmt.Sprintf("shard-%03d", i))
-		wal, err := openShardWAL(dir, sh.walCfg, ins, sh.log,
-			func(meterID string, rs []BatchReading) {
-				m, ok := s.readings[meterID]
-				if !ok {
-					m = make(map[timeseries.Slot]float64, len(rs))
-					s.readings[meterID] = m
-				}
-				for _, r := range rs {
-					m[timeseries.Slot(r.Slot)] = r.KW
-				}
-			})
+		wal, err := openShardWAL(dir, sh.walCfg, ins, sh.log, s.put)
 		if err != nil {
 			return err
 		}
@@ -665,7 +653,10 @@ func (sh *ShardedHeadEnd) Count(meterID string) int {
 	s := sh.shardFor(meterID)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.readings[meterID])
+	if m := s.readings[meterID]; m != nil {
+		return m.n
+	}
+	return 0
 }
 
 // Reading fetches one stored reading.
@@ -673,8 +664,10 @@ func (sh *ShardedHeadEnd) Reading(meterID string, slot timeseries.Slot) (float64
 	s := sh.shardFor(meterID)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v, ok := s.readings[meterID][slot]
-	return v, ok
+	if m := s.readings[meterID]; m != nil {
+		return m.get(int64(slot))
+	}
+	return 0, false
 }
 
 // Series assembles the dense series [0, n) for a meter. Missing slots are
@@ -684,17 +677,13 @@ func (sh *ShardedHeadEnd) Series(meterID string, n int) (timeseries.Series, erro
 	s := sh.shardFor(meterID)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m, ok := s.readings[meterID]
-	if !ok {
+	m := s.readings[meterID]
+	if m == nil {
 		return nil, fmt.Errorf("ami: no readings for meter %q", meterID)
 	}
 	out := make(timeseries.Series, n)
-	for i := 0; i < n; i++ {
-		v, ok := m[timeseries.Slot(i)]
-		if !ok {
-			return nil, fmt.Errorf("ami: meter %q missing reading for slot %d", meterID, i)
-		}
-		out[i] = v
+	if slot, ok := m.dense(out); !ok {
+		return nil, fmt.Errorf("ami: meter %q missing reading for slot %d", meterID, slot)
 	}
 	return out, nil
 }

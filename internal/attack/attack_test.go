@@ -26,6 +26,16 @@ func testConsumer(t *testing.T, seed int64, weeks, trainWeeks int) (train, test 
 	return train, test
 }
 
+// isTheft evaluates the attack condition (Eq. 1): the attacker profits when
+// the price-weighted sum of under-reported demand is positive.
+func isTheft(s pricing.Scheme, actual, reported timeseries.Series, start timeseries.Slot) (bool, error) {
+	p, err := pricing.Profit(s, actual, reported, start)
+	if err != nil {
+		return false, err
+	}
+	return p > 0, nil
+}
+
 func TestClassStrings(t *testing.T) {
 	want := []string{"1A", "2A", "3A", "1B", "2B", "3B", "4B"}
 	for i, c := range Classes() {
@@ -100,11 +110,11 @@ func TestPropositionCheckers(t *testing.T) {
 	if _, err := OverReportsSomewhere(actual, timeseries.Series{1}); err == nil {
 		t.Error("length mismatch should error")
 	}
-	theft, err := IsTheft(pricing.Flat{Rate: 0.2}, actual, under, 0)
+	theft, err := isTheft(pricing.Flat{Rate: 0.2}, actual, under, 0)
 	if err != nil || !theft {
 		t.Error("under-reporting is theft under Eq. 1")
 	}
-	if _, err := IsTheft(pricing.Flat{Rate: 0.2}, actual, timeseries.Series{1}, 0); err == nil {
+	if _, err := isTheft(pricing.Flat{Rate: 0.2}, actual, timeseries.Series{1}, 0); err == nil {
 		t.Error("length mismatch should error")
 	}
 }
@@ -126,7 +136,7 @@ func TestInjectClass1A(t *testing.T) {
 		}
 	}
 	// It is theft under any pricing scheme (Eq. 1) and satisfies Prop. 1.
-	if theft, _ := IsTheft(pricing.Nightsaver(), actual, reported, 0); !theft {
+	if theft, _ := isTheft(pricing.Nightsaver(), actual, reported, 0); !theft {
 		t.Error("class 1A must be theft")
 	}
 	if u, _ := UnderReportsSomewhere(actual, reported); !u {

@@ -130,13 +130,3 @@ func OverReportsSomewhere(actual, reported timeseries.Series) (bool, error) {
 	}
 	return false, nil
 }
-
-// IsTheft evaluates the attack condition (Eq. 1): the attacker profits when
-// the price-weighted sum of under-reported demand is positive.
-func IsTheft(s pricing.Scheme, actual, reported timeseries.Series, start timeseries.Slot) (bool, error) {
-	p, err := pricing.Profit(s, actual, reported, start)
-	if err != nil {
-		return false, err
-	}
-	return p > 0, nil
-}

@@ -49,22 +49,32 @@ import (
 // mixed window (the package tests keep that raw-window stream as a
 // reference): the window distribution is counts/336, exactly what
 // Histogram.DistributionInto computes (counts below 2^53 are exact in
-// float64), and the divergence and verdict rendering run through the same
-// stats.KLDivergenceWith and kldVerdict code paths.
+// float64), and the divergence and judgement run through the same
+// stats.KLDivergenceToBaseline and kldJudge code paths against the X
+// baseline the detector normalised at training.
+//
+// Two pieces of repeated work stay off the per-reading path. The score is a
+// function of the tally alone, so the stream remembers it: an observation
+// that leaves the tally unchanged (a reading in the slot's old bin, or a
+// Missing/Corrupt stand-in) returns the remembered score, and only a bin
+// change or a Reseed forces a rescore. And verdicts carry no reason text:
+// Reason words one, in the batch detector's words, where it is read.
 type CompactKLDStream struct {
 	name         string
 	opts         stats.KLOptions
 	edges        []float64 // B+1 frozen bin edges (head of the float buffer)
-	xprobs       []float64 // B-long X distribution (tail of the float buffer)
+	xnorm        []float64 // B-long normalised X baseline (tail of the float buffer)
 	threshold    float64
 	significance float64
 	minCov       float64
+	score        float64  // divergence of the current tally, valid while scored
 	counts       []uint16 // live tally of window slots per bin
 	bins         []uint8  // per-slot bin index (head of the byte buffer)
 	bad          []uint8  // untrusted-slot bitset (tail of the byte buffer)
 	pos          uint16
 	filled       uint16
 	nbad         uint16
+	scored       bool // score matches counts: no bin change or Reseed since it was computed
 }
 
 // compactScratch pools the probability/KL buffers for the scoring hot
@@ -77,8 +87,9 @@ const maxCompactBins = 256
 // NewCompactStream seeds a compact streaming evaluator with a trusted
 // historic week (336 readings), typically the final training week. The
 // default QualityPolicy governs ObserveStatus. The returned stream is
-// independent of the detector: it copies the frozen edges, X distribution,
-// and threshold, so the (much larger) detector may be released afterwards.
+// independent of the detector: it copies the frozen edges, normalised X
+// baseline, and threshold, so the (much larger) detector may be released
+// afterwards.
 func (d *KLDDetector) NewCompactStream(seedWeek timeseries.Series) (*CompactKLDStream, error) {
 	return d.NewCompactStreamWithPolicy(seedWeek, QualityPolicy{})
 }
@@ -101,7 +112,7 @@ func (d *KLDDetector) NewCompactStreamWithPolicy(seedWeek timeseries.Series, pol
 	if b > maxCompactBins {
 		return nil, fmt.Errorf("detect: compact stream supports <= %d bins, got %d", maxCompactBins, b)
 	}
-	// Two backing allocations: one float64 buffer for edges|xprobs, one
+	// Two backing allocations: one float64 buffer for edges|xnorm, one
 	// byte buffer for bins|bad. Full-capacity slicing keeps appends (there
 	// are none) from ever crossing the boundary.
 	fbuf := make([]float64, (b+1)+b)
@@ -110,7 +121,7 @@ func (d *KLDDetector) NewCompactStreamWithPolicy(seedWeek timeseries.Series, pol
 		name:         d.Name(),
 		opts:         d.cfg.KL,
 		edges:        fbuf[: b+1 : b+1],
-		xprobs:       fbuf[b+1:],
+		xnorm:        fbuf[b+1:],
 		threshold:    d.threshold,
 		significance: d.cfg.Significance,
 		minCov:       policy.MinCoverage,
@@ -119,7 +130,7 @@ func (d *KLDDetector) NewCompactStreamWithPolicy(seedWeek timeseries.Series, pol
 		bad:          bbuf[timeseries.SlotsPerWeek:],
 	}
 	copy(s.edges, d.hist.Edges())
-	copy(s.xprobs, d.xProbs)
+	copy(s.xnorm, d.xNorm)
 	for i, v := range seedWeek {
 		bin := stats.BinIndexEdges(s.edges, v) // validated week: never NaN
 		s.bins[i] = uint8(bin)
@@ -158,11 +169,14 @@ func (s *CompactKLDStream) ObserveStatus(v float64, status timeseries.ReadingSta
 // observations the window holds only live data and wraps around.
 func (s *CompactKLDStream) observe(bin int, status timeseries.ReadingStatus) (Verdict, error) {
 	p := int(s.pos)
+	if old := int(s.bins[p]); old != bin {
+		s.counts[old]--
+		s.counts[bin]++
+		s.bins[p] = uint8(bin)
+		s.scored = false
+	}
 	wasBad := s.badBit(p)
 	isBad := status != timeseries.StatusOK
-	s.counts[s.bins[p]]--
-	s.counts[bin]++
-	s.bins[p] = uint8(bin)
 	s.setBadBit(p, isBad)
 	if isBad && !wasBad {
 		s.nbad++
@@ -173,17 +187,29 @@ func (s *CompactKLDStream) observe(bin int, status timeseries.ReadingStatus) (Ve
 	if s.filled < timeseries.SlotsPerWeek {
 		s.filled++
 	}
-	cov := s.Coverage()
-	if cov < s.minCov {
-		return coverageVerdict(cov, s.minCov, int(s.nbad)), nil
+	if s.Coverage() < s.minCov {
+		return coverageVerdict(s.nbad), nil
 	}
 	return s.verdict()
 }
 
-// verdict scores the current window. The probabilities are counts/336 —
+// verdict judges the current window, scoring it only when the tally has
+// changed since the last score.
+func (s *CompactKLDStream) verdict() (Verdict, error) {
+	if !s.scored {
+		ka, err := s.divergence()
+		if err != nil {
+			return Verdict{}, err
+		}
+		s.score, s.scored = ka, true
+	}
+	return kldJudge(s.score, s.threshold), nil
+}
+
+// divergence scores the current tally. The probabilities are counts/336 —
 // exactly Histogram.DistributionInto's arithmetic over the raw window — so
 // the divergence matches the full detector bit for bit.
-func (s *CompactKLDStream) verdict() (Verdict, error) {
+func (s *CompactKLDStream) divergence() (float64, error) {
 	sc := compactScratch.Get().(*kldScratch)
 	if cap(sc.probs) < len(s.counts) {
 		sc.probs = make([]float64, len(s.counts))
@@ -193,12 +219,23 @@ func (s *CompactKLDStream) verdict() (Verdict, error) {
 	for i, c := range s.counts {
 		probs[i] = float64(c) / n
 	}
-	ka, err := stats.KLDivergenceWith(probs, s.xprobs, s.opts, &sc.kl)
+	ka, err := stats.KLDivergenceToBaseline(probs, s.xnorm, s.opts, &sc.kl)
 	compactScratch.Put(sc)
-	if err != nil {
-		return Verdict{}, err
+	return ka, err
+}
+
+// Reason words a verdict this stream returned (StreamDetector): the KLD
+// detector's text for a flagged window, the coverage gate's for an
+// inconclusive one, and nothing for a normal one.
+func (s *CompactKLDStream) Reason(v Verdict) string {
+	switch {
+	case v.Inconclusive:
+		return coverageReason(v.untrusted, s.minCov)
+	case v.Anomalous:
+		return kldReason(v.Score, v.Threshold, s.significance)
+	default:
+		return ""
 	}
-	return kldVerdict(ka, s.threshold, s.significance), nil
 }
 
 // Reseed swaps the trusted historic seed behind the stream — the rolling
@@ -211,6 +248,7 @@ func (s *CompactKLDStream) Reseed(seed timeseries.Series) error {
 	if err := validateWeek(seed); err != nil {
 		return err
 	}
+	s.scored = false
 	for i := 0; i < timeseries.SlotsPerWeek; i++ {
 		if s.live(i) && !s.badBit(i) {
 			continue
@@ -265,7 +303,7 @@ func (s *CompactKLDStream) Threshold() float64 { return s.threshold }
 // accounting test checks this against actual allocator growth.
 func (s *CompactKLDStream) MemoryFootprint() int {
 	return int(unsafe.Sizeof(*s)) +
-		(cap(s.edges)+cap(s.xprobs))*8 +
+		(cap(s.edges)+cap(s.xnorm))*8 +
 		cap(s.counts)*2 +
 		cap(s.bins) + cap(s.bad)
 }
@@ -288,12 +326,17 @@ func checkStreamReading(v float64) error {
 	return nil
 }
 
-// coverageVerdict is the shared below-the-gate Inconclusive verdict, worded
-// identically for every streaming evaluator.
-func coverageVerdict(cov, minCov float64, nbad int) Verdict {
-	return Verdict{
-		Inconclusive: true,
-		Reason: fmt.Sprintf("window coverage %.1f%% below the %.0f%% gate (%d of %d slots untrusted) — verdict inconclusive",
-			100*cov, 100*minCov, nbad, timeseries.SlotsPerWeek),
-	}
+// coverageVerdict is the shared below-the-gate Inconclusive verdict of
+// every streaming evaluator. It records the untrusted-slot count, and
+// coverageReason words it on demand.
+func coverageVerdict(nbad uint16) Verdict {
+	return Verdict{Inconclusive: true, untrusted: nbad}
+}
+
+// coverageReason words a coverage verdict with nbad untrusted slots. The
+// coverage is recomputed with Coverage's arithmetic.
+func coverageReason(nbad uint16, minCov float64) string {
+	cov := 1 - float64(nbad)/timeseries.SlotsPerWeek
+	return fmt.Sprintf("window coverage %.1f%% below the %.0f%% gate (%d of %d slots untrusted) — verdict inconclusive",
+		100*cov, 100*minCov, nbad, timeseries.SlotsPerWeek)
 }

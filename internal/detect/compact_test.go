@@ -11,8 +11,11 @@ import (
 // reference through an identical mixed-quality observation sequence —
 // trusted readings, gaps, corruption, a mid-stream reseed, and more than a
 // full window of wrap-around — and requires bit-identical verdicts at every
-// step. This is the contract that lets serve hold only the compact state
-// per consumer.
+// step, every field included: the compact stream's reason, rendered by
+// Reason, must read exactly as the reference's. This is the contract that
+// lets serve hold only the compact state per consumer. The reseed is
+// followed at once by a missing reading, which leaves the compact tally
+// unchanged, so a score remembered across the reseed would show.
 func TestCompactStreamMatchesFull(t *testing.T) {
 	train, test := testConsumer(t, 416, 30, 27)
 	d, err := NewKLDDetector(train, KLDConfig{})
@@ -41,6 +44,7 @@ func TestCompactStreamMatchesFull(t *testing.T) {
 		if ferr != nil {
 			return
 		}
+		cv.Reason = compact.Reason(cv)
 		if fv != cv {
 			t.Fatalf("step %d (status %v): verdict divergence:\n full    %+v\n compact %+v",
 				i, status, fv, cv)
@@ -67,7 +71,7 @@ func TestCompactStreamMatchesFull(t *testing.T) {
 			status = timeseries.StatusImputed
 		}
 		step(i, v, status)
-		if i == 170 {
+		if i == 167 { // step 168 is missing: 168%11 == 3
 			if err := full.Reseed(newSeed); err != nil {
 				t.Fatal(err)
 			}
@@ -88,6 +92,7 @@ func TestCompactStreamMatchesFull(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		cv.Reason = compact.Reason(cv)
 		if fv != cv {
 			t.Fatalf("attack step %d: verdict divergence:\n full    %+v\n compact %+v", i, fv, cv)
 		}
@@ -143,5 +148,92 @@ func TestCompactStreamFootprint(t *testing.T) {
 	const budget = 768
 	if got := s.MemoryFootprint(); got > budget {
 		t.Errorf("compact stream footprint = %d bytes, want <= %d", got, budget)
+	}
+}
+
+// TestCompactStreamObserveAllocs pins the per-reading path at zero heap
+// allocations: on an honest window, on a flagged window whether or not the
+// tally changes (the reason is worded only by Reason), and for missing
+// readings below the coverage gate.
+func TestCompactStreamObserveAllocs(t *testing.T) {
+	train, test := testConsumer(t, 419, 24, 20)
+	d, err := NewKLDDetector(train, KLDConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := train.MustWeek(train.Weeks() - 1)
+	edges := d.BinEdges()
+	top := edges[len(edges)-1]
+	const runs = 1000
+
+	cases := []struct {
+		name    string
+		observe func(s *CompactKLDStream, i int) (Verdict, error)
+		want    func(v Verdict) bool
+	}{
+		{
+			name:    "honest",
+			observe: func(s *CompactKLDStream, i int) (Verdict, error) { return s.Observe(test[i%len(test)]) },
+			want:    func(v Verdict) bool { return !v.Inconclusive },
+		},
+		{
+			// Every reading lands in its slot's old bin: the remembered score.
+			name:    "flagged, tally unchanged",
+			observe: func(s *CompactKLDStream, _ int) (Verdict, error) { return s.Observe(0) },
+			want:    func(v Verdict) bool { return v.Anomalous },
+		},
+		{
+			// Half the window in the bottom bin, half in the top, swapped
+			// every lap: each reading changes its slot's bin and rescores.
+			name: "flagged, rescored",
+			observe: func(s *CompactKLDStream, i int) (Verdict, error) {
+				if (i+i/timeseries.SlotsPerWeek)%2 == 0 {
+					return s.Observe(0)
+				}
+				return s.Observe(top)
+			},
+			want: func(v Verdict) bool { return v.Anomalous },
+		},
+		{
+			name: "missing below the gate",
+			observe: func(s *CompactKLDStream, _ int) (Verdict, error) {
+				return s.ObserveStatus(0, timeseries.StatusMissing)
+			},
+			want: func(v Verdict) bool { return v.Inconclusive },
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := d.NewCompactStream(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			i := 0
+			step := func() Verdict {
+				v, err := tc.observe(s, i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				i++
+				return v
+			}
+			// A full lap first, so the window holds only this case's data.
+			var v Verdict
+			for i < timeseries.SlotsPerWeek {
+				v = step()
+			}
+			if !tc.want(v) {
+				t.Fatalf("primed window gives %+v, not the verdict this case measures", v)
+			}
+			if v.Reason != "" {
+				t.Errorf("Observe formatted a reason %q on the per-reading path", v.Reason)
+			}
+			if allocs := testing.AllocsPerRun(runs, func() { v = step() }); allocs != 0 {
+				t.Errorf("%.1f allocations per observation, want 0", allocs)
+			}
+			if !tc.want(v) {
+				t.Errorf("last verdict %+v is not the verdict this case measures", v)
+			}
+		})
 	}
 }

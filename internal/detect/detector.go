@@ -35,6 +35,9 @@ type Verdict struct {
 	// every outage into a theft accusation. Section V-B's faulty-vs-
 	// compromised distinction demands the explicit third state instead.
 	Inconclusive bool
+	// untrusted is the number of untrusted window slots behind a streaming
+	// coverage verdict, so that StreamDetector.Reason can word it later.
+	untrusted uint16
 	// Score is the detector's test statistic for the week (violation
 	// fraction, KL divergence, reconstruction error, ...).
 	Score float64

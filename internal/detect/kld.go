@@ -117,6 +117,7 @@ type KLDDetector struct {
 	cfg       KLDConfig
 	hist      *stats.Histogram
 	xProbs    []float64         // the X distribution
+	xNorm     []float64         // X normalised once for the KL divergence (stats.KLBaseline)
 	trainK    []float64         // K_i per training week
 	refWeek   timeseries.Series // final training week, the imputation anchor
 	threshold float64
@@ -216,10 +217,16 @@ func newKLDDetector(matrix *timeseries.WeekMatrix, cfg KLDConfig, sc *kldTrainSc
 			week[idx]++
 		}
 	}
+	xProbs := hist.Probabilities()
+	xNorm, err := stats.KLBaseline(xProbs, cfg.KL)
+	if err != nil {
+		return nil, fmt.Errorf("detect: KLD baseline: %w", err)
+	}
 	d := &KLDDetector{
 		cfg:     cfg,
 		hist:    hist,
-		xProbs:  hist.Probabilities(),
+		xProbs:  xProbs,
+		xNorm:   xNorm,
 		trainK:  make([]float64, rows),
 		refWeek: matrix.Row(rows - 1).Clone(),
 		scratch: &sync.Pool{New: func() any { return &kldScratch{} }},
@@ -270,6 +277,7 @@ func (d *KLDDetector) WithSignificance(alpha float64) (*KLDDetector, error) {
 		cfg:     cfg,
 		hist:    d.hist,
 		xProbs:  d.xProbs,
+		xNorm:   d.xNorm,
 		trainK:  d.trainK, // stats.Percentile copies before sorting
 		refWeek: d.refWeek,
 		scratch: d.scratch,
@@ -304,7 +312,9 @@ func (d *KLDDetector) Divergence(week timeseries.Series) (float64, error) {
 	return k, err
 }
 
-// divergenceOf measures a binned week distribution against X.
+// divergenceOf measures a binned week distribution against X. The KL case
+// is the one the compact stream scores with too: both divide by the X
+// baseline normalised once at training.
 func (d *KLDDetector) divergenceOf(probs []float64, kl *stats.KLScratch) (float64, error) {
 	switch d.cfg.Divergence {
 	case SymmetricKL:
@@ -312,7 +322,7 @@ func (d *KLDDetector) divergenceOf(probs []float64, kl *stats.KLScratch) (float6
 	case JensenShannon:
 		return stats.JensenShannonDivergence(probs, d.xProbs, d.cfg.KL)
 	default:
-		return stats.KLDivergenceWith(probs, d.xProbs, d.cfg.KL, kl)
+		return stats.KLDivergenceToBaseline(probs, d.xNorm, d.cfg.KL, kl)
 	}
 }
 
@@ -357,21 +367,27 @@ func (d *KLDDetector) detectWeek(week timeseries.Series) (Verdict, error) {
 	if err != nil {
 		return Verdict{}, err
 	}
-	return kldVerdict(ka, d.threshold, d.cfg.Significance), nil
+	v := kldJudge(ka, d.threshold)
+	if v.Anomalous {
+		v.Reason = kldReason(ka, d.threshold, d.cfg.Significance)
+	}
+	return v, nil
 }
 
-// kldVerdict renders the KLD judgement for a computed divergence. Shared by
-// detectWeek and the compact streaming state so their verdicts — score,
-// threshold, and reason wording — are bit-identical for identical windows.
-func kldVerdict(ka, threshold, significance float64) Verdict {
-	v := Verdict{
+// kldJudge is the KLD judgement without reason text. Shared by detectWeek
+// and the compact streaming state, so their score, threshold and flag are
+// bit-identical for identical windows; the stream renders the reason only
+// when asked (CompactKLDStream.Reason), in kldReason's words.
+func kldJudge(ka, threshold float64) Verdict {
+	return Verdict{
 		Score:     ka,
 		Threshold: threshold,
 		Anomalous: ka > threshold,
 	}
-	if v.Anomalous {
-		v.Reason = fmt.Sprintf("KL divergence %.4g bits exceeds the %g%%-significance threshold %.4g",
-			ka, 100*significance, threshold)
-	}
-	return v
+}
+
+// kldReason words a flagged KLD verdict.
+func kldReason(ka, threshold, significance float64) string {
+	return fmt.Sprintf("KL divergence %.4g bits exceeds the %g%%-significance threshold %.4g",
+		ka, 100*significance, threshold)
 }

@@ -34,10 +34,15 @@ func referenceKLDDetector(matrix *timeseries.WeekMatrix, cfg KLDConfig) (*KLDDet
 	if err != nil {
 		return nil, fmt.Errorf("detect: KLD histogram: %w", err)
 	}
+	xNorm, err := stats.KLBaseline(hist.Probabilities(), cfg.KL)
+	if err != nil {
+		return nil, fmt.Errorf("detect: KLD baseline: %w", err)
+	}
 	d := &KLDDetector{
 		cfg:     cfg,
 		hist:    hist,
 		xProbs:  hist.Probabilities(),
+		xNorm:   xNorm,
 		trainK:  make([]float64, matrix.Rows()),
 		refWeek: matrix.Row(matrix.Rows() - 1).Clone(),
 		scratch: &sync.Pool{New: func() any { return &kldScratch{} }},

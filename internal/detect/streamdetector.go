@@ -33,6 +33,12 @@ type StreamDetector interface {
 	// Coverage returns the trusted fraction of the window in [0, 1].
 	Coverage() float64
 
+	// Reason words a verdict this stream returned. Observe and
+	// ObserveStatus may leave Verdict.Reason empty so that the per-reading
+	// path formats no text; Reason renders the explanation, in the words
+	// the batch detector uses, only where a caller reads it.
+	Reason(v Verdict) string
+
 	// Reseed swaps the trusted historic seed week behind the stream — the
 	// rolling re-train path. Slots holding live trusted readings are left
 	// untouched (their verdict contribution must not flip under a

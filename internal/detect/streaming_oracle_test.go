@@ -80,12 +80,17 @@ func (s *StreamingKLD) observe(v float64, status timeseries.ReadingStatus) (Verd
 	if s.filled < timeseries.SlotsPerWeek {
 		s.filled++
 	}
-	cov := s.Coverage()
-	if cov < s.policy.MinCoverage {
-		return coverageVerdict(cov, s.policy.MinCoverage, s.nbad), nil
+	if s.Coverage() < s.policy.MinCoverage {
+		v := coverageVerdict(uint16(s.nbad))
+		v.Reason = coverageReason(v.untrusted, s.policy.MinCoverage)
+		return v, nil
 	}
 	return s.det.Detect(s.window)
 }
+
+// Reason returns the verdict's text: the reference words every verdict as
+// it returns it.
+func (s *StreamingKLD) Reason(v Verdict) string { return v.Reason }
 
 // Reseed replaces every slot that holds no trusted live reading with the
 // new seed week and resets coverage to full.

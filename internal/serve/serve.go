@@ -397,7 +397,7 @@ func (s *Server) newEvent(c *consumer, slot int64, v detect.Verdict, ratio float
 		Ratio:     ratio,
 		Streak:    int(c.streak),
 		Detector:  c.stream.Name(),
-		Reason:    v.Reason,
+		Reason:    c.stream.Reason(v),
 	}
 }
 

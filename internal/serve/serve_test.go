@@ -51,6 +51,8 @@ func (f *fakeStream) ObserveStatus(_ float64, st timeseries.ReadingStatus) (dete
 	return v, nil
 }
 
+func (f *fakeStream) Reason(v detect.Verdict) string { return v.Reason }
+
 func (f *fakeStream) Filled() int { return timeseries.SlotsPerWeek }
 
 func (f *fakeStream) Coverage() float64 { return 1 }

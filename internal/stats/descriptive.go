@@ -264,38 +264,3 @@ func Autocorrelation(xs []float64, lag int) float64 {
 	}
 	return num / denom
 }
-
-// AutocorrelationFunc returns autocorrelations for lags 0..maxLag inclusive.
-func AutocorrelationFunc(xs []float64, maxLag int) []float64 {
-	if maxLag >= len(xs) {
-		maxLag = len(xs) - 1
-	}
-	if maxLag < 0 {
-		return nil
-	}
-	acf := make([]float64, maxLag+1)
-	for lag := 0; lag <= maxLag; lag++ {
-		acf[lag] = Autocorrelation(xs, lag)
-	}
-	return acf
-}
-
-// LjungBox returns the Ljung-Box portmanteau statistic over lags 1..h for
-// residual whiteness testing. Larger values indicate stronger remaining
-// autocorrelation; under the null the statistic is approximately chi-squared
-// with h degrees of freedom.
-func LjungBox(xs []float64, h int) float64 {
-	n := float64(len(xs))
-	if n == 0 || h <= 0 {
-		return math.NaN()
-	}
-	var q float64
-	for k := 1; k <= h; k++ {
-		r := Autocorrelation(xs, k)
-		if math.IsNaN(r) {
-			return math.NaN()
-		}
-		q += r * r / (n - float64(k))
-	}
-	return n * (n + 2) * q
-}

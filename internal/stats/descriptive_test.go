@@ -191,37 +191,6 @@ func TestAutocorrelation(t *testing.T) {
 	}
 }
 
-func TestAutocorrelationFunc(t *testing.T) {
-	xs := []float64{1, 2, 1, 2, 1, 2}
-	acf := AutocorrelationFunc(xs, 3)
-	if len(acf) != 4 {
-		t.Fatalf("len(acf) = %d, want 4", len(acf))
-	}
-	if !almostEqual(acf[0], 1, 1e-12) {
-		t.Errorf("acf[0] = %g, want 1", acf[0])
-	}
-	if AutocorrelationFunc(xs, -1) != nil {
-		t.Error("negative maxLag should return nil")
-	}
-	// maxLag clamped to len-1.
-	if got := AutocorrelationFunc([]float64{1, 2, 3}, 100); len(got) != 3 {
-		t.Errorf("clamped acf length = %d, want 3", len(got))
-	}
-}
-
-func TestLjungBoxWhiteNoiseSmall(t *testing.T) {
-	rng := NewRand(7)
-	white := NormalSample(rng, 500, 0, 1)
-	q := LjungBox(white, 10)
-	// Under the null, Q ~ chi2(10); its 99.9th percentile is ~29.6.
-	if q > 35 {
-		t.Errorf("LjungBox on white noise = %g, implausibly large", q)
-	}
-	if !math.IsNaN(LjungBox(nil, 5)) || !math.IsNaN(LjungBox(white, 0)) {
-		t.Error("degenerate LjungBox inputs should be NaN")
-	}
-}
-
 func TestVariancePropertyNonNegative(t *testing.T) {
 	f := func(xs []float64) bool {
 		clean := xs[:0]

@@ -61,23 +61,76 @@ func KLDivergenceWith(p, q []float64, opts KLOptions, s *KLScratch) (float64, er
 	if len(p) == 0 {
 		return math.NaN(), ErrEmpty
 	}
-	var pBuf, qBuf []float64
-	if s != nil {
-		s.pn = grow(s.pn, len(p))
-		s.qn = grow(s.qn, len(q))
-		pBuf, qBuf = s.pn, s.qn
-	} else {
-		pBuf = make([]float64, len(p))
-		qBuf = make([]float64, len(q))
-	}
-	pn, err := normalizeInto(pBuf, p, opts.Epsilon)
+	pn, err := normalizeP(p, opts, s)
 	if err != nil {
-		return math.NaN(), fmt.Errorf("stats: p: %w", err)
+		return math.NaN(), err
+	}
+	var qBuf []float64
+	if s != nil {
+		s.qn = grow(s.qn, len(q))
+		qBuf = s.qn
+	} else {
+		qBuf = make([]float64, len(q))
 	}
 	qn, err := normalizeInto(qBuf, q, opts.Epsilon)
 	if err != nil {
 		return math.NaN(), fmt.Errorf("stats: q: %w", err)
 	}
+	return klNormalized(pn, qn, opts), nil
+}
+
+// KLBaseline returns the baseline distribution q in the form
+// KLDivergenceToBaseline takes: smoothed by opts.Epsilon and scaled to sum
+// to one, exactly as KLDivergence normalises q on every call. A detector
+// whose baseline is frozen at training normalises it once here.
+func KLBaseline(q []float64, opts KLOptions) ([]float64, error) {
+	if len(q) == 0 {
+		return nil, ErrEmpty
+	}
+	qn, err := normalize(q, opts.Epsilon)
+	if err != nil {
+		return nil, fmt.Errorf("stats: q: %w", err)
+	}
+	return qn, nil
+}
+
+// KLDivergenceToBaseline is KLDivergenceWith(p, q, opts, s) for a baseline
+// already normalised by KLBaseline(q, opts): only p is normalised per call.
+// The arithmetic is otherwise identical, so the result is bit-for-bit
+// KLDivergenceWith's.
+func KLDivergenceToBaseline(p, qn []float64, opts KLOptions, s *KLScratch) (float64, error) {
+	if len(p) != len(qn) {
+		return math.NaN(), fmt.Errorf("stats: distribution length mismatch %d vs %d", len(p), len(qn))
+	}
+	if len(p) == 0 {
+		return math.NaN(), ErrEmpty
+	}
+	pn, err := normalizeP(p, opts, s)
+	if err != nil {
+		return math.NaN(), err
+	}
+	return klNormalized(pn, qn, opts), nil
+}
+
+// normalizeP normalises the candidate distribution p into s's buffer (or a
+// fresh one when s is nil).
+func normalizeP(p []float64, opts KLOptions, s *KLScratch) ([]float64, error) {
+	var pBuf []float64
+	if s != nil {
+		s.pn = grow(s.pn, len(p))
+		pBuf = s.pn
+	} else {
+		pBuf = make([]float64, len(p))
+	}
+	pn, err := normalizeInto(pBuf, p, opts.Epsilon)
+	if err != nil {
+		return nil, fmt.Errorf("stats: p: %w", err)
+	}
+	return pn, nil
+}
+
+// klNormalized is Eq. 12 over two normalised distributions of equal length.
+func klNormalized(pn, qn []float64, opts KLOptions) float64 {
 	logDenom := math.Log(opts.logBase())
 	var d float64
 	for j := range pn {
@@ -85,7 +138,7 @@ func KLDivergenceWith(p, q []float64, opts KLOptions, s *KLScratch) (float64, er
 			continue
 		}
 		if qn[j] == 0 {
-			return math.Inf(1), nil
+			return math.Inf(1)
 		}
 		d += pn[j] * math.Log(pn[j]/qn[j]) / logDenom
 	}
@@ -94,7 +147,7 @@ func KLDivergenceWith(p, q []float64, opts KLOptions, s *KLScratch) (float64, er
 	if d < 0 && d > -1e-12 {
 		d = 0
 	}
-	return d, nil
+	return d
 }
 
 // SymmetricKLDivergence returns D(p||q) + D(q||p), a symmetric dissimilarity

@@ -187,3 +187,46 @@ func TestJSDSymmetryProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestKLDivergenceToBaselineMatches: a baseline normalised once by
+// KLBaseline gives KLDivergenceWith's divergence bit for bit, zero bins and
+// both smoothing settings included, and the same errors.
+func TestKLDivergenceToBaselineMatches(t *testing.T) {
+	rng := NewRand(6)
+	var sc KLScratch
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(17)
+		p := make([]float64, n)
+		q := make([]float64, n)
+		for i := range p {
+			if rng.Intn(4) > 0 {
+				p[i] = float64(rng.Intn(50))
+			}
+			if rng.Intn(4) > 0 {
+				q[i] = rng.Float64()
+			}
+		}
+		opts := []KLOptions{DefaultKLOptions(), {Base: 2}, {Epsilon: 1e-3, Base: math.E}}[trial%3]
+		want, werr := KLDivergenceWith(p, q, opts, &sc)
+		qn, qerr := KLBaseline(q, opts)
+		if qerr != nil {
+			if werr == nil {
+				t.Fatalf("trial %d: KLBaseline(%v) = %v, but KLDivergenceWith accepts it", trial, q, qerr)
+			}
+			continue
+		}
+		got, gerr := KLDivergenceToBaseline(p, qn, opts, &sc)
+		if (gerr == nil) != (werr == nil) {
+			t.Fatalf("trial %d: error %v, KLDivergenceWith %v", trial, gerr, werr)
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: D(%v || %v) = %v, KLDivergenceWith %v", trial, p, q, got, want)
+		}
+	}
+	if _, err := KLDivergenceToBaseline([]float64{1}, []float64{0.5, 0.5}, KLOptions{}, nil); err == nil {
+		t.Error("mismatched lengths should error")
+	}
+	if _, err := KLBaseline(nil, KLOptions{}); err == nil {
+		t.Error("an empty baseline should error")
+	}
+}
