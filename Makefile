@@ -17,8 +17,9 @@ fmt-check:
 		echo "gofmt drift in:"; echo "$$drift"; exit 1; fi
 
 # lint: the F-DETA domain linter — determinism, metric namespace, float
-# comparison hygiene, goroutine tracking, wire-error wrapping, plus the
-# call-summary concurrency checks (lockhold, chanbound, blockctx). Prints
+# comparison hygiene, goroutine tracking, wire-error wrapping, the
+# call-summary concurrency checks (lockhold, chanbound, blockctx), and
+# deadapi (no exported internal/ API without a non-test user). Prints
 # one summary line per analyzer (packages / findings / suppressions); exits
 # non-zero on any unsuppressed finding.
 lint:

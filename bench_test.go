@@ -283,21 +283,6 @@ func BenchmarkAblationBinStrategy(b *testing.B) {
 	}
 }
 
-func BenchmarkCIRidingComparison(b *testing.B) {
-	opts := benchOptions()
-	opts.MaxConsumers = 12
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.CIRidingComparison(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		printTable("EXTENSION: band-riding hauls (poisonable ARIMA vs frozen seasonal-naive)",
-			fmt.Sprintf("ARIMA %.0f kWh vs seasonal-naive %.0f kWh (median per-consumer ratio %.1fx)",
-				res.ARIMAHaulKWh, res.NaiveHaulKWh, res.MedianRatio))
-		b.ReportMetric(res.MedianRatio, "haul-ratio")
-	}
-}
-
 // --- Component microbenchmarks -------------------------------------------
 
 // benchSeries caches one consumer's series for the microbenchmarks.
@@ -363,28 +348,36 @@ func BenchmarkSelectOrder(b *testing.B) {
 	candidates := arima.DefaultCandidates()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := arima.SelectOrder(train, candidates); err != nil {
+		if _, err := arima.SelectOrderTrained(train, candidates, arima.NewWorkspace()); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkTrainedSuite trains every Table II/III detector row from one
-// series — the fit-once path evaluateConsumer uses. Compare with the sum of
-// BenchmarkARIMAFit (×2 in the seed pipeline) + 2×BenchmarkKLDTrain + the
-// price-KLD constructions to see what sharing saves.
+// series through the population trainer — the fit-once path the evaluation
+// uses. Compare with the sum of BenchmarkARIMAFit (×2 in the seed pipeline)
+// + 2×BenchmarkKLDTrain + the price-KLD constructions to see what sharing
+// saves.
 func BenchmarkTrainedSuite(b *testing.B) {
 	train, _ := loadBenchSeries(b)
 	scheme := benchOptions().Scheme
 	tierFn := func(slot int) int { return int(scheme.TierOf(timeseries.Slot(slot))) }
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_, err := detect.NewTrainedSuite(train, detect.SuiteConfig{
+	trainer := detect.NewPopulationTrainer(detect.PopulationConfig{
+		Suite: detect.SuiteConfig{
 			KLD:      detect.KLDConfig{Significance: 0.05},
 			PriceKLD: detect.PriceKLDConfig{NTiers: 2, Tier: tierFn, Significance: 0.05},
-		})
+		},
+		Workers: 1,
+	})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := trainer.TrainSeries([]timeseries.Series{train}, 0)
 		if err != nil {
 			b.Fatal(err)
+		}
+		if res.Stats.Failed > 0 {
+			b.Fatal(res.Errors[0])
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"os/signal"
 	"syscall"
@@ -19,7 +20,7 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // statsLine renders the head-end's ingestion counters for the periodic and
@@ -37,7 +38,7 @@ func statsLine(head *ami.ShardedHeadEnd) string {
 	return line
 }
 
-func run(args []string, out io.Writer) int {
+func run(args []string, out, errOut io.Writer) int {
 	fs := flag.NewFlagSet("amiserver", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:7425", "listen address")
 	statsEvery := fs.Duration("stats", 5*time.Second, "statistics print interval")
@@ -49,12 +50,16 @@ func run(args []string, out io.Writer) int {
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (e.g. 127.0.0.1:9090; empty = no listener)")
 	walDir := fs.String("wal-dir", "", "per-shard write-ahead log directory: readings are logged before ack and replayed on startup (the shard count is pinned into the log; empty = no durability)")
 	walSync := fs.String("wal-sync", "", "WAL sync policy: always (fsync before every ack), interval (background fsync cadence), off (sync on close only); empty = interval")
+	fs.SetOutput(errOut)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	// Warnings the head-end can only log (a torn WAL tail truncated, a
+	// compaction or sync failure) reach the operator on stderr.
+	obs.EnableLogging(errOut, slog.LevelWarn)
 	walPolicy, err := ami.ParseWALSyncPolicy(*walSync)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "amiserver:", err)
+		fmt.Fprintln(errOut, "amiserver:", err)
 		return 2
 	}
 
@@ -76,7 +81,7 @@ func run(args []string, out io.Writer) int {
 	defer func() { _ = head.Close() }()
 	if *walDir != "" {
 		if err := head.WALError(); err != nil {
-			fmt.Fprintln(os.Stderr, "amiserver:", err)
+			fmt.Fprintln(errOut, "amiserver:", err)
 			return 1
 		}
 		w := head.WALStats()
@@ -88,7 +93,7 @@ func run(args []string, out io.Writer) int {
 		// the ones behind head.Stats().
 		srv, err := obs.ServeAdmin(*metricsAddr, head.Metrics())
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "amiserver:", err)
+			fmt.Fprintln(errOut, "amiserver:", err)
 			return 1
 		}
 		defer func() { _ = srv.Close() }()
@@ -96,7 +101,7 @@ func run(args []string, out io.Writer) int {
 	}
 	bound, err := head.Listen(*addr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "amiserver:", err)
+		fmt.Fprintln(errOut, "amiserver:", err)
 		return 1
 	}
 	fmt.Fprintf(out, "amiserver: head-end listening on %s (max-conns %d, idle-timeout %s, drain %s)\n",
@@ -118,14 +123,14 @@ func run(args []string, out io.Writer) int {
 		case <-stop:
 			fmt.Fprintln(out, "amiserver: shutting down")
 			if err := head.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "amiserver: close:", err)
+				fmt.Fprintln(errOut, "amiserver: close:", err)
 				return 1
 			}
 			fmt.Fprintf(out, "amiserver: done — %s\n", statsLine(head))
 			return 0
 		case <-deadline:
 			if err := head.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "amiserver: close:", err)
+				fmt.Fprintln(errOut, "amiserver: close:", err)
 				return 1
 			}
 			fmt.Fprintf(out, "amiserver: done — %s\n", statsLine(head))

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
@@ -39,7 +41,7 @@ func TestAmiserverCollectsAndExits(t *testing.T) {
 	var out syncBuffer
 	done := make(chan int, 1)
 	go func() {
-		done <- run([]string{"-addr", "127.0.0.1:0", "-duration", "500ms", "-stats", "100ms"}, &out)
+		done <- run([]string{"-addr", "127.0.0.1:0", "-duration", "500ms", "-stats", "100ms"}, &out, os.Stderr)
 	}()
 
 	// Wait for the bound address to appear in the output.
@@ -91,7 +93,7 @@ func TestAmiserverSIGTERMWithIdleConnExitsWithinDrain(t *testing.T) {
 	var out syncBuffer
 	done := make(chan int, 1)
 	go func() {
-		done <- run([]string{"-addr", "127.0.0.1:0", "-drain", "200ms", "-stats", "1h"}, &out)
+		done <- run([]string{"-addr", "127.0.0.1:0", "-drain", "200ms", "-stats", "1h"}, &out, os.Stderr)
 	}()
 
 	var addr string
@@ -154,7 +156,7 @@ func TestAmiserverMetricsEndpoint(t *testing.T) {
 	done := make(chan int, 1)
 	go func() {
 		done <- run([]string{"-addr", "127.0.0.1:0", "-metrics-addr", "127.0.0.1:0",
-			"-duration", "600ms", "-stats", "1h"}, &out)
+			"-duration", "600ms", "-stats", "1h"}, &out, os.Stderr)
 	}()
 
 	var addr, metricsAddr string
@@ -219,11 +221,11 @@ func TestAmiserverMetricsEndpoint(t *testing.T) {
 
 func TestAmiserverBadFlags(t *testing.T) {
 	var out bytes.Buffer
-	if code := run([]string{"-bogus"}, &out); code != 2 {
+	if code := run([]string{"-bogus"}, &out, os.Stderr); code != 2 {
 		t.Error("unknown flag should exit 2")
 	}
 	// Unbindable address.
-	if code := run([]string{"-addr", "256.0.0.1:99999"}, &out); code != 1 {
+	if code := run([]string{"-addr", "256.0.0.1:99999"}, &out, os.Stderr); code != 1 {
 		t.Error("bad address should exit 1")
 	}
 }
@@ -257,7 +259,7 @@ func TestAmiserverWALAckedReadingSurvivesSIGTERMRestart(t *testing.T) {
 		done := make(chan int, 1)
 		go func() {
 			done <- run([]string{"-addr", "127.0.0.1:0", "-shards", "2",
-				"-wal-dir", walDir, "-wal-sync", "interval", "-stats", "1h"}, &out)
+				"-wal-dir", walDir, "-wal-sync", "interval", "-stats", "1h"}, &out, os.Stderr)
 		}()
 		addr := waitForAddr(t, &out)
 
@@ -309,7 +311,7 @@ func TestAmiserverWALFlagValidation(t *testing.T) {
 		var out syncBuffer
 		done := make(chan int, 1)
 		go func() {
-			done <- run([]string{"-addr", "127.0.0.1:0", "-wal-dir", walDir, "-stats", "1h"}, &out)
+			done <- run([]string{"-addr", "127.0.0.1:0", "-wal-dir", walDir, "-stats", "1h"}, &out, os.Stderr)
 		}()
 		addr := waitForAddr(t, &out)
 		c, err := ami.Dial(addr, "m1", time.Second)
@@ -343,7 +345,7 @@ func TestAmiserverWALFlagValidation(t *testing.T) {
 	}
 
 	var out bytes.Buffer
-	if code := run([]string{"-shards", "2", "-wal-dir", t.TempDir(), "-wal-sync", "sometimes"}, &out); code != 2 {
+	if code := run([]string{"-shards", "2", "-wal-dir", t.TempDir(), "-wal-sync", "sometimes"}, &out, os.Stderr); code != 2 {
 		t.Errorf("bad -wal-sync exited %d, want 2", code)
 	}
 }
@@ -356,7 +358,7 @@ func TestAmiserverWALShardCountMismatchRefuses(t *testing.T) {
 	done := make(chan int, 1)
 	go func() {
 		done <- run([]string{"-addr", "127.0.0.1:0", "-shards", "2",
-			"-wal-dir", walDir, "-duration", "100ms", "-stats", "1h"}, &out)
+			"-wal-dir", walDir, "-duration", "100ms", "-stats", "1h"}, &out, os.Stderr)
 	}()
 	select {
 	case code := <-done:
@@ -369,7 +371,43 @@ func TestAmiserverWALShardCountMismatchRefuses(t *testing.T) {
 
 	var out2 bytes.Buffer
 	if code := run([]string{"-addr", "127.0.0.1:0", "-shards", "4",
-		"-wal-dir", walDir, "-duration", "100ms"}, &out2); code != 1 {
+		"-wal-dir", walDir, "-duration", "100ms"}, &out2, os.Stderr); code != 1 {
 		t.Fatalf("shard-count mismatch exited %d, want 1", code)
+	}
+}
+
+// A WAL tail cut mid-record by a crash is truncated on restart, and the
+// head-end's warning about it reaches the operator on stderr.
+func TestAmiserverTornTailWarnsOnStderr(t *testing.T) {
+	walDir := t.TempDir()
+	args := []string{"-addr", "127.0.0.1:0", "-wal-dir", walDir, "-duration", "100ms", "-stats", "1h"}
+	var out syncBuffer
+	if code := run(args, &out, os.Stderr); code != 0 {
+		t.Fatalf("first run exited %d: %s", code, out.String())
+	}
+	segs, err := filepath.Glob(filepath.Join(walDir, "shard-*", "wal-*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no WAL segment after the first run (glob error %v)", err)
+	}
+	f, err := os.OpenFile(segs[len(segs)-1], os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{0xde, 0xad, 0xbe}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var out2, errOut syncBuffer
+	if code := run(args, &out2, &errOut); code != 0 {
+		t.Fatalf("restart exited %d: %s%s", code, out2.String(), errOut.String())
+	}
+	if !strings.Contains(out2.String(), "1 torn tails truncated") {
+		t.Fatalf("restart did not truncate the torn tail: %q", out2.String())
+	}
+	if !strings.Contains(errOut.String(), "wal torn tail truncated") {
+		t.Fatalf("torn-tail warning missing from stderr: %q", errOut.String())
 	}
 }

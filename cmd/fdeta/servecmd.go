@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
@@ -53,6 +54,9 @@ func cmdServe(args []string) error {
 	if *meters < 2 {
 		return fmt.Errorf("serve: -meters must be >= 2")
 	}
+	// Warnings the service and its head-end can only log (an alert-log
+	// append or WAL failure) reach the operator on stderr.
+	obs.EnableLogging(os.Stderr, slog.LevelWarn)
 	return rf.run(func() error {
 		return runServe(*meters, *weeks, *trainWeeks, *seed, *shards, *theftFrac,
 			*alertOut, *retrainEvery, *adminAddr, *smoke)

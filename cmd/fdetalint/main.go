@@ -2,7 +2,9 @@
 // with the stdlib go/* toolchain and enforces the reproduction's invariants
 // — determinism of the evaluation packages, the fdeta_* metric namespace,
 // float-comparison hygiene, goroutine tracking in the AMI/evaluation worker
-// pools, and typed errors across the ami wire boundary.
+// pools, typed errors across the ami wire boundary, the concurrency checks
+// (lockhold, chanbound, blockctx), and deadapi: no exported identifier in
+// internal/ without a non-test user in the module.
 //
 // Usage:
 //

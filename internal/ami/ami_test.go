@@ -72,14 +72,6 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadingMsgToReading(t *testing.T) {
-	m := &ReadingMsg{MeterID: "m1", Slot: 7, KW: 2.5}
-	id, slot, kw := m.ToReading()
-	if id != "m1" || slot != 7 || kw != 2.5 {
-		t.Error("conversion wrong")
-	}
-}
-
 func startHeadEnd(t *testing.T) (*ShardedHeadEnd, string) {
 	t.Helper()
 	h := NewSharded(1)

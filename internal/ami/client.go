@@ -151,14 +151,6 @@ func (c *Client) recvReply(want byte) ([]byte, error) {
 	}
 }
 
-// Version returns the negotiated wire version (WireV1 for Dial/DialAuth
-// sessions, the head-end's answer for DialBatch sessions).
-func (c *Client) Version() int { return c.version }
-
-// MaxBatch returns the head-end's advertised readings-per-frame cap, or 0
-// on a v1 session.
-func (c *Client) MaxBatch() int { return c.maxBatch }
-
 // Bind switches the connection to a different meter ID (v3 only). This is
 // what lets one TCP connection multiplex a fleet of simulated meters: a
 // load harness worker binds, sends a batch, and rebinds without paying a

@@ -332,7 +332,7 @@ func TestSendAllWrappedErrorsClassify(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = rc.Close() }()
-	err = rc.SendAll([]meter.Reading{{MeterID: "m1", Slot: 0, KW: 1}})
+	err = rc.SendAllContext(context.Background(), []meter.Reading{{MeterID: "m1", Slot: 0, KW: 1}})
 	if err == nil {
 		t.Fatal("SendAll with a bad key should fail")
 	}

@@ -100,7 +100,7 @@ func TestStatsMatchesRegistry(t *testing.T) {
 
 	// Per-message ingest latency is observed exactly once per accepted
 	// reading (rejections bail out before the ack cycle completes).
-	hist := reg.Histogram("fdeta_ami_ingest_latency_seconds", "", obs.LatencyBuckets())
+	hist := reg.Histogram("fdeta_ami_ingest_latency_seconds", "", obs.FineLatencyBuckets())
 	if got := hist.Count(); got != uint64(wantAccepted) {
 		t.Errorf("latency observations = %d, want %d", got, wantAccepted)
 	}

@@ -50,18 +50,6 @@ func WithWALSync(p WALSyncPolicy) Option {
 	return func(h *ShardedHeadEnd) { h.cfg.WALSync = p }
 }
 
-// WithWALSegmentBytes sets the segment rotation threshold
-// (0 = DefaultWALSegmentBytes). Tests shrink it to force rotation.
-func WithWALSegmentBytes(n int64) Option {
-	return func(h *ShardedHeadEnd) { h.cfg.WALSegmentBytes = n }
-}
-
-// WithWALCompactBytes sets the sealed-bytes threshold that triggers
-// snapshot+truncate compaction (0 = DefaultWALCompactBytes).
-func WithWALCompactBytes(n int64) Option {
-	return func(h *ShardedHeadEnd) { h.cfg.WALCompactBytes = n }
-}
-
 // WithMetrics registers the head-end's instruments on reg instead of a
 // private registry, so an admin endpoint (obs.ServeAdmin) can export them.
 func WithMetrics(reg *obs.Registry) Option {

@@ -124,11 +124,6 @@ func sleepContext(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// Send delivers one reading with the background context.
-func (rc *ReliableClient) Send(r meter.Reading) error {
-	return rc.SendContext(context.Background(), r)
-}
-
 // SendContext delivers one reading, redialing on transport errors (and
 // transient rejections such as a busy head-end) up to the retry budget,
 // backing off exponentially with jitter between attempts. Permanent
@@ -163,11 +158,6 @@ func (rc *ReliableClient) SendContext(ctx context.Context, r meter.Reading) erro
 		rc.drop()
 	}
 	return fmt.Errorf("ami: giving up after %d attempts: %w", rc.retries, lastErr)
-}
-
-// SendAll delivers a batch with the background context.
-func (rc *ReliableClient) SendAll(rs []meter.Reading) error {
-	return rc.SendAllContext(context.Background(), rs)
 }
 
 // SendAllContext delivers a batch. On a v1 client each reading is retried

@@ -154,7 +154,7 @@ func TestReliableClientSurvivesConnectionChaos(t *testing.T) {
 	const n = 40
 	for s := 0; s < n; s++ {
 		r := meter.Reading{MeterID: "m1", Slot: timeseries.Slot(s), KW: float64(s) + 0.25}
-		if err := rc.Send(r); err != nil {
+		if err := rc.SendContext(context.Background(), r); err != nil {
 			t.Fatalf("slot %d: %v", s, err)
 		}
 	}
@@ -186,7 +186,7 @@ func TestReliableClientGivesUpEventually(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	err = rc.Send(meter.Reading{MeterID: "m1", Slot: 0, KW: 1})
+	err = rc.SendContext(context.Background(), meter.Reading{MeterID: "m1", Slot: 0, KW: 1})
 	if err == nil {
 		t.Fatal("send to dead upstream should fail")
 	}
@@ -210,7 +210,7 @@ func TestReliableClientDoesNotRetryRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = rc.Close() }()
-	err = rc.Send(meter.Reading{MeterID: "m1", Slot: 0, KW: 1})
+	err = rc.SendContext(context.Background(), meter.Reading{MeterID: "m1", Slot: 0, KW: 1})
 	if err == nil {
 		t.Fatal("bad key should be rejected")
 	}
@@ -246,7 +246,7 @@ func TestReliableClientSendAll(t *testing.T) {
 	for i := range rs {
 		rs[i] = meter.Reading{MeterID: "m1", Slot: timeseries.Slot(i), KW: 2}
 	}
-	if err := rc.SendAll(rs); err != nil {
+	if err := rc.SendAllContext(context.Background(), rs); err != nil {
 		t.Fatal(err)
 	}
 	head.Flush()

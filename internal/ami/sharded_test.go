@@ -27,8 +27,8 @@ func TestShardedServesV1Clients(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.Version() != WireV1 {
-		t.Fatalf("v1 dial negotiated version %d", c.Version())
+	if c.version != WireV1 {
+		t.Fatalf("v1 dial negotiated version %d", c.version)
 	}
 	for s := 0; s < 5; s++ {
 		if err := c.Send(meter.Reading{MeterID: "m1", Slot: timeseries.Slot(s), KW: float64(s)}); err != nil {

@@ -38,8 +38,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-
-	"repro/internal/timeseries"
 )
 
 // Message types carried in a JSON Envelope.
@@ -296,9 +294,4 @@ func (c *Codec) sendError(code, msg string) error {
 		return c.writeFrames(appendErrorFrame(c.out[:0], code, msg))
 	}
 	return c.Send(&Envelope{Type: TypeError, Code: code, Error: msg})
-}
-
-// ToReading converts a wire message into the meter-domain reading type.
-func (m *ReadingMsg) ToReading() (id string, slot timeseries.Slot, kw float64) {
-	return m.MeterID, timeseries.Slot(m.Slot), m.KW
 }

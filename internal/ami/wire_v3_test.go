@@ -3,6 +3,7 @@ package ami
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
@@ -189,11 +190,11 @@ func TestBatchSessionEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.Version() != WireV3 {
-		t.Fatalf("negotiated version = %d, want %d", c.Version(), WireV3)
+	if c.version != WireV3 {
+		t.Fatalf("negotiated version = %d, want %d", c.version, WireV3)
 	}
-	if c.MaxBatch() != 16 {
-		t.Fatalf("negotiated max batch = %d, want 16", c.MaxBatch())
+	if c.maxBatch != 16 {
+		t.Fatalf("negotiated max batch = %d, want 16", c.maxBatch)
 	}
 
 	const n = 40 // forces chunking: 16 + 16 + 8
@@ -990,7 +991,7 @@ func TestReliableBatchClientDelivers(t *testing.T) {
 	for i := range rs {
 		rs[i] = meter.Reading{MeterID: "m1", Slot: timeseries.Slot(i), KW: 1.25}
 	}
-	if err := rc.SendAll(rs); err != nil {
+	if err := rc.SendAllContext(context.Background(), rs); err != nil {
 		t.Fatal(err)
 	}
 	head.Flush()

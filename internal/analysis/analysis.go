@@ -60,6 +60,7 @@ func Analyzers() []*Analyzer {
 		newLockhold(),
 		newChanbound(),
 		newBlockctx(),
+		newDeadAPI(),
 	}
 }
 

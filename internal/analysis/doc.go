@@ -17,6 +17,12 @@
 //     leak class PR 4 fixed by hand.
 //   - wrapcheck: errors crossing the internal/ami wire boundary are typed
 //     or %w-wrapped, never stringly matched.
+//   - lockhold, chanbound, blockctx: no blocking work under a mutex,
+//     explicit channel capacities, and a way out of every exported
+//     blocking call in ami, serve and obs (call-summary engine).
+//   - deadapi: every exported identifier declared in internal/ is referred
+//     to by some non-test file of the module outside its own declaration;
+//     code only tests use lives in the test files.
 //
 // Findings carry exact positions and can be suppressed in place with
 //

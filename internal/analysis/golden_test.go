@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -59,7 +60,15 @@ func goldenLoad(t *testing.T, rel string) (*Module, *Package) {
 		t.Fatalf("fixture %s has type errors: %v", rel, pkg.TypeErrors)
 	}
 	mod := &Module{Dir: golden.modDir, ModPath: golden.modPath, Fset: golden.fset,
-		Pkgs: []*Package{pkg}, byPath: map[string]*Package{path: pkg}}
+		Pkgs: []*Package{pkg}}
+	// Fixture packages the fixture imports from beneath its own directory
+	// belong to its module, so uses across packages count.
+	for p, sub := range golden.pkgs {
+		if strings.HasPrefix(p, path+"/") {
+			mod.Pkgs = append(mod.Pkgs, sub)
+		}
+	}
+	sort.Slice(mod.Pkgs, func(i, j int) bool { return mod.Pkgs[i].Path < mod.Pkgs[j].Path })
 	return mod, pkg
 }
 
@@ -100,7 +109,7 @@ func extractWants(pkg *Package) []want {
 
 func TestGolden(t *testing.T) {
 	for _, name := range []string{"determinism", "metricnames", "floatcmp", "goroutines", "wrapcheck",
-		"lockhold", "chanbound", "blockctx"} {
+		"lockhold", "chanbound", "blockctx", "deadapi"} {
 		t.Run(name, func(t *testing.T) {
 			t.Run("bad", func(t *testing.T) {
 				mod, pkg := goldenLoad(t, name+"/bad")
@@ -164,7 +173,7 @@ func TestGoldenSuppression(t *testing.T) {
 	}
 
 	cmod := &Module{Dir: mod.Dir, ModPath: mod.ModPath, Fset: fset,
-		Pkgs: []*Package{clone}, byPath: map[string]*Package{pkg.Path: clone}}
+		Pkgs: []*Package{clone}}
 	idx := newSuppressionIndex(cmod)
 	if len(idx.malformed) > 0 {
 		t.Fatalf("rewritten directives malformed: %v", idx.malformed[0])

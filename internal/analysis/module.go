@@ -51,13 +51,9 @@ type Module struct {
 	// Pkgs are the loaded packages sorted by import path.
 	Pkgs []*Package
 
-	byPath map[string]*Package
 	// summaries is the lazily built call-summary index (Summaries).
 	summaries *callSummaries
 }
-
-// Lookup returns the loaded package with the given import path, or nil.
-func (m *Module) Lookup(path string) *Package { return m.byPath[path] }
 
 // errNoGoFiles marks a directory with no buildable (non-test) Go files;
 // the parse-only module walk skips such directories silently.
@@ -325,7 +321,7 @@ func LoadModule(dir string) (*Module, error) {
 		return nil, err
 	}
 
-	mod := &Module{Dir: root, ModPath: modPath, Fset: l.fset, byPath: make(map[string]*Package)}
+	mod := &Module{Dir: root, ModPath: modPath, Fset: l.fset}
 	for _, dir := range pkgDirs {
 		rel, err := filepath.Rel(root, dir)
 		if err != nil {
@@ -343,7 +339,6 @@ func LoadModule(dir string) (*Module, error) {
 			return nil, fmt.Errorf("loading %s: %w", path, err)
 		}
 		mod.Pkgs = append(mod.Pkgs, pkg)
-		mod.byPath[path] = pkg
 	}
 	sort.Slice(mod.Pkgs, func(i, j int) bool { return mod.Pkgs[i].Path < mod.Pkgs[j].Path })
 	return mod, nil
@@ -366,7 +361,7 @@ func ParseModule(dir string) (*Module, error) {
 		return nil, err
 	}
 	l := newLoader(root, modPath)
-	mod := &Module{Dir: root, ModPath: modPath, Fset: l.fset, byPath: make(map[string]*Package)}
+	mod := &Module{Dir: root, ModPath: modPath, Fset: l.fset}
 	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -393,7 +388,6 @@ func ParseModule(dir string) (*Module, error) {
 			return err
 		}
 		mod.Pkgs = append(mod.Pkgs, pkg)
-		mod.byPath[ipath] = pkg
 		return nil
 	})
 	if err != nil {
@@ -401,43 +395,4 @@ func ParseModule(dir string) (*Module, error) {
 	}
 	sort.Slice(mod.Pkgs, func(i, j int) bool { return mod.Pkgs[i].Path < mod.Pkgs[j].Path })
 	return mod, nil
-}
-
-// LoadPackage loads a single directory as a package of the module that
-// contains it, resolving module-internal imports from source. The golden
-// tests use it to type-check analyzer fixtures under testdata/ (which the
-// module walk deliberately skips).
-func LoadPackage(dir string) (*Module, *Package, error) {
-	root, err := FindModuleRoot(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	gomod, err := os.ReadFile(filepath.Join(root, "go.mod"))
-	if err != nil {
-		return nil, nil, err
-	}
-	modPath, err := modulePath(gomod)
-	if err != nil {
-		return nil, nil, err
-	}
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	rel, err := filepath.Rel(root, abs)
-	if err != nil {
-		return nil, nil, err
-	}
-	path := modPath
-	if rel != "." {
-		path = modPath + "/" + filepath.ToSlash(rel)
-	}
-	l := newLoader(root, modPath)
-	pkg, err := l.load(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	mod := &Module{Dir: root, ModPath: modPath, Fset: l.fset,
-		Pkgs: []*Package{pkg}, byPath: map[string]*Package{path: pkg}}
-	return mod, pkg, nil
 }

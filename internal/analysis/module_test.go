@@ -23,6 +23,16 @@ func writeModule(t *testing.T, files map[string]string) string {
 	return root
 }
 
+// lookup returns the loaded package with the given import path, or nil.
+func lookup(mod *Module, path string) *Package {
+	for _, pkg := range mod.Pkgs {
+		if pkg.Path == path {
+			return pkg
+		}
+	}
+	return nil
+}
+
 func TestLoadModuleParseError(t *testing.T) {
 	root := writeModule(t, map[string]string{
 		"go.mod":  "module scratch\n\ngo 1.24\n",
@@ -43,7 +53,7 @@ func TestLoadModuleTypeError(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadModule: %v (type errors must load, not abort)", err)
 	}
-	pkg := mod.Lookup("scratch/lib")
+	pkg := lookup(mod, "scratch/lib")
 	if pkg == nil {
 		t.Fatal("scratch/lib not loaded")
 	}
@@ -89,7 +99,7 @@ func TestLoadModuleImportCycle(t *testing.T) {
 	}
 	// Or it may load with type errors recording the cycle per package.
 	for _, path := range []string{"scratch/a", "scratch/b"} {
-		pkg := mod.Lookup(path)
+		pkg := lookup(mod, path)
 		if pkg != nil && len(pkg.TypeErrors) > 0 {
 			return
 		}
@@ -166,7 +176,7 @@ func TestLoadModuleBuildTags(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadModule: %v (constrained-out files must be skipped)", err)
 	}
-	pkg := mod.Lookup("scratch/lib")
+	pkg := lookup(mod, "scratch/lib")
 	if pkg == nil {
 		t.Fatal("scratch/lib not loaded")
 	}
@@ -191,7 +201,7 @@ func TestLoadModuleGeneratedFiles(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadModule: %v", err)
 	}
-	pkg := mod.Lookup("scratch/lib")
+	pkg := lookup(mod, "scratch/lib")
 	if pkg == nil {
 		t.Fatal("scratch/lib not loaded")
 	}
@@ -216,10 +226,10 @@ func TestLoadModuleAllFilesExcluded(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadModule: %v (fully excluded directories must be skipped)", err)
 	}
-	if mod.Lookup("scratch/tools") != nil {
+	if lookup(mod, "scratch/tools") != nil {
 		t.Fatal("fully excluded directory still loaded as a package")
 	}
-	if mod.Lookup("scratch/lib") == nil {
+	if lookup(mod, "scratch/lib") == nil {
 		t.Fatal("scratch/lib not loaded")
 	}
 }
@@ -264,7 +274,7 @@ func TestSummariesSkipTypeErrorPackages(t *testing.T) {
 		switch fs.Pkg.Path {
 		case "scratch/ok":
 			okSummaries++
-			if !fs.Can(maskOf(opChan)) {
+			if fs.mask&maskOf(opChan) == 0 {
 				t.Errorf("%s not marked as a channel op", fs.Fn.Name())
 			}
 		case "scratch/bad":

@@ -135,9 +135,6 @@ type FuncSummary struct {
 	calls  []callSite
 }
 
-// Can reports whether the function can transitively reach any op in m.
-func (s *FuncSummary) Can(m opMask) bool { return s.mask&m != 0 }
-
 // CanBlockIndefinitely reports whether the function can block with no
 // bound it controls: channel ops, network IO, sleeps, waits.
 func (s *FuncSummary) CanBlockIndefinitely() bool { return s.mask&indefiniteBlocking != 0 }

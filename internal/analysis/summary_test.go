@@ -45,7 +45,7 @@ func pure(a, b int) int { return a + b }
 		if fs == nil {
 			t.Fatalf("no summary for %s", name)
 		}
-		if !fs.Can(maskOf(opChan)) {
+		if fs.mask&maskOf(opChan) == 0 {
 			t.Errorf("%s does not reach the channel send transitively", name)
 		}
 		if !fs.CanBlockIndefinitely() {
@@ -78,10 +78,10 @@ func Inline(ch chan int) {
 	func() { ch <- 1 }()
 }
 `)
-	if fns["Spawn"].Can(maskOf(opChan)) {
+	if fns["Spawn"].mask&maskOf(opChan) != 0 {
 		t.Error("goroutine body leaked into the spawner's summary")
 	}
-	if !fns["Inline"].Can(maskOf(opChan)) {
+	if fns["Inline"].mask&maskOf(opChan) == 0 {
 		t.Error("invoked-at-definition literal not folded into the caller")
 	}
 }
@@ -106,10 +106,10 @@ func Put(ch chan int, v int) {
 	}
 }
 `)
-	if fns["TryPut"].Can(maskOf(opChan)) {
+	if fns["TryPut"].mask&maskOf(opChan) != 0 {
 		t.Error("select-with-default counted as a blocking channel op")
 	}
-	if !fns["Put"].Can(maskOf(opChan)) {
+	if fns["Put"].mask&maskOf(opChan) == 0 {
 		t.Error("defaultless select not counted as a channel op")
 	}
 }
@@ -134,16 +134,16 @@ func Persist(f *os.File, b []byte) error {
 // Convert only converts and calls builtins: no ops.
 func Convert(v int) string { return string(rune(v)) }
 `)
-	if !fns["Hook"].Can(maskOf(opCallback)) {
+	if fns["Hook"].mask&maskOf(opCallback) == 0 {
 		t.Error("func-typed parameter invocation not classified as a callback")
 	}
 	if fns["Hook"].CanBlockIndefinitely() {
 		t.Error("a callback alone must not count as indefinite blocking")
 	}
-	if !fns["Nap"].Can(maskOf(opSleep)) || !fns["Nap"].CanBlockIndefinitely() {
+	if fns["Nap"].mask&maskOf(opSleep) == 0 || !fns["Nap"].CanBlockIndefinitely() {
 		t.Error("time.Sleep not classified as an indefinitely blocking sleep")
 	}
-	if !fns["Persist"].Can(maskOf(opFileIO)) {
+	if fns["Persist"].mask&maskOf(opFileIO) == 0 {
 		t.Error("os.File.Write not classified as file IO")
 	}
 	if fns["Persist"].CanBlockIndefinitely() {

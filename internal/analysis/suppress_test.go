@@ -76,7 +76,7 @@ func parseOne(t *testing.T, src string) *Module {
 		Source: map[string][]byte{"x.go": []byte(src)}}
 	p.Files = append(p.Files, f)
 	return &Module{Dir: ".", ModPath: "scratch", Fset: fset,
-		Pkgs: []*Package{p}, byPath: map[string]*Package{"scratch/x": p}}
+		Pkgs: []*Package{p}}
 }
 
 func TestSuppressionTargeting(t *testing.T) {

@@ -41,7 +41,7 @@ const (
 func Register(reg *obs.Registry) {
 	reg.Counter(metricRequests, "requests served", obs.L("result", "ok"))
 	reg.Counter(metricRequests, "requests served", obs.L("result", "error"))
-	reg.Histogram(metricLatency, "request latency", obs.LatencyBuckets())
+	reg.Histogram(metricLatency, "request latency", obs.FineLatencyBuckets())
 }
 
 // RegisterTrainer registers the trainer-shaped instruments.
@@ -71,7 +71,7 @@ func RegisterWAL(reg *obs.Registry, shards []string) {
 		reg.Counter(metricWALTorn, "torn tails truncated per shard", obs.L("shard", s))
 		reg.Gauge(metricWALSegments, "live segment bytes per shard", obs.L("shard", s))
 	}
-	reg.Histogram(metricWALSync, "fsync latency", obs.LatencyBuckets())
+	reg.Histogram(metricWALSync, "fsync latency", obs.FineLatencyBuckets())
 }
 
 // RegisterServe registers the streaming-service-shaped instruments:

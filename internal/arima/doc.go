@@ -1,8 +1,8 @@
 // Package arima implements AutoRegressive Integrated Moving Average models
 // from scratch on the Go standard library: differencing, Yule-Walker and
 // least-squares AR estimation, Hannan-Rissanen ARMA estimation, AIC-based
-// order selection, and h-step forecasting with normal-theory confidence
-// intervals.
+// order selection, and rolling one-step forecasting with its standard
+// error.
 //
 // F-DETA's baseline detectors (the ARIMA detector and the Integrated ARIMA
 // detector of ref [2] in the paper) consume exactly two things from this

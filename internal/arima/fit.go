@@ -45,18 +45,6 @@ type Model struct {
 	LogLik float64   // Gaussian log-likelihood (conditional)
 }
 
-// Fit estimates an ARIMA model of the given order from y using the
-// Hannan-Rissanen procedure: difference, demean, fit a long AR to estimate
-// innovations, then regress on lagged values and lagged innovations. It is
-// FitTrained through a fresh workspace, keeping only the model.
-func Fit(y []float64, order Order) (*Model, error) {
-	tf, err := FitTrained(y, order, NewWorkspace())
-	if err != nil {
-		return nil, err
-	}
-	return tf.Model, nil
-}
-
 // residualsZ computes conditional one-step residuals on a zero-mean
 // differenced series using the fitted coefficients. Pre-sample values and
 // innovations are taken as zero.
@@ -118,18 +106,6 @@ func clampInvertible(theta []float64) []float64 {
 func (m *Model) AIC() float64 {
 	k := float64(len(m.Phi) + len(m.Theta) + 2) // + mean + variance
 	return 2*k - 2*m.LogLik
-}
-
-// SelectOrder fits every order in the candidate grid and returns the model
-// minimizing AIC. Orders that fail to fit are skipped; an error is returned
-// only when every candidate fails. It is SelectOrderTrained through a fresh
-// workspace, keeping only the model.
-func SelectOrder(y []float64, candidates []Order) (*Model, error) {
-	tf, err := SelectOrderTrained(y, candidates, NewWorkspace())
-	if err != nil {
-		return nil, err
-	}
-	return tf.Model, nil
 }
 
 // DefaultCandidates is a small grid of orders suitable for half-hourly

@@ -1,127 +1,5 @@
 package arima
 
-import (
-	"fmt"
-	"math"
-
-	"repro/internal/stats"
-)
-
-// Forecast holds h-step-ahead point forecasts and their standard errors.
-type Forecast struct {
-	Point []float64 // point forecasts, horizon 1..h
-	Sigma []float64 // forecast standard errors per horizon
-}
-
-// Interval returns the two-sided confidence interval at the given level
-// (e.g. 0.95) for horizon step i (0-based).
-func (f *Forecast) Interval(level float64, i int) (lo, hi float64) {
-	if i < 0 || i >= len(f.Point) || level <= 0 || level >= 1 {
-		return math.NaN(), math.NaN()
-	}
-	z := stats.StdNormalQuantile(0.5 + level/2)
-	return f.Point[i] - z*f.Sigma[i], f.Point[i] + z*f.Sigma[i]
-}
-
-// PsiWeights returns the first n psi (MA-infinity) weights of the ARIMA
-// process, including the effect of differencing. Forecast error variance at
-// horizon h is Sigma2 * Σ_{j<h} psi_j².
-func (m *Model) PsiWeights(n int) []float64 {
-	if n <= 0 {
-		return nil
-	}
-	// Effective AR polynomial phi*(B) with (1-B)^D folded in:
-	// c(B) = phi(B) (1-B)^D; y_t = Σ phiStar_i y_{t-i} + e_t + Σ theta e.
-	phiPoly := make([]float64, len(m.Phi)+1)
-	phiPoly[0] = 1
-	for i, c := range m.Phi {
-		phiPoly[i+1] = -c
-	}
-	c := polyMul(phiPoly, diffPoly(m.Order.D))
-	phiStar := make([]float64, len(c)-1)
-	for i := 1; i < len(c); i++ {
-		phiStar[i-1] = -c[i]
-	}
-
-	psi := make([]float64, n)
-	psi[0] = 1
-	for j := 1; j < n; j++ {
-		var v float64
-		if j-1 < len(m.Theta) {
-			v = m.Theta[j-1]
-		}
-		for i := 1; i <= j && i <= len(phiStar); i++ {
-			v += phiStar[i-1] * psi[j-i]
-		}
-		psi[j] = v
-	}
-	return psi
-}
-
-// ForecastFrom produces h-step-ahead forecasts given the observed history
-// (original, undifferenced scale). The history must contain at least
-// Order.D + Order.P + Order.Q observations.
-func (m *Model) ForecastFrom(history []float64, h int) (*Forecast, error) {
-	if h <= 0 {
-		return nil, fmt.Errorf("arima: forecast horizon must be positive, got %d", h)
-	}
-	need := m.Order.D + m.Order.P + m.Order.Q
-	if len(history) < need || len(history) < m.Order.D+1 {
-		return nil, fmt.Errorf("arima: history of %d too short (need >= %d)", len(history), need)
-	}
-	w, err := Difference(history, m.Order.D)
-	if err != nil {
-		return nil, err
-	}
-	z := make([]float64, len(w))
-	for i, v := range w {
-		z[i] = v - m.Mu
-	}
-	resid := m.residualsZ(z)
-
-	// Iterate the difference equation with future innovations set to zero.
-	zExt := append(make([]float64, 0, len(z)+h), z...)
-	eExt := append(make([]float64, 0, len(resid)+h), resid...)
-	for step := 0; step < h; step++ {
-		t := len(zExt)
-		var pred float64
-		for i, c := range m.Phi {
-			if t-1-i >= 0 {
-				pred += c * zExt[t-1-i]
-			}
-		}
-		for j, c := range m.Theta {
-			if t-1-j >= 0 {
-				pred += c * eExt[t-1-j]
-			}
-		}
-		zExt = append(zExt, pred)
-		eExt = append(eExt, 0)
-	}
-	wFut := make([]float64, h)
-	for i := 0; i < h; i++ {
-		wFut[i] = zExt[len(z)+i] + m.Mu
-	}
-	var point []float64
-	if m.Order.D == 0 {
-		point = wFut
-	} else {
-		point, err = Integrate(wFut, history, m.Order.D)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	psi := m.PsiWeights(h)
-	sigma := make([]float64, h)
-	var acc float64
-	for i := 0; i < h; i++ {
-		acc += psi[i] * psi[i]
-		sigma[i] = math.Sqrt(m.Sigma2 * acc)
-	}
-	return &Forecast{Point: point, Sigma: sigma}, nil
-}
-
 // Predictor performs rolling one-step-ahead prediction with O(P+Q) work per
 // step. The utility-side detectors and the attacker's replica both advance a
 // Predictor over the reported readings, so a poisoned history shifts the
@@ -142,43 +20,7 @@ type Predictor struct {
 
 	lastPred float64 // z-scale prediction for the next step
 	havePred bool
-	steps    int
 	sigma    float64
-}
-
-// NewPredictor warms a predictor with an observation history on the
-// original scale. The history must contain at least D+P+Q+1 observations.
-func (m *Model) NewPredictor(history []float64) (*Predictor, error) {
-	need := m.Order.D + m.Order.P + m.Order.Q + 1
-	if len(history) < need {
-		return nil, fmt.Errorf("arima: predictor needs >= %d warm-up observations, got %d", need, len(history))
-	}
-	w, err := Difference(history, m.Order.D)
-	if err != nil {
-		return nil, err
-	}
-	z := make([]float64, len(w))
-	for i, v := range w {
-		z[i] = v - m.Mu
-	}
-	resid := m.residualsZ(z)
-
-	p := &Predictor{
-		m:     m,
-		yTail: make([]float64, m.Order.D),
-		zLags: make([]float64, m.Order.P),
-		eLags: make([]float64, m.Order.Q),
-		diffC: diffPoly(m.Order.D),
-		sigma: math.Sqrt(m.Sigma2),
-	}
-	copy(p.yTail, history[len(history)-m.Order.D:])
-	for i := 0; i < m.Order.P; i++ {
-		p.zLags[i] = z[len(z)-1-i]
-	}
-	for j := 0; j < m.Order.Q; j++ {
-		p.eLags[j] = resid[len(resid)-1-j]
-	}
-	return p, nil
 }
 
 // Clone returns an independent predictor with identical rolling state. The
@@ -260,11 +102,4 @@ func (p *Predictor) Observe(y float64) {
 		copy(p.yTail, p.yTail[1:])
 		p.yTail[len(p.yTail)-1] = y
 	}
-	p.steps++
 }
-
-// Steps returns the number of observations consumed since warm-up.
-func (p *Predictor) Steps() int { return p.steps }
-
-// Sigma returns the one-step forecast standard error.
-func (p *Predictor) Sigma() float64 { return p.sigma }

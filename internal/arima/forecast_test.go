@@ -142,9 +142,6 @@ func TestPredictorMatchesForecastOneStep(t *testing.T) {
 		}
 		p.Observe(y[i])
 	}
-	if p.Steps() != 100 {
-		t.Errorf("Steps = %d, want 100", p.Steps())
-	}
 }
 
 func TestPredictorIntegratedMatchesForecast(t *testing.T) {
@@ -224,7 +221,7 @@ func TestPredictorSigmaAccessor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Sigma() != 2 {
-		t.Errorf("Sigma = %g, want 2", p.Sigma())
+	if _, sigma := p.PredictNext(); sigma != 2 {
+		t.Errorf("one-step sigma = %g, want 2", sigma)
 	}
 }

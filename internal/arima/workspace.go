@@ -263,7 +263,7 @@ func (ws *Workspace) fitCandidateWS(sh *diffShared, order Order) (*Model, error)
 		// This arises for all-zero attack vectors and must not crash the
 		// detector. Residuals of the zero-coefficient model on an all-zero
 		// series are all zero; materialize them so retained-fit consumers
-		// see the same state a cold NewPredictor would compute.
+		// see the same state a cold replay of the history would compute.
 		resid := growFloat(&ws.resid, sh.n)
 		for i := range resid {
 			resid[i] = 0
@@ -386,11 +386,11 @@ type TrainedFit struct {
 	resid []float64 // conditional residuals on z (workspace memory)
 }
 
-// PredictorAt returns a predictor in exactly the state Model.NewPredictor
-// would reach warmed on y[:t] — bit-identical, because the differenced
-// series, the demeaning mean, and the residual recursion are all
-// prefix-stable — without touching more than P+Q+D values. t must be in
-// [D+P+Q+1, len(y)].
+// PredictorAt returns a predictor in exactly the state a cold replay of
+// y[:t] would reach (the tests' Model.NewPredictor) — bit-identical,
+// because the differenced series, the demeaning mean, and the residual
+// recursion are all prefix-stable — without touching more than P+Q+D
+// values. t must be in [D+P+Q+1, len(y)].
 func (tf *TrainedFit) PredictorAt(t int) (*Predictor, error) {
 	m := tf.Model
 	need := m.Order.D + m.Order.P + m.Order.Q + 1
@@ -416,8 +416,11 @@ func (tf *TrainedFit) PredictorAt(t int) (*Predictor, error) {
 	return p, nil
 }
 
-// FitTrained fits one order through a workspace (see Fit) and returns the
-// retained fit state for O(1) predictor placement.
+// FitTrained estimates an ARIMA model of the given order from y using the
+// Hannan-Rissanen procedure — difference, demean, fit a long AR to estimate
+// innovations, then regress on lagged values and lagged innovations — with
+// every buffer drawn from ws, and returns the retained fit state for O(1)
+// predictor placement.
 func FitTrained(y []float64, order Order, ws *Workspace) (*TrainedFit, error) {
 	if err := order.Validate(); err != nil {
 		return nil, err
@@ -435,8 +438,9 @@ func FitTrained(y []float64, order Order, ws *Workspace) (*TrainedFit, error) {
 }
 
 // SelectOrderTrained fits every candidate serially through the workspace
-// and returns the best one (see SelectOrder), with the winner's fit state
-// retained for O(1) predictor placement.
+// and returns the one minimizing AIC, with the winner's fit state retained
+// for O(1) predictor placement. Orders that fail to fit are skipped; an
+// error is returned only when every candidate fails.
 func SelectOrderTrained(y []float64, candidates []Order, ws *Workspace) (*TrainedFit, error) {
 	if len(candidates) == 0 {
 		return nil, fmt.Errorf("arima: no candidate orders")

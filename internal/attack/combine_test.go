@@ -20,13 +20,14 @@ func TestCombined2B3BMoreProfitableThanEither(t *testing.T) {
 	actual := test.MustWeek(0)
 	start := timeseries.Slot(len(train))
 
-	// Plain 2B vector, its swap-combined version, and a plain 3B swap of
-	// the actual readings — all from the same RNG state for the 2B stage.
+	// Plain 2B vector, the combination attack of Section VIII-F3 (the 2B
+	// vector Optimal-Swapped across the TOU price boundary, Class 3B), and
+	// a plain 3B swap of the actual readings.
 	vec2B, err := IntegratedARIMAAttack(det, Down, IntegratedARIMAConfig{}, stats.NewRand(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	combined, err := Combined2B3B(det, IntegratedARIMAConfig{}, scheme, stats.NewRand(9))
+	combined, err := OptimalSwap(vec2B, scheme)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,16 +94,5 @@ func TestCombined2B3BMoreProfitableThanEither(t *testing.T) {
 	if !vCombined.Anomalous {
 		t.Errorf("price-conditioned KLD should flag the combined attack (K=%g threshold=%g)",
 			vCombined.Score, vCombined.Threshold)
-	}
-}
-
-func TestCombined2B3BErrorPropagation(t *testing.T) {
-	train, _ := testConsumer(t, 82, 10, 8)
-	det, err := detect.NewIntegratedARIMADetector(train, detect.IntegratedARIMAConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Combined2B3B(det, IntegratedARIMAConfig{}, pricing.Nightsaver(), nil); err == nil {
-		t.Error("nil rng should propagate the 2B-stage error")
 	}
 }

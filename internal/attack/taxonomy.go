@@ -9,12 +9,7 @@
 // detector's own checks pass (Section VIII-B).
 package attack
 
-import (
-	"fmt"
-
-	"repro/internal/pricing"
-	"repro/internal/timeseries"
-)
+import "fmt"
 
 // Class enumerates the seven attack classes of Table I. The A classes fail
 // the balance check; the B classes circumvent it by over-reporting at least
@@ -59,74 +54,6 @@ func (c Class) String() string {
 	}
 }
 
-// EvadesBalanceCheck reports whether the class circumvents balance-meter
-// checks (row 1 of Table I).
-func (c Class) EvadesBalanceCheck() bool {
-	switch c {
-	case Class1B, Class2B, Class3B, Class4B:
-		return true
-	default:
-		return false
-	}
-}
-
 // RequiresADR reports whether the class requires automated demand response
 // infrastructure (row 5 of Table I). Only Class 4B does.
 func (c Class) RequiresADR() bool { return c == Class4B }
-
-// PossibleUnder reports whether the class is feasible under the given
-// pricing scheme (rows 2-4 of Table I). Load-shifting classes (3A/3B) need
-// time-varying prices; Class 4B additionally needs real-time pricing.
-func (c Class) PossibleUnder(k pricing.SchemeKind) bool {
-	switch c {
-	case Class1A, Class2A, Class1B, Class2B:
-		return k == pricing.FlatRate || k == pricing.TimeOfUse || k == pricing.RealTime
-	case Class3A, Class3B:
-		return k == pricing.TimeOfUse || k == pricing.RealTime
-	case Class4B:
-		return k == pricing.RealTime
-	default:
-		return false
-	}
-}
-
-// Victim reports whether abnormal readings under this class appear on a
-// victimized neighbour's meter (true) or on the attacker's own meter
-// (false). Class 1B over-reports neighbours while the attacker's own
-// readings stay normal (Section VII-B).
-func (c Class) Victim() bool {
-	switch c {
-	case Class1B, Class4B:
-		return true
-	default:
-		return false
-	}
-}
-
-// UnderReportsSomewhere checks the necessary condition of Proposition 1:
-// ∃t with D'(t) < D(t). Any profitable theft must satisfy it.
-func UnderReportsSomewhere(actual, reported timeseries.Series) (bool, error) {
-	if len(actual) != len(reported) {
-		return false, fmt.Errorf("attack: %w", timeseries.ErrLengthMismatch)
-	}
-	for i := range actual {
-		if reported[i] < actual[i] {
-			return true, nil
-		}
-	}
-	return false, nil
-}
-
-// OverReportsSomewhere checks the necessary condition of Proposition 2 on a
-// neighbour: ∃t with D'_n(t) > D_n(t).
-func OverReportsSomewhere(actual, reported timeseries.Series) (bool, error) {
-	if len(actual) != len(reported) {
-		return false, fmt.Errorf("attack: %w", timeseries.ErrLengthMismatch)
-	}
-	for i := range actual {
-		if reported[i] > actual[i] {
-			return true, nil
-		}
-	}
-	return false, nil
-}

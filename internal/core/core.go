@@ -101,29 +101,6 @@ type Evidence struct {
 // function means no external evidence is available.
 type EvidenceFunc func(consumerID string, weekIndex int) Evidence
 
-// Calendar is a simple EvidenceFunc backed by a set of week indices with a
-// benign explanation (holiday periods, severe weather).
-type Calendar struct {
-	weeks map[int]string
-}
-
-// NewCalendar builds a calendar from week-index → explanation.
-func NewCalendar(weeks map[int]string) *Calendar {
-	m := make(map[int]string, len(weeks))
-	for k, v := range weeks {
-		m[k] = v
-	}
-	return &Calendar{weeks: m}
-}
-
-// Evidence implements EvidenceFunc semantics for the calendar.
-func (c *Calendar) Evidence(_ string, weekIndex int) Evidence {
-	if note, ok := c.weeks[weekIndex]; ok {
-		return Evidence{Explained: true, Note: note}
-	}
-	return Evidence{}
-}
-
 // Config parameterizes the framework.
 type Config struct {
 	// Factory builds per-consumer detectors. Required.
@@ -201,18 +178,6 @@ func (f *Framework) Enroll(id string, train timeseries.Series) error {
 	}
 	f.consumers[id] = st
 	return nil
-}
-
-// Enrolled returns the enrolled consumer IDs, sorted.
-func (f *Framework) Enrolled() []string {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	out := make([]string, 0, len(f.consumers))
-	for id := range f.consumers {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Assessment is the outcome of steps 2-4 for one consumer-week.

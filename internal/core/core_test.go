@@ -12,6 +12,29 @@ import (
 	"repro/internal/topology"
 )
 
+// Calendar is a simple EvidenceFunc backed by a set of week indices with a
+// benign explanation (holiday periods, severe weather).
+type Calendar struct {
+	weeks map[int]string
+}
+
+// NewCalendar builds a calendar from week-index → explanation.
+func NewCalendar(weeks map[int]string) *Calendar {
+	m := make(map[int]string, len(weeks))
+	for k, v := range weeks {
+		m[k] = v
+	}
+	return &Calendar{weeks: m}
+}
+
+// Evidence implements EvidenceFunc semantics for the calendar.
+func (c *Calendar) Evidence(_ string, weekIndex int) Evidence {
+	if note, ok := c.weeks[weekIndex]; ok {
+		return Evidence{Explained: true, Note: note}
+	}
+	return Evidence{}
+}
+
 func testConsumer(t *testing.T, seed int64, weeks, trainWeeks int) (train, test timeseries.Series) {
 	t.Helper()
 	ds, err := dataset.Generate(dataset.Config{Residential: 1, Weeks: weeks, Seed: seed})
@@ -66,9 +89,8 @@ func TestEnrollAndEvaluateNormal(t *testing.T) {
 	if err := f.Enroll("", train); err == nil {
 		t.Error("empty ID should error")
 	}
-	got := f.Enrolled()
-	if len(got) != 1 || got[0] != "c1" {
-		t.Errorf("Enrolled = %v", got)
+	if _, ok := f.consumers["c1"]; !ok || len(f.consumers) != 1 {
+		t.Errorf("enrolled consumers = %v, want only c1", f.consumers)
 	}
 
 	a, err := f.Evaluate("c1", 0, test.MustWeek(0))

@@ -103,8 +103,8 @@ func fitARIMA(train timeseries.Series, order arima.Order, ws *arima.Workspace) (
 // observed plus a margin, which keeps the false-positive rate on normal
 // weeks low without hand-tuned constants — and warms the predictor that
 // Tracker clones. Both predictors are placed from the fit's retained state
-// in O(P+Q+D) (tf.PredictorAt(t) equals model.NewPredictor(train[:t]) bit
-// for bit) instead of replaying the training series. train is retained
+// in O(P+Q+D) (tf.PredictorAt(t) equals a cold replay of train[:t] bit for
+// bit) instead of replaying the training series. train is retained
 // as-is, not cloned: the caller owns it and must keep it immutable while
 // the detector lives.
 func newARIMADetectorFromTrained(train timeseries.Series, cfg ARIMAConfig, tf *arima.TrainedFit) (*ARIMADetector, error) {
@@ -160,13 +160,6 @@ func newARIMADetectorFromTrained(train timeseries.Series, cfg ARIMAConfig, tf *a
 
 // Name implements Detector.
 func (d *ARIMADetector) Name() string { return "arima" }
-
-// Model exposes the fitted model (used by attack generators replicating the
-// utility's detector, Section VIII-B1).
-func (d *ARIMADetector) Model() *arima.Model { return d.model }
-
-// Threshold returns the calibrated tolerated violation fraction.
-func (d *ARIMADetector) Threshold() float64 { return d.threshold }
 
 // HistoricPeak returns the largest demand in the training series, used by
 // attack generators as a proxy for the consumer's service capacity.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"unsafe"
 
 	"repro/internal/stats"
 	"repro/internal/timeseries"
@@ -292,20 +291,6 @@ func (s *CompactKLDStream) Filled() int { return int(s.filled) }
 // Coverage returns the trusted fraction of the window (StreamDetector).
 func (s *CompactKLDStream) Coverage() float64 {
 	return 1 - float64(s.nbad)/timeseries.SlotsPerWeek
-}
-
-// Threshold returns the frozen anomaly threshold the stream judges against.
-func (s *CompactKLDStream) Threshold() float64 { return s.threshold }
-
-// MemoryFootprint returns the retained bytes of this stream's state: the
-// struct itself plus its backing arrays (the name string is shared with the
-// detector that built the stream and not counted). The serve layer's memory
-// accounting test checks this against actual allocator growth.
-func (s *CompactKLDStream) MemoryFootprint() int {
-	return int(unsafe.Sizeof(*s)) +
-		(cap(s.edges)+cap(s.xnorm))*8 +
-		cap(s.counts)*2 +
-		cap(s.bins) + cap(s.bad)
 }
 
 // checkStreamReading rejects readings no streaming window may absorb: a NaN

@@ -3,6 +3,7 @@ package detect
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"repro/internal/timeseries"
 )
@@ -130,6 +131,18 @@ func TestCompactStreamRejections(t *testing.T) {
 	if _, err := d.NewCompactStream(make(timeseries.Series, 5)); err == nil {
 		t.Error("short seed week should error")
 	}
+}
+
+// MemoryFootprint returns the retained bytes of the stream's state: the
+// struct itself plus its backing arrays (the name string is shared with the
+// detector that built the stream and not counted). The serve layer's memory
+// accounting test checks the per-consumer total against actual allocator
+// growth.
+func (s *CompactKLDStream) MemoryFootprint() int {
+	return int(unsafe.Sizeof(*s)) +
+		(cap(s.edges)+cap(s.xnorm))*8 +
+		cap(s.counts)*2 +
+		cap(s.bins) + cap(s.bad)
 }
 
 // TestCompactStreamFootprint pins the per-consumer state budget at the

@@ -56,7 +56,7 @@ func TestARIMADetectorNormalWeekPasses(t *testing.T) {
 	if v.Anomalous {
 		t.Errorf("normal week flagged: %+v", v)
 	}
-	if v.Threshold != d.Threshold() {
+	if v.Threshold != d.threshold {
 		t.Error("verdict threshold should match calibration")
 	}
 }
@@ -370,7 +370,7 @@ func TestKLDDetectorAccessors(t *testing.T) {
 	// Threshold equals the 95th percentile of training K.
 	sorted := append([]float64(nil), ks...)
 	sort.Float64s(sorted)
-	if d.Threshold() < sorted[0] || d.Threshold() > sorted[len(sorted)-1] {
+	if d.threshold < sorted[0] || d.threshold > sorted[len(sorted)-1] {
 		t.Error("threshold must lie within the training K range")
 	}
 }
@@ -386,9 +386,9 @@ func TestKLDSignificanceOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The 10% detector is more aggressive: lower threshold.
-	if d10.Threshold() > d5.Threshold() {
+	if d10.threshold > d5.threshold {
 		t.Errorf("10%% threshold (%g) should be <= 5%% threshold (%g)",
-			d10.Threshold(), d5.Threshold())
+			d10.threshold, d5.threshold)
 	}
 	if d10.Name() != "kld-10%" {
 		t.Errorf("Name = %q", d10.Name())
@@ -500,7 +500,7 @@ func TestKLDScaleInvarianceProperty(t *testing.T) {
 			t.Errorf("scale %g: divergence %g != base %g (detector should be scale-free)",
 				k, scaledK, baseK)
 		}
-		if math.Abs(scaled.Threshold()-base.Threshold()) > 1e-9*(1+base.Threshold()) {
+		if math.Abs(scaled.threshold-base.threshold) > 1e-9*(1+base.threshold) {
 			t.Errorf("scale %g: threshold changed", k)
 		}
 	}
@@ -537,7 +537,7 @@ func TestPCADetectorNormalVsAnomaly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Components() < 1 {
+	if len(d.components) < 1 {
 		t.Fatal("no components selected")
 	}
 	normal, err := d.Detect(test.MustWeek(0))

@@ -326,10 +326,6 @@ func (d *KLDDetector) divergenceOf(probs []float64, kl *stats.KLScratch) (float6
 	}
 }
 
-// Threshold returns the percentile threshold on the training KLD
-// distribution.
-func (d *KLDDetector) Threshold() float64 { return d.threshold }
-
 // TrainingDivergences returns a copy of the K_i values (the KLD
 // distribution of Fig. 4(b)).
 func (d *KLDDetector) TrainingDivergences() []float64 {

@@ -11,6 +11,18 @@ import (
 	"repro/internal/timeseries"
 )
 
+// histogramOf bins every value of data against the given edges.
+func histogramOf(data, edges []float64) (*stats.Histogram, error) {
+	h, err := stats.NewHistogram(edges)
+	if err != nil {
+		return nil, err
+	}
+	for _, x := range data {
+		h.AddBin(h.BinIndex(x))
+	}
+	return h, nil
+}
+
 // referenceKLDDetector is the readable two-pass construction of Section
 // VII-D, kept as the oracle for the production constructor: histogram all
 // of X, then bin every training week X_i again against the frozen edges
@@ -27,9 +39,13 @@ func referenceKLDDetector(matrix *timeseries.WeekMatrix, cfg KLDConfig) (*KLDDet
 	var err error
 	switch cfg.Binning {
 	case EqualFrequency:
-		hist, err = stats.NewHistogramFromDataQuantile(matrix.Flat(), cfg.Bins)
+		var edges []float64
+		if edges, err = stats.QuantileEdges(matrix.Flat(), cfg.Bins); err == nil {
+			hist, err = histogramOf(matrix.Flat(), edges)
+		}
 	default:
-		hist, err = stats.NewHistogramFromData(matrix.Flat(), cfg.Bins)
+		lo, hi := stats.MinMax(matrix.Flat())
+		hist, err = histogramOf(matrix.Flat(), stats.LinearEdges(lo, hi, cfg.Bins))
 	}
 	if err != nil {
 		return nil, fmt.Errorf("detect: KLD histogram: %w", err)
@@ -110,7 +126,8 @@ func referencePriceKLDDetector(matrix *timeseries.WeekMatrix, cfg PriceKLDConfig
 		if len(vals) == 0 {
 			return nil, fmt.Errorf("detect: price tier %d has no training slots", tier)
 		}
-		h, err := stats.NewHistogramFromData(vals, cfg.Bins)
+		lo, hi := stats.MinMax(vals)
+		h, err := histogramOf(vals, stats.LinearEdges(lo, hi, cfg.Bins))
 		if err != nil {
 			return nil, fmt.Errorf("detect: tier %d histogram: %w", tier, err)
 		}
@@ -236,9 +253,9 @@ func TestKLDTrainingMatchesReference(t *testing.T) {
 		if !sameBits(got.BinEdges(), want.BinEdges()) {
 			t.Errorf("%s: bin edges differ", label)
 		}
-		gc, wc := got.hist.Counts(), want.hist.Counts()
-		if fmt.Sprint(gc) != fmt.Sprint(wc) || got.hist.Total() != want.hist.Total() {
-			t.Errorf("%s: X counts %v (n=%d), reference %v (n=%d)", label, gc, got.hist.Total(), wc, want.hist.Total())
+		// Equal totals here and equal X distributions below pin equal counts.
+		if got.hist.String() != want.hist.String() {
+			t.Errorf("%s: X histogram %v, reference %v", label, got.hist, want.hist)
 		}
 		if !sameBits(got.XDistribution(), want.XDistribution()) {
 			t.Errorf("%s: X distribution differs", label)
@@ -246,8 +263,8 @@ func TestKLDTrainingMatchesReference(t *testing.T) {
 		if !sameBits(got.TrainingDivergences(), want.TrainingDivergences()) {
 			t.Errorf("%s: training divergences differ:\n got %v\nwant %v", label, got.trainK, want.trainK)
 		}
-		if math.Float64bits(got.Threshold()) != math.Float64bits(want.Threshold()) {
-			t.Errorf("%s: threshold %v, reference %v", label, got.Threshold(), want.Threshold())
+		if math.Float64bits(got.threshold) != math.Float64bits(want.threshold) {
+			t.Errorf("%s: threshold %v, reference %v", label, got.threshold, want.threshold)
 		}
 		if !sameBits(got.refWeek, want.refWeek) {
 			t.Errorf("%s: reference week differs", label)
@@ -302,18 +319,19 @@ func TestPriceKLDTrainingMatchesReference(t *testing.T) {
 			if !sameBits(gh.Edges(), wh.Edges()) {
 				t.Errorf("%s: tier %d edges differ", label, tier)
 			}
-			if fmt.Sprint(gh.Counts()) != fmt.Sprint(wh.Counts()) || gh.Total() != wh.Total() {
-				t.Errorf("%s: tier %d counts %v, reference %v", label, tier, gh.Counts(), wh.Counts())
+			// Equal totals here and equal probabilities below pin equal counts.
+			if gh.String() != wh.String() {
+				t.Errorf("%s: tier %d histogram %v, reference %v", label, tier, gh, wh)
 			}
 			if !sameBits(got.tierProbs[tier], want.tierProbs[tier]) {
 				t.Errorf("%s: tier %d probabilities differ", label, tier)
 			}
 		}
-		if !sameBits(got.TrainingDivergences(), want.TrainingDivergences()) {
+		if !sameBits(got.trainK, want.trainK) {
 			t.Errorf("%s: training divergences differ:\n got %v\nwant %v", label, got.trainK, want.trainK)
 		}
-		if math.Float64bits(got.Threshold()) != math.Float64bits(want.Threshold()) {
-			t.Errorf("%s: threshold %v, reference %v", label, got.Threshold(), want.Threshold())
+		if math.Float64bits(got.threshold) != math.Float64bits(want.threshold) {
+			t.Errorf("%s: threshold %v, reference %v", label, got.threshold, want.threshold)
 		}
 		if !sameBits(got.refWeek, want.refWeek) {
 			t.Errorf("%s: reference week differs", label)

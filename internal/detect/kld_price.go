@@ -250,16 +250,6 @@ func (d *PriceKLDDetector) Name() string {
 	return fmt.Sprintf("price-kld-%g%%", 100*d.cfg.Significance)
 }
 
-// Threshold returns the decision threshold.
-func (d *PriceKLDDetector) Threshold() float64 { return d.threshold }
-
-// TrainingDivergences returns a copy of the training K_i values.
-func (d *PriceKLDDetector) TrainingDivergences() []float64 {
-	out := make([]float64, len(d.trainK))
-	copy(out, d.trainK)
-	return out
-}
-
 // Divergence computes the summed per-tier divergence of a week. The
 // single-week case — every Table II/III scoring call — gathers each tier's
 // values through pooled scratch buffers and allocates nothing; partial or

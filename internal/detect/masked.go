@@ -104,6 +104,5 @@ var (
 	_ Detector = (*IntegratedARIMADetector)(nil)
 	_ Detector = (*KLDDetector)(nil)
 	_ Detector = (*PriceKLDDetector)(nil)
-	_ Detector = (*SeasonalNaiveDetector)(nil)
 	_ Detector = (*PCADetector)(nil)
 )

@@ -6,28 +6,14 @@ import (
 	"repro/internal/obs"
 )
 
-// metricsReg is the registry detector instruments are created on. It
-// defaults to the process-wide obs registry; SetMetricsRegistry redirects
-// detectors constructed afterwards (the evaluation pipeline points it at a
-// per-run registry so an admin endpoint can export it).
+// metricsReg is the registry detector instruments are created on. It is
+// the process-wide obs registry; tests redirect detectors constructed
+// afterwards to a private one (SetMetricsRegistry in export_test.go).
 var metricsReg atomic.Pointer[obs.Registry]
 
 func init() {
 	metricsReg.Store(obs.Default())
 }
-
-// SetMetricsRegistry selects the registry that subsequently constructed
-// detectors register their instruments on. A nil registry restores the
-// process default. Observation never perturbs verdicts, only counts them.
-func SetMetricsRegistry(r *obs.Registry) {
-	if r == nil {
-		r = obs.Default()
-	}
-	metricsReg.Store(r)
-}
-
-// MetricsRegistry returns the registry new detectors instrument into.
-func MetricsRegistry() *obs.Registry { return metricsReg.Load() }
 
 // The detector instrument names. Package-level constants (lint-enforced:
 // fdetalint's metricnames check) so the fdeta_detect_* namespace is

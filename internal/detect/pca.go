@@ -195,12 +195,6 @@ func NewPCADetector(train timeseries.Series, cfg PCAConfig) (*PCADetector, error
 // Name implements Detector.
 func (d *PCADetector) Name() string { return "pca" }
 
-// Components returns the number of principal components in use.
-func (d *PCADetector) Components() int { return len(d.components) }
-
-// Threshold returns the residual-norm decision threshold.
-func (d *PCADetector) Threshold() float64 { return d.threshold }
-
 // residual computes the norm of the week's projection onto the residual
 // (non-principal) subspace.
 func (d *PCADetector) residual(week timeseries.Series) float64 {

@@ -13,8 +13,7 @@ import (
 
 // PopulationConfig parameterizes a PopulationTrainer.
 type PopulationConfig struct {
-	// Suite configures every consumer's detector suite, exactly as
-	// NewTrainedSuite would receive it.
+	// Suite configures every consumer's detector suite.
 	Suite SuiteConfig
 	// Workers bounds the worker pool (default GOMAXPROCS). Each worker owns
 	// one reusable arima.Workspace plus KLD scratch, so steady-state
@@ -59,13 +58,13 @@ type PopulationResult struct {
 }
 
 // PopulationTrainer trains detector suites for whole consumer populations.
-// It exists because a per-consumer NewTrainedSuite loop repeats work across
-// a population: every consumer copies its series and grows megabytes of
-// fresh fitting scratch. The trainer trains on views of one
-// PopulationMatrix and amortizes the ARIMA workspace and the KLD tally
-// buffers to O(workers). Per consumer it runs the same fit switch and suite
-// assembly as NewTrainedSuite, so every suite is byte-identical to
-// NewTrainedSuite's.
+// It exists because a per-consumer training loop repeats work across a
+// population: every consumer copies its series and grows megabytes of fresh
+// fitting scratch. The trainer trains on views of one PopulationMatrix and
+// amortizes the ARIMA workspace and the KLD tally buffers to O(workers).
+// Per consumer it runs the same fit switch and suite assembly as the
+// one-series NewTrainedSuite the tests keep, so every suite is
+// byte-identical to it.
 //
 // Results are deterministic for any worker count: each consumer's training
 // depends only on its own series, and lands in its own result slot.

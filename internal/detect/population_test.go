@@ -50,11 +50,11 @@ func popSuiteConfig() SuiteConfig {
 // suitesIdentical compares every trained artifact of two suites bitwise.
 func suitesIdentical(t *testing.T, tag string, got, want *TrainedSuite) {
 	t.Helper()
-	if !reflect.DeepEqual(got.Model(), want.Model()) {
-		t.Fatalf("%s: models differ: %+v vs %+v", tag, got.Model(), want.Model())
+	if !reflect.DeepEqual(got.arimaDet.model, want.arimaDet.model) {
+		t.Fatalf("%s: models differ: %+v vs %+v", tag, got.arimaDet.model, want.arimaDet.model)
 	}
-	if math.Float64bits(got.ARIMA().Threshold()) != math.Float64bits(want.ARIMA().Threshold()) {
-		t.Fatalf("%s: ARIMA thresholds differ: %v vs %v", tag, got.ARIMA().Threshold(), want.ARIMA().Threshold())
+	if math.Float64bits(got.ARIMA().threshold) != math.Float64bits(want.ARIMA().threshold) {
+		t.Fatalf("%s: ARIMA thresholds differ: %v vs %v", tag, got.ARIMA().threshold, want.ARIMA().threshold)
 	}
 	if got.ARIMA().HistoricPeak() != want.ARIMA().HistoricPeak() {
 		t.Fatalf("%s: peaks differ", tag)
@@ -69,7 +69,7 @@ func suitesIdentical(t *testing.T, tag string, got, want *TrainedSuite) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for slot, v := range want.Train()[:timeseries.SlotsPerWeek] {
+	for slot, v := range want.train[:timeseries.SlotsPerWeek] {
 		glo, ghi := gt.Bounds()
 		wlo, whi := wt.Bounds()
 		if math.Float64bits(glo) != math.Float64bits(wlo) || math.Float64bits(ghi) != math.Float64bits(whi) {
@@ -92,8 +92,8 @@ func suitesIdentical(t *testing.T, tag string, got, want *TrainedSuite) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Float64bits(gk.Threshold()) != math.Float64bits(wk.Threshold()) {
-		t.Fatalf("%s: KLD thresholds differ: %v vs %v", tag, gk.Threshold(), wk.Threshold())
+	if math.Float64bits(gk.threshold) != math.Float64bits(wk.threshold) {
+		t.Fatalf("%s: KLD thresholds differ: %v vs %v", tag, gk.threshold, wk.threshold)
 	}
 	if !reflect.DeepEqual(gk.TrainingDivergences(), wk.TrainingDivergences()) {
 		t.Fatalf("%s: KLD training divergences differ", tag)
@@ -110,10 +110,10 @@ func suitesIdentical(t *testing.T, tag string, got, want *TrainedSuite) {
 		t.Fatalf("%s: price KLD presence differs: %v vs %v", tag, err1, err2)
 	}
 	if err1 == nil {
-		if math.Float64bits(gp.Threshold()) != math.Float64bits(wp.Threshold()) {
+		if math.Float64bits(gp.threshold) != math.Float64bits(wp.threshold) {
 			t.Fatalf("%s: price KLD thresholds differ", tag)
 		}
-		if !reflect.DeepEqual(gp.TrainingDivergences(), wp.TrainingDivergences()) {
+		if !reflect.DeepEqual(gp.trainK, wp.trainK) {
 			t.Fatalf("%s: price KLD training divergences differ", tag)
 		}
 	}
@@ -230,7 +230,7 @@ func TestPopulationDegenerateConsumer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res.Suites[last].Model(), want.Model()) {
+	if !reflect.DeepEqual(res.Suites[last].arimaDet.model, want.arimaDet.model) {
 		t.Fatalf("flat consumer model differs from cold training")
 	}
 }
@@ -268,15 +268,15 @@ func TestPopulationExactPaperFixture(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := res.Suites[i]
-		if !reflect.DeepEqual(got.Model(), want.Model()) {
+		if !reflect.DeepEqual(got.arimaDet.model, want.arimaDet.model) {
 			t.Fatalf("consumer %d: models differ", i)
 		}
-		if math.Float64bits(got.ARIMA().Threshold()) != math.Float64bits(want.ARIMA().Threshold()) {
+		if math.Float64bits(got.ARIMA().threshold) != math.Float64bits(want.ARIMA().threshold) {
 			t.Fatalf("consumer %d: ARIMA thresholds differ", i)
 		}
 		gk, _ := got.KLD(0.05)
 		wk, _ := want.KLD(0.05)
-		if math.Float64bits(gk.Threshold()) != math.Float64bits(wk.Threshold()) ||
+		if math.Float64bits(gk.threshold) != math.Float64bits(wk.threshold) ||
 			!reflect.DeepEqual(gk.TrainingDivergences(), wk.TrainingDivergences()) {
 			t.Fatalf("consumer %d: KLD artifacts differ", i)
 		}
@@ -318,10 +318,10 @@ func TestPopulationFixedOrder(t *testing.T) {
 
 func suitesNoPrice(t *testing.T, got, want *TrainedSuite) {
 	t.Helper()
-	if !reflect.DeepEqual(got.Model(), want.Model()) {
+	if !reflect.DeepEqual(got.arimaDet.model, want.arimaDet.model) {
 		t.Fatalf("models differ")
 	}
-	if math.Float64bits(got.ARIMA().Threshold()) != math.Float64bits(want.ARIMA().Threshold()) {
+	if math.Float64bits(got.ARIMA().threshold) != math.Float64bits(want.ARIMA().threshold) {
 		t.Fatalf("thresholds differ")
 	}
 }

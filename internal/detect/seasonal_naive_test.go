@@ -1,10 +1,190 @@
 package detect
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
+	"repro/internal/stats"
 	"repro/internal/timeseries"
 )
+
+// The seasonal-naive detector is kept for the tests: it is the
+// trusted-history counterpoint of the band-anchoring experiment
+// (ciriding_test.go) and a reference-week source for the quality tests.
+
+var _ Detector = (*SeasonalNaiveDetector)(nil)
+
+// SeasonalNaiveConfig parameterizes the seasonal-naive detector.
+type SeasonalNaiveConfig struct {
+	// Season is the comparison lag in slots (default one week, 336).
+	Season int
+	// Level is the confidence level of the per-reading band (default 0.95).
+	Level float64
+	// ViolationMargin is added to the calibrated violation fraction
+	// (default 0.05).
+	ViolationMargin float64
+	// CalibrationWeeks bounds how many trailing training weeks calibrate
+	// the threshold (default 8).
+	CalibrationWeeks int
+}
+
+func (c SeasonalNaiveConfig) withDefaults() SeasonalNaiveConfig {
+	if c.Season == 0 {
+		c.Season = timeseries.SlotsPerWeek
+	}
+	if c.Level == 0 {
+		c.Level = 0.95
+	}
+	if c.ViolationMargin == 0 {
+		c.ViolationMargin = 0.05
+	}
+	if c.CalibrationWeeks == 0 {
+		c.CalibrationWeeks = 8
+	}
+	return c
+}
+
+// SeasonalNaiveDetector forecasts each reading as the reading one season
+// (default: one week) earlier in the *trusted training data* and flags
+// weeks with too many readings outside the confidence band of the seasonal
+// differences. It extends the detector family of ref [2] with the
+// forecaster every practitioner reaches for first.
+//
+// Its band is comparable in width to the ARIMA detector's, but its anchor
+// is fundamentally different: the ARIMA detector conditions on *reported*
+// readings, so a CI-riding attack drags the band along and escalates
+// without limit (Section VIII-B1), whereas the seasonal-naive reference is
+// frozen trusted history — an attacker confined to this band can exceed
+// real consumption by at most z·sigma per reading, ever. The unit tests
+// quantify the difference.
+type SeasonalNaiveDetector struct {
+	maskedEval
+	cfg       SeasonalNaiveConfig
+	reference timeseries.Series // trailing season of trusted readings
+	sigma     float64           // stddev of seasonal differences
+	threshold float64           // tolerated violation fraction
+	z         float64
+}
+
+// NewSeasonalNaiveDetector trains the detector.
+func NewSeasonalNaiveDetector(train timeseries.Series, cfg SeasonalNaiveConfig) (*SeasonalNaiveDetector, error) {
+	cfg = cfg.withDefaults()
+	if cfg.Season < 2 {
+		return nil, fmt.Errorf("detect: season must be >= 2, got %d", cfg.Season)
+	}
+	if cfg.Level <= 0 || cfg.Level >= 1 {
+		return nil, fmt.Errorf("detect: level %g outside (0, 1)", cfg.Level)
+	}
+	if len(train) < 2*cfg.Season {
+		return nil, fmt.Errorf("detect: need >= %d training readings, got %d", 2*cfg.Season, len(train))
+	}
+	if err := train.Validate(); err != nil {
+		return nil, fmt.Errorf("detect: training series: %w", err)
+	}
+
+	// Seasonal differences over the whole training set.
+	diffs := make([]float64, 0, len(train)-cfg.Season)
+	for i := cfg.Season; i < len(train); i++ {
+		diffs = append(diffs, train[i]-train[i-cfg.Season])
+	}
+	_, sigma := stats.MeanStd(diffs)
+	if sigma == 0 || math.IsNaN(sigma) {
+		sigma = 1e-9 // constant history: any deviation is anomalous
+	}
+	d := &SeasonalNaiveDetector{
+		cfg:       cfg,
+		reference: train[len(train)-cfg.Season:].Clone(),
+		sigma:     sigma,
+		z:         stats.StdNormalQuantile(0.5 + cfg.Level/2),
+	}
+
+	// Calibrate the tolerated violation fraction on trailing training
+	// weeks, mirroring the ARIMA detector's empirical calibration.
+	calWeeks := cfg.CalibrationWeeks
+	avail := (len(train) - cfg.Season) / timeseries.SlotsPerWeek
+	if calWeeks > avail {
+		calWeeks = avail
+	}
+	worst := 0.0
+	for w := 0; w < calWeeks; w++ {
+		end := len(train) - w*timeseries.SlotsPerWeek
+		start := end - timeseries.SlotsPerWeek
+		violations := 0
+		for i := start; i < end; i++ {
+			if math.Abs(train[i]-train[i-cfg.Season]) > d.z*sigma {
+				violations++
+			}
+		}
+		frac := float64(violations) / timeseries.SlotsPerWeek
+		if frac > worst {
+			worst = frac
+		}
+	}
+	d.threshold = worst + cfg.ViolationMargin
+	d.initEval(d)
+	return d, nil
+}
+
+// Name implements Detector.
+func (d *SeasonalNaiveDetector) Name() string { return "seasonal-naive" }
+
+// Bounds returns the confidence band for the reading at weekly slot s
+// (0..Season-1), floored at zero.
+func (d *SeasonalNaiveDetector) Bounds(s int) (lo, hi float64) {
+	ref := d.reference[s%d.cfg.Season]
+	lo = ref - d.z*d.sigma
+	hi = ref + d.z*d.sigma
+	if lo < 0 {
+		lo = 0
+	}
+	return lo, hi
+}
+
+// referenceWeek implements detectorCore. The detector's own trusted
+// reference season doubles as the imputation anchor, so the seasonal-naive
+// fill is literally the detector's forecast; a sub-week season is tiled
+// cyclically to a full week.
+func (d *SeasonalNaiveDetector) referenceWeek() timeseries.Series {
+	ref := d.reference
+	if len(ref) > timeseries.SlotsPerWeek {
+		ref = ref[len(ref)-timeseries.SlotsPerWeek:]
+	}
+	if len(ref) < timeseries.SlotsPerWeek {
+		tiled := make(timeseries.Series, timeseries.SlotsPerWeek)
+		for i := range tiled {
+			tiled[i] = ref[i%len(ref)]
+		}
+		ref = tiled
+	}
+	return ref
+}
+
+// detectWeek implements detectorCore: each reading is compared against the
+// band around the reading one season earlier in the trusted reference.
+func (d *SeasonalNaiveDetector) detectWeek(week timeseries.Series) (Verdict, error) {
+	if err := validateWeek(week); err != nil {
+		return Verdict{}, err
+	}
+	violations := 0
+	for i, v := range week {
+		lo, hi := d.Bounds(i)
+		if v < lo || v > hi {
+			violations++
+		}
+	}
+	frac := float64(violations) / timeseries.SlotsPerWeek
+	verdict := Verdict{
+		Score:     frac,
+		Threshold: d.threshold,
+		Anomalous: frac > d.threshold,
+	}
+	if verdict.Anomalous {
+		verdict.Reason = fmt.Sprintf("%.1f%% of readings outside the seasonal-naive %.0f%% band",
+			100*frac, 100*d.cfg.Level)
+	}
+	return verdict, nil
+}
 
 func TestSeasonalNaiveValidation(t *testing.T) {
 	train, _ := testConsumer(t, 77, 20, 18)
@@ -147,7 +327,7 @@ func TestSeasonalNaiveBoundsFloor(t *testing.T) {
 			t.Fatal("band inverted")
 		}
 	}
-	if d.Sigma() <= 0 {
+	if d.sigma <= 0 {
 		t.Error("sigma should be positive for stochastic data")
 	}
 }

@@ -47,33 +47,12 @@ type TrainedSuite struct {
 	priceBase  *PriceKLDDetector
 }
 
-// NewTrainedSuite trains the shared artifacts on a private copy of the
-// consumer's historic readings. It is the population trainer's path for one
-// consumer: the same fit switch and the same suite assembly, with fresh
-// scratch.
-func NewTrainedSuite(train timeseries.Series, cfg SuiteConfig) (*TrainedSuite, error) {
-	if err := validateARIMATrain(train); err != nil {
-		return nil, err
-	}
-	train = train.Clone()
-	matrix, err := timeseries.NewWeekMatrix(train, 0)
-	if err != nil {
-		return nil, fmt.Errorf("detect: suite training: %w", err)
-	}
-	sc := newTrainScratch()
-	tf, err := fitARIMA(train, cfg.ARIMA.Order, sc.ws)
-	if err != nil {
-		return nil, err
-	}
-	return newSuiteFromTrained(train, matrix, cfg, tf, sc)
-}
-
-// newSuiteFromTrained is the one suite assembly, shared by NewTrainedSuite
-// and the population trainer: it builds every detector row from a retained
-// fit and the training week matrix, training both KLD detectors in the
-// scratch's reusable tally buffers. train and matrix are retained as-is,
-// not copied: the population trainer passes views of its storage, which
-// must stay immutable while the suite lives.
+// newSuiteFromTrained is the one suite assembly, used by the population
+// trainer (and the tests' one-series NewTrainedSuite): it builds every
+// detector row from a retained fit and the training week matrix, training
+// both KLD detectors in the scratch's reusable tally buffers. train and
+// matrix are retained as-is, not copied: the population trainer passes
+// views of its storage, which must stay immutable while the suite lives.
 func newSuiteFromTrained(train timeseries.Series, matrix *timeseries.WeekMatrix,
 	cfg SuiteConfig, tf *arima.TrainedFit, sc *trainScratch) (*TrainedSuite, error) {
 	arimaDet, err := newARIMADetectorFromTrained(train, cfg.ARIMA.withDefaults(), tf)
@@ -103,16 +82,6 @@ func newSuiteFromTrained(train timeseries.Series, matrix *timeseries.WeekMatrix,
 	}
 	return s, nil
 }
-
-// Train returns the training series the suite was fitted on (shared; do not
-// mutate).
-func (s *TrainedSuite) Train() timeseries.Series { return s.train }
-
-// Matrix returns the shared training week matrix.
-func (s *TrainedSuite) Matrix() *timeseries.WeekMatrix { return s.matrix }
-
-// Model returns the single fitted ARIMA model every detector row shares.
-func (s *TrainedSuite) Model() *arima.Model { return s.arimaDet.Model() }
 
 // ARIMA returns the shared ARIMA detector.
 func (s *TrainedSuite) ARIMA() *ARIMADetector { return s.arimaDet }

@@ -10,10 +10,10 @@ import (
 
 // This file keeps the cold suite assembly as a readable reference for the
 // production one (newSuiteFromTrained). It fits through the public arima
-// entry points, replays the training series through fresh predictors
-// instead of placing them from the retained fit, and trains the KLD rows
-// with the two-pass references of kld_oracle_test.go, so it shares no
-// assembly code with the population trainer.
+// entry points, places fresh predictors from its own retained fit (arima's
+// tests check PredictorAt against a cold replay of the history), and
+// trains the KLD rows with the two-pass references of kld_oracle_test.go,
+// so it shares no assembly code with the population trainer.
 
 // oracleTrainedSuite trains a suite the cold way: one ARIMA grid fit (or a
 // fixed-order fit), the calibration replay, one week matrix, and the
@@ -23,17 +23,17 @@ func oracleTrainedSuite(train timeseries.Series, cfg SuiteConfig) (*TrainedSuite
 	if err := validateARIMATrain(train); err != nil {
 		return nil, err
 	}
-	var model *arima.Model
+	var tf *arima.TrainedFit
 	var err error
 	if acfg.Order == (arima.Order{}) {
-		model, err = arima.SelectOrder(train, arima.DefaultCandidates())
+		tf, err = arima.SelectOrderTrained(train, arima.DefaultCandidates(), arima.NewWorkspace())
 	} else {
-		model, err = arima.Fit(train, acfg.Order)
+		tf, err = arima.FitTrained(train, acfg.Order, arima.NewWorkspace())
 	}
 	if err != nil {
 		return nil, fmt.Errorf("detect: fitting ARIMA: %w", err)
 	}
-	arimaDet, err := oracleARIMADetector(train, acfg, model)
+	arimaDet, err := oracleARIMADetector(train, acfg, tf)
 	if err != nil {
 		return nil, err
 	}
@@ -67,14 +67,13 @@ func oracleTrainedSuite(train timeseries.Series, cfg SuiteConfig) (*TrainedSuite
 	return s, nil
 }
 
-// oracleARIMADetector assembles the ARIMA detector for a fitted model by
-// replaying the training series: the calibration tracker is warmed on the
-// weeks before the calibration window, and the detector's predictor on the
-// whole series.
-func oracleARIMADetector(train timeseries.Series, cfg ARIMAConfig, model *arima.Model) (*ARIMADetector, error) {
+// oracleARIMADetector assembles the ARIMA detector for a retained fit: the
+// calibration tracker is placed after the weeks before the calibration
+// window, and the detector's predictor after the whole series.
+func oracleARIMADetector(train timeseries.Series, cfg ARIMAConfig, tf *arima.TrainedFit) (*ARIMADetector, error) {
 	d := &ARIMADetector{
 		cfg:   cfg,
-		model: model,
+		model: tf.Model,
 		train: train.Clone(),
 		z:     stats.StdNormalQuantile(0.5 + cfg.Level/2),
 	}
@@ -90,7 +89,7 @@ func oracleARIMADetector(train timeseries.Series, cfg ARIMAConfig, model *arima.
 	worst := 0.0
 	if calWeeks > 0 {
 		start := (train.Weeks() - calWeeks) * timeseries.SlotsPerWeek
-		tracker, err := d.trackerFrom(train[:start])
+		tracker, err := d.trackerAt(tf, start)
 		if err != nil {
 			return nil, err
 		}
@@ -112,21 +111,21 @@ func oracleARIMADetector(train timeseries.Series, cfg ARIMAConfig, model *arima.
 	}
 	d.threshold = worst + cfg.ViolationMargin
 
-	warm, err := d.model.NewPredictor(d.train)
+	warm, err := tf.PredictorAt(len(train))
 	if err != nil {
-		return nil, fmt.Errorf("detect: warming predictor: %w", err)
+		return nil, fmt.Errorf("detect: placing predictor: %w", err)
 	}
 	d.warm = warm
 	d.initEval(d)
 	return d, nil
 }
 
-// trackerFrom warms a fresh confidence-interval tracker by replaying
-// history through a new predictor.
-func (d *ARIMADetector) trackerFrom(history timeseries.Series) (*CITracker, error) {
-	pred, err := d.model.NewPredictor(history)
+// trackerAt places a fresh confidence-interval tracker at position t of a
+// retained fit, independent of the detector's warmed predictor.
+func (d *ARIMADetector) trackerAt(tf *arima.TrainedFit, t int) (*CITracker, error) {
+	pred, err := tf.PredictorAt(t)
 	if err != nil {
-		return nil, fmt.Errorf("detect: warming predictor: %w", err)
+		return nil, fmt.Errorf("detect: placing predictor: %w", err)
 	}
 	return &CITracker{pred: pred, z: d.z}, nil
 }

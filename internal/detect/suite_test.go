@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/arima"
 	"repro/internal/pricing"
 	"repro/internal/timeseries"
 )
@@ -38,11 +39,11 @@ func TestTrainedSuiteMatchesIndependentFits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(suite.Model(), indep.Model()) {
-		t.Errorf("suite model %+v != independent model %+v", suite.Model(), indep.Model())
+	if !reflect.DeepEqual(suite.arimaDet.model, indep.model) {
+		t.Errorf("suite model %+v != independent model %+v", suite.arimaDet.model, indep.model)
 	}
-	if suite.ARIMA().Threshold() != indep.Threshold() {
-		t.Errorf("suite threshold %g != independent %g", suite.ARIMA().Threshold(), indep.Threshold())
+	if suite.ARIMA().threshold != indep.threshold {
+		t.Errorf("suite threshold %g != independent %g", suite.ARIMA().threshold, indep.threshold)
 	}
 
 	// The integrated detector's bands equal independent training.
@@ -67,8 +68,8 @@ func TestTrainedSuiteMatchesIndependentFits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Threshold() != want.Threshold() {
-			t.Errorf("KLD(%g) threshold %g != independent %g", alpha, got.Threshold(), want.Threshold())
+		if got.threshold != want.threshold {
+			t.Errorf("KLD(%g) threshold %g != independent %g", alpha, got.threshold, want.threshold)
 		}
 		if !reflect.DeepEqual(got.TrainingDivergences(), want.TrainingDivergences()) {
 			t.Errorf("KLD(%g) training divergences differ", alpha)
@@ -98,8 +99,8 @@ func TestTrainedSuiteMatchesIndependentFits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Threshold() != want.Threshold() {
-			t.Errorf("PriceKLD(%g) threshold %g != independent %g", alpha, got.Threshold(), want.Threshold())
+		if got.threshold != want.threshold {
+			t.Errorf("PriceKLD(%g) threshold %g != independent %g", alpha, got.threshold, want.threshold)
 		}
 		gv, err := got.Detect(week)
 		if err != nil {
@@ -163,8 +164,8 @@ func TestTrainedSuiteNoPriceTier(t *testing.T) {
 }
 
 // TestPredictorCloneMatchesRewarm verifies that cloning a warmed predictor
-// is equivalent to re-warming one over the same history — the invariant the
-// Tracker fast path relies on.
+// is equivalent to placing a fresh one from a refit of the same history —
+// the invariant the Tracker fast path relies on.
 func TestPredictorCloneMatchesRewarm(t *testing.T) {
 	suite, train, week := testSuite(t)
 	d := suite.ARIMA()
@@ -173,7 +174,11 @@ func TestPredictorCloneMatchesRewarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2, err := d.trackerFrom(train) // fresh warm-up path
+	tf, err := arima.FitTrained(train, d.model.Order, arima.NewWorkspace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t2, err := d.trackerAt(tf, len(train)) // fresh placement path
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +197,7 @@ func TestPredictorCloneMatchesRewarm(t *testing.T) {
 // its storage. The one-series constructors keep a private copy of the
 // caller's series, so overwriting it after construction changes no verdict
 // (plain or masked, which imputes from the final training week) and no
-// Train() value.
+// training series the suite keeps.
 func TestConstructorsCopyTrainingSeries(t *testing.T) {
 	train, test := testConsumer(t, 43, 14, 12)
 	orig := train.Clone()
@@ -255,7 +260,7 @@ func TestConstructorsCopyTrainingSeries(t *testing.T) {
 	if after := verdicts(); !reflect.DeepEqual(after, before) {
 		t.Errorf("overwriting the caller's series changed verdicts:\nbefore %+v\nafter  %+v", before, after)
 	}
-	if !reflect.DeepEqual(suite.Train(), orig) {
-		t.Error("overwriting the caller's series changed the suite's Train()")
+	if !reflect.DeepEqual(suite.train, orig) {
+		t.Error("overwriting the caller's series changed the suite's training series")
 	}
 }

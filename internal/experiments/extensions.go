@@ -283,75 +283,6 @@ func BaselineComparison(opts Options) ([]BaselinePoint, error) {
 	return points, nil
 }
 
-// CIRidingResult summarizes the band-riding comparison between the
-// poisonable ARIMA confidence band and the trusted-history seasonal-naive
-// band.
-type CIRidingResult struct {
-	Consumers int
-	// ARIMAHaulKWh and NaiveHaulKWh are the total weekly energies of the
-	// maximal band-riding vectors under each detector, summed across
-	// consumers.
-	ARIMAHaulKWh float64
-	NaiveHaulKWh float64
-	// MedianRatio is the per-consumer median of ARIMA-haul / naive-haul.
-	MedianRatio float64
-}
-
-// CIRidingComparison quantifies the structural weakness the paper
-// identifies in the ARIMA detector (Section VIII-B1): because its band is
-// conditioned on reported readings, riding it escalates; the seasonal-naive
-// band (detect.SeasonalNaiveDetector) is anchored to frozen trusted history
-// and caps the haul at reference + z·sigma per slot. For each consumer both
-// maximal band-riding vectors are constructed and their energies compared.
-func CIRidingComparison(opts Options) (*CIRidingResult, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	ds, err := dataset.Generate(opts.Dataset)
-	if err != nil {
-		return nil, err
-	}
-	consumers := ds.Consumers
-	if opts.MaxConsumers > 0 && opts.MaxConsumers < len(consumers) {
-		consumers = consumers[:opts.MaxConsumers]
-	}
-
-	res := &CIRidingResult{Consumers: len(consumers)}
-	ratios := make([]float64, 0, len(consumers))
-	for i := range consumers {
-		c := &consumers[i]
-		train, _, err := c.Demand.Split(opts.TrainWeeks)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: consumer %d: %w", c.ID, err)
-		}
-		arimaDet, err := detect.NewARIMADetector(train, detect.ARIMAConfig{})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: consumer %d: %w", c.ID, err)
-		}
-		arimaVec, err := attack.ARIMAAttack(arimaDet, attack.Up, 0)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: consumer %d: %w", c.ID, err)
-		}
-		naive, err := detect.NewSeasonalNaiveDetector(train, detect.SeasonalNaiveConfig{})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: consumer %d: %w", c.ID, err)
-		}
-		naiveVec := make(timeseries.Series, timeseries.SlotsPerWeek)
-		for s := range naiveVec {
-			_, hi := naive.Bounds(s)
-			naiveVec[s] = hi
-		}
-		a, n := arimaVec.Energy(), naiveVec.Energy()
-		res.ARIMAHaulKWh += a
-		res.NaiveHaulKWh += n
-		if n > 0 {
-			ratios = append(ratios, a/n)
-		}
-	}
-	res.MedianRatio = stats.Median(ratios)
-	return res, nil
-}
-
 // SpreadPoint is one point of the multi-victim spreading experiment.
 type SpreadPoint struct {
 	// Victims is how many neighbours the theft is spread across.

@@ -193,37 +193,6 @@ func TestBinStrategySweep(t *testing.T) {
 	}
 }
 
-func TestCIRidingComparison(t *testing.T) {
-	opts := tinyOptions()
-	res, err := CIRidingComparison(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Consumers != 6 {
-		t.Fatalf("consumers = %d", res.Consumers)
-	}
-	if res.ARIMAHaulKWh <= 0 || res.NaiveHaulKWh <= 0 {
-		t.Fatal("hauls should be positive")
-	}
-	// The structural result: riding the poisonable band yields a far
-	// larger haul than riding the frozen band.
-	if res.ARIMAHaulKWh <= res.NaiveHaulKWh {
-		t.Errorf("ARIMA haul %.0f should exceed naive haul %.0f",
-			res.ARIMAHaulKWh, res.NaiveHaulKWh)
-	}
-	if res.MedianRatio <= 1 {
-		t.Errorf("median ratio = %g, want > 1", res.MedianRatio)
-	}
-	t.Logf("CI-riding: ARIMA %.0f kWh vs seasonal-naive %.0f kWh (median ratio %.1fx)",
-		res.ARIMAHaulKWh, res.NaiveHaulKWh, res.MedianRatio)
-
-	bad := opts
-	bad.TrainWeeks = 0
-	if _, err := CIRidingComparison(bad); err == nil {
-		t.Error("invalid options should error")
-	}
-}
-
 func TestSpreadSweep(t *testing.T) {
 	opts := QuickOptions()
 	opts.MaxConsumers = 12

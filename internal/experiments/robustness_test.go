@@ -237,13 +237,23 @@ func TestRunEvaluationFaultFreeBitIdentical(t *testing.T) {
 	}
 }
 
+// mustParseFaults parses a fault spec the test compiles in.
+func mustParseFaults(t *testing.T, spec string) []fault.Scenario {
+	t.Helper()
+	sc, err := fault.Parse(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
+}
+
 // TestRunEvaluationWithFaultsDeterministic: fault injection preserves the
 // parallelism-independence contract.
 func TestRunEvaluationWithFaultsDeterministic(t *testing.T) {
 	base := quickRobustOptions()
 	base.Fault = fault.Plan{
 		Seed:      4242,
-		Scenarios: fault.MustParse("dropout:0.1+spike:0.01"),
+		Scenarios: mustParseFaults(t, "dropout:0.1+spike:0.01"),
 		FromWeek:  base.TrainWeeks,
 	}
 	serial := base
@@ -269,7 +279,7 @@ func TestRunEvaluationHeavyFaultsGoInconclusive(t *testing.T) {
 	opts := quickRobustOptions()
 	opts.Fault = fault.Plan{
 		Seed:      7,
-		Scenarios: fault.MustParse("dropout:0.5"),
+		Scenarios: mustParseFaults(t, "dropout:0.5"),
 		FromWeek:  opts.TrainWeeks,
 	}
 	ev, err := RunEvaluation(opts)

@@ -8,6 +8,15 @@ import (
 	"repro/internal/timeseries"
 )
 
+// MustParse is Parse for specs the tests compile in; it panics on error.
+func MustParse(spec string) []Scenario {
+	out, err := Parse(spec)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
 func testDataset(t *testing.T, seed int64) *dataset.Dataset {
 	t.Helper()
 	ds, err := dataset.Generate(dataset.Config{Residential: 4, SMEs: 1, Weeks: 6, Seed: seed})

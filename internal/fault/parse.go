@@ -32,15 +32,6 @@ func Parse(spec string) ([]Scenario, error) {
 	return out, nil
 }
 
-// MustParse is Parse for tests and compiled-in specs; it panics on error.
-func MustParse(spec string) []Scenario {
-	out, err := Parse(spec)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
 func parseOne(part string) (Scenario, error) {
 	name, argstr, ok := strings.Cut(part, ":")
 	if !ok {

@@ -54,7 +54,6 @@ type SmartMeter struct {
 	errorSigma float64
 	rng        *rand.Rand
 	compromise CompromiseFunc
-	tamperFlag bool
 }
 
 // New creates a meter attached to the given actual load profile (average kW
@@ -77,25 +76,11 @@ func New(id string, load timeseries.Series, cfg Config) (*SmartMeter, error) {
 	}, nil
 }
 
-// ID returns the meter identifier.
-func (m *SmartMeter) ID() string { return m.id }
-
 // Slots returns the number of slots in the attached load profile.
 func (m *SmartMeter) Slots() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.load)
-}
-
-// Actual returns the true demand at the slot, without measurement error.
-// It returns an error for slots outside the load profile.
-func (m *SmartMeter) Actual(slot timeseries.Slot) (float64, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if slot < 0 || int(slot) >= len(m.load) {
-		return 0, fmt.Errorf("meter: slot %d outside load profile (0..%d)", slot, len(m.load)-1)
-	}
-	return m.load[slot], nil
 }
 
 // Measure returns the metered value at the slot: truth plus multiplicative
@@ -141,42 +126,6 @@ func (m *SmartMeter) Compromise(f CompromiseFunc) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.compromise = f
-}
-
-// Compromised reports whether a compromise function is installed.
-func (m *SmartMeter) Compromised() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.compromise != nil
-}
-
-// SetTamperFlag sets the physical tamper-detection flag. Penetration
-// testing has shown these features to be ineffective (ref [22] in the
-// paper); they are modeled so experiments can show attacks that never trip
-// them.
-func (m *SmartMeter) SetTamperFlag(v bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.tamperFlag = v
-}
-
-// TamperFlag reads the tamper-detection flag.
-func (m *SmartMeter) TamperFlag() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.tamperFlag
-}
-
-// SetLoad replaces the attached load profile (e.g. when an attack changes
-// actual consumption, Class 1A/1B).
-func (m *SmartMeter) SetLoad(load timeseries.Series) error {
-	if err := load.Validate(); err != nil {
-		return fmt.Errorf("meter: load profile: %w", err)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.load = load.Clone()
-	return nil
 }
 
 // ReportRange reports a contiguous range of slots [from, from+n).

@@ -1,6 +1,7 @@
 package meter
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -29,7 +30,7 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.ID() != "m1" || m.Slots() != 10 {
+	if m.id != "m1" || m.Slots() != 10 {
 		t.Error("accessors wrong")
 	}
 }
@@ -38,11 +39,7 @@ func TestLoadIsCopied(t *testing.T) {
 	load := testLoad(5)
 	m, _ := New("m1", load, Config{})
 	load[0] = 999
-	v, err := m.Actual(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v == 999 {
+	if m.load[0] == 999 {
 		t.Error("meter must copy the load profile")
 	}
 }
@@ -50,7 +47,7 @@ func TestLoadIsCopied(t *testing.T) {
 func TestMeasureWithoutError(t *testing.T) {
 	m, _ := New("m1", testLoad(10), Config{})
 	for s := timeseries.Slot(0); s < 10; s++ {
-		actual, _ := m.Actual(s)
+		actual := m.load[s]
 		measured, err := m.Measure(s)
 		if err != nil {
 			t.Fatal(err)
@@ -62,7 +59,7 @@ func TestMeasureWithoutError(t *testing.T) {
 	if _, err := m.Measure(10); err == nil {
 		t.Error("out-of-range slot should error")
 	}
-	if _, err := m.Actual(-1); err == nil {
+	if _, err := m.Measure(-1); err == nil {
 		t.Error("negative slot should error")
 	}
 }
@@ -97,16 +94,16 @@ func TestReportHonestAndCompromised(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	actual, _ := m.Actual(3)
+	actual := m.load[3]
 	if r.KW != actual || r.MeterID != "m1" || r.Slot != 3 {
 		t.Errorf("honest report wrong: %+v", r)
 	}
-	if m.Compromised() {
+	if m.compromise != nil {
 		t.Error("fresh meter should not be compromised")
 	}
 	// Under-report by half.
 	m.Compromise(func(_ timeseries.Slot, v float64) float64 { return v / 2 })
-	if !m.Compromised() {
+	if m.compromise == nil {
 		t.Error("compromise not registered")
 	}
 	r, _ = m.Report(3)
@@ -127,15 +124,16 @@ func TestReportHonestAndCompromised(t *testing.T) {
 	}
 }
 
-func TestTamperFlag(t *testing.T) {
-	m, _ := New("m1", testLoad(5), Config{})
-	if m.TamperFlag() {
-		t.Error("tamper flag should start clear")
+// SetLoad replaces the attached load profile (e.g. when an attack changes
+// actual consumption, Class 1A/1B).
+func (m *SmartMeter) SetLoad(load timeseries.Series) error {
+	if err := load.Validate(); err != nil {
+		return fmt.Errorf("meter: load profile: %w", err)
 	}
-	m.SetTamperFlag(true)
-	if !m.TamperFlag() {
-		t.Error("tamper flag should be set")
-	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.load = load.Clone()
+	return nil
 }
 
 func TestSetLoad(t *testing.T) {
@@ -149,8 +147,7 @@ func TestSetLoad(t *testing.T) {
 	if m.Slots() != 2 {
 		t.Error("load not replaced")
 	}
-	v, _ := m.Actual(0)
-	if v != 7 {
+	if m.load[0] != 7 {
 		t.Error("new load not visible")
 	}
 }

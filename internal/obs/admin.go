@@ -66,9 +66,6 @@ func ServeAdmin(addr string, reg *Registry) (*AdminServer, error) {
 // Addr returns the bound address, useful with ":0".
 func (a *AdminServer) Addr() string { return a.ln.Addr().String() }
 
-// Registry returns the registry the endpoint exports.
-func (a *AdminServer) Registry() *Registry { return a.reg }
-
 // Handle mounts an additional route on the admin mux, letting a component
 // hang its own endpoints (the serve layer's /alerts, /consumers/{id},
 // dashboard) off the same listener as /metrics. http.ServeMux registration

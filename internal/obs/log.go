@@ -10,8 +10,9 @@ import (
 // Structured logging: every component asks for Logger("<component>") and
 // gets a slog.Logger pre-scoped with a component attribute. The process
 // default is silent — library code must never spray a caller's stdout, and
-// the paper-artifact commands require byte-identical output — and binaries
-// opt in with EnableLogging (typically behind a -log-level flag).
+// the paper-artifact commands require byte-identical output — and the
+// long-running daemons (amiserver, fdeta serve) opt in with EnableLogging
+// at warning level on stderr.
 
 // base holds the process-wide base logger.
 var base atomic.Pointer[slog.Logger]
@@ -20,21 +21,10 @@ func init() {
 	base.Store(slog.New(discardHandler{}))
 }
 
-// SetLogger replaces the process-wide base logger. A nil logger restores the
-// silent default.
-func SetLogger(l *slog.Logger) {
-	if l == nil {
-		l = slog.New(discardHandler{})
-	}
-	base.Store(l)
-}
-
 // EnableLogging points the base logger at w with a text handler at the given
-// level. It returns the installed logger for immediate use.
-func EnableLogging(w io.Writer, level slog.Leveler) *slog.Logger {
-	l := slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{Level: level}))
-	base.Store(l)
-	return l
+// level.
+func EnableLogging(w io.Writer, level slog.Leveler) {
+	base.Store(slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{Level: level})))
 }
 
 // Logger returns the base logger scoped to one component ("ami", "detect",

@@ -95,16 +95,9 @@ func addFloat(bits *atomic.Uint64, delta float64) {
 	}
 }
 
-// LatencyBuckets are the default upper bounds (seconds) for I/O and
-// per-message latencies: 100µs to 10s, roughly geometric.
-func LatencyBuckets() []float64 {
-	return []float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
-		0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
-}
-
-// FineLatencyBuckets extends LatencyBuckets downward to 1µs for hot-path
-// operations (loopback ingest, in-process stores) whose typical latency
-// sits below the coarse grid's first bound — without the fine tail, every
+// FineLatencyBuckets are the upper bounds (seconds) for latencies: 1µs to
+// 10s, roughly geometric. The fine tail below 100µs serves hot-path
+// operations (loopback ingest, in-process stores) — without it, every
 // observation lands in one bucket and quantile estimates collapse.
 func FineLatencyBuckets() []float64 {
 	return []float64{0.000001, 0.0000025, 0.000005, 0.00001, 0.000025, 0.00005,

@@ -14,9 +14,10 @@ import (
 )
 
 // alertingServer registers one consumer scripted to escalate to LOW.
-func alertingServer(t *testing.T) *Server {
+func alertingServer(t *testing.T, opts ...Option) *Server {
 	t.Helper()
-	s := newTestServer(t, WithAlertPolicy(AlertPolicy{MinStreak: 2, MediumStreak: 50, HighStreak: 60}))
+	opts = append(opts, WithAlertPolicy(AlertPolicy{MinStreak: 2, MediumStreak: 50, HighStreak: 60}))
+	s := newTestServer(t, opts...)
 	if err := s.Register("c1", &fakeStream{verdicts: repeat(anomalous(1.2), 3)}, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -170,8 +171,8 @@ func TestSSEStream(t *testing.T) {
 // TestMountOnAdmin: the serve routes hang off the obs admin listener next
 // to /metrics and /healthz.
 func TestMountOnAdmin(t *testing.T) {
-	s := alertingServer(t)
-	reg := s.Metrics()
+	reg := obs.NewRegistry()
+	s := alertingServer(t, WithMetrics(reg))
 	admin, err := obs.ServeAdmin("127.0.0.1:0", reg)
 	if err != nil {
 		t.Fatal(err)

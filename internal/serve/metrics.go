@@ -26,8 +26,6 @@ const (
 
 // serveMetrics bundles the service's instruments.
 type serveMetrics struct {
-	reg *obs.Registry
-
 	okObs      *obs.Counter // result="ok": live readings observed
 	missingObs *obs.Counter // result="missing": gap slots observed as missing
 	staleObs   *obs.Counter // result="stale": duplicate/regressed slots skipped
@@ -62,7 +60,6 @@ func newServeMetrics(reg *obs.Registry) *serveMetrics {
 	alertHelp := "alert events emitted, by tier"
 	retrainHelp := "rolling re-train attempts, by result"
 	return &serveMetrics{
-		reg: reg,
 		okObs: reg.Counter(metricObserved, obsHelp,
 			obs.L("result", "ok")),
 		missingObs: reg.Counter(metricObserved, obsHelp,

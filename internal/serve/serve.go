@@ -91,11 +91,6 @@ func WithAlertLog(w interface{ Write([]byte) (int, error) }) Option {
 	return func(s *Server) { s.alertLog = newJSONLLog(w) }
 }
 
-// WithWorkers sets the observation worker count (0 = DefaultWorkers).
-func WithWorkers(n int) Option {
-	return func(s *Server) { s.workers = n }
-}
-
 // consumer is the per-meter streaming state. The stream itself dominates
 // the footprint; everything else is kept deliberately flat so a
 // million-consumer fleet stays within the ~1KB/consumer budget (pinned by
@@ -203,9 +198,6 @@ func New(opts ...Option) (*Server, error) {
 	}
 	return s, nil
 }
-
-// Metrics returns the registry holding the service's instruments.
-func (s *Server) Metrics() *obs.Registry { return s.met.reg }
 
 // Register installs streaming state for a consumer. nextSlot is the global
 // slot index the first live reading is expected at (readings below it are

@@ -15,10 +15,9 @@ import (
 	"repro/internal/billing"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/detect"
 	"repro/internal/pricing"
-	"repro/internal/stats"
 	"repro/internal/timeseries"
+	"repro/internal/topology"
 )
 
 // AttackScript schedules one attack instance in a scenario.
@@ -208,6 +207,16 @@ func Run(sc Scenario) (*Result, error) {
 		}
 	}
 
+	// The trusted root balance meter sees the whole feeder: one metered
+	// root with every consumer beneath it.
+	feeder := topology.NewTree("root")
+	for _, id := range ids {
+		if _, err := feeder.AddNode("root", id, topology.Consumer, true); err != nil {
+			return nil, err
+		}
+	}
+	snap := topology.NewSnapshot()
+
 	// Index the script by week.
 	byWeek := make(map[int][]AttackScript)
 	for _, a := range sc.Attacks {
@@ -278,18 +287,8 @@ func Run(sc Scenario) (*Result, error) {
 		}
 
 		// Utility side 2: the trusted root balance check over the week.
-		report.RootBalanced = true
-		for s := 0; s < timeseries.SlotsPerWeek; s++ {
-			var sumActual, sumReported float64
-			for i := range ids {
-				sumActual += actual[i][s]
-				sumReported += reported[i][s]
-			}
-			tol := 1e-6 + 0.02*sumActual
-			if diff := sumActual - sumReported; diff > tol || diff < -tol {
-				report.RootBalanced = false
-				break
-			}
+		if report.RootBalanced, err = rootBalanced(feeder, snap, ids, actual, reported); err != nil {
+			return nil, err
 		}
 
 		// Utility side 3: revenue assurance for the week.
@@ -313,9 +312,29 @@ func Run(sc Scenario) (*Result, error) {
 	return res, nil
 }
 
+// rootBalanced runs the balance check (Eq. 5) at the feeder's root meter
+// for every slot of the week; the week balances when every slot passes.
+func rootBalanced(feeder *topology.Tree, snap *topology.Snapshot, ids []string,
+	actual, reported []timeseries.Series) (bool, error) {
+	bc := topology.DefaultChecker()
+	for s := 0; s < timeseries.SlotsPerWeek; s++ {
+		for i, id := range ids {
+			snap.ConsumerActual[id] = actual[i][s]
+			snap.ConsumerReported[id] = reported[i][s]
+		}
+		r, err := bc.Check(feeder.Root, snap)
+		if err != nil {
+			return false, err
+		}
+		if !r.Pass {
+			return false, nil
+		}
+	}
+	return true, nil
+}
+
 // applyAttack mutates the week's actual/reported series per the script.
-// The driver uses transparent proportional distortions; StealthyVector
-// exposes the paper-exact Integrated ARIMA vector for ad-hoc use.
+// The driver uses transparent proportional distortions.
 func applyAttack(a AttackScript, scheme pricing.Scheme, actual, reported []timeseries.Series) error {
 	switch a.Class {
 	case attack.Class1A:
@@ -369,16 +388,4 @@ func applyAttack(a AttackScript, scheme pricing.Scheme, actual, reported []times
 		reported[a.Victim] = victimReported
 	}
 	return nil
-}
-
-// StealthyVector is a helper for callers that want the full Integrated
-// ARIMA attack vector for a consumer in a scenario (the scripted driver
-// uses proportional distortions for transparency; this exposes the
-// paper-exact vector for ad-hoc use).
-func StealthyVector(train timeseries.Series, dir attack.Direction, seed int64) (timeseries.Series, error) {
-	det, err := detect.NewIntegratedARIMADetector(train, detect.IntegratedARIMAConfig{})
-	if err != nil {
-		return nil, err
-	}
-	return attack.IntegratedARIMAAttack(det, dir, attack.IntegratedARIMAConfig{}, stats.NewRand(seed))
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/attack"
-	"repro/internal/timeseries"
 )
 
 func baseScenario() Scenario {
@@ -267,26 +266,6 @@ func TestPrecisionRecallEdgeCases(t *testing.T) {
 	}
 	if r.Recall() != 0.6 {
 		t.Errorf("recall = %g", r.Recall())
-	}
-}
-
-func TestStealthyVector(t *testing.T) {
-	sc := baseScenario()
-	totalWeeks := sc.TrainWeeks + sc.LiveWeeks
-	_ = totalWeeks
-	train := make(timeseries.Series, sc.TrainWeeks*timeseries.SlotsPerWeek)
-	for i := range train {
-		train[i] = 1 + 0.5*float64(i%48)/48
-	}
-	vec, err := StealthyVector(train, attack.Up, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vec) != timeseries.SlotsPerWeek {
-		t.Error("vector must be a full week")
-	}
-	if err := vec.Validate(); err != nil {
-		t.Error(err)
 	}
 }
 

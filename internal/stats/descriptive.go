@@ -27,41 +27,6 @@ func Mean(xs []float64) float64 {
 	return Sum(xs) / float64(len(xs))
 }
 
-// Variance returns the unbiased (n-1 denominator) sample variance of xs.
-// It returns NaN when fewer than two observations are supplied.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(len(xs)-1)
-}
-
-// PopVariance returns the population (n denominator) variance of xs.
-// It returns NaN for an empty slice.
-func PopVariance(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(len(xs))
-}
-
-// StdDev returns the unbiased sample standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	return math.Sqrt(Variance(xs))
-}
-
 // MeanStd returns the mean and unbiased standard deviation in one pass.
 func MeanStd(xs []float64) (mean, std float64) {
 	var acc Accumulator
@@ -115,12 +80,6 @@ func MinMax(xs []float64) (lo, hi float64) {
 		}
 	}
 	return lo, hi
-}
-
-// Median returns the sample median using linear interpolation between the
-// two central order statistics for even-length samples.
-func Median(xs []float64) float64 {
-	return Percentile(xs, 50)
 }
 
 // Percentile returns the p-th percentile of xs (0 <= p <= 100) using the
@@ -188,16 +147,6 @@ func (a *Accumulator) Add(x float64) {
 	a.m2 += delta * (x - a.mean)
 }
 
-// AddAll folds every observation in xs into the accumulator.
-func (a *Accumulator) AddAll(xs []float64) {
-	for _, x := range xs {
-		a.Add(x)
-	}
-}
-
-// N returns the number of observations seen so far.
-func (a *Accumulator) N() int { return a.n }
-
 // Mean returns the running mean, or NaN if no observations were added.
 func (a *Accumulator) Mean() float64 {
 	if a.n == 0 {
@@ -238,29 +187,4 @@ func (a *Accumulator) Max() float64 {
 func (a *Accumulator) String() string {
 	return fmt.Sprintf("n=%d mean=%.6g std=%.6g min=%.6g max=%.6g",
 		a.n, a.Mean(), a.StdDev(), a.Min(), a.Max())
-}
-
-// Autocorrelation returns the sample autocorrelation of xs at the given
-// nonnegative lag, using the biased (1/n) covariance estimator that
-// guarantees the autocorrelation sequence is positive semi-definite.
-// It returns NaN if the lag is out of range or the series is constant.
-func Autocorrelation(xs []float64, lag int) float64 {
-	n := len(xs)
-	if lag < 0 || lag >= n {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	var denom float64
-	for _, x := range xs {
-		d := x - m
-		denom += d * d
-	}
-	if denom == 0 {
-		return math.NaN()
-	}
-	var num float64
-	for i := 0; i+lag < n; i++ {
-		num += (xs[i] - m) * (xs[i+lag] - m)
-	}
-	return num / denom
 }

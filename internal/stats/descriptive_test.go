@@ -125,9 +125,11 @@ func TestAccumulatorMatchesBatch(t *testing.T) {
 	rng := NewRand(42)
 	xs := NormalSample(rng, 1000, 5, 2)
 	var acc Accumulator
-	acc.AddAll(xs)
-	if acc.N() != 1000 {
-		t.Fatalf("N = %d, want 1000", acc.N())
+	for _, x := range xs {
+		acc.Add(x)
+	}
+	if acc.n != 1000 {
+		t.Fatalf("n = %d, want 1000", acc.n)
 	}
 	if !almostEqual(acc.Mean(), Mean(xs), 1e-9) {
 		t.Errorf("Accumulator mean %g != batch mean %g", acc.Mean(), Mean(xs))
@@ -159,35 +161,6 @@ func TestMeanStd(t *testing.T) {
 	}
 	if !almostEqual(s, math.Sqrt(2.5), 1e-12) {
 		t.Errorf("std = %g, want sqrt(2.5)", s)
-	}
-}
-
-func TestAutocorrelation(t *testing.T) {
-	// Lag 0 autocorrelation is always 1 for non-constant data.
-	xs := []float64{1, 2, 3, 4, 5, 4, 3, 2}
-	if got := Autocorrelation(xs, 0); !almostEqual(got, 1, 1e-12) {
-		t.Errorf("lag-0 autocorrelation = %g, want 1", got)
-	}
-	// Constant series has undefined autocorrelation.
-	if !math.IsNaN(Autocorrelation([]float64{2, 2, 2}, 1)) {
-		t.Error("constant series autocorrelation should be NaN")
-	}
-	// Out of range lags.
-	if !math.IsNaN(Autocorrelation(xs, -1)) || !math.IsNaN(Autocorrelation(xs, len(xs))) {
-		t.Error("out-of-range lag should be NaN")
-	}
-	// A strongly periodic signal should show positive autocorrelation at
-	// its period and negative at half its period.
-	period := 10
-	var signal []float64
-	for i := 0; i < 200; i++ {
-		signal = append(signal, math.Sin(2*math.Pi*float64(i)/float64(period)))
-	}
-	if r := Autocorrelation(signal, period); r < 0.8 {
-		t.Errorf("autocorrelation at period = %g, want > 0.8", r)
-	}
-	if r := Autocorrelation(signal, period/2); r > -0.8 {
-		t.Errorf("autocorrelation at half period = %g, want < -0.8", r)
 	}
 }
 

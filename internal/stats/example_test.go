@@ -26,9 +26,13 @@ func ExampleKLDivergence() {
 // any candidate week.
 func ExampleHistogram() {
 	training := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	h, err := stats.NewHistogramFromData(training, 5)
+	lo, hi := stats.MinMax(training)
+	h, err := stats.NewHistogram(stats.LinearEdges(lo, hi, 5))
 	if err != nil {
 		panic(err)
+	}
+	for _, x := range training {
+		h.AddBin(h.BinIndex(x))
 	}
 	candidate := []float64{0.5, 0.7, 8.5}
 	fmt.Println("baseline:", h.Probabilities())

@@ -74,22 +74,6 @@ func LinearEdges(lo, hi float64, bins int) []float64 {
 	return edges
 }
 
-// NewHistogramFromData builds a histogram whose edges span the range of the
-// supplied data with the given number of equal-width bins, mirroring the
-// paper's "histogram of all values of X using B bins" construction.
-func NewHistogramFromData(data []float64, bins int) (*Histogram, error) {
-	if len(data) == 0 {
-		return nil, ErrEmpty
-	}
-	lo, hi := MinMax(data)
-	h, err := NewHistogram(LinearEdges(lo, hi, bins))
-	if err != nil {
-		return nil, err
-	}
-	h.AddAll(data)
-	return h, nil
-}
-
 // QuantileEdges returns bins+1 edges placed at equally spaced quantiles of
 // the data, so each bin holds (approximately) the same number of training
 // observations. Duplicate quantiles (heavy ties, e.g. many zero readings)
@@ -125,39 +109,6 @@ func QuantileEdges(data []float64, bins int) ([]float64, error) {
 	return edges, nil
 }
 
-// NewHistogramFromDataQuantile is NewHistogramFromData with equal-frequency
-// (quantile) bin edges.
-func NewHistogramFromDataQuantile(data []float64, bins int) (*Histogram, error) {
-	edges, err := QuantileEdges(data, bins)
-	if err != nil {
-		return nil, err
-	}
-	h, err := NewHistogram(edges)
-	if err != nil {
-		return nil, err
-	}
-	h.AddAll(data)
-	return h, nil
-}
-
-// Clone returns a histogram with the same edges and zeroed counts, for
-// binning a different sample against identical edges.
-func (h *Histogram) Clone() *Histogram {
-	return &Histogram{
-		edges:  h.edges, // edges are immutable after construction
-		counts: make([]int, len(h.counts)),
-		scale:  h.scale,
-	}
-}
-
-// Reset zeroes all counts, keeping the edges.
-func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.total = 0
-}
-
 // Bins returns the number of bins.
 func (h *Histogram) Bins() int { return len(h.counts) }
 
@@ -167,9 +118,6 @@ func (h *Histogram) Edges() []float64 {
 	copy(e, h.edges)
 	return e
 }
-
-// Total returns the number of observations added.
-func (h *Histogram) Total() int { return h.total }
 
 // BinIndex returns the bin a value falls into. Values below the first edge
 // map to bin 0 and values at or above the last edge map to the last bin.
@@ -236,23 +184,6 @@ func BinIndexEdges(edges []float64, x float64) int {
 	return lo
 }
 
-// Add bins a single observation. NaN observations are ignored.
-func (h *Histogram) Add(x float64) {
-	i := h.BinIndex(x)
-	if i < 0 {
-		return
-	}
-	h.counts[i]++
-	h.total++
-}
-
-// AddAll bins every observation in xs.
-func (h *Histogram) AddAll(xs []float64) {
-	for _, x := range xs {
-		h.Add(x)
-	}
-}
-
 // AddBin counts one observation directly into bin i, for callers that have
 // already computed BinIndex to feed a second tally in the same pass (the KLD
 // detectors' training bins each value once for both the global X histogram
@@ -265,16 +196,6 @@ func (h *Histogram) AddBin(i int) {
 	h.counts[i]++
 	h.total++
 }
-
-// Counts returns a copy of the per-bin counts.
-func (h *Histogram) Counts() []int {
-	c := make([]int, len(h.counts))
-	copy(c, h.counts)
-	return c
-}
-
-// Count returns the count in bin i.
-func (h *Histogram) Count(i int) int { return h.counts[i] }
 
 // Probabilities returns the relative frequency of each bin: the count
 // normalized by the total number of observations (the p(X^(j)) of Eq. 12).

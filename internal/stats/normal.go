@@ -6,25 +6,6 @@ import (
 	"math/rand"
 )
 
-// NormalPDF returns the density of the normal distribution with the given
-// mean and standard deviation at x. Sigma must be positive.
-func NormalPDF(x, mean, sigma float64) float64 {
-	if sigma <= 0 {
-		return math.NaN()
-	}
-	z := (x - mean) / sigma
-	return math.Exp(-0.5*z*z) / (sigma * math.Sqrt(2*math.Pi))
-}
-
-// NormalCDF returns the cumulative distribution function of the normal
-// distribution with the given mean and standard deviation at x.
-func NormalCDF(x, mean, sigma float64) float64 {
-	if sigma <= 0 {
-		return math.NaN()
-	}
-	return 0.5 * math.Erfc(-(x-mean)/(sigma*math.Sqrt2))
-}
-
 // StdNormalCDF returns the standard normal CDF Φ(z).
 func StdNormalCDF(z float64) float64 {
 	return 0.5 * math.Erfc(-z/math.Sqrt2)
@@ -88,15 +69,6 @@ func StdNormalQuantile(p float64) float64 {
 	return x
 }
 
-// NormalQuantile returns the p-quantile of the normal distribution with the
-// given mean and standard deviation.
-func NormalQuantile(p, mean, sigma float64) float64 {
-	if sigma <= 0 {
-		return math.NaN()
-	}
-	return mean + sigma*StdNormalQuantile(p)
-}
-
 // TruncNormal is a normal distribution restricted to the interval [Lo, Hi].
 // The paper injects Integrated-ARIMA attack vectors from a truncated normal
 // so that the false readings respect both the ARIMA confidence band and the
@@ -157,60 +129,4 @@ func (t TruncNormal) Sample(rng *rand.Rand) float64 {
 		x = t.Hi
 	}
 	return x
-}
-
-// SampleN draws n values.
-func (t TruncNormal) SampleN(rng *rand.Rand, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = t.Sample(rng)
-	}
-	return out
-}
-
-// TruncatedMean returns the analytic mean of the truncated distribution,
-// which differs from Mean whenever the truncation is asymmetric.
-func (t TruncNormal) TruncatedMean() float64 {
-	alpha, beta := t.alphaBeta()
-	_, _, z := t.massZ()
-	if z <= 0 {
-		return math.NaN()
-	}
-	return t.Mean + t.Sigma*(NormalPDF(alpha, 0, 1)-NormalPDF(beta, 0, 1))/z
-}
-
-// TruncatedVariance returns the analytic variance of the truncated
-// distribution.
-func (t TruncNormal) TruncatedVariance() float64 {
-	alpha, beta := t.alphaBeta()
-	_, _, z := t.massZ()
-	if z <= 0 {
-		return math.NaN()
-	}
-	phiAlpha := NormalPDF(alpha, 0, 1)
-	phiBeta := NormalPDF(beta, 0, 1)
-	var aTerm, bTerm float64
-	if !math.IsInf(alpha, 0) {
-		aTerm = alpha * phiAlpha
-	}
-	if !math.IsInf(beta, 0) {
-		bTerm = beta * phiBeta
-	}
-	ratio := (phiAlpha - phiBeta) / z
-	return t.Sigma * t.Sigma * (1 + (aTerm-bTerm)/z - ratio*ratio)
-}
-
-// CDF returns the cumulative distribution function of the truncated normal.
-func (t TruncNormal) CDF(x float64) float64 {
-	switch {
-	case x <= t.Lo:
-		return 0
-	case x >= t.Hi:
-		return 1
-	}
-	phiA, _, z := t.massZ()
-	if z <= 0 {
-		return math.NaN()
-	}
-	return (NormalCDF(x, t.Mean, t.Sigma) - phiA) / z
 }

@@ -32,18 +32,3 @@ func SplitSeed(seed int64, stream int64) int64 {
 	z ^= z >> 31
 	return int64(z)
 }
-
-// NormalSample draws n i.i.d. normal variates with the given mean and
-// standard deviation.
-func NormalSample(rng *rand.Rand, n int, mean, sigma float64) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = mean + sigma*rng.NormFloat64()
-	}
-	return out
-}
-
-// Shuffle permutes xs in place using the supplied RNG.
-func Shuffle(rng *rand.Rand, xs []float64) {
-	rng.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-}

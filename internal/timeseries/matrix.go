@@ -48,25 +48,6 @@ func (m *WeekMatrix) Row(i int) Series {
 // X distribution histogram is built from. The slice aliases the matrix.
 func (m *WeekMatrix) Flat() []float64 { return m.data }
 
-// Column returns a copy of column j across all weeks: the M readings taken
-// at the same half-hour-of-week, used by seasonal models.
-func (m *WeekMatrix) Column(j int) []float64 {
-	if j < 0 || j >= SlotsPerWeek {
-		return nil
-	}
-	return m.ColumnInto(make([]float64, m.rows), j)
-}
-
-// ColumnInto is Column writing into a caller-provided buffer of length
-// Rows(), so per-column gathers in hot loops reuse one slice instead of
-// allocating M floats per call. j must be in [0, SlotsPerWeek).
-func (m *WeekMatrix) ColumnInto(dst []float64, j int) []float64 {
-	for i := 0; i < m.rows; i++ {
-		dst[i] = m.data[i*SlotsPerWeek+j]
-	}
-	return dst
-}
-
 // RowMeans returns the mean of each week, used by the Integrated ARIMA
 // detector's historic-mean threshold.
 func (m *WeekMatrix) RowMeans() []float64 {

@@ -47,6 +47,26 @@ func TestWeekMatrixCopiesData(t *testing.T) {
 	}
 }
 
+// ColumnInto copies column j across all weeks — the M readings taken at the
+// same half-hour-of-week — into dst, which must have length Rows(), so
+// per-column gathers in hot loops reuse one slice instead of allocating M
+// floats per call. j must be in [0, SlotsPerWeek).
+func (m *WeekMatrix) ColumnInto(dst []float64, j int) []float64 {
+	for i := 0; i < m.rows; i++ {
+		dst[i] = m.data[i*SlotsPerWeek+j]
+	}
+	return dst
+}
+
+// Column returns a copy of column j across all weeks, or nil for j out of
+// range.
+func (m *WeekMatrix) Column(j int) []float64 {
+	if j < 0 || j >= SlotsPerWeek {
+		return nil
+	}
+	return m.ColumnInto(make([]float64, m.rows), j)
+}
+
 func TestColumn(t *testing.T) {
 	s := ramp(SlotsPerWeek * 2)
 	m, _ := NewWeekMatrix(s, 2)

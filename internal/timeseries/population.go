@@ -61,9 +61,6 @@ func PopulationFromSeries(series []Series, weeks int) (*PopulationMatrix, error)
 // Consumers returns the number of consumers in the population.
 func (p *PopulationMatrix) Consumers() int { return p.consumers }
 
-// Weeks returns the number of training weeks stored per consumer.
-func (p *PopulationMatrix) Weeks() int { return p.weeks }
-
 // block returns consumer i's slice of the flat storage.
 func (p *PopulationMatrix) block(i int) []float64 {
 	n := p.weeks * SlotsPerWeek
@@ -90,7 +87,3 @@ func (p *PopulationMatrix) SetSeries(i int, s Series) error {
 	copy(p.block(i), s[:p.weeks*SlotsPerWeek])
 	return nil
 }
-
-// Flat returns the entire population's values as one slice aliasing the
-// backing array, consumer-major then week-major.
-func (p *PopulationMatrix) Flat() []float64 { return p.data }

@@ -23,11 +23,11 @@ func TestPopulationMatrixViews(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Consumers() != 3 || p.Weeks() != 4 {
-		t.Fatalf("dims %d x %d, want 3 x 4", p.Consumers(), p.Weeks())
+	if p.Consumers() != 3 || p.weeks != 4 {
+		t.Fatalf("dims %d x %d, want 3 x 4", p.Consumers(), p.weeks)
 	}
-	if len(p.Flat()) != 3*4*SlotsPerWeek {
-		t.Fatalf("flat length %d", len(p.Flat()))
+	if len(p.data) != 3*4*SlotsPerWeek {
+		t.Fatalf("flat length %d", len(p.data))
 	}
 	for i := range series {
 		view := p.Series(i)
@@ -51,7 +51,7 @@ func TestPopulationMatrixViews(t *testing.T) {
 		if got.Rows() != want.Rows() {
 			t.Fatalf("consumer %d rows %d != %d", i, got.Rows(), want.Rows())
 		}
-		gf, wf := got.Flat(), want.Flat()
+		gf, wf := got.data, want.data
 		for j := range wf {
 			if math.Float64bits(gf[j]) != math.Float64bits(wf[j]) {
 				t.Fatalf("consumer %d flat[%d]: %v != %v", i, j, gf[j], wf[j])
@@ -67,7 +67,7 @@ func TestPopulationMatrixViews(t *testing.T) {
 
 	// Views alias storage: a write through Series(i) is visible in Flat.
 	p.Series(1)[0] = -7
-	if p.Flat()[4*SlotsPerWeek] != -7 {
+	if p.data[4*SlotsPerWeek] != -7 {
 		t.Error("Series view does not alias flat storage")
 	}
 }
@@ -77,8 +77,8 @@ func TestPopulationMatrixShortestWeeks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Weeks() != 3 {
-		t.Fatalf("weeks = %d, want shortest = 3", p.Weeks())
+	if p.weeks != 3 {
+		t.Fatalf("weeks = %d, want shortest = 3", p.weeks)
 	}
 }
 

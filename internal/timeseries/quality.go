@@ -49,9 +49,6 @@ func (s ReadingStatus) String() string {
 // either a trusted observation or an imputed fill.
 func (s ReadingStatus) Usable() bool { return s == StatusOK || s == StatusImputed }
 
-// Trusted reports whether the slot holds an actual trusted observation.
-func (s ReadingStatus) Trusted() bool { return s == StatusOK }
-
 // Mask is a per-slot quality annotation aligned with a Series. A nil Mask
 // means every reading is StatusOK (the pristine fast path costs nothing).
 type Mask []ReadingStatus

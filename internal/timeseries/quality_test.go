@@ -7,22 +7,18 @@ import (
 
 func TestReadingStatusPredicates(t *testing.T) {
 	cases := []struct {
-		st      ReadingStatus
-		usable  bool
-		trusted bool
-		name    string
+		st     ReadingStatus
+		usable bool
+		name   string
 	}{
-		{StatusOK, true, true, "ok"},
-		{StatusMissing, false, false, "missing"},
-		{StatusCorrupt, false, false, "corrupt"},
-		{StatusImputed, true, false, "imputed"},
+		{StatusOK, true, "ok"},
+		{StatusMissing, false, "missing"},
+		{StatusCorrupt, false, "corrupt"},
+		{StatusImputed, true, "imputed"},
 	}
 	for _, c := range cases {
 		if c.st.Usable() != c.usable {
 			t.Errorf("%v.Usable() = %v, want %v", c.st, c.st.Usable(), c.usable)
-		}
-		if c.st.Trusted() != c.trusted {
-			t.Errorf("%v.Trusted() = %v, want %v", c.st, c.st.Trusted(), c.trusted)
 		}
 		if c.st.String() != c.name {
 			t.Errorf("%v.String() = %q, want %q", c.st, c.st.String(), c.name)

@@ -60,14 +60,6 @@ func (s Series) MustWeek(i int) Series {
 	return w
 }
 
-// Day returns the d-th complete day as a subslice.
-func (s Series) Day(d int) (Series, error) {
-	if d < 0 || (d+1)*SlotsPerDay > len(s) {
-		return nil, fmt.Errorf("timeseries: day %d out of range", d)
-	}
-	return s[d*SlotsPerDay : (d+1)*SlotsPerDay], nil
-}
-
 // Energy returns the total energy (kWh) represented by the series: the sum
 // of average demands multiplied by Δt.
 func (s Series) Energy() float64 {
@@ -111,20 +103,6 @@ func (s Series) Scale(k float64) Series {
 	return out
 }
 
-// ClampNonNegative returns a copy with negative readings replaced by zero.
-// Demand is physically nonnegative (D ∈ R≥0, Section III), so synthetic
-// generators and attack injectors clamp through this.
-func (s Series) ClampNonNegative() Series {
-	out := make(Series, len(s))
-	for i, v := range s {
-		if v < 0 {
-			v = 0
-		}
-		out[i] = v
-	}
-	return out
-}
-
 // Validate reports an error when the series contains NaN, Inf, or negative
 // readings, which would violate the paper's demand model.
 func (s Series) Validate() error {
@@ -162,7 +140,7 @@ type Slot int
 func (t Slot) Week() int { return int(t) / SlotsPerWeek }
 
 // DayOfWeek returns 0 (Monday) through 6 (Sunday).
-func (t Slot) DayOfWeek() int { return (int(t) % SlotsPerWeek) / SlotsPerDay }
+func (t Slot) DayOfWeek() int { return t.SlotOfWeek() / SlotsPerDay }
 
 // SlotOfDay returns 0..47, the half-hour index within the day.
 func (t Slot) SlotOfDay() int { return int(t) % SlotsPerDay }

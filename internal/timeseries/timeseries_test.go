@@ -2,6 +2,7 @@ package timeseries
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -68,6 +69,28 @@ func TestMustWeekPanics(t *testing.T) {
 		}
 	}()
 	ramp(10).MustWeek(0)
+}
+
+// Day returns the d-th complete day as a subslice.
+func (s Series) Day(d int) (Series, error) {
+	if d < 0 || (d+1)*SlotsPerDay > len(s) {
+		return nil, fmt.Errorf("timeseries: day %d out of range", d)
+	}
+	return s[d*SlotsPerDay : (d+1)*SlotsPerDay], nil
+}
+
+// ClampNonNegative returns a copy with negative readings replaced by zero.
+// Demand is physically nonnegative (D ∈ R≥0, Section III), so synthetic
+// generators and attack injectors clamp through this.
+func (s Series) ClampNonNegative() Series {
+	out := make(Series, len(s))
+	for i, v := range s {
+		if v < 0 {
+			v = 0
+		}
+		out[i] = v
+	}
+	return out
 }
 
 func TestDayAccess(t *testing.T) {

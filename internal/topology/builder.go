@@ -123,58 +123,6 @@ func BuildRandom(cfg BuilderConfig) (*Tree, error) {
 	return t, nil
 }
 
-// BuildIEEE13 constructs a radial tree modeled on the IEEE 13-node test
-// feeder, the standard small distribution benchmark. Bus numbering follows
-// the IEEE case (650 is the substation); buses that carry spot loads in the
-// IEEE case get consumer leaves here, and every bus gets a loss leaf. All
-// internal nodes are metered, the root is trusted.
-func BuildIEEE13() (*Tree, error) {
-	t := NewTree("650")
-	type edge struct{ parent, id string }
-	buses := []edge{
-		{"650", "632"},
-		{"632", "633"},
-		{"633", "634"},
-		{"632", "645"},
-		{"645", "646"},
-		{"632", "671"},
-		{"671", "692"},
-		{"692", "675"},
-		{"671", "684"},
-		{"684", "611"},
-		{"684", "652"},
-		{"671", "680"},
-	}
-	for _, e := range buses {
-		if _, err := t.AddNode(e.parent, e.id, Internal, true); err != nil {
-			return nil, err
-		}
-	}
-	// Spot-load buses in the IEEE 13-node case.
-	loadBuses := []string{"634", "645", "646", "652", "671", "675", "692", "611"}
-	for _, bus := range loadBuses {
-		if _, err := t.AddNode(bus, "load-"+bus, Consumer, true); err != nil {
-			return nil, err
-		}
-	}
-	// Distributed load between 632 and 671 is modeled as a consumer on 632.
-	if _, err := t.AddNode("632", "load-632-671", Consumer, true); err != nil {
-		return nil, err
-	}
-	// Loss leaves on every bus.
-	lossID := 0
-	for _, n := range t.Internals() {
-		lossID++
-		if _, err := t.AddNode(n.ID, fmt.Sprintf("loss-%d", lossID), Loss, false); err != nil {
-			return nil, err
-		}
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
 // BuildFig2 constructs the exact example tree of Fig. 2 in the paper:
 // root N1 with children N2, N3, L1; N2 with consumers C1-C3 and loss L2;
 // N3 with consumers C4, C5 and loss L3.

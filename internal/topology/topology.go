@@ -74,17 +74,6 @@ func (n *Node) Depth() int {
 	return d
 }
 
-// PathToRoot returns the nodes from this node (inclusive) up to the root.
-// Its length minus one is the number of balance meters Mallory must
-// compromise to hide from every check on her supply path (Section VI-A).
-func (n *Node) PathToRoot() []*Node {
-	var path []*Node
-	for cur := n; cur != nil; cur = cur.Parent {
-		path = append(path, cur)
-	}
-	return path
-}
-
 // Tree is a radial distribution grid.
 type Tree struct {
 	Root  *Node
