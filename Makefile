@@ -61,14 +61,17 @@ bench-quick:
 bench-population:
 	$(GO) test -run=NONE -bench=BenchmarkPopulationTrain -benchtime=1x .
 
-# collect-smoke: the ingestion tier end to end under the race detector — a
-# sharded head-end and a persistent-connection pool multiplexing a
-# 1k-meter fleet over wire-v3 binary batch frames, each meter's first
-# frame behind a one-way rebind in the same write (one client write, one
-# server read, one server write). Exercises negotiation, rebinding,
-# batching, shard queues, flush, and drain on every PR.
+# collect-smoke: the ingestion tier end to end under the race detector,
+# through both client paths. First a sharded head-end and a
+# persistent-connection pool multiplexing a 1k-meter fleet over wire-v3
+# binary batch frames, each meter's first frame behind a one-way rebind in
+# the same write (one client write, one server read, one server write).
+# Then one reliable client per meter, sending two frames per meter with a
+# tenth of the slots dropped. Exercises negotiation, rebinding, batching,
+# per-frame retry, shard queues, flush, and drain on every PR.
 collect-smoke:
 	$(GO) run -race ./cmd/fdeta collect -meters 1000 -shards 4 -batch 48 -concurrency 16
+	$(GO) run -race ./cmd/fdeta collect -meters 64 -slots 96 -batch 48 -fault dropout:0.1
 
 # chaos-smoke: the durability invariant under the race detector — the
 # chaos harness kill -9s a real WAL-backed head-end process mid-load

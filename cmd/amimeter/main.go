@@ -35,8 +35,8 @@ func run(args []string, out io.Writer) int {
 	slots := fs.Int("slots", timeseries.SlotsPerDay, "number of readings to report")
 	underreport := fs.Float64("underreport", 0, "fraction to shave off every report (0 = honest, 0.5 = report half)")
 	interval := fs.Duration("interval", 0, "delay between readings (0 = as fast as possible)")
-	retries := fs.Int("retries", 3, "delivery attempts per reading")
-	batch := fs.Int("batch", 0, "readings per wire-v3 batch frame (0 = one v1 frame per reading; requires a v3 head-end)")
+	retries := fs.Int("retries", 3, "delivery attempts per frame")
+	batch := fs.Int("batch", 1, "readings per wire-v3 batch frame (>= 1)")
 	faultSpec := fs.String("fault", "", "inject meter faults, e.g. 'dropout:0.1+stuckat:1' (dropped slots are never sent)")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -44,6 +44,10 @@ func run(args []string, out io.Writer) int {
 
 	if *underreport < 0 || *underreport >= 1 {
 		fmt.Fprintln(os.Stderr, "amimeter: -underreport must be in [0, 1)")
+		return 2
+	}
+	if *batch < 1 {
+		fmt.Fprintln(os.Stderr, "amimeter: -batch must be >= 1")
 		return 2
 	}
 	scens, err := fault.Parse(*faultSpec)
@@ -89,11 +93,7 @@ func run(args []string, out io.Writer) int {
 		fmt.Fprintf(out, "amimeter: %s COMPROMISED — reporting %.0f%% of measured demand\n", *id, frac*100)
 	}
 
-	newClient := ami.NewReliableClient
-	if *batch > 0 {
-		newClient = ami.NewReliableBatchClient
-	}
-	client, err := newClient(*addr, *id, nil, 5*time.Second, *retries, 100*time.Millisecond)
+	client, err := ami.NewReliableClient(*addr, *id, nil, 5*time.Second, *retries, 100*time.Millisecond)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "amimeter:", err)
 		return 1
@@ -110,9 +110,9 @@ func run(args []string, out io.Writer) int {
 		n = m.Slots()
 	}
 	sent := 0
-	// With -batch, surviving readings accumulate into frames of that size;
-	// the interval then paces frames rather than individual readings, the
-	// way a real meter spools a reporting window and uploads it in one go.
+	// Surviving readings accumulate into frames of -batch readings; the
+	// interval paces frames, the way a real meter spools a reporting window
+	// and uploads it in one go.
 	var pending []meter.Reading
 	flush := func(last int) (int, bool) {
 		if err := client.SendAllContext(ctx, pending); err != nil {
@@ -143,24 +143,12 @@ func run(args []string, out io.Writer) int {
 			fmt.Fprintln(os.Stderr, "amimeter:", err)
 			return 1
 		}
-		if *batch > 0 {
-			pending = append(pending, r)
-			if len(pending) < *batch {
-				continue
-			}
-			if code, ok := flush(s); !ok {
-				return code
-			}
-		} else {
-			if err := client.SendContext(ctx, r); err != nil {
-				if errors.Is(err, context.Canceled) {
-					fmt.Fprintf(out, "amimeter: %s interrupted after %d readings\n", *id, s)
-					return 130
-				}
-				fmt.Fprintln(os.Stderr, "amimeter:", err)
-				return 1
-			}
-			sent++
+		pending = append(pending, r)
+		if len(pending) < *batch {
+			continue
+		}
+		if code, ok := flush(s); !ok {
+			return code
 		}
 		if pace != nil {
 			select {

@@ -116,6 +116,9 @@ func TestAmimeterBadFlags(t *testing.T) {
 	if code := run([]string{"-fault", "sparks:1"}, &out); code != 2 {
 		t.Error("invalid fault spec should exit 2")
 	}
+	if code := run([]string{"-batch", "0"}, &out); code != 2 {
+		t.Error("-batch 0 should exit 2")
+	}
 	// Dead head-end: delivery fails after retries.
 	if code := run([]string{"-addr", "127.0.0.1:1", "-slots", "1", "-retries", "1"}, &out); code != 1 {
 		t.Error("unreachable head-end should exit 1")

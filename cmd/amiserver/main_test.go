@@ -62,12 +62,12 @@ func TestAmiserverCollectsAndExits(t *testing.T) {
 	}
 
 	// A meter reports a few readings while the server is up.
-	c, err := ami.Dial(addr, "m1", time.Second)
+	c, err := ami.DialBatch(addr, "m1", nil, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for s := 0; s < 5; s++ {
-		if err := c.Send(meter.Reading{MeterID: "m1", Slot: ts.Slot(s), KW: 1}); err != nil {
+		if err := c.SendBatch([]meter.Reading{{MeterID: "m1", Slot: ts.Slot(s), KW: 1}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -114,12 +114,12 @@ func TestAmiserverSIGTERMWithIdleConnExitsWithinDrain(t *testing.T) {
 
 	// A meter connects, reports once, then holds the connection idle — the
 	// exact state that used to hang wg.Wait() forever.
-	c, err := ami.Dial(addr, "m1", time.Second)
+	c, err := ami.DialBatch(addr, "m1", nil, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = c.Close() }()
-	if err := c.Send(meter.Reading{MeterID: "m1", Slot: 0, KW: 1}); err != nil {
+	if err := c.SendBatch([]meter.Reading{{MeterID: "m1", Slot: 0, KW: 1}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -178,12 +178,12 @@ func TestAmiserverMetricsEndpoint(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	c, err := ami.Dial(addr, "m1", time.Second)
+	c, err := ami.DialBatch(addr, "m1", nil, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for s := 0; s < 7; s++ {
-		if err := c.Send(meter.Reading{MeterID: "m1", Slot: ts.Slot(s), KW: 1}); err != nil {
+		if err := c.SendBatch([]meter.Reading{{MeterID: "m1", Slot: ts.Slot(s), KW: 1}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -263,13 +263,13 @@ func TestAmiserverWALAckedReadingSurvivesSIGTERMRestart(t *testing.T) {
 		}()
 		addr := waitForAddr(t, &out)
 
-		c, err := ami.Dial(addr, "m1", time.Second)
+		c, err := ami.DialBatch(addr, "m1", nil, time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Send returns only after the head-end's ack — from here on the
 		// reading is covered by the durability contract.
-		if err := c.Send(meter.Reading{MeterID: "m1", Slot: 7, KW: 3.25}); err != nil {
+		if err := c.SendBatch([]meter.Reading{{MeterID: "m1", Slot: 7, KW: 3.25}}); err != nil {
 			t.Fatal(err)
 		}
 		_ = c.Close()
@@ -314,11 +314,11 @@ func TestAmiserverWALFlagValidation(t *testing.T) {
 			done <- run([]string{"-addr", "127.0.0.1:0", "-wal-dir", walDir, "-stats", "1h"}, &out, os.Stderr)
 		}()
 		addr := waitForAddr(t, &out)
-		c, err := ami.Dial(addr, "m1", time.Second)
+		c, err := ami.DialBatch(addr, "m1", nil, time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Send(meter.Reading{MeterID: "m1", Slot: 0, KW: 1}); err != nil {
+		if err := c.SendBatch([]meter.Reading{{MeterID: "m1", Slot: 0, KW: 1}}); err != nil {
 			t.Fatal(err)
 		}
 		_ = c.Close()

@@ -357,8 +357,8 @@ func cutBatchFrame(conn net.Conn, rebind bool) bool {
 	return err == nil
 }
 
-// injectSlowLoris holds a session open while dribbling a hello one byte at
-// a time — the idle-deadline path under real load.
+// injectSlowLoris holds a session open while dribbling a v3 hello one byte
+// at a time — the idle-deadline path under real load.
 func injectSlowLoris(ctx context.Context, addr string) {
 	d := net.Dialer{Timeout: time.Second}
 	conn, err := d.DialContext(ctx, "tcp", addr)
@@ -366,7 +366,7 @@ func injectSlowLoris(ctx context.Context, addr string) {
 		return
 	}
 	defer func() { _ = conn.Close() }()
-	frame := []byte(`{"type":"hello","hello":{"meter_id":"loris"}}` + "\n")
+	frame := []byte(`{"type":"hello","hello":{"meter_id":"loris","ver":3}}` + "\n")
 	for i := 0; i < len(frame); i++ {
 		if _, err := conn.Write(frame[i : i+1]); err != nil {
 			return

@@ -41,11 +41,11 @@ func cmdCollect(args []string) error {
 	maxConns := fs.Int("max-conns", ami.DefaultMaxConns, "head-end connection limit")
 	idleTimeout := fs.Duration("idle-timeout", ami.DefaultIdleTimeout, "head-end idle read deadline")
 	drain := fs.Duration("drain", time.Second, "shutdown grace before force-closing connections")
-	retries := fs.Int("retries", 3, "delivery attempts per reading (per-meter mode)")
+	retries := fs.Int("retries", 3, "delivery attempts per frame (per-meter mode)")
 	faultSpec := fs.String("fault", "", "inject meter faults into the collected stream, e.g. 'dropout:0.1+spike:0.01,20' (dropped slots are never sent)")
 	shards := fs.Int("shards", 1, "shard the head-end store N ways, each with its own async ingest queue (<= 0 = one shard per core)")
-	batch := fs.Int("batch", 0, "readings per wire-v3 batch frame (0 = one v1 frame per reading)")
-	concurrency := fs.Int("concurrency", 0, "load-harness connection pool size; >0 multiplexes the fleet over persistent v3 connections (requires -batch >= 1)")
+	batch := fs.Int("batch", 1, "readings per wire-v3 batch frame (>= 1)")
+	concurrency := fs.Int("concurrency", 0, "load-harness connection pool size; >0 multiplexes the fleet over persistent v3 connections")
 	profiles := fs.Int("profiles", 64, "synthetic consumption profiles cycled across the fleet (load-harness mode)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -56,8 +56,8 @@ func cmdCollect(args []string) error {
 	if *slots < 1 || *slots > timeseries.SlotsPerWeek {
 		return fmt.Errorf("collect: -slots must be in [1, %d]", timeseries.SlotsPerWeek)
 	}
-	if *concurrency > 0 && *batch < 1 {
-		return fmt.Errorf("collect: -concurrency requires -batch >= 1 (the pool multiplexes v3 batch sessions)")
+	if *batch < 1 {
+		return fmt.Errorf("collect: -batch must be >= 1")
 	}
 	if *concurrency > 0 && *faultSpec != "" {
 		return fmt.Errorf("collect: -fault is a per-meter-client feature; drop -concurrency to use it")
@@ -111,8 +111,8 @@ func cmdCollect(args []string) error {
 }
 
 // runCollect is the per-meter-client collection body: one goroutine and one
-// reliable client per meter, exactly the seed topology (with -batch > 1 the
-// clients speak v3 batch frames instead of one frame per reading).
+// reliable client per meter, each delivering its readings in frames of
+// batch readings, every frame retried on its own.
 func runCollect(head *ami.ShardedHeadEnd, ds *dataset.Dataset, plan fault.Plan,
 	meterCount, slotCount, retries, batch, maxConns int, idleTimeout, drain time.Duration) error {
 	addr, err := head.Listen("127.0.0.1:0")
@@ -157,11 +157,7 @@ func runCollect(head *ami.ShardedHeadEnd, ds *dataset.Dataset, plan fault.Plan,
 				errc <- err
 				return
 			}
-			newClient := ami.NewReliableClient
-			if batch > 1 {
-				newClient = ami.NewReliableBatchClient
-			}
-			rc, err := newClient(addr, id, nil, 5*time.Second, retries, 50*time.Millisecond)
+			rc, err := ami.NewReliableClient(addr, id, nil, 5*time.Second, retries, 50*time.Millisecond)
 			if err != nil {
 				errc <- err
 				return
@@ -186,7 +182,15 @@ func runCollect(head *ami.ShardedHeadEnd, ds *dataset.Dataset, plan fault.Plan,
 				}
 				readings = kept
 			}
-			errc <- rc.SendAllContext(ctx, readings)
+			for len(readings) > 0 {
+				n := min(len(readings), batch)
+				if err := rc.SendAllContext(ctx, readings[:n]); err != nil {
+					errc <- err
+					return
+				}
+				readings = readings[n:]
+			}
+			errc <- nil
 		}()
 	}
 	wg.Wait()

@@ -5,6 +5,12 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/ami"
+	"repro/internal/dataset"
+	"repro/internal/fault"
+	"repro/internal/obs"
 )
 
 // TestMain lets the chaos harness re-exec this test binary as its server
@@ -46,6 +52,24 @@ func TestRunChaosFlagValidation(t *testing.T) {
 	}
 }
 
+// TestRunCollectFramesByBatch: the per-meter mode sends frames of -batch
+// readings, so 96 slots at -batch 48 is two frames per meter.
+func TestRunCollectFramesByBatch(t *testing.T) {
+	const meters, slots, batch = 3, 96, 48
+	reg := obs.NewRegistry()
+	head := ami.NewSharded(1, ami.WithMetrics(reg))
+	ds, err := dataset.Generate(dataset.Config{Residential: meters, Weeks: 2, Seed: 2016})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := runCollect(head, ds, fault.Plan{}, meters, slots, 3, batch, ami.DefaultMaxConns, time.Minute, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter("fdeta_ami_batch_frames_total", "").Value(); got != meters*slots/batch {
+		t.Errorf("batch frames = %d, want %d", got, meters*slots/batch)
+	}
+}
+
 func TestRunDispatcher(t *testing.T) {
 	cases := []struct {
 		name string
@@ -68,6 +92,7 @@ func TestRunDispatcher(t *testing.T) {
 		{"collect bad meters", []string{"collect", "-meters", "0"}, 1},
 		{"collect bad slots", []string{"collect", "-slots", "999"}, 1},
 		{"collect bad fault", []string{"collect", "-meters", "2", "-fault", "sparks:1"}, 1},
+		{"collect bad batch", []string{"collect", "-batch", "0"}, 1},
 		{"faults bad rates", []string{"faults", "-rates", "0,zero"}, 1},
 		{"faults bad spec", []string{"faults", "-rates", "0", "-fault", "sparks:1"}, 1},
 		{"table2 bad fault spec", []string{"table2", "-fault", "dropout:2"}, 1},

@@ -8,9 +8,10 @@ import (
 	"testing"
 )
 
-// The CLI tests run fdetalint in-process against the real module. The
-// whole-module paths type-check from source, so they share one run where
-// possible and skip under -short.
+// The CLI tests run fdetalint in-process. Type-checking the real module
+// from source is slow, so only TestRunCleanTree lints it; the output-mode
+// tests lint a small scratch module instead (see fixtureModule). The
+// module-wide tests skip under -short.
 
 func TestRunCleanTree(t *testing.T) {
 	if testing.Short() {
@@ -24,70 +25,18 @@ func TestRunCleanTree(t *testing.T) {
 		t.Errorf("clean tree printed findings:\n%s", stdout.String())
 	}
 	for _, check := range []string{"determinism", "metricnames", "floatcmp", "goroutines", "wrapcheck",
-		"lockhold", "chanbound", "blockctx"} {
+		"lockhold", "chanbound", "blockctx", "deadapi"} {
 		if !strings.Contains(stderr.String(), check) {
 			t.Errorf("summary missing analyzer %q:\n%s", check, stderr.String())
 		}
 	}
 }
 
-// TestRunJSON checks the machine-readable stream: one object per line,
-// suppressed findings included and marked, with module-relative paths. The
-// tree is clean, so every object must be a suppressed finding with a
-// reason.
-func TestRunJSON(t *testing.T) {
-	if testing.Short() {
-		t.Skip("whole-module lint is slow; run without -short")
-	}
-	var stdout, stderr strings.Builder
-	if code := run([]string{"-C", "../..", "-json"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("exit %d on a clean tree\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
-	}
-	if stderr.Len() != 0 {
-		t.Errorf("-json printed summaries on stderr:\n%s", stderr.String())
-	}
-	lines := strings.Split(strings.TrimRight(stdout.String(), "\n"), "\n")
-	if len(lines) == 0 || lines[0] == "" {
-		t.Fatal("-json emitted nothing; the tree has suppressed findings to report")
-	}
-	sawLockhold := false
-	for _, line := range lines {
-		var f struct {
-			File       string `json:"file"`
-			Line       int    `json:"line"`
-			Check      string `json:"check"`
-			Message    string `json:"message"`
-			Suppressed bool   `json:"suppressed"`
-			Reason     string `json:"reason"`
-		}
-		if err := json.Unmarshal([]byte(line), &f); err != nil {
-			t.Fatalf("line is not a JSON object: %q: %v", line, err)
-		}
-		if f.File == "" || f.Line == 0 || f.Check == "" || f.Message == "" {
-			t.Errorf("object missing fields: %q", line)
-		}
-		if filepath.IsAbs(f.File) {
-			t.Errorf("file %q not module-relative", f.File)
-		}
-		if !f.Suppressed || f.Reason == "" {
-			t.Errorf("clean tree emitted an unsuppressed or reasonless finding: %q", line)
-		}
-		if f.Check == "lockhold" {
-			sawLockhold = true
-		}
-	}
-	if !sawLockhold {
-		t.Error("JSON stream missing the tree's lockhold suppressions")
-	}
-}
-
-// TestRunGitHub checks the annotation mode on a seeded-violation fixture
-// tree (the lockhold bad fixture copied into a scratch module), since the
-// real tree is clean and -github only emits unsuppressed findings.
-func TestRunGitHub(t *testing.T) {
-	if testing.Short() {
-		t.Skip("module lint is slow; run without -short")
-	}
+// fixtureModule writes a scratch module whose one package, store, is the
+// lockhold bad fixture with its first violation suppressed by a reasoned
+// directive: it has both unsuppressed and suppressed lockhold findings.
+func fixtureModule(t *testing.T) string {
+	t.Helper()
 	src, err := os.ReadFile("../../internal/analysis/testdata/src/lockhold/bad/bad.go")
 	if err != nil {
 		t.Fatal(err)
@@ -100,11 +49,73 @@ func TestRunGitHub(t *testing.T) {
 		t.Fatal(err)
 	}
 	fixed := strings.ReplaceAll(string(src), "package bad", "package store")
+	const first = "\ts.sink(meterID, rs)"
+	if !strings.Contains(fixed, first) {
+		t.Fatalf("lockhold bad fixture no longer contains %q", first)
+	}
+	fixed = strings.Replace(fixed, first, "\t//lint:ignore lockhold the fixture's suppressed finding\n"+first, 1)
 	if err := os.WriteFile(filepath.Join(root, "store", "store.go"), []byte(fixed), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return root
+}
+
+// TestRunJSON checks the machine-readable stream: one object per line,
+// suppressed findings included and marked with their reason, and
+// module-relative paths.
+func TestRunJSON(t *testing.T) {
+	if testing.Short() {
+		t.Skip("module lint is slow; run without -short")
+	}
 	var stdout, stderr strings.Builder
-	if code := run([]string{"-C", root, "-github", "-checks", "lockhold"}, &stdout, &stderr); code != 1 {
+	if code := run([]string{"-C", fixtureModule(t), "-json", "-checks", "lockhold"}, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit %d on seeded violations, want 1\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
+	}
+	if stderr.Len() != 0 {
+		t.Errorf("-json printed summaries on stderr:\n%s", stderr.String())
+	}
+	lines := strings.Split(strings.TrimRight(stdout.String(), "\n"), "\n")
+	if len(lines) == 0 || lines[0] == "" {
+		t.Fatal("-json emitted nothing for seeded violations")
+	}
+	suppressed, open := 0, 0
+	for _, line := range lines {
+		var f struct {
+			File       string `json:"file"`
+			Line       int    `json:"line"`
+			Check      string `json:"check"`
+			Message    string `json:"message"`
+			Suppressed bool   `json:"suppressed"`
+			Reason     string `json:"reason"`
+		}
+		if err := json.Unmarshal([]byte(line), &f); err != nil {
+			t.Fatalf("line is not a JSON object: %q: %v", line, err)
+		}
+		if f.File != "store/store.go" || f.Line == 0 || f.Check != "lockhold" || f.Message == "" {
+			t.Errorf("object missing fields or not module-relative: %q", line)
+		}
+		if f.Suppressed {
+			suppressed++
+			if f.Reason == "" {
+				t.Errorf("suppressed finding without its reason: %q", line)
+			}
+		} else {
+			open++
+		}
+	}
+	if suppressed != 1 || open == 0 {
+		t.Errorf("JSON stream has %d suppressed and %d open findings, want 1 and some", suppressed, open)
+	}
+}
+
+// TestRunGitHub checks the annotation mode: only unsuppressed findings, in
+// workflow-command form.
+func TestRunGitHub(t *testing.T) {
+	if testing.Short() {
+		t.Skip("module lint is slow; run without -short")
+	}
+	var stdout, stderr strings.Builder
+	if code := run([]string{"-C", fixtureModule(t), "-github", "-checks", "lockhold"}, &stdout, &stderr); code != 1 {
 		t.Fatalf("exit %d on seeded violations, want 1\nstdout:\n%s\nstderr:\n%s",
 			code, stdout.String(), stderr.String())
 	}
@@ -127,13 +138,14 @@ func TestRunGitHub(t *testing.T) {
 
 func TestRunQuiet(t *testing.T) {
 	if testing.Short() {
-		t.Skip("whole-module lint is slow; run without -short")
+		t.Skip("module lint is slow; run without -short")
 	}
 	var stdout, stderr strings.Builder
-	// One cheap analyzer keeps the quiet path fast: goroutines touches two
-	// packages.
-	if code := run([]string{"-C", "../..", "-q", "-checks", "goroutines"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("exit %d\nstderr:\n%s", code, stderr.String())
+	if code := run([]string{"-C", fixtureModule(t), "-q", "-checks", "lockhold"}, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit %d on seeded violations, want 1\nstderr:\n%s", code, stderr.String())
+	}
+	if stdout.Len() == 0 {
+		t.Error("-q dropped the findings along with the summaries")
 	}
 	if stderr.Len() != 0 {
 		t.Errorf("-q still printed summaries:\n%s", stderr.String())

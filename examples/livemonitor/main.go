@@ -83,7 +83,7 @@ func run() error {
 
 	victimID := fmt.Sprintf("meter-%d", ds.Consumers[victimIdx].ID)
 	const attackStartSlot = 48
-	mitm := ami.NewMITM(headAddr, func(r ami.ReadingMsg) ami.ReadingMsg {
+	mitm := ami.NewMITM(headAddr, func(r meter.Reading) meter.Reading {
 		if int(r.Slot)%timeseries.SlotsPerWeek >= attackStartSlot {
 			r.KW = 0
 		}
@@ -113,7 +113,7 @@ func run() error {
 		if id == victimID {
 			target = mitmAddr
 		}
-		client, err := ami.Dial(target, id, 5*time.Second)
+		client, err := ami.DialBatch(target, id, nil, 5*time.Second)
 		if err != nil {
 			return err
 		}
@@ -126,7 +126,7 @@ func run() error {
 			if err != nil {
 				return err
 			}
-			if err := clients[id].Send(r); err != nil {
+			if err := clients[id].SendBatch([]meter.Reading{r}); err != nil {
 				return err
 			}
 		}

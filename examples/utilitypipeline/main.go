@@ -89,7 +89,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	mitm := ami.NewMITM(headAddr, func(r ami.ReadingMsg) ami.ReadingMsg {
+	mitm := ami.NewMITM(headAddr, func(r meter.Reading) meter.Reading {
 		slotOfWeek := int(r.Slot) % timeseries.SlotsPerWeek
 		r.KW = vector[slotOfWeek]
 		return r
@@ -114,7 +114,7 @@ func run() error {
 		if id == victimID {
 			target = mitmAddr
 		}
-		client, err := ami.Dial(target, id, 5*time.Second)
+		client, err := ami.DialBatch(target, id, nil, 5*time.Second)
 		if err != nil {
 			return err
 		}
@@ -124,7 +124,7 @@ func run() error {
 			_ = client.Close()
 			return err
 		}
-		if err := client.SendAll(readings); err != nil {
+		if err := client.SendBatch(readings); err != nil {
 			_ = client.Close()
 			return err
 		}

@@ -2,6 +2,8 @@ package ami
 
 import (
 	"bytes"
+	"math"
+	"net"
 	"testing"
 	"time"
 
@@ -12,8 +14,7 @@ import (
 func TestEnvelopeValidate(t *testing.T) {
 	valid := []*Envelope{
 		{Type: TypeHello, Hello: &HelloMsg{MeterID: "m1"}},
-		{Type: TypeReading, Reading: &ReadingMsg{MeterID: "m1", Slot: 0, KW: 1}},
-		{Type: TypeAck, Ack: &AckMsg{Slot: 3}},
+		{Type: TypeHello, Hello: &HelloMsg{MeterID: "m1", Version: WireV3, MaxBatch: 16}},
 		{Type: TypeError, Error: "boom"},
 	}
 	for i, e := range valid {
@@ -24,12 +25,11 @@ func TestEnvelopeValidate(t *testing.T) {
 	invalid := []*Envelope{
 		{Type: TypeHello},
 		{Type: TypeHello, Hello: &HelloMsg{}},
-		{Type: TypeReading},
-		{Type: TypeReading, Reading: &ReadingMsg{Slot: 0}},
-		{Type: TypeReading, Reading: &ReadingMsg{MeterID: "m", Slot: -1}},
-		{Type: TypeReading, Reading: &ReadingMsg{MeterID: "m", KW: -1}},
-		{Type: TypeAck},
+		{Type: TypeHello, Hello: &HelloMsg{MeterID: "m", Version: -1}},
 		{Type: TypeError},
+		// The retired v1 reading and ack envelopes are unknown types now.
+		{Type: "reading"},
+		{Type: "ack"},
 		{Type: "bogus"},
 	}
 	for i, e := range invalid {
@@ -42,7 +42,7 @@ func TestEnvelopeValidate(t *testing.T) {
 func TestCodecRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	c := NewCodec(&buf)
-	in := &Envelope{Type: TypeReading, Reading: &ReadingMsg{MeterID: "m1", Slot: 42, KW: 1.5}}
+	in := &Envelope{Type: TypeHello, Hello: &HelloMsg{MeterID: "m1", Version: WireV3, MaxBatch: 42}}
 	if err := c.Send(in); err != nil {
 		t.Fatal(err)
 	}
@@ -50,8 +50,8 @@ func TestCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Reading.MeterID != "m1" || out.Reading.Slot != 42 || out.Reading.KW != 1.5 {
-		t.Errorf("round trip lost data: %+v", out.Reading)
+	if *out.Hello != *in.Hello {
+		t.Errorf("round trip lost data: %+v", out.Hello)
 	}
 	// Send validates before writing.
 	if err := c.Send(&Envelope{Type: "bogus"}); err == nil {
@@ -85,7 +85,7 @@ func startHeadEnd(t *testing.T) (*ShardedHeadEnd, string) {
 
 func TestHeadEndCollectsReadings(t *testing.T) {
 	h, addr := startHeadEnd(t)
-	c, err := Dial(addr, "m1", time.Second)
+	c, err := DialBatch(addr, "m1", nil, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestHeadEndCollectsReadings(t *testing.T) {
 
 	for slot := 0; slot < 5; slot++ {
 		r := meter.Reading{MeterID: "m1", Slot: timeseries.Slot(slot), KW: float64(slot) + 0.5}
-		if err := c.Send(r); err != nil {
+		if err := c.SendBatch([]meter.Reading{r}); err != nil {
 			t.Fatalf("slot %d: %v", slot, err)
 		}
 	}
@@ -120,14 +120,14 @@ func TestHeadEndCollectsReadings(t *testing.T) {
 
 func TestHeadEndSeriesGapDetection(t *testing.T) {
 	h, addr := startHeadEnd(t)
-	c, err := Dial(addr, "m1", time.Second)
+	c, err := DialBatch(addr, "m1", nil, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = c.Close() }()
 	// Send slots 0 and 2 only.
-	_ = c.Send(meter.Reading{MeterID: "m1", Slot: 0, KW: 1})
-	_ = c.Send(meter.Reading{MeterID: "m1", Slot: 2, KW: 1})
+	_ = c.SendBatch([]meter.Reading{{MeterID: "m1", Slot: 0, KW: 1}})
+	_ = c.SendBatch([]meter.Reading{{MeterID: "m1", Slot: 2, KW: 1}})
 	h.Flush()
 	if got := h.Count("m1"); got != 2 {
 		t.Fatalf("Count = %d, want the 2 sent readings stored", got)
@@ -142,27 +142,29 @@ func TestHeadEndSeriesGapDetection(t *testing.T) {
 
 func TestClientValidation(t *testing.T) {
 	_, addr := startHeadEnd(t)
-	if _, err := Dial(addr, "", time.Second); err == nil {
+	if _, err := DialBatch(addr, "", nil, time.Second); err == nil {
 		t.Error("empty meter ID should error")
 	}
-	c, err := Dial(addr, "m1", time.Second)
+	c, err := DialBatch(addr, "m1", nil, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = c.Close() }()
 	// Mismatched meter ID rejected client-side.
-	if err := c.Send(meter.Reading{MeterID: "other", Slot: 0, KW: 1}); err == nil {
+	if err := c.SendBatch([]meter.Reading{{MeterID: "other", Slot: 0, KW: 1}}); err == nil {
 		t.Error("mismatched meter ID should error")
 	}
 	// Dial failure.
-	if _, err := Dial("127.0.0.1:1", "m1", 100*time.Millisecond); err == nil {
+	if _, err := DialBatch("127.0.0.1:1", "m1", nil, 100*time.Millisecond); err == nil {
 		t.Error("dialing a dead port should error")
 	}
 }
 
+// TestClientSendAll: SendBatch delivers a whole slice, and refuses one the
+// head-end would reject before anything goes on the wire.
 func TestClientSendAll(t *testing.T) {
 	h, addr := startHeadEnd(t)
-	c, err := Dial(addr, "m1", time.Second)
+	c, err := DialBatch(addr, "m1", nil, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,19 +173,28 @@ func TestClientSendAll(t *testing.T) {
 	for i := range rs {
 		rs[i] = meter.Reading{MeterID: "m1", Slot: timeseries.Slot(i), KW: 1}
 	}
-	if err := c.SendAll(rs); err != nil {
+	for _, bad := range []meter.Reading{
+		{MeterID: "m2", Slot: 10, KW: 1},
+		{MeterID: "m1", Slot: -1, KW: 1},
+		{MeterID: "m1", Slot: 10, KW: math.NaN()},
+	} {
+		if err := c.SendBatch(append(rs[:len(rs):len(rs)], bad)); err == nil {
+			t.Errorf("slice ending in %+v was sent", bad)
+		}
+	}
+	if err := c.SendBatch(rs); err != nil {
 		t.Fatal(err)
 	}
 	h.Flush()
 	if h.Count("m1") != 10 {
-		t.Errorf("Count = %d", h.Count("m1"))
+		t.Errorf("Count = %d, want only the valid slice's 10", h.Count("m1"))
 	}
 }
 
 func TestMITMRewritesReadings(t *testing.T) {
 	h, upstream := startHeadEnd(t)
 	// The classic Class 2A rewrite: halve every reported reading.
-	mitm := NewMITM(upstream, func(r ReadingMsg) ReadingMsg {
+	mitm := NewMITM(upstream, func(r meter.Reading) meter.Reading {
 		r.KW /= 2
 		return r
 	})
@@ -193,14 +204,14 @@ func TestMITMRewritesReadings(t *testing.T) {
 	}
 	defer func() { _ = mitm.Close() }()
 
-	c, err := Dial(proxyAddr, "m1", time.Second)
+	c, err := DialBatch(proxyAddr, "m1", nil, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = c.Close() }()
 
 	// The meter reports honestly; the wire lies.
-	if err := c.Send(meter.Reading{MeterID: "m1", Slot: 0, KW: 4}); err != nil {
+	if err := c.SendBatch([]meter.Reading{{MeterID: "m1", Slot: 0, KW: 4}}); err != nil {
 		t.Fatal(err)
 	}
 	h.Flush()
@@ -222,12 +233,12 @@ func TestMITMPassThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = mitm.Close() }()
-	c, err := Dial(proxyAddr, "m1", time.Second)
+	c, err := DialBatch(proxyAddr, "m1", nil, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = c.Close() }()
-	if err := c.Send(meter.Reading{MeterID: "m1", Slot: 0, KW: 4}); err != nil {
+	if err := c.SendBatch([]meter.Reading{{MeterID: "m1", Slot: 0, KW: 4}}); err != nil {
 		t.Fatal(err)
 	}
 	h.Flush()
@@ -238,25 +249,31 @@ func TestMITMPassThrough(t *testing.T) {
 }
 
 func TestHeadEndRejectsProtocolViolations(t *testing.T) {
-	_, addr := startHeadEnd(t)
-	// Reading before hello.
-	c, err := Dial(addr, "m1", time.Second)
+	h, addr := startHeadEnd(t)
+	// A session must open with a hello.
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = c.Close() }()
-	// Dial sent hello for "m1"; sending a reading claiming another meter is
-	// rejected server-side.
-	raw := &Envelope{Type: TypeReading, Reading: &ReadingMsg{MeterID: "evil", Slot: 0, KW: 1}}
-	if err := c.codec.Send(raw); err != nil {
+	defer func() { _ = conn.Close() }()
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	codec := NewCodec(conn)
+	if err := codec.Send(&Envelope{Type: TypeError, Error: "not a hello"}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := c.codec.Recv()
-	if err != nil {
-		t.Fatal(err)
+	if resp, err := codec.Recv(); err != nil || resp.Type != TypeError || resp.Code != CodeProtocol {
+		t.Errorf("non-hello opener: response %+v, %v; want a %s error", resp, err, CodeProtocol)
 	}
-	if resp.Type != TypeError || resp.Code != CodeSessionMismatch {
-		t.Errorf("expected session-mismatch error, got %+v", resp)
+
+	// A meter may send only rebind and batch frames; an ack frame going
+	// the wrong way is refused.
+	v3, v3codec := rawV3Session(t, addr, "m1")
+	if perr := sendRawFrame(t, v3, v3codec, appendAckFrame(nil, 1, 0)); perr.Code != CodeProtocol {
+		t.Errorf("ack frame from a meter: reply %+v, want %s", perr, CodeProtocol)
+	}
+	h.Flush()
+	if n := h.Count("m1"); n != 0 {
+		t.Errorf("stored %d readings, want 0", n)
 	}
 }
 
@@ -268,14 +285,14 @@ func TestMultipleMetersConcurrent(t *testing.T) {
 	for i := 0; i < meters; i++ {
 		id := string(rune('a' + i))
 		go func(id string) {
-			c, err := Dial(addr, id, time.Second)
+			c, err := DialBatch(addr, id, nil, time.Second)
 			if err != nil {
 				errc <- err
 				return
 			}
 			defer func() { _ = c.Close() }()
 			for s := 0; s < readings; s++ {
-				if err := c.Send(meter.Reading{MeterID: id, Slot: timeseries.Slot(s), KW: 1}); err != nil {
+				if err := c.SendBatch([]meter.Reading{{MeterID: id, Slot: timeseries.Slot(s), KW: 1}}); err != nil {
 					errc <- err
 					return
 				}

@@ -2,9 +2,6 @@ package ami
 
 import (
 	"crypto/hmac"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 )
 
@@ -16,9 +13,9 @@ import (
 // the meter itself holds the key and signs whatever she likes. Both facts
 // are demonstrated in the tests.
 //
-// The scheme is HMAC-SHA256 keyed per meter: over a canonical JSON
-// encoding of each v1 reading, and over the raw payload bytes of each v3
-// batch frame (see frame.go), so a batch is verified without re-encoding.
+// The scheme is HMAC-SHA256 keyed per meter over the raw payload bytes of
+// each batch frame (see frame.go), so a batch is verified without
+// re-encoding.
 
 // Keyring holds per-meter HMAC keys on the head-end side.
 type Keyring struct {
@@ -40,37 +37,8 @@ func (kr *Keyring) Key(meterID string) ([]byte, bool) {
 	return k, ok
 }
 
-// canonicalReading is the byte string covered by the MAC. Field order and
-// formatting are fixed so both ends agree.
-func canonicalReading(r *ReadingMsg) []byte {
-	// Strconv-style canonical float keeps the encoding stable.
-	b, _ := json.Marshal(struct {
-		M string  `json:"m"`
-		S int64   `json:"s"`
-		K float64 `json:"k"`
-	}{r.MeterID, r.Slot, r.KW})
-	return b
-}
-
-// SignReading computes the hex-encoded HMAC-SHA256 tag for a reading.
-func SignReading(key []byte, r *ReadingMsg) string {
-	mac := hmac.New(sha256.New, key)
-	mac.Write(canonicalReading(r))
-	return hex.EncodeToString(mac.Sum(nil))
-}
-
-// VerifyReading checks a reading's tag in constant time.
-func VerifyReading(key []byte, r *ReadingMsg, tag string) bool {
-	want, err := hex.DecodeString(tag)
-	if err != nil {
-		return false
-	}
-	mac := hmac.New(sha256.New, key)
-	mac.Write(canonicalReading(r))
-	return hmac.Equal(mac.Sum(nil), want)
-}
-
-// AuthError marks a reading whose MAC failed verification.
+// AuthError marks a batch whose MAC failed verification; Slot is the
+// batch's first slot.
 type AuthError struct {
 	MeterID string
 	Slot    int64
@@ -81,23 +49,7 @@ func (e *AuthError) Error() string {
 	return fmt.Sprintf("ami: authentication failed for meter %s slot %d", e.MeterID, e.Slot)
 }
 
-// VerifyEnvelope authenticates a v1 reading envelope against the keyring.
-// Unknown meters and missing/invalid tags fail closed.
-func (kr *Keyring) VerifyEnvelope(e *Envelope) error {
-	if e.Type != TypeReading || e.Reading == nil {
-		return fmt.Errorf("ami: can only authenticate reading envelopes")
-	}
-	key, ok := kr.Key(e.Reading.MeterID)
-	if !ok {
-		return fmt.Errorf("ami: no key enrolled for meter %q", e.Reading.MeterID)
-	}
-	if e.Auth == "" || !VerifyReading(key, e.Reading, e.Auth) {
-		return &AuthError{MeterID: e.Reading.MeterID, Slot: e.Reading.Slot}
-	}
-	return nil
-}
-
-// verifyPayload authenticates a v3 batch frame: tag must be the raw
+// verifyPayload authenticates a batch frame: tag must be the raw
 // HMAC-SHA256 of the payload bytes exactly as received, under the meter's
 // key. Unknown meters and missing/invalid tags fail closed; a failure
 // reports the batch's first slot.

@@ -9,64 +9,25 @@ import (
 	"repro/internal/timeseries"
 )
 
-func TestSignVerifyReading(t *testing.T) {
-	key := []byte("meter-secret-key")
-	r := &ReadingMsg{MeterID: "m1", Slot: 7, KW: 1.25}
-	tag := SignReading(key, r)
-	if tag == "" {
-		t.Fatal("empty tag")
-	}
-	if !VerifyReading(key, r, tag) {
-		t.Error("valid tag should verify")
-	}
-	// Any field change breaks the MAC.
-	for _, mutate := range []func(*ReadingMsg){
-		func(m *ReadingMsg) { m.KW = 0.5 },
-		func(m *ReadingMsg) { m.Slot = 8 },
-		func(m *ReadingMsg) { m.MeterID = "m2" },
-	} {
-		bad := *r
-		mutate(&bad)
-		if VerifyReading(key, &bad, tag) {
-			t.Error("modified reading must not verify")
-		}
-	}
-	if VerifyReading([]byte("wrong key"), r, tag) {
-		t.Error("wrong key must not verify")
-	}
-	if VerifyReading(key, r, "not-hex!") {
-		t.Error("malformed tag must not verify")
-	}
-	if VerifyReading(key, r, "") {
-		t.Error("empty tag must not verify")
-	}
-}
-
-func TestKeyringVerifyEnvelope(t *testing.T) {
+func TestKeyringVerifyPayload(t *testing.T) {
 	key := []byte("k1")
 	kr := NewKeyring(map[string][]byte{"m1": key})
-	r := &ReadingMsg{MeterID: "m1", Slot: 1, KW: 2}
-	env := &Envelope{Type: TypeReading, Reading: r, Auth: SignReading(key, r)}
-	if err := kr.VerifyEnvelope(env); err != nil {
-		t.Errorf("valid envelope rejected: %v", err)
+	signed := AppendBatchFrame(nil, "m1", []BatchReading{{Slot: 1, KW: 2}}, key)[frameHeader:]
+	payload, tag := signed[:len(signed)-macSize], signed[len(signed)-macSize:]
+	if err := kr.verifyPayload("m1", 1, payload, tag); err != nil {
+		t.Errorf("valid tag rejected: %v", err)
 	}
 	// Missing tag.
 	var authErr *AuthError
-	bad := &Envelope{Type: TypeReading, Reading: r}
-	if err := kr.VerifyEnvelope(bad); !errors.As(err, &authErr) {
+	if err := kr.verifyPayload("m1", 1, payload, nil); !errors.As(err, &authErr) {
 		t.Errorf("missing tag should be AuthError, got %v", err)
 	}
 	if authErr.Error() == "" {
 		t.Error("AuthError message empty")
 	}
 	// Unknown meter.
-	unknown := &Envelope{Type: TypeReading, Reading: &ReadingMsg{MeterID: "mX", Slot: 1, KW: 2}}
-	if err := kr.VerifyEnvelope(unknown); err == nil {
+	if err := kr.verifyPayload("mX", 1, payload, tag); err == nil {
 		t.Error("unknown meter should fail closed")
-	}
-	// Wrong envelope type.
-	if err := kr.VerifyEnvelope(&Envelope{Type: TypeAck, Ack: &AckMsg{}}); err == nil {
-		t.Error("non-reading envelope should error")
 	}
 	// Keyring copies keys at construction.
 	src := map[string][]byte{"m2": []byte("secret")}
@@ -87,12 +48,12 @@ func TestAuthenticatedSessionEndToEnd(t *testing.T) {
 	}
 	defer func() { _ = head.Close() }()
 
-	c, err := DialAuth(addr, "m1", key, time.Second)
+	c, err := DialBatch(addr, "m1", key, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = c.Close() }()
-	if err := c.Send(meter.Reading{MeterID: "m1", Slot: 0, KW: 3}); err != nil {
+	if err := c.SendBatch([]meter.Reading{{MeterID: "m1", Slot: 0, KW: 3}}); err != nil {
 		t.Fatalf("signed reading rejected: %v", err)
 	}
 	head.Flush()
@@ -116,7 +77,7 @@ func TestMITMDefeatedBySignatures(t *testing.T) {
 	}
 	defer func() { _ = head.Close() }()
 
-	mitm := NewMITM(upstream, func(r ReadingMsg) ReadingMsg {
+	mitm := NewMITM(upstream, func(r meter.Reading) meter.Reading {
 		r.KW /= 2
 		return r
 	})
@@ -126,12 +87,12 @@ func TestMITMDefeatedBySignatures(t *testing.T) {
 	}
 	defer func() { _ = mitm.Close() }()
 
-	c, err := DialAuth(proxyAddr, "m1", key, time.Second)
+	c, err := DialBatch(proxyAddr, "m1", key, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = c.Close() }()
-	err = c.Send(meter.Reading{MeterID: "m1", Slot: 0, KW: 4})
+	err = c.SendBatch([]meter.Reading{{MeterID: "m1", Slot: 0, KW: 4}})
 	if err == nil {
 		t.Fatal("tampered reading should be rejected by the head-end")
 	}
@@ -163,7 +124,7 @@ func TestCompromisedMeterKeyStillSteals(t *testing.T) {
 	}
 	m.Compromise(func(_ timeseries.Slot, v float64) float64 { return v / 4 })
 
-	c, err := DialAuth(addr, "m1", key, time.Second)
+	c, err := DialBatch(addr, "m1", key, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +133,7 @@ func TestCompromisedMeterKeyStillSteals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Send(r); err != nil {
+	if err := c.SendBatch([]meter.Reading{r}); err != nil {
 		t.Fatalf("signed falsified reading should be accepted: %v", err)
 	}
 	head.Flush()
@@ -192,12 +153,12 @@ func TestUnsignedReadingRejectedWhenKeyringActive(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = head.Close() }()
-	c, err := Dial(addr, "m1", time.Second) // no key: unsigned readings
+	c, err := DialBatch(addr, "m1", nil, time.Second) // no key: unsigned readings
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = c.Close() }()
-	if err := c.Send(meter.Reading{MeterID: "m1", Slot: 0, KW: 1}); err == nil {
+	if err := c.SendBatch([]meter.Reading{{MeterID: "m1", Slot: 0, KW: 1}}); err == nil {
 		t.Error("unsigned reading should be rejected when authentication is on")
 	}
 	head.Flush()

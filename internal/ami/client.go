@@ -9,45 +9,28 @@ import (
 	"repro/internal/meter"
 )
 
-// Client is a meter-side connection to the head-end.
+// Client is a meter-side wire-v3 connection to the head-end.
 type Client struct {
 	conn     net.Conn
 	codec    *Codec
 	meterID  string
 	timeout  time.Duration
 	key      []byte // optional HMAC signing key
-	version  int    // negotiated wire version
-	maxBatch int    // head-end's advertised per-frame cap (v3 only)
+	maxBatch int    // head-end's advertised per-frame cap
 	rebind   bool   // meterID was bound but not yet sent in a rebind frame
 
 	rs []BatchReading // batch frame assembly scratch
 }
 
-// Dial connects to the head-end and performs the hello handshake.
-func Dial(addr, meterID string, timeout time.Duration) (*Client, error) {
-	return DialAuth(addr, meterID, nil, timeout)
-}
-
-// DialAuth is Dial with a per-meter HMAC key: every reading sent is signed
-// so a man-in-the-middle cannot rewrite it undetected. An attacker who
+// DialBatch connects to the head-end and performs the wire-v3 handshake:
+// the hello advertises version 3 and the head-end answers with its
+// negotiated version and per-frame batch cap; from then on the session is
+// binary. With a per-meter HMAC key every frame sent is signed, so a
+// man-in-the-middle cannot rewrite it undetected. An attacker who
 // compromises the meter itself obtains the key, which is exactly why the
 // paper insists crypto alone cannot stop theft (Section I).
-func DialAuth(addr, meterID string, key []byte, timeout time.Duration) (*Client, error) {
-	return dialVersion(addr, meterID, key, timeout, WireV1)
-}
-
-// DialBatch is DialAuth speaking wire v3: the hello advertises version 3
-// and the head-end answers with its negotiated version and per-frame batch
-// cap, unlocking SendBatch and Bind; from then on the session is binary.
-// Requires a v3 head-end — against a v1 server the handshake times out (a
-// v1 head-end never answers hello), so the caller can fall back to
-// DialAuth.
 func DialBatch(addr, meterID string, key []byte, timeout time.Duration) (*Client, error) {
-	return dialVersion(addr, meterID, key, timeout, WireV3)
-}
-
-func dialVersion(addr, meterID string, key []byte, timeout time.Duration, ver int) (*Client, error) {
-	if err := checkMeterID(meterID, ver); err != nil {
+	if err := checkMeterID(meterID); err != nil {
 		return nil, err
 	}
 	if timeout <= 0 {
@@ -63,7 +46,6 @@ func dialVersion(addr, meterID string, key []byte, timeout time.Duration, ver in
 		meterID: meterID,
 		timeout: timeout,
 		key:     append([]byte(nil), key...),
-		version: WireV1,
 	}
 	// The handshake runs under the same deadline as the dial: a stalled
 	// head-end (full TCP buffers, frozen process) must not block the caller
@@ -72,22 +54,16 @@ func dialVersion(addr, meterID string, key []byte, timeout time.Duration, ver in
 		_ = conn.Close()
 		return nil, fmt.Errorf("ami: setting handshake deadline: %w", err)
 	}
-	hello := &HelloMsg{MeterID: meterID}
-	if ver >= WireV3 {
-		hello.Version = WireV3
-		hello.MaxBatch = DefaultMaxBatch
-	}
+	hello := &HelloMsg{MeterID: meterID, Version: WireV3, MaxBatch: DefaultMaxBatch}
 	if err := c.codec.Send(&Envelope{Type: TypeHello, Hello: hello}); err != nil {
 		_ = conn.Close()
 		return nil, fmt.Errorf("ami: sending hello: %w", err)
 	}
-	if ver >= WireV3 {
-		if err := c.awaitHello(); err != nil {
-			_ = conn.Close()
-			return nil, err
-		}
+	if err := c.awaitHello(); err != nil {
+		_ = conn.Close()
+		return nil, err
 	}
-	// Disarm until the next Send re-arms per operation, so a deliberately
+	// Disarm until the next send re-arms per operation, so a deliberately
 	// idle client connection does not expire on its own clock.
 	if err := conn.SetDeadline(time.Time{}); err != nil {
 		_ = conn.Close()
@@ -96,12 +72,12 @@ func dialVersion(addr, meterID string, key []byte, timeout time.Duration, ver in
 	return c, nil
 }
 
-// checkMeterID rejects meter IDs the dialect cannot carry.
-func checkMeterID(meterID string, ver int) error {
+// checkMeterID rejects meter IDs the wire cannot carry.
+func checkMeterID(meterID string) error {
 	if meterID == "" {
 		return fmt.Errorf("ami: meter ID is required")
 	}
-	if ver >= WireV3 && len(meterID) > maxMeterIDLen {
+	if len(meterID) > maxMeterIDLen {
 		return fmt.Errorf("ami: meter ID of %d bytes exceeds wire v3's %d", len(meterID), maxMeterIDLen)
 	}
 	return nil
@@ -119,7 +95,6 @@ func (c *Client) awaitHello() error {
 		if resp.Hello.Version != WireV3 {
 			return fmt.Errorf("ami: head-end negotiated wire v%d, this client speaks v3", resp.Hello.Version)
 		}
-		c.version = WireV3
 		c.maxBatch = max(resp.Hello.MaxBatch, 1)
 		c.codec.binary = true
 		return nil
@@ -130,7 +105,7 @@ func (c *Client) awaitHello() error {
 	}
 }
 
-// recvReply reads the head-end's answer to a v3 frame, which must be of
+// recvReply reads the head-end's answer to a frame, which must be of
 // kind want; an error frame comes back as a *ProtocolError.
 func (c *Client) recvReply(want byte) ([]byte, error) {
 	kind, body, err := c.codec.recvFrame()
@@ -151,17 +126,14 @@ func (c *Client) recvReply(want byte) ([]byte, error) {
 	}
 }
 
-// Bind switches the connection to a different meter ID (v3 only). This is
-// what lets one TCP connection multiplex a fleet of simulated meters: a
-// load harness worker binds, sends a batch, and rebinds without paying a
-// dial per meter. Bind does no I/O: the one-way rebind frame goes out in
-// the same write as the next Send or SendBatch, so a head-end's refusal
-// of the rebind surfaces from that send.
+// Bind switches the connection to a different meter ID. This is what lets
+// one TCP connection multiplex a fleet of simulated meters: a load harness
+// worker binds, sends a batch, and rebinds without paying a dial per
+// meter. Bind does no I/O: the one-way rebind frame goes out in the same
+// write as the next SendBatch, so a head-end's refusal of the rebind
+// surfaces from that send.
 func (c *Client) Bind(meterID string) error {
-	if c.version < WireV3 {
-		return fmt.Errorf("ami: rebinding requires wire v3 (negotiated v%d)", c.version)
-	}
-	if err := checkMeterID(meterID, c.version); err != nil {
+	if err := checkMeterID(meterID); err != nil {
 		return err
 	}
 	c.meterID = meterID
@@ -169,68 +141,11 @@ func (c *Client) Bind(meterID string) error {
 	return nil
 }
 
-// Send reports one reading and waits for the acknowledgement. On a v3
-// session the reading travels as a one-reading batch frame.
-func (c *Client) Send(r meter.Reading) error {
-	if c.version >= WireV3 {
-		return c.sendBatchFrame([]meter.Reading{r})
-	}
-	if r.MeterID != c.meterID {
-		return fmt.Errorf("ami: reading meter ID %q does not match client %q", r.MeterID, c.meterID)
-	}
-	if err := c.conn.SetDeadline(time.Now().Add(c.timeout)); err != nil {
-		return fmt.Errorf("ami: setting deadline: %w", err)
-	}
-	env := &Envelope{Type: TypeReading, Reading: &ReadingMsg{
-		MeterID: r.MeterID,
-		Slot:    int64(r.Slot),
-		KW:      r.KW,
-	}}
-	if len(c.key) > 0 {
-		env.Auth = SignReading(c.key, env.Reading)
-	}
-	if err := c.codec.Send(env); err != nil {
-		return err
-	}
-	resp, err := c.codec.Recv()
-	if err != nil {
-		return fmt.Errorf("ami: waiting for ack: %w", err)
-	}
-	switch resp.Type {
-	case TypeAck:
-		if resp.Ack.Slot != int64(r.Slot) {
-			return fmt.Errorf("ami: ack for slot %d, expected %d", resp.Ack.Slot, r.Slot)
-		}
-		return nil
-	case TypeError:
-		perr := &ProtocolError{Code: resp.Code, Message: resp.Error}
-		if resp.Code == CodeAuth {
-			perr.cause = &AuthError{MeterID: r.MeterID, Slot: int64(r.Slot)}
-		}
-		return perr
-	default:
-		return fmt.Errorf("ami: unexpected response type %q", resp.Type)
-	}
-}
-
-// SendAll reports a batch of readings in order, stopping at the first error.
-func (c *Client) SendAll(rs []meter.Reading) error {
-	for i := range rs {
-		if err := c.Send(rs[i]); err != nil {
-			return fmt.Errorf("ami: reading %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// SendBatch reports readings in v3 batch frames, chunked to the head-end's
+// SendBatch reports readings in batch frames, chunked to the head-end's
 // negotiated per-frame cap, waiting for the batch acknowledgement after
-// each frame. One frame carries up to MaxBatch readings — one syscall and
-// one ack round-trip where SendAll pays one per reading.
+// each frame. One frame carries up to MaxBatch readings for one syscall
+// and one ack round-trip; a one-reading slice is one frame.
 func (c *Client) SendBatch(rs []meter.Reading) error {
-	if c.version < WireV3 {
-		return fmt.Errorf("ami: batch send requires wire v3 (negotiated v%d); use SendAll", c.version)
-	}
 	for len(rs) > 0 {
 		n := min(len(rs), c.maxBatch)
 		if err := c.sendBatchFrame(rs[:n]); err != nil {

@@ -12,10 +12,10 @@ const (
 	// CodeProtocol: the envelope violated the protocol state machine
 	// (wrong type, malformed frame). Permanent for this session.
 	CodeProtocol = "protocol"
-	// CodeSessionMismatch: a reading named a meter other than the one the
-	// session's hello introduced. Permanent.
+	// CodeSessionMismatch: a batch named a meter other than the one the
+	// session is bound to (by its hello or its last rebind). Permanent.
 	CodeSessionMismatch = "session_mismatch"
-	// CodeAuth: the reading's HMAC failed verification (or the meter has
+	// CodeAuth: the batch's HMAC failed verification (or the meter has
 	// no enrolled key). Permanent.
 	CodeAuth = "auth"
 	// CodeOversized: a wire frame exceeded the peer's MaxFrameSize bound.

@@ -18,11 +18,13 @@ type rw struct {
 }
 
 // FuzzCodecRecv feeds arbitrary bytes to both wire decoders — the JSON
-// envelope reader and the v3 binary frame reader. Neither may panic, and
+// hello reader and the v3 binary frame reader. Neither may panic, and
 // whatever either accepts must round-trip (see checkJSONCodec and
 // checkFrameCodec).
 func FuzzCodecRecv(f *testing.F) {
 	f.Add(`{"type":"hello","hello":{"meter_id":"m1"}}` + "\n")
+	// Retired wire-v1 reading and ack envelopes: unknown types the decoder
+	// must refuse.
 	f.Add(`{"type":"reading","reading":{"meter_id":"m1","slot":3,"kw":1.5}}` + "\n")
 	f.Add(`{"type":"ack","ack":{"slot":7}}` + "\n")
 	f.Add(`{"type":"error","error":"boom"}` + "\n")
@@ -131,8 +133,8 @@ func checkJSONCodec(t *testing.T, input string) {
 	if back.Type != env.Type {
 		t.Fatalf("round-trip changed type: %q vs %q", back.Type, env.Type)
 	}
-	if env.Type == TypeReading && *back.Reading != *env.Reading {
-		t.Fatalf("round-trip changed reading: %+v vs %+v", back.Reading, env.Reading)
+	if env.Type == TypeHello && *back.Hello != *env.Hello {
+		t.Fatalf("round-trip changed hello: %+v vs %+v", back.Hello, env.Hello)
 	}
 	if env.Type == TypeError && back.Code != env.Code {
 		t.Fatalf("round-trip changed error code: %q vs %q", back.Code, env.Code)

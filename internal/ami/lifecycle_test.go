@@ -31,7 +31,7 @@ func TestHeadEndCloseBoundedWithIdleConn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Dial(addr, "m1", time.Second)
+	c, err := DialBatch(addr, "m1", nil, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestHeadEndCloseBoundedWithIdleConn(t *testing.T) {
 	// parked in its next read — past the loop-top drain check — so Close
 	// cannot catch it between the ack and that check and let it drain
 	// itself gracefully, which would leave nothing to force-close.
-	if err := c.Send(meter.Reading{MeterID: "m1", Slot: 0, KW: 1}); err != nil {
+	if err := c.SendBatch([]meter.Reading{{MeterID: "m1", Slot: 0, KW: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "session parked in recv", func() bool { return h.parked.Load() == 1 })
@@ -65,12 +65,12 @@ func TestMITMCloseBoundedWithIdleConn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Dial(proxyAddr, "m1", time.Second)
+	c, err := DialBatch(proxyAddr, "m1", nil, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = c.Close() }()
-	if err := c.Send(meter.Reading{MeterID: "m1", Slot: 0, KW: 1}); err != nil {
+	if err := c.SendBatch([]meter.Reading{{MeterID: "m1", Slot: 0, KW: 1}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -128,27 +128,24 @@ func TestHeadEndConnectionLimit(t *testing.T) {
 	var first [2]*Client
 	for i := range first {
 		id := string(rune('a' + i))
-		c, err := Dial(addr, id, time.Second)
+		c, err := DialBatch(addr, id, nil, time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer func() { _ = c.Close() }()
-		if err := c.Send(meter.Reading{MeterID: id, Slot: 0, KW: 1}); err != nil {
+		if err := c.SendBatch([]meter.Reading{{MeterID: id, Slot: 0, KW: 1}}); err != nil {
 			t.Fatal(err)
 		}
 		first[i] = c
 	}
 	waitFor(t, "both sessions registered", func() bool { return h.Stats().ActiveConns == 2 })
 
-	// The N+1th meter is turned away with a typed, transient busy error.
-	extra, err := Dial(addr, "overflow", time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = extra.Close() }()
-	err = extra.Send(meter.Reading{MeterID: "overflow", Slot: 0, KW: 1})
+	// The N+1th meter is turned away at its hello with a typed, transient
+	// busy error.
+	extra, err := DialBatch(addr, "overflow", nil, time.Second)
 	if err == nil {
-		t.Fatal("send past the connection limit should fail")
+		_ = extra.Close()
+		t.Fatal("dial past the connection limit should fail")
 	}
 	if !errors.Is(err, ErrBusy) {
 		t.Errorf("limit rejection = %v, want ErrBusy", err)
@@ -160,7 +157,7 @@ func TestHeadEndConnectionLimit(t *testing.T) {
 	// ... without affecting the first N.
 	for i, c := range first {
 		id := string(rune('a' + i))
-		if err := c.Send(meter.Reading{MeterID: id, Slot: 1, KW: 1}); err != nil {
+		if err := c.SendBatch([]meter.Reading{{MeterID: id, Slot: 1, KW: 1}}); err != nil {
 			t.Errorf("existing session %s disturbed by limit rejection: %v", id, err)
 		}
 	}
@@ -176,18 +173,18 @@ func TestHeadEndIdleTimeoutCutsConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = h.Close() }()
-	c, err := Dial(addr, "m1", time.Second)
+	c, err := DialBatch(addr, "m1", nil, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = c.Close() }()
-	if err := c.Send(meter.Reading{MeterID: "m1", Slot: 0, KW: 1}); err != nil {
+	if err := c.SendBatch([]meter.Reading{{MeterID: "m1", Slot: 0, KW: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "idle timeout accounting", func() bool { return h.Stats().IdleTimeouts >= 1 })
 	// The cut is advisory-transient: whatever surfaces client-side, it must
 	// not classify as a permanent rejection.
-	if err := c.Send(meter.Reading{MeterID: "m1", Slot: 1, KW: 1}); err == nil {
+	if err := c.SendBatch([]meter.Reading{{MeterID: "m1", Slot: 1, KW: 1}}); err == nil {
 		t.Error("send on an idle-timed-out session should fail")
 	} else if errors.Is(err, ErrRejected) {
 		t.Errorf("idle timeout classified as permanent rejection: %v", err)
@@ -196,24 +193,20 @@ func TestHeadEndIdleTimeoutCutsConnection(t *testing.T) {
 
 func TestSessionMismatchTyped(t *testing.T) {
 	_, addr := startHeadEnd(t)
-	c, err := Dial(addr, "m1", time.Second)
+	c, err := DialBatch(addr, "m1", nil, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = c.Close() }()
 	// Bypass the client's own validation to hit the server check.
-	raw := &Envelope{Type: TypeReading, Reading: &ReadingMsg{MeterID: "evil", Slot: 0, KW: 1}}
-	if err := c.codec.Send(raw); err != nil {
+	if err := c.codec.writeFrames(AppendBatchFrame(nil, "evil", []BatchReading{{Slot: 0, KW: 1}}, nil)); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := c.codec.Recv()
-	if err != nil {
-		t.Fatal(err)
+	_, err = c.recvReply(frameBatchAck)
+	var perr *ProtocolError
+	if !errors.As(err, &perr) || perr.Code != CodeSessionMismatch {
+		t.Fatalf("expected a session_mismatch rejection, got %v", err)
 	}
-	if resp.Type != TypeError || resp.Code != CodeSessionMismatch {
-		t.Fatalf("expected session_mismatch error envelope, got %+v", resp)
-	}
-	perr := &ProtocolError{Code: resp.Code, Message: resp.Error}
 	if !errors.Is(perr, ErrSessionMismatch) || !errors.Is(perr, ErrRejected) {
 		t.Errorf("session mismatch must match both sentinels: %v", perr)
 	}
@@ -227,12 +220,12 @@ func TestAuthRejectionTyped(t *testing.T) {
 	}
 	defer func() { _ = h.Close() }()
 
-	c, err := DialAuth(addr, "m1", []byte("wrong-key"), time.Second)
+	c, err := DialBatch(addr, "m1", []byte("wrong-key"), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = c.Close() }()
-	err = c.Send(meter.Reading{MeterID: "m1", Slot: 7, KW: 1})
+	err = c.SendBatch([]meter.Reading{{MeterID: "m1", Slot: 7, KW: 1}})
 	if err == nil {
 		t.Fatal("bad key should be rejected")
 	}
@@ -258,12 +251,12 @@ func TestAuthRejectionTyped(t *testing.T) {
 
 func TestHeadEndStatsCounts(t *testing.T) {
 	h, addr := startHeadEnd(t)
-	c, err := Dial(addr, "m1", time.Second)
+	c, err := DialBatch(addr, "m1", nil, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for s := 0; s < 3; s++ {
-		if err := c.Send(meter.Reading{MeterID: "m1", Slot: timeseries.Slot(s), KW: 1}); err != nil {
+		if err := c.SendBatch([]meter.Reading{{MeterID: "m1", Slot: timeseries.Slot(s), KW: 1}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -307,7 +300,7 @@ func TestSendContextCancelAbortsBackoff(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	err = rc.SendContext(ctx, meter.Reading{MeterID: "m1", Slot: 0, KW: 1})
+	err = rc.SendAllContext(ctx, []meter.Reading{{MeterID: "m1", Slot: 0, KW: 1}})
 	if err == nil {
 		t.Fatal("send to dead upstream should fail")
 	}

@@ -20,9 +20,8 @@ const (
 	metricIngestLatency = "fdeta_ami_ingest_latency_seconds"
 
 	// The batched/sharded ingestion tier's instruments. Batch counters are
-	// registered on every head-end (v1-only traffic just leaves them at
-	// zero); the shard instruments are registered per shard, with a shard
-	// label.
+	// registered on every head-end; the shard instruments are registered
+	// per shard, with a shard label.
 	metricBatchFrames     = "fdeta_ami_batch_frames_total"
 	metricBatchSize       = "fdeta_ami_batch_readings"
 	metricShardStored     = "fdeta_ami_shard_readings_total"

@@ -43,14 +43,14 @@ func TestStatsMatchesRegistry(t *testing.T) {
 			if !signed {
 				k = []byte("wrong-key") // drives the auth-failure counter
 			}
-			c, err := DialAuth(addr, id, k, time.Second)
+			c, err := DialBatch(addr, id, k, time.Second)
 			if err != nil {
 				t.Errorf("dial %s: %v", id, err)
 				return
 			}
 			defer c.Close()
 			for s := 0; s < perMeter; s++ {
-				err := c.Send(meter.Reading{MeterID: id, Slot: timeseries.Slot(s), KW: 1.5})
+				err := c.SendBatch([]meter.Reading{{MeterID: id, Slot: timeseries.Slot(s), KW: 1.5}})
 				if err != nil {
 					if signed {
 						t.Errorf("send %s slot %d: %v", id, s, err)
@@ -130,24 +130,24 @@ func TestIngestLatencyMatchesAcceptedMessages(t *testing.T) {
 	}
 	defer head.Close()
 
-	// 5 accepted v1 singles → 5 observations, 5 readings.
-	v1, err := DialAuth(addr, "good", key, 5*time.Second)
+	// 5 accepted one-reading frames → 5 observations, 5 readings.
+	singles, err := DialBatch(addr, "good", key, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for s := 0; s < 5; s++ {
-		if err := v1.Send(meter.Reading{MeterID: "good", Slot: timeseries.Slot(s), KW: 1}); err != nil {
+		if err := singles.SendBatch([]meter.Reading{{MeterID: "good", Slot: timeseries.Slot(s), KW: 1}}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_ = v1.Close()
+	_ = singles.Close()
 
 	// One auth-rejected single → 0 observations.
-	rej, err := DialAuth(addr, "bad", []byte("wrong-key"), 5*time.Second)
+	rej, err := DialBatch(addr, "bad", []byte("wrong-key"), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rej.Send(meter.Reading{MeterID: "bad", Slot: 0, KW: 1}); err == nil {
+	if err := rej.SendBatch([]meter.Reading{{MeterID: "bad", Slot: 0, KW: 1}}); err == nil {
 		t.Fatal("bad-key reading was accepted")
 	}
 	_ = rej.Close()
@@ -177,11 +177,11 @@ func TestIngestLatencyMatchesAcceptedMessages(t *testing.T) {
 	if st.AuthFailed != 1 {
 		t.Errorf("auth failures = %d, want 1", st.AuthFailed)
 	}
-	if got := reg.Counter(metricBatchFrames, "").Value(); got != 2 {
-		t.Errorf("batch frames = %d, want 2", got)
+	if got := reg.Counter(metricBatchFrames, "").Value(); got != 7 {
+		t.Errorf("batch frames = %d, want 7", got)
 	}
-	if h := reg.Histogram(metricBatchSize, "", batchSizeBuckets()); h.Count() != 2 || h.Sum() != 20 {
-		t.Errorf("batch size histogram = count %d sum %g, want count 2 sum 20", h.Count(), h.Sum())
+	if h := reg.Histogram(metricBatchSize, "", batchSizeBuckets()); h.Count() != 7 || h.Sum() != 25 {
+		t.Errorf("batch size histogram = count %d sum %g, want count 7 sum 25", h.Count(), h.Sum())
 	}
 }
 
@@ -200,12 +200,12 @@ func TestPrivateRegistriesDoNotShare(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	c, err := Dial(addr, "m1", time.Second)
+	c, err := DialBatch(addr, "m1", nil, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Send(meter.Reading{MeterID: "m1", Slot: 0, KW: 1}); err != nil {
+	if err := c.SendBatch([]meter.Reading{{MeterID: "m1", Slot: 0, KW: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := a.Stats().Accepted; got != 1 {

@@ -5,12 +5,16 @@ import (
 	"net"
 	"sync"
 	"time"
+
+	"repro/internal/meter"
+	"repro/internal/timeseries"
 )
 
 // RewriteFunc intercepts a reading in flight and returns the (possibly
 // falsified) reading to forward. Returning the input unchanged passes the
-// reading through.
-type RewriteFunc func(ReadingMsg) ReadingMsg
+// reading through; the meter ID of the result is ignored, since a batch
+// frame carries one meter's readings.
+type RewriteFunc func(meter.Reading) meter.Reading
 
 // MITMConfig bounds the proxy's connection lifecycle. The zero value
 // selects the same defaults as the head-end.
@@ -31,10 +35,10 @@ func (c *MITMConfig) applyDefaults() {
 }
 
 // MITM is a man-in-the-middle proxy between meters and the head-end. It
-// decodes the wire protocol (v1 readings and v3 batch frames), applies a
-// rewrite function to readings, and forwards everything else untouched —
-// the concrete mechanism behind every "compromised communication link"
-// attack in the paper. Acks flow back to the meter for the *original*
+// relays the hello exchange, decodes the batch frames that follow, applies
+// a rewrite function to their readings, and forwards everything else
+// untouched — the concrete mechanism behind every "compromised
+// communication link" attack in the paper. Acks flow back to the meter for the *original*
 // slot, so the victim meter observes a perfectly healthy session. Like the
 // head-end it registers every live connection so Close force-closes
 // stragglers after the drain timeout.
@@ -177,43 +181,33 @@ func (m *MITM) handle(down net.Conn) {
 
 	downCodec := NewCodec(down)
 	upCodec := NewCodec(up)
-	// Downstream -> upstream with rewriting; responses relayed inline (after
-	// the hello every frame but a v3 rebind gets exactly one response). The
-	// JSON leg runs until a v3 hello exchange; after it both legs are binary.
-	maxBatch := 0
-	for maxBatch == 0 {
-		if m.shuttingDown() {
-			_ = downCodec.sendError(CodeShuttingDown, "proxy shutting down")
-			return
-		}
-		env, err := m.recv(down, downCodec)
-		if err != nil {
-			return
-		}
-		if env.Type == TypeReading {
-			m.rewriteReading(env)
-		}
-		if err := upCodec.Send(env); err != nil {
-			return
-		}
-		// A v1 hello has no response; any versioned hello is answered by the
-		// head-end (a negotiated hello or a refusal), which must be relayed
-		// or the downstream handshake stalls.
-		if env.Type == TypeHello && env.Hello.Version < WireV2 {
-			continue
-		}
-		resp, err := m.recv(up, upCodec)
-		if err != nil {
-			return
-		}
-		if err := downCodec.Send(resp); err != nil {
-			return
-		}
-		if resp.Type == TypeHello && resp.Hello.Version == WireV3 {
-			maxBatch = max(resp.Hello.MaxBatch, 1)
-			downCodec.binary, upCodec.binary = true, true
-		}
+	// The JSON leg is one hello exchange. The head-end's answer is relayed
+	// whatever it is; only a negotiated v3 hello carries the session on,
+	// after which both legs are binary and every frame but a rebind gets
+	// exactly one response, relayed inline.
+	if m.shuttingDown() {
+		_ = downCodec.sendError(CodeShuttingDown, "proxy shutting down")
+		return
 	}
+	hello, err := m.recv(down, downCodec)
+	if err != nil {
+		return
+	}
+	if err := upCodec.Send(hello); err != nil {
+		return
+	}
+	resp, err := m.recv(up, upCodec)
+	if err != nil {
+		return
+	}
+	if err := downCodec.Send(resp); err != nil {
+		return
+	}
+	if resp.Type != TypeHello || resp.Hello.Version != WireV3 {
+		return
+	}
+	maxBatch := max(resp.Hello.MaxBatch, 1)
+	downCodec.binary, upCodec.binary = true, true
 
 	for {
 		if m.shuttingDown() {
@@ -245,25 +239,7 @@ func (m *MITM) handle(down net.Conn) {
 	}
 }
 
-// rewriteReading applies the attack to one v1 reading in place.
-func (m *MITM) rewriteReading(env *Envelope) {
-	m.mu.Lock()
-	m.nSeen++
-	m.mu.Unlock()
-	if m.rewrite == nil {
-		return
-	}
-	orig := *env.Reading
-	rewritten := m.rewrite(orig)
-	if rewritten != orig {
-		m.mu.Lock()
-		m.nRewr++
-		m.mu.Unlock()
-	}
-	env.Reading = &rewritten
-}
-
-// rewriteBatch applies the attack to every reading of a v3 batch body and
+// rewriteBatch applies the attack to every reading of a batch body and
 // returns the body to forward: the re-encoded payload followed by the
 // frame's original tag, which no longer matches — so when the meter signs
 // its frames, the head-end's MAC check catches the tampering. The meter ID
@@ -283,12 +259,12 @@ func (m *MITM) rewriteBatch(body []byte, maxBatch int) []byte {
 	meterID := string(id)
 	rewrites := 0
 	for i, br := range rs {
-		orig := ReadingMsg{MeterID: meterID, Slot: br.Slot, KW: br.KW}
+		orig := meter.Reading{MeterID: meterID, Slot: timeseries.Slot(br.Slot), KW: br.KW}
 		rewritten := m.rewrite(orig)
 		if rewritten != orig {
 			rewrites++
 		}
-		rs[i] = BatchReading{Slot: rewritten.Slot, KW: rewritten.KW}
+		rs[i] = BatchReading{Slot: int64(rewritten.Slot), KW: rewritten.KW}
 	}
 	m.mu.Lock()
 	m.nRewr += rewrites

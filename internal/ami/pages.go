@@ -28,8 +28,8 @@ type meterPages struct {
 
 // put stores rs in order, so a later reading for a slot overwrites an
 // earlier one (last write wins). A run of readings in one day looks its page
-// up once. Slots are non-negative: decodePayload and the v1/v2 envelope
-// check reject the rest before anything is stored.
+// up once. Slots are non-negative: decodePayload rejects the rest before
+// anything is stored.
 func (m *meterPages) put(rs []BatchReading) {
 	var pg *dayPage
 	cur := int64(-1)

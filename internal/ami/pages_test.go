@@ -129,7 +129,7 @@ func TestPagedStoreMatchesOracle(t *testing.T) {
 	want := storeOracle{}
 	store := func(id string, rs []BatchReading) {
 		t.Helper()
-		if err := head.store(id, rs, nil); err != nil {
+		if err := head.store(id, rs, appendPayload(nil, id, rs)); err != nil {
 			t.Fatal(err)
 		}
 		want.put(id, rs)

@@ -26,13 +26,12 @@ type ReliableClient struct {
 	timeout time.Duration
 	retries int
 	backoff time.Duration
-	batch   bool // dial wire v3 and deliver via batch frames
 
 	c *Client
 }
 
 // NewReliableClient configures a reliable sender. retries is the number of
-// redial attempts per reading (minimum 1); backoff is the base delay
+// redial attempts per frame (minimum 1); backoff is the base delay
 // between attempts (0 for tests) — successive attempts back off
 // exponentially from it, with jitter, capped at maxRetryBackoff.
 func NewReliableClient(addr, meterID string, key []byte, timeout time.Duration, retries int, backoff time.Duration) (*ReliableClient, error) {
@@ -52,30 +51,12 @@ func NewReliableClient(addr, meterID string, key []byte, timeout time.Duration, 
 	}, nil
 }
 
-// NewReliableBatchClient is NewReliableClient over wire v3: sessions are
-// dialed with DialBatch and SendAll delivers via batch frames, so a retry
-// redials and resends whole frames. Batch delivery stays idempotent for
-// the same reason single readings are — the head-end stores by (meter,
-// slot), so a frame re-sent after a lost ack overwrites identical values.
-func NewReliableBatchClient(addr, meterID string, key []byte, timeout time.Duration, retries int, backoff time.Duration) (*ReliableClient, error) {
-	rc, err := NewReliableClient(addr, meterID, key, timeout, retries, backoff)
-	if err != nil {
-		return nil, err
-	}
-	rc.batch = true
-	return rc, nil
-}
-
 // ensure dials if no live session exists.
 func (rc *ReliableClient) ensure() error {
 	if rc.c != nil {
 		return nil
 	}
-	dial := DialAuth
-	if rc.batch {
-		dial = DialBatch
-	}
-	c, err := dial(rc.addr, rc.meterID, rc.key, rc.timeout)
+	c, err := DialBatch(rc.addr, rc.meterID, rc.key, rc.timeout)
 	if err != nil {
 		return err
 	}
@@ -124,61 +105,15 @@ func sleepContext(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// SendContext delivers one reading, redialing on transport errors (and
-// transient rejections such as a busy head-end) up to the retry budget,
-// backing off exponentially with jitter between attempts. Permanent
-// protocol rejections — authentication failure, session mismatch — are
-// returned immediately: retrying a rejected reading cannot succeed.
+// SendAllContext delivers readings as batch frames (see Client.SendBatch),
+// redialing on transport errors (and transient rejections such as a busy
+// head-end) up to the retry budget, backing off exponentially with jitter
+// between attempts. A retry resends the whole slice, so callers pass one
+// frame's worth. Permanent protocol rejections — authentication failure, session
+// mismatch — are returned immediately: retrying them cannot succeed.
 // Cancelling the context aborts the retry loop, including mid-backoff.
-func (rc *ReliableClient) SendContext(ctx context.Context, r meter.Reading) error {
-	var lastErr error
-	for attempt := 0; attempt < rc.retries; attempt++ {
-		if attempt > 0 {
-			if err := sleepContext(ctx, retryDelay(rc.backoff, attempt)); err != nil {
-				return fmt.Errorf("ami: send aborted: %w", err)
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("ami: send aborted: %w", err)
-		}
-		if err := rc.ensure(); err != nil {
-			lastErr = err
-			continue
-		}
-		err := rc.c.Send(r)
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		// A permanent rejection arrives as a well-formed error response on
-		// a healthy connection; give up immediately.
-		if errors.Is(err, ErrRejected) {
-			return err
-		}
-		rc.drop()
-	}
-	return fmt.Errorf("ami: giving up after %d attempts: %w", rc.retries, lastErr)
-}
-
-// SendAllContext delivers a batch. On a v1 client each reading is retried
-// independently; a batch client delivers the whole set as v3 frames,
-// retrying the set on transport errors. Errors wrap the underlying
-// failure, so errors.Is still classifies them.
+// Errors wrap the underlying failure, so errors.Is still classifies them.
 func (rc *ReliableClient) SendAllContext(ctx context.Context, rs []meter.Reading) error {
-	if rc.batch {
-		return rc.sendBatchContext(ctx, rs)
-	}
-	for i := range rs {
-		if err := rc.SendContext(ctx, rs[i]); err != nil {
-			return fmt.Errorf("ami: reading %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// sendBatchContext delivers readings as v3 batch frames with the same
-// redial-and-retry loop SendContext applies to single readings.
-func (rc *ReliableClient) sendBatchContext(ctx context.Context, rs []meter.Reading) error {
 	if len(rs) == 0 {
 		return nil
 	}
@@ -201,6 +136,8 @@ func (rc *ReliableClient) sendBatchContext(ctx context.Context, rs []meter.Readi
 			return nil
 		}
 		lastErr = err
+		// A permanent rejection arrives as a well-formed error response on
+		// a healthy connection; give up immediately.
 		if errors.Is(err, ErrRejected) {
 			return err
 		}

@@ -28,12 +28,11 @@ type session struct {
 }
 
 // serve runs one meter connection until EOF, protocol error, idle timeout,
-// or shutdown. It is the head-end's single protocol state machine:
-//
-//	hello, negotiated by version: v1 gets no reply and sends JSON readings,
-//	each acked; v2 is refused; v3 gets a JSON hello reply and then sends
-//	binary batch frames (each acked) and one-way rebind frames that switch
-//	the session to another meter, so one connection can serve a whole fleet.
+// or shutdown. It is the head-end's single protocol state machine: a hello
+// below v3 is refused; a v3 hello gets a JSON hello reply, and the meter
+// then sends binary batch frames (each acked) and one-way rebind frames
+// that switch the session to another meter, so one connection can serve a
+// whole fleet.
 func (sh *ShardedHeadEnd) serve(conn net.Conn) {
 	defer func() { _ = conn.Close() }()
 	codec := NewCodecLimit(conn, sh.cfg.MaxFrameSize)
@@ -61,32 +60,24 @@ func (sh *ShardedHeadEnd) serve(conn net.Conn) {
 		return
 	}
 	s := &session{head: sh, codec: codec, meterID: first.Hello.MeterID}
-	step := s.readingStep
-	switch v := first.Hello.Version; {
-	case v == WireV2:
+	if v := first.Hello.Version; v < WireV3 {
 		sh.met.rejected.Inc()
-		_ = codec.sendError(CodeProtocol, "wire v2 is retired; dial with wire v3")
+		_ = codec.sendError(CodeProtocol, fmt.Sprintf("wire v%d is retired; dial with wire v3", max(v, 1)))
 		return
-	case v >= WireV3:
-		if len(s.meterID) > maxMeterIDLen {
-			sh.met.rejected.Inc()
-			_ = codec.sendError(CodeProtocol, "meter ID too long for wire v3")
-			return
-		}
-		// Negotiate down to the highest version both ends speak. The reply
-		// advertises the head-end's batch cap, and from here on both
-		// directions are binary frames.
-		err := codec.Send(&Envelope{Type: TypeHello, Hello: &HelloMsg{
-			MeterID: s.meterID, Version: WireV3, MaxBatch: sh.cfg.MaxBatch,
-		}})
-		if err != nil {
-			return
-		}
-		codec.binary = true
-		step = s.frameStep
 	}
-	// v1 meters sent no version and get no reply, byte-identical to the
-	// pre-versioning protocol.
+	if len(s.meterID) > maxMeterIDLen {
+		sh.met.rejected.Inc()
+		_ = codec.sendError(CodeProtocol, "meter ID too long for wire v3")
+		return
+	}
+	// Negotiate down to the highest version both ends speak. The reply
+	// advertises the head-end's batch cap, and from here on both directions
+	// are binary frames.
+	reply := &HelloMsg{MeterID: s.meterID, Version: WireV3, MaxBatch: sh.cfg.MaxBatch}
+	if codec.Send(&Envelope{Type: TypeHello, Hello: reply}) != nil {
+		return
+	}
+	codec.binary = true
 
 	for {
 		// Drain semantics: finish the in-flight request/ack cycle, then
@@ -97,7 +88,7 @@ func (sh *ShardedHeadEnd) serve(conn net.Conn) {
 			return
 		}
 		_ = conn.SetReadDeadline(time.Now().Add(sh.cfg.IdleTimeout))
-		if !step() {
+		if !s.frameStep() {
 			return
 		}
 	}
@@ -148,37 +139,7 @@ func (s *session) accept(start time.Time, rs []BatchReading, payload []byte) boo
 	return true
 }
 
-// readingStep serves one v1 frame: a JSON reading, answered by a JSON ack.
-func (s *session) readingStep() bool {
-	sh := s.head
-	sh.parked.Add(1)
-	env, err := s.codec.Recv()
-	sh.parked.Add(-1)
-	if err != nil {
-		return s.readFailed(err)
-	}
-	if env.Type != TypeReading {
-		return s.reject(sh.met.rejected, CodeProtocol, "expected reading")
-	}
-	start := time.Now()
-	r := env.Reading
-	if r.MeterID != s.meterID {
-		return s.reject(sh.met.rejected, CodeSessionMismatch,
-			fmt.Sprintf("%v: reading claims %q, session is %q", ErrSessionMismatch, r.MeterID, s.meterID))
-	}
-	if sh.keyring != nil {
-		if err := sh.keyring.VerifyEnvelope(env); err != nil {
-			sh.log.Warn("reading failed MAC verification", "meter", s.meterID)
-			return s.reject(sh.met.authFailed, CodeAuth, err.Error())
-		}
-	}
-	if !s.accept(start, []BatchReading{{Slot: r.Slot, KW: r.KW}}, nil) {
-		return false
-	}
-	return s.codec.Send(&Envelope{Type: TypeAck, Ack: &AckMsg{Slot: r.Slot}}) == nil
-}
-
-// frameStep serves one v3 frame: a rebind (one-way: it switches the
+// frameStep serves one frame: a rebind (one-way: it switches the
 // session's meter and is not answered) or a batch (decoded, checked
 // against the session's meter, verified over its raw payload bytes,
 // stored, and acked). A drain that begins between a rebind and its batch

@@ -399,10 +399,9 @@ func (sh *ShardedHeadEnd) shardFor(meterID string) *ingestShard {
 }
 
 // store enqueues one accepted frame's readings on its shard; the readings
-// slice transfers to the shard without copying. With a WAL, the payload
-// is appended to the shard's log first: a v3 batch arrives with its
-// verified payload (borrowed for the call), which the log takes as is; a
-// v1 reading (nil payload) is encoded here. An append failure means
+// slice transfers to the shard without copying. With a WAL, the frame's
+// verified payload (borrowed for the call) is appended to the shard's log
+// first, as is. An append failure means
 // nothing was enqueued: the session answers with a transient CodeStorage
 // rejection, never an ack, so the meter retries. The accepted counter is
 // bumped at enqueue: once acknowledged, a reading is the queue's
@@ -410,9 +409,6 @@ func (sh *ShardedHeadEnd) shardFor(meterID string) *ingestShard {
 func (sh *ShardedHeadEnd) store(meterID string, rs []BatchReading, payload []byte) error {
 	s := sh.shardFor(meterID)
 	if s.wal != nil {
-		if payload == nil {
-			payload = appendPayload(nil, meterID, rs)
-		}
 		if err := s.wal.Append(payload,
 			func() { s.enqueue(meterID, rs) }, s.enqueueCompact); err != nil {
 			return err

@@ -12,46 +12,9 @@ import (
 	"repro/internal/timeseries"
 )
 
-// TestShardedServesV1Clients: a plain v1 client must not notice that the
-// store behind the listener is sharded — the wire surface is identical.
-func TestShardedServesV1Clients(t *testing.T) {
-	head := NewSharded(4, WithDrainTimeout(time.Second))
-	addr, err := head.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer head.Close()
-
-	c, err := Dial(addr, "m1", 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if c.version != WireV1 {
-		t.Fatalf("v1 dial negotiated version %d", c.version)
-	}
-	for s := 0; s < 5; s++ {
-		if err := c.Send(meter.Reading{MeterID: "m1", Slot: timeseries.Slot(s), KW: float64(s)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	head.Flush()
-	if got := head.Count("m1"); got != 5 {
-		t.Fatalf("stored %d readings, want 5", got)
-	}
-	series, err := head.Series("m1", 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s, v := range series {
-		if v != float64(s) {
-			t.Errorf("slot %d = %g, want %g", s, v, float64(s))
-		}
-	}
-}
-
-// TestShardedMixedTraffic spreads a fleet of v1 and v3 meters over the
-// shards and checks the coordinator's merged view.
+// TestShardedMixedTraffic spreads a fleet over the shards, half sending
+// one frame per reading and half one frame per meter, and checks the
+// coordinator's merged view.
 func TestShardedMixedTraffic(t *testing.T) {
 	reg := obs.NewRegistry()
 	head := NewSharded(4, WithMetrics(reg), WithDrainTimeout(time.Second))
@@ -70,25 +33,20 @@ func TestShardedMixedTraffic(t *testing.T) {
 		for s := range rs {
 			rs[s] = meter.Reading{MeterID: id, Slot: timeseries.Slot(s), KW: float64(i)}
 		}
-		if i%2 == 0 {
-			c, err := DialBatch(addr, id, nil, 5*time.Second)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := c.SendBatch(rs); err != nil {
-				t.Fatal(err)
-			}
-			_ = c.Close()
-		} else {
-			c, err := Dial(addr, id, 5*time.Second)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := c.SendAll(rs); err != nil {
-				t.Fatal(err)
-			}
-			_ = c.Close()
+		c, err := DialBatch(addr, id, nil, 5*time.Second)
+		if err != nil {
+			t.Fatal(err)
 		}
+		frame := slots
+		if i%2 == 1 {
+			frame = 1
+		}
+		for off := 0; off < slots; off += frame {
+			if err := c.SendBatch(rs[off : off+frame]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_ = c.Close()
 	}
 	head.Flush()
 

@@ -35,7 +35,7 @@ func (r *sinkRecorder) readings(meterID string) []BatchReading {
 }
 
 // TestSinkReceivesAcceptedReadings: every reading accepted over the wire
-// reaches the sink — plain v1 singles on one shard, v3 batches across
+// reaches the sink — one-reading frames on one shard, a batch across
 // four — in per-meter acceptance order.
 func TestSinkReceivesAcceptedReadings(t *testing.T) {
 	t.Run("plain", func(t *testing.T) {
@@ -46,13 +46,13 @@ func TestSinkReceivesAcceptedReadings(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer head.Close()
-		c, err := Dial(addr, "m1", 5*time.Second)
+		c, err := DialBatch(addr, "m1", nil, 5*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
 		for s := 0; s < 10; s++ {
-			if err := c.Send(meter.Reading{MeterID: "m1", Slot: timeseries.Slot(s), KW: float64(s)}); err != nil {
+			if err := c.SendBatch([]meter.Reading{{MeterID: "m1", Slot: timeseries.Slot(s), KW: float64(s)}}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -280,14 +280,10 @@ func TestShardedWALCrashRecoveryKeepsAckedReadings(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					id := fmt.Sprintf("m%02d", i)
-					batch := i%2 == 0
-					var c *Client
-					var err error
-					if batch {
-						c, err = DialBatch(addr, id, nil, time.Second)
-					} else {
-						c, err = Dial(addr, id, time.Second)
-					}
+					// Even meters send both readings in one frame, odd meters
+					// one frame per reading.
+					frame := 2 - i%2
+					c, err := DialBatch(addr, id, nil, time.Second)
 					if err != nil {
 						return
 					}
@@ -302,10 +298,8 @@ func TestShardedWALCrashRecoveryKeepsAckedReadings(t *testing.T) {
 							{MeterID: id, Slot: timeseries.Slot(s), KW: float64(s)},
 							{MeterID: id, Slot: timeseries.Slot(s + 1), KW: float64(s + 1)},
 						}
-						if batch {
-							err = c.SendBatch(rs)
-						} else {
-							err = c.SendAll(rs)
+						for off := 0; off < len(rs) && err == nil; off += frame {
+							err = c.SendBatch(rs[off : off+frame])
 						}
 						if err != nil {
 							return // crash landed mid-send: not acked, no claim
@@ -380,7 +374,8 @@ func TestWALRotationAndCompaction(t *testing.T) {
 	const total = 300
 	for i := 0; i < total; i++ {
 		rs := []BatchReading{{Slot: int64(i), KW: float64(i) / 2}}
-		if err := head.store(fmt.Sprintf("m%d", i%7), rs, nil); err != nil {
+		id := fmt.Sprintf("m%d", i%7)
+		if err := head.store(id, rs, appendPayload(nil, id, rs)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -473,12 +468,12 @@ func TestWALAppendFailureRejectsInsteadOfAcking(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c, err := Dial(addr, "m1", time.Second)
+	c, err := DialBatch(addr, "m1", nil, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = c.Close() }()
-	sendErr := c.Send(meter.Reading{MeterID: "m1", Slot: 0, KW: 1})
+	sendErr := c.SendBatch([]meter.Reading{{MeterID: "m1", Slot: 0, KW: 1}})
 	if sendErr == nil {
 		t.Fatal("reading acked despite failed WAL append")
 	}

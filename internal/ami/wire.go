@@ -5,31 +5,26 @@
 // premise that "either the smart meter or the communication link has been
 // compromised, and the attacker is now an insider" (Section IV).
 //
-// Every session opens with a newline-delimited JSON hello. What follows
-// depends on the version the hello advertises:
-//
-//	v1  no version field. One JSON reading envelope per line, each
-//	    answered by a JSON ack; the hello gets no reply. v1 peers are
-//	    byte-identical to the pre-versioning protocol and serve legacy
-//	    meters.
-//	v2  retired. A hello advertising exactly "ver":2 is refused with a
-//	    CodeProtocol error envelope.
-//	v3  "ver":3 (or higher, negotiated down). The head-end answers with a
-//	    JSON hello carrying the agreed version and its batch cap; from then
-//	    on the session is binary in both directions (see frame.go). A batch
-//	    frame's body is the WAL record payload byte for byte, optionally
-//	    followed by a raw HMAC-SHA256 tag over exactly those bytes, so an
-//	    accepted frame is verified, logged and stored without re-encoding.
-//	    One-way rebind frames switch the session to another meter, so one
-//	    connection can carry a whole fleet's traffic.
+// Every session speaks wire v3. It opens with a newline-delimited JSON
+// hello advertising "ver":3 (or higher, negotiated down). The head-end
+// answers with a JSON hello carrying the agreed version and its batch cap;
+// from then on the session is binary in both directions (see frame.go). A
+// batch frame's body is the WAL record payload byte for byte, optionally
+// followed by a raw HMAC-SHA256 tag over exactly those bytes, so an
+// accepted frame is verified, logged and stored without re-encoding. A
+// batch of one reading is the default meter traffic. One-way rebind frames
+// switch the session to another meter, so one connection can carry a
+// whole fleet's traffic. A hello below "ver":3 (no version, or one of the
+// retired JSON dialects v1 and v2) is refused with a CodeProtocol error
+// envelope.
 //
 // Because the threat model assumes the peer may be hostile, the codec
 // trusts nothing: frames are bounded by MaxFrameSize (a meter streaming
 // one multi-gigabyte frame gets a typed CodeOversized rejection, not the
 // head-end's address space; a v3 length prefix is checked before any
-// allocation), and both the JSON validator and the payload decoder reject
-// negative slots and non-finite or negative kW, so NaN/±Inf poison can
-// never reach the readings store.
+// allocation), and the payload decoder rejects negative slots and
+// non-finite or negative kW, so NaN/±Inf poison can never reach the
+// readings store.
 package ami
 
 import (
@@ -42,22 +37,13 @@ import (
 
 // Message types carried in a JSON Envelope.
 const (
-	TypeHello   = "hello"
-	TypeReading = "reading"
-	TypeAck     = "ack"
-	TypeError   = "error"
+	TypeHello = "hello"
+	TypeError = "error"
 )
 
-// Wire protocol versions. A hello with no version field is a v1 peer.
-const (
-	// WireV1 is the original one-reading-per-frame JSON dialect.
-	WireV1 = 1
-	// WireV2 is the retired JSON batch dialect; head-ends refuse it.
-	WireV2 = 2
-	// WireV3 is the binary batch dialect: batch and rebind frames whose
-	// bodies are WAL record payloads.
-	WireV3 = 3
-)
+// WireV3 is the one wire version head-ends serve: the binary batch
+// dialect, whose batch and rebind frames carry WAL record payloads.
+const WireV3 = 3
 
 // Frame and batch bounds.
 const (
@@ -70,42 +56,28 @@ const (
 	DefaultMaxBatch = 1024
 )
 
-// Envelope is the JSON wire frame: every hello, and every v1 reading, ack
-// and error. Type selects which payload field is populated.
+// Envelope is the JSON wire frame of the handshake: a hello, or the error
+// that refuses one. Type selects which field is populated.
 type Envelope struct {
-	Type    string      `json:"type"`
-	Hello   *HelloMsg   `json:"hello,omitempty"`
-	Reading *ReadingMsg `json:"reading,omitempty"`
-	Ack     *AckMsg     `json:"ack,omitempty"`
-	Error   string      `json:"error,omitempty"`
+	Type  string    `json:"type"`
+	Hello *HelloMsg `json:"hello,omitempty"`
+	Error string    `json:"error,omitempty"`
 	// Code is the machine-readable classification of a TypeError envelope
 	// (see the Code* constants). Optional: peers predating the taxonomy
 	// send errors with no code, which readers treat as permanent.
 	Code string `json:"code,omitempty"`
-	// Auth is the optional hex HMAC-SHA256 tag over a v1 reading (see
-	// SignReading). Verified only when the head-end runs with a keyring.
-	Auth string `json:"auth,omitempty"`
 }
 
-// HelloMsg introduces a meter at connection start. The version and batch
-// fields are omitted when zero, so a v1 hello is byte-identical to the
-// pre-versioning wire format.
+// HelloMsg introduces a meter at connection start.
 type HelloMsg struct {
 	MeterID string `json:"meter_id"`
-	// Version is the highest protocol version the sender speaks (0 means
-	// v1: the field predates versioning). In the head-end's hello response
-	// it is the negotiated version for the session.
+	// Version is the highest protocol version the sender speaks (0: the
+	// field is absent, as from a pre-versioning meter). In the head-end's
+	// hello response it is the negotiated version for the session.
 	Version int `json:"ver,omitempty"`
 	// MaxBatch is only meaningful in the head-end's hello response: the
 	// largest batch frame it will accept. Clients must chunk accordingly.
 	MaxBatch int `json:"max_batch,omitempty"`
-}
-
-// ReadingMsg reports one average-demand measurement (v1).
-type ReadingMsg struct {
-	MeterID string  `json:"meter_id"`
-	Slot    int64   `json:"slot"`
-	KW      float64 `json:"kw"`
 }
 
 // BatchReading is one (slot, kW) pair inside a batch frame or WAL record.
@@ -113,11 +85,6 @@ type ReadingMsg struct {
 type BatchReading struct {
 	Slot int64
 	KW   float64
-}
-
-// AckMsg acknowledges a v1 reading by slot.
-type AckMsg struct {
-	Slot int64 `json:"slot"`
 }
 
 // validKW rejects the values the readings store must never hold: negative
@@ -144,23 +111,6 @@ func (e *Envelope) Validate() error {
 		if e.Hello.Version < 0 || e.Hello.MaxBatch < 0 {
 			return fmt.Errorf("ami: hello version %d / max batch %d negative",
 				e.Hello.Version, e.Hello.MaxBatch)
-		}
-	case TypeReading:
-		if e.Reading == nil {
-			return fmt.Errorf("ami: reading envelope missing payload")
-		}
-		if e.Reading.MeterID == "" {
-			return fmt.Errorf("ami: reading missing meter ID")
-		}
-		if e.Reading.Slot < 0 {
-			return fmt.Errorf("ami: reading slot %d negative", e.Reading.Slot)
-		}
-		if err := validKW(e.Reading.KW); err != nil {
-			return err
-		}
-	case TypeAck:
-		if e.Ack == nil {
-			return fmt.Errorf("ami: ack envelope missing payload")
 		}
 	case TypeError:
 		if e.Error == "" {

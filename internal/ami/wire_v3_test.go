@@ -100,14 +100,10 @@ func TestCodecSendOversized(t *testing.T) {
 
 // TestEnvelopeValidateNonFinite closes the NaN hole: `kw < 0` is false for
 // NaN, so without an explicit finiteness guard a poisoned reading sails
-// through validation and into the store.
+// through validation and into the store. The payload decoder applies the
+// guard to raw float bits.
 func TestEnvelopeValidateNonFinite(t *testing.T) {
 	for _, kw := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		env := &Envelope{Type: TypeReading, Reading: &ReadingMsg{MeterID: "m1", Slot: 0, KW: kw}}
-		if err := env.Validate(); err == nil {
-			t.Errorf("reading with kw=%g validated", kw)
-		}
-		// The v3 payload decoder applies the same guard to raw float bits.
 		p := appendPayload(nil, "m1", []BatchReading{{Slot: 0, KW: 1}, {Slot: 1, KW: kw}})
 		if _, _, _, err := decodePayload(p, DefaultMaxBatch); err == nil {
 			t.Errorf("batch payload with kw=%g decoded", kw)
@@ -119,11 +115,9 @@ func TestEnvelopeValidateNonFinite(t *testing.T) {
 	}
 }
 
-// TestWireNonFiniteReadingRejected drives the hole end to end in both
-// dialects: a raw frame whose kW decodes non-finite (JSON cannot carry
-// NaN, so 1e999 — which overflows to +Inf in a lenient decoder — stands
-// in; a v3 frame carries the NaN bits themselves) must be answered with a
-// protocol error, never an ack, and must not reach the store.
+// TestWireNonFiniteReadingRejected drives the hole end to end: a raw
+// frame carrying NaN bits must be answered with a protocol error, never an
+// ack, and must not reach the store.
 func TestWireNonFiniteReadingRejected(t *testing.T) {
 	head := NewSharded(1, WithDrainTimeout(time.Second))
 	addr, err := head.Listen("127.0.0.1:0")
@@ -132,32 +126,6 @@ func TestWireNonFiniteReadingRejected(t *testing.T) {
 	}
 	defer head.Close()
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
-
-	if _, err := conn.Write([]byte(`{"type":"hello","hello":{"meter_id":"m1"}}` + "\n")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write([]byte(`{"type":"reading","reading":{"meter_id":"m1","slot":0,"kw":1e999}}` + "\n")); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := NewCodec(conn).Recv()
-	if err != nil {
-		t.Fatalf("expected an error envelope, got transport error %v", err)
-	}
-	if resp.Type != TypeError {
-		t.Fatalf("response type = %q, want %q (an ack here means the poison was stored)", resp.Type, TypeError)
-	}
-	if resp.Code != CodeProtocol {
-		t.Errorf("error code = %q, want %q", resp.Code, CodeProtocol)
-	}
-	_ = conn.Close()
-
-	// A v3 frame carries raw float bits, so it can carry NaN itself.
 	v3, codec := rawV3Session(t, addr, "m1")
 	nan := AppendBatchFrame(nil, "m1", []BatchReading{{Slot: 0, KW: 1}, {Slot: 1, KW: math.NaN()}}, nil)
 	if perr := sendRawFrame(t, v3, codec, nan); perr.Code != CodeProtocol {
@@ -190,9 +158,6 @@ func TestBatchSessionEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.version != WireV3 {
-		t.Fatalf("negotiated version = %d, want %d", c.version, WireV3)
-	}
 	if c.maxBatch != 16 {
 		t.Fatalf("negotiated max batch = %d, want 16", c.maxBatch)
 	}
@@ -406,44 +371,6 @@ func TestRetiredRebindReplyKindRefused(t *testing.T) {
 	}
 }
 
-// TestV1SessionRejectsBatch: batch frames require a negotiated v3
-// session; on a v1 session they are a protocol violation.
-func TestV1SessionRejectsBatch(t *testing.T) {
-	head := NewSharded(1, WithDrainTimeout(time.Second))
-	addr, err := head.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer head.Close()
-
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
-	codec := NewCodec(conn)
-	// v1 hello: no version advertised, no response expected.
-	if err := codec.Send(&Envelope{Type: TypeHello, Hello: &HelloMsg{MeterID: "m1"}}); err != nil {
-		t.Fatal(err)
-	}
-	frame := AppendBatchFrame(nil, "m1", []BatchReading{{Slot: 0, KW: 1}}, nil)
-	if _, err := conn.Write(append(frame, '\n')); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := codec.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Type != TypeError || resp.Code != CodeProtocol {
-		t.Fatalf("response = %+v, want a %s error", resp, CodeProtocol)
-	}
-	head.Flush()
-	if got := head.Count("m1"); got != 0 {
-		t.Errorf("stored %d readings from a v1 batch frame, want 0", got)
-	}
-}
-
 // rawV3Session opens a hand-driven v3 session for meterID: the JSON hello
 // exchange, then a codec switched to binary frames.
 func rawV3Session(t *testing.T, addr, meterID string) (net.Conn, *Codec) {
@@ -511,8 +438,11 @@ func TestBatchOverCapRejected(t *testing.T) {
 	}
 }
 
-// TestWireV2HelloRefused: the retired JSON batch dialect gets a typed
-// refusal at hello instead of a session.
+// TestWireV2HelloRefused: every hello below v3 (no version, the retired
+// v1 reading-per-line dialect, the retired v2 JSON batch dialect) gets a
+// typed, permanent refusal and a hang-up instead of a session, whether it
+// reaches the head-end directly or through the MITM, which must relay the
+// refusal.
 func TestWireV2HelloRefused(t *testing.T) {
 	head := NewSharded(1, WithDrainTimeout(time.Second))
 	addr, err := head.Listen("127.0.0.1:0")
@@ -520,30 +450,53 @@ func TestWireV2HelloRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer head.Close()
+	mitm := NewMITM(addr, nil)
+	proxyAddr, err := mitm.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mitm.Close()
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name, addr string
+		ver        int
+	}{
+		{"no version", addr, 0},
+		{"v1", addr, 1},
+		{"v2", addr, 2},
+		{"v1 via mitm", proxyAddr, 1},
+	} {
+		conn, err := net.Dial("tcp", tc.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+		codec := NewCodec(conn)
+		if err := codec.Send(&Envelope{Type: TypeHello, Hello: &HelloMsg{MeterID: "m1", Version: tc.ver, MaxBatch: 16}}); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := codec.Recv()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if resp.Type != TypeError || resp.Code != CodeProtocol {
+			t.Fatalf("%s: response = %+v, want a %s error", tc.name, resp, CodeProtocol)
+		}
+		perr := &ProtocolError{Code: resp.Code, Message: resp.Error}
+		if !errors.Is(perr, ErrRejected) {
+			t.Errorf("%s: refusal must be permanent (ErrRejected)", tc.name)
+		}
+		if _, err := codec.Recv(); !errors.Is(err, io.EOF) {
+			t.Errorf("%s: after the refusal: %v, want a hang-up", tc.name, err)
+		}
+		_ = conn.Close()
 	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
-	codec := NewCodec(conn)
-	if err := codec.Send(&Envelope{Type: TypeHello, Hello: &HelloMsg{MeterID: "m1", Version: WireV2, MaxBatch: 16}}); err != nil {
-		t.Fatal(err)
+	head.Flush()
+	if got := head.Count("m1"); got != 0 {
+		t.Errorf("refused sessions stored %d readings, want 0", got)
 	}
-	resp, err := codec.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Type != TypeError || resp.Code != CodeProtocol {
-		t.Fatalf("response = %+v, want a %s error", resp, CodeProtocol)
-	}
-	perr := &ProtocolError{Code: resp.Code, Message: resp.Error}
-	if !errors.Is(perr, ErrRejected) {
-		t.Errorf("v2 refusal must be permanent (ErrRejected)")
-	}
-	if _, err := codec.Recv(); !errors.Is(err, io.EOF) {
-		t.Errorf("after the refusal: %v, want the head-end to hang up", err)
+	if st := head.Stats(); st.Rejected != 4 {
+		t.Errorf("rejected = %d, want 4", st.Rejected)
 	}
 }
 
@@ -643,17 +596,17 @@ func TestRejectBusyDrain(t *testing.T) {
 	defer head.Close()
 
 	// Fill the only session slot.
-	holder, err := Dial(addr, "m1", 5*time.Second)
+	holder, err := DialBatch(addr, "m1", nil, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer holder.Close()
-	if err := holder.Send(meter.Reading{MeterID: "m1", Slot: 0, KW: 1}); err != nil {
+	if err := holder.SendBatch([]meter.Reading{{MeterID: "m1", Slot: 0, KW: 1}}); err != nil {
 		t.Fatal(err)
 	}
 
-	// Overflow connection: send the hello, then keep writing readings as a
-	// client that has not yet noticed the rejection would.
+	// Overflow connection: send the hello, then keep writing batch frames
+	// as a client that has not yet noticed the rejection would.
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -661,11 +614,11 @@ func TestRejectBusyDrain(t *testing.T) {
 	defer conn.Close()
 	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
 	codec := NewCodec(conn)
-	if err := codec.Send(&Envelope{Type: TypeHello, Hello: &HelloMsg{MeterID: "m2"}}); err != nil {
+	if err := codec.Send(&Envelope{Type: TypeHello, Hello: &HelloMsg{MeterID: "m2", Version: WireV3}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		err := codec.Send(&Envelope{Type: TypeReading, Reading: &ReadingMsg{MeterID: "m2", Slot: int64(i), KW: 1}})
+		_, err := conn.Write(AppendBatchFrame(nil, "m2", []BatchReading{{Slot: int64(i), KW: 1}}, nil))
 		if err != nil {
 			break // the head-end may hang up mid-drain; the envelope must still be readable
 		}
@@ -719,7 +672,7 @@ func TestMITMRelaysV3AndRewritesBatches(t *testing.T) {
 	}
 	defer head.Close()
 
-	mitm := NewMITM(upstream, func(r ReadingMsg) ReadingMsg {
+	mitm := NewMITM(upstream, func(r meter.Reading) meter.Reading {
 		r.KW /= 2 // a Class 1 underreporting attack on the link
 		return r
 	})
@@ -784,7 +737,7 @@ func TestSignedBatchDefeatsMITM(t *testing.T) {
 	}
 	defer head.Close()
 
-	mitm := NewMITM(upstream, func(r ReadingMsg) ReadingMsg {
+	mitm := NewMITM(upstream, func(r meter.Reading) meter.Reading {
 		r.KW /= 2
 		return r
 	})
@@ -842,7 +795,7 @@ func TestSignedBatchDefeatsMITM(t *testing.T) {
 // exactly as the attacker chose, with every other reading intact.
 func TestMITMRewritesOneReadingInV3Frame(t *testing.T) {
 	const target = 3
-	attack := func(r ReadingMsg) ReadingMsg {
+	attack := func(r meter.Reading) meter.Reading {
 		if r.Slot == target {
 			r.KW = 0
 		}
@@ -971,17 +924,18 @@ func TestBatchPayloadGoldenMatchesWAL(t *testing.T) {
 	}
 }
 
-// TestReliableBatchClientDelivers: the reliable wrapper's batch mode
-// delivers via v3 frames and still classifies rejections.
+// TestReliableBatchClientDelivers: the reliable wrapper delivers via v3
+// frames chunked at the negotiated cap.
 func TestReliableBatchClientDelivers(t *testing.T) {
-	head := NewSharded(1, WithDrainTimeout(time.Second))
+	reg := obs.NewRegistry()
+	head := NewSharded(1, WithMetrics(reg), WithConfig(HeadEndConfig{MaxBatch: 10, DrainTimeout: time.Second}))
 	addr, err := head.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer head.Close()
 
-	rc, err := NewReliableBatchClient(addr, "m1", nil, 5*time.Second, 3, 0)
+	rc, err := NewReliableClient(addr, "m1", nil, 5*time.Second, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -997,6 +951,9 @@ func TestReliableBatchClientDelivers(t *testing.T) {
 	head.Flush()
 	if got := head.Count("m1"); got != n {
 		t.Fatalf("stored %d readings, want %d", got, n)
+	}
+	if got := reg.Counter(metricBatchFrames, "").Value(); got != 3 {
+		t.Errorf("batch frames = %d, want 3", got)
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 //     (ami.DialBatch's explicit `timeout` argument),
 //   - an exported sibling named <Name>Context on the same receiver — the
 //     convenience form delegates to the bounded one
-//     (ReliableClient.Send / SendContext),
+//     (a Push that delegates to PushContext),
 //   - a timeout/deadline/drain knob of type time.Duration on the receiver
 //     struct or one of its struct-typed config fields
 //     (ShardedHeadEnd.cfg.DrainTimeout), set at construction,

@@ -50,14 +50,14 @@ func Await(done chan struct{}, timeout time.Duration) bool {
 	}
 }
 
-// Feed has no deadline knob on the receiver; its Send passes through the
+// Feed has no deadline knob on the receiver; its Push passes through the
 // Context sibling alone.
 type Feed struct {
 	ch chan []byte
 }
 
-// SendContext is the bounded form.
-func (f *Feed) SendContext(ctx context.Context, b []byte) error {
+// PushContext is the bounded form.
+func (f *Feed) PushContext(ctx context.Context, b []byte) error {
 	select {
 	case f.ch <- b:
 		return nil
@@ -66,9 +66,9 @@ func (f *Feed) SendContext(ctx context.Context, b []byte) error {
 	}
 }
 
-// Send delegates the bound to the sibling: callers who want one call
-// SendContext.
-func (f *Feed) Send(b []byte) {
+// Push delegates the bound to the sibling: callers who want one call
+// PushContext.
+func (f *Feed) Push(b []byte) {
 	f.ch <- b
 }
 
