@@ -62,15 +62,16 @@ bench-population:
 	$(GO) test -run=NONE -bench=BenchmarkPopulationTrain -benchtime=1x .
 
 # collect-smoke: the ingestion tier end to end under the race detector,
-# through both client paths. First a sharded head-end and a
-# persistent-connection pool multiplexing a 1k-meter fleet over wire-v3
-# binary batch frames, each meter's first frame behind a one-way rebind in
-# the same write (one client write, one server read, one server write).
-# Then one reliable client per meter, sending two frames per meter with a
-# tenth of the slots dropped. Exercises negotiation, rebinding, batching,
-# per-frame retry, shard queues, flush, and drain on every PR.
+# through the one fleet driver at two pool shapes. First a sharded
+# head-end and 16 reliable sessions multiplexing a 1k-meter fleet over
+# wire-v3 binary batch frames, each meter's first frame behind a one-way
+# rebind in the same write (one client write, one server read, one server
+# write), with a tenth of the slots dropped. Then one session per meter,
+# sending two frames per meter with the same dropout. Exercises
+# negotiation, rebinding, batching, fault injection, per-frame retry,
+# shard queues, flush, and drain on every PR.
 collect-smoke:
-	$(GO) run -race ./cmd/fdeta collect -meters 1000 -shards 4 -batch 48 -concurrency 16
+	$(GO) run -race ./cmd/fdeta collect -meters 1000 -shards 4 -batch 48 -concurrency 16 -fault dropout:0.1
 	$(GO) run -race ./cmd/fdeta collect -meters 64 -slots 96 -batch 48 -fault dropout:0.1
 
 # chaos-smoke: the durability invariant under the race detector — the

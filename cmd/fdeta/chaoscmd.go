@@ -3,8 +3,10 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"os/exec"
@@ -80,8 +82,12 @@ func cmdChaos(args []string) error {
 		walSync:  policy,
 		resets:   *resets,
 		loris:    *loris,
+		ids:      make([]string, *meters),
 		nextSlot: make([]int64, *meters),
 		acked:    make(map[chaosKey]float64),
+	}
+	for m := range h.ids {
+		h.ids[m] = fmt.Sprintf("chaos-%04d", m)
 	}
 	if err := h.run(*rounds); err != nil {
 		return err
@@ -132,9 +138,11 @@ type chaosHarness struct {
 	walSync               ami.WALSyncPolicy
 	resets, loris         int
 
-	mu       sync.Mutex
-	nextSlot []int64
-	acked    map[chaosKey]float64
+	ids      []string // meter m's ID
+	nextSlot []int64  // meter m's first unacked slot
+
+	mu    sync.Mutex
+	acked map[chaosKey]float64
 
 	cutFrames atomic.Int64 // v3 batch frames the reset injectors cut mid-body
 }
@@ -144,8 +152,6 @@ type chaosHarness struct {
 func chaosKW(m int, slot int64) float64 {
 	return float64(m) + float64(slot%96)/4
 }
-
-func (h *chaosHarness) meterID(m int) string { return fmt.Sprintf("chaos-%04d", m) }
 
 func (h *chaosHarness) run(rounds int) error {
 	exe, err := os.Executable()
@@ -215,14 +221,12 @@ func (h *chaosHarness) round(exe string, round int) error {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup
-	for m := 0; m < h.meters; m++ {
-		m := m
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			h.driveMeter(ctx, addr, m)
-		}()
-	}
+	var driveErr error
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		driveErr = h.drive(ctx, addr)
+	}()
 	for i := 0; i < h.resets; i++ {
 		wg.Add(1)
 		go func() {
@@ -248,6 +252,9 @@ func (h *chaosHarness) round(exe string, round int) error {
 	if killErr != nil {
 		return fmt.Errorf("chaos: round %d: kill: %w", round, killErr)
 	}
+	if !errors.Is(driveErr, context.Canceled) {
+		return fmt.Errorf("chaos: round %d: fleet stopped before the kill: %w", round, driveErr)
+	}
 	h.mu.Lock()
 	ackedSoFar := len(h.acked)
 	h.mu.Unlock()
@@ -256,47 +263,30 @@ func (h *chaosHarness) round(exe string, round int) error {
 	return nil
 }
 
-// driveMeter sends batch frames as fast as the head-end acks them,
-// redialing on every failure, until the round ends. Only acknowledged
-// batches are recorded — an error mid-send makes no durability claim.
-func (h *chaosHarness) driveMeter(ctx context.Context, addr string, m int) {
-	id := h.meterID(m)
-	var c *ami.Client
-	defer func() {
-		if c != nil {
-			_ = c.Close()
-		}
-	}()
-	for ctx.Err() == nil {
-		if c == nil {
-			var err error
-			c, err = ami.DialBatch(addr, id, nil, 2*time.Second)
-			if err != nil {
-				c = nil
-				sleepCtx(ctx, 20*time.Millisecond)
-				continue
-			}
-		}
-		h.mu.Lock()
+// drive streams every meter's frames from its cursor on, one session per
+// meter, as fast as the head-end acks them, until the round's context
+// ends. Only acknowledged frames enter the ledger and advance the cursor:
+// an error mid-send makes no durability claim.
+func (h *chaosHarness) drive(ctx context.Context, addr string) error {
+	next := func(m int, buf []meter.Reading) ([]meter.Reading, error) {
+		// The cursor of meter m is only touched by m's own session.
 		start := h.nextSlot[m]
-		h.mu.Unlock()
-		rs := make([]meter.Reading, h.batch)
-		for i := range rs {
-			slot := start + int64(i)
-			rs[i] = meter.Reading{MeterID: id, Slot: timeseries.Slot(slot), KW: chaosKW(m, slot)}
+		for slot := start; slot < start+int64(h.batch); slot++ {
+			buf = append(buf, meter.Reading{MeterID: h.ids[m], Slot: timeseries.Slot(slot), KW: chaosKW(m, slot)})
 		}
-		if err := c.SendBatch(rs); err != nil {
-			_ = c.Close()
-			c = nil
-			continue
-		}
+		return buf, nil
+	}
+	acked := func(m int, rs []meter.Reading, _ time.Duration) {
 		h.mu.Lock()
 		for _, r := range rs {
-			h.acked[chaosKey{id, int64(r.Slot)}] = r.KW
+			h.acked[chaosKey{r.MeterID, int64(r.Slot)}] = r.KW
 		}
-		h.nextSlot[m] = start + int64(h.batch)
 		h.mu.Unlock()
+		h.nextSlot[m] = int64(rs[len(rs)-1].Slot) + 1
 	}
+	// The frame source never ends and every frame retries until the
+	// round's context ends it, so the retry budget outlasts any round.
+	return ami.DriveFleet(ctx, addr, h.meters, math.MaxInt, h.ids, next, acked)
 }
 
 // chaosResetMeters are the meter IDs the reset injector's cut batch frames

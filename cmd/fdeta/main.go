@@ -24,7 +24,7 @@
 //	ttd           streaming time-to-detection
 //	spread        multi-victim theft spreading
 //	bill          statements + revenue assurance
-//	collect       concurrent TCP collection harness over the AMI head-end
+//	collect       drive a simulated meter fleet into the AMI head-end over TCP
 //	serve         always-on streaming detection service with tiered alerts
 //	chaos         kill -9/restart durability harness for the WAL-backed head-end
 //
@@ -126,7 +126,9 @@ Operations:
   detect        run the detection pipeline over a CER-format CSV
   investigate   balance checks, alarms, and localization on a feeder
   simulate      scripted multi-week feeder simulation with scored detection
-  collect       concurrent TCP collection harness over the AMI head-end
+  collect       drive a simulated meter fleet into the AMI head-end over TCP
+                (one reliable session per meter, or -concurrency N rebinding
+                sessions; -fault injects meter faults)
   serve         always-on streaming detection service: compact per-consumer
                 detector state fed by the head-end's accepted-reading tap,
                 tiered alerts over JSONL + SSE + the admin endpoint, rolling

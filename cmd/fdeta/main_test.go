@@ -5,11 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/ami"
-	"repro/internal/dataset"
-	"repro/internal/fault"
 	"repro/internal/obs"
 )
 
@@ -52,17 +49,16 @@ func TestRunChaosFlagValidation(t *testing.T) {
 	}
 }
 
-// TestRunCollectFramesByBatch: the per-meter mode sends frames of -batch
-// readings, so 96 slots at -batch 48 is two frames per meter.
+// TestRunCollectFramesByBatch: every session sends frames of -batch
+// readings, so 96 slots at -batch 48 is two frames per meter, also when
+// two rebinding sessions carry three meters.
 func TestRunCollectFramesByBatch(t *testing.T) {
 	const meters, slots, batch = 3, 96, 48
 	reg := obs.NewRegistry()
 	head := ami.NewSharded(1, ami.WithMetrics(reg))
-	ds, err := dataset.Generate(dataset.Config{Residential: meters, Weeks: 2, Seed: 2016})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := runCollect(head, ds, fault.Plan{}, meters, slots, 3, batch, ami.DefaultMaxConns, time.Minute, time.Second); err != nil {
+	defer func() { _ = head.Close() }()
+	f := collectFleet{meters: meters, slots: slots, batch: batch, sessions: 2, retries: 3, profiles: 64, seed: 2016}
+	if err := f.run(head); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter("fdeta_ami_batch_frames_total", "").Value(); got != meters*slots/batch {
@@ -89,6 +85,7 @@ func TestRunDispatcher(t *testing.T) {
 		{"bill bad theft", []string{"bill", "-theft", "2"}, 1},
 		{"collect", []string{"collect", "-meters", "4", "-slots", "16"}, 0},
 		{"collect faulty", []string{"collect", "-meters", "4", "-slots", "48", "-fault", "dropout:0.25"}, 0},
+		{"collect pooled faulty", []string{"collect", "-meters", "64", "-slots", "96", "-batch", "8", "-concurrency", "8", "-fault", "dropout:0.1"}, 0},
 		{"collect bad meters", []string{"collect", "-meters", "0"}, 1},
 		{"collect bad slots", []string{"collect", "-slots", "999"}, 1},
 		{"collect bad fault", []string{"collect", "-meters", "2", "-fault", "sparks:1"}, 1},
@@ -247,6 +244,11 @@ func TestRunServeSmoke(t *testing.T) {
 func TestRunServeFlagValidation(t *testing.T) {
 	if got := run([]string{"serve", "-weeks", "3", "-train", "4"}); got != 1 {
 		t.Errorf("-weeks < train+2 exited %d, want 1", got)
+	}
+	for _, train := range []string{"1", "0"} {
+		if got := run([]string{"serve", "-weeks", "3", "-train", train}); got != 1 {
+			t.Errorf("-train %s exited %d, want 1", train, got)
+		}
 	}
 	if got := run([]string{"serve", "-meters", "1", "-weeks", "13", "-train", "4"}); got != 1 {
 		t.Errorf("-meters 1 exited %d, want 1", got)

@@ -22,6 +22,9 @@ import (
 	"repro/internal/timeseries"
 )
 
+// serveRetries is the delivery attempts per frame for the demo fleet.
+const serveRetries = 3
+
 // cmdServe runs the always-on streaming detection service: a sharded AMI
 // head-end taps every accepted reading into a serve.Server holding compact
 // per-consumer detector state, with tiered alerts on JSONL, SSE, and the
@@ -43,6 +46,9 @@ func cmdServe(args []string) error {
 	adminAddr := fs.String("admin-addr", "127.0.0.1:0", "address for the admin endpoint serving /alerts, /consumers/{id}, /dashboard.json and /metrics")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *trainWeeks < 2 {
+		return fmt.Errorf("serve: -train must be >= 2")
 	}
 	if *weeks < *trainWeeks+2 {
 		return fmt.Errorf("serve: -weeks must be >= train+2 (%d)", *trainWeeks+2)
@@ -105,6 +111,17 @@ func runServe(meters, weeks, trainWeeks int, seed int64, shards int, theftFrac f
 				(*f)(meterID, readings)
 			}
 		}))
+	var srv *serve.Server
+	// One teardown for every return, in drain order: the head-end first
+	// (acks stop, queues drain into the sink), then the service (workers
+	// finish every delivered reading). Both Closes are idempotent; the
+	// success path closes both itself to check their errors.
+	defer func() {
+		_ = head.Close()
+		if srv != nil {
+			_ = srv.Close()
+		}
+	}()
 
 	opts := []serve.Option{
 		serve.WithAlertPolicy(policy),
@@ -118,9 +135,8 @@ func runServe(meters, weeks, trainWeeks int, seed int64, shards int, theftFrac f
 	if retrainEvery > 0 {
 		opts = append(opts, serve.WithRetrainInterval(retrainEvery))
 	}
-	srv, err := serve.New(opts...)
+	srv, err = serve.New(opts...)
 	if err != nil {
-		_ = head.Close()
 		return err
 	}
 	sink := srv.Sink()
@@ -152,16 +168,12 @@ func runServe(meters, weeks, trainWeeks int, seed int64, shards int, theftFrac f
 
 	addr, err := head.Listen("127.0.0.1:0")
 	if err != nil {
-		_ = srv.Close()
-		_ = head.Close()
 		return err
 	}
 	fmt.Printf("serve: head-end on %s (%d shards), %d consumers registered\n", addr, shards, meters)
 
 	admin, err := obs.ServeAdmin(adminAddr, obs.Default())
 	if err != nil {
-		_ = srv.Close()
-		_ = head.Close()
 		return err
 	}
 	defer func() { _ = admin.Close() }()
@@ -171,20 +183,36 @@ func runServe(meters, weeks, trainWeeks int, seed int64, shards int, theftFrac f
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 
+	// Both phases stream day frames through the fleet driver, one session
+	// per meter, each meter from its cursor up to the phase's end; in the
+	// final week the first theftFrac of the fleet under-reports everything
+	// to zero (Table I's total-theft vector) and the rest stay honest.
+	nTheft := int(theftFrac * float64(meters))
+	pos := make([]int, meters)
+	end, theft := 0, false
+	next := func(i int, buf []meter.Reading) ([]meter.Reading, error) {
+		stop := min(pos[i]+timeseries.SlotsPerDay, end)
+		tampered := theft && (smoke && i == 1 || !smoke && i < nTheft)
+		for ; pos[i] < stop; pos[i]++ {
+			kw := ds.Consumers[i].Demand[pos[i]]
+			if tampered {
+				kw = 0
+			}
+			buf = append(buf, meter.Reading{MeterID: ids[i], Slot: timeseries.Slot(pos[i]), KW: kw})
+		}
+		return buf, nil
+	}
+
 	// Phase 1 — history: every meter streams its honest weeks (all but the
 	// last) through the wire; the service observes them live.
-	honest := (weeks - 1) * timeseries.SlotsPerWeek
-	if err := streamFleet(ctx, addr, ds, ids, 0, honest, nil); err != nil {
-		_ = srv.Close()
-		_ = head.Close()
-		return err
+	end = (weeks - 1) * timeseries.SlotsPerWeek
+	if err := ami.DriveFleet(ctx, addr, 0, serveRetries, ids, next, nil); err != nil {
+		return fmt.Errorf("serve: %w", err)
 	}
 	head.Flush()
 	srv.Flush()
 	if smoke {
 		if n := len(srv.Alerts(0)); n != 0 {
-			_ = srv.Close()
-			_ = head.Close()
 			return fmt.Errorf("serve: smoke: %d alert(s) during the honest history phase, want 0", n)
 		}
 	}
@@ -194,28 +222,19 @@ func runServe(meters, weeks, trainWeeks int, seed int64, shards int, theftFrac f
 	ok, failed := srv.RetrainAll()
 	fmt.Printf("serve: re-trained %d consumers (%d failed) from %d stored weeks\n", ok, failed, weeks-1)
 	if failed > 0 {
-		_ = srv.Close()
-		_ = head.Close()
 		return fmt.Errorf("serve: %d re-trains failed", failed)
 	}
 
-	// Phase 2 — the final week: the first theftFrac of the fleet under-
-	// reports everything to zero (Table I's total-theft vector); the rest
-	// stay honest.
-	nTheft := int(theftFrac * float64(meters))
-	tampered := func(i int) bool { return smoke && i == 1 || !smoke && i < nTheft }
-	if err := streamFleet(ctx, addr, ds, ids, honest, weeks*timeseries.SlotsPerWeek, tampered); err != nil {
-		_ = srv.Close()
-		_ = head.Close()
-		return err
+	// Phase 2 — the final week, with the theft.
+	end, theft = weeks*timeseries.SlotsPerWeek, true
+	if err := ami.DriveFleet(ctx, addr, 0, serveRetries, ids, next, nil); err != nil {
+		return fmt.Errorf("serve: %w", err)
 	}
 	head.Flush()
 	srv.Flush()
 
-	// Graceful drain: close the head-end (acks stop, queues drain into the
-	// sink), then the service (workers finish every delivered reading).
+	// Graceful drain, in the teardown's order.
 	if err := head.Close(); err != nil {
-		_ = srv.Close()
 		return err
 	}
 	if err := srv.Close(); err != nil {
@@ -297,45 +316,5 @@ func smokeVerdict(srv *serve.Server, head *ami.ShardedHeadEnd, admin *obs.AdminS
 	}
 	fmt.Printf("serve: smoke OK — tampered meter HIGH, honest meter silent, %d/%d acked readings observed\n",
 		st.Observed, accepted)
-	return nil
-}
-
-// streamFleet sends slots [from, to) for every meter over batched wire-v3
-// connections; tampered meters report zero in place of their demand.
-func streamFleet(ctx context.Context, addr string, ds *dataset.Dataset, ids []string,
-	from, to int, tampered func(i int) bool) error {
-	const batch = timeseries.SlotsPerDay
-	for i := range ds.Consumers {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		c, err := ami.DialBatch(addr, ids[i], nil, 5*time.Second)
-		if err != nil {
-			return err
-		}
-		demand := ds.Consumers[i].Demand
-		rs := make([]meter.Reading, 0, batch)
-		for s := from; s < to; s += batch {
-			end := s + batch
-			if end > to {
-				end = to
-			}
-			rs = rs[:0]
-			for slot := s; slot < end; slot++ {
-				kw := demand[slot]
-				if tampered != nil && tampered(i) {
-					kw = 0
-				}
-				rs = append(rs, meter.Reading{MeterID: ids[i], Slot: timeseries.Slot(slot), KW: kw})
-			}
-			if err := c.SendBatch(rs); err != nil {
-				_ = c.Close()
-				return fmt.Errorf("serve: %s: %w", ids[i], err)
-			}
-		}
-		if err := c.Close(); err != nil {
-			return err
-		}
-	}
 	return nil
 }

@@ -191,6 +191,9 @@ func TestHeadEndIdleTimeoutCutsConnection(t *testing.T) {
 	}
 }
 
+// TestSessionMismatchTyped: the client's own reply path decodes a
+// session_mismatch refusal into a ProtocolError that matches both
+// sentinels. TestBatchSessionMismatchTyped checks the head-end side.
 func TestSessionMismatchTyped(t *testing.T) {
 	_, addr := startHeadEnd(t)
 	c, err := DialBatch(addr, "m1", nil, time.Second)
@@ -287,28 +290,6 @@ func TestRetryDelayBoundsAndCap(t *testing.T) {
 				t.Fatalf("attempt %d: delay %v outside jitter window [%v, %v)", attempt, d, want/2, want/2+want)
 			}
 		}
-	}
-}
-
-func TestSendContextCancelAbortsBackoff(t *testing.T) {
-	// Dead upstream with an hour-scale backoff: only context cancellation
-	// can bring Send back quickly.
-	rc, err := NewReliableClient("127.0.0.1:1", "m1", nil, 50*time.Millisecond, 5, 10*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	err = rc.SendAllContext(ctx, []meter.Reading{{MeterID: "m1", Slot: 0, KW: 1}})
-	if err == nil {
-		t.Fatal("send to dead upstream should fail")
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("err = %v, want context.DeadlineExceeded", err)
-	}
-	if time.Since(start) > 5*time.Second {
-		t.Fatalf("cancellation did not abort the backoff sleep (took %v)", time.Since(start))
 	}
 }
 

@@ -51,6 +51,20 @@ func NewReliableClient(addr, meterID string, key []byte, timeout time.Duration, 
 	}, nil
 }
 
+// Bind switches the client to another meter. Like Client.Bind it does no
+// I/O: a live session carries the rebind in the same write as its next
+// frame, and a redial after a failure dials as the bound meter.
+func (rc *ReliableClient) Bind(meterID string) error {
+	if err := checkMeterID(meterID); err != nil {
+		return err
+	}
+	rc.meterID = meterID
+	if rc.c != nil {
+		return rc.c.Bind(meterID)
+	}
+	return nil
+}
+
 // ensure dials if no live session exists.
 func (rc *ReliableClient) ensure() error {
 	if rc.c != nil {

@@ -300,9 +300,13 @@ func TestRetryDelayZeroBase(t *testing.T) {
 	}
 }
 
-// Cancelling the context mid-backoff must abort the send immediately, not
-// after the backoff timer expires.
-func TestSendContextAbortsMidBackoff(t *testing.T) {
+// Ending the context mid-backoff must abort the send at once, not after
+// the backoff timer expires, with the context's error in the chain.
+// sendAbortsMidBackoff runs one send under ctx against a dead address
+// with a backoff base of 20s, which would hold the second attempt for
+// >=10s without the abort path; the 2s bound is far tighter.
+func sendAbortsMidBackoff(t *testing.T, ctx context.Context, want error) {
+	t.Helper()
 	// No listener at this address: every attempt fails at dial, so the
 	// client sits in its inter-attempt backoff almost immediately.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -312,29 +316,33 @@ func TestSendContextAbortsMidBackoff(t *testing.T) {
 	addr := ln.Addr().String()
 	_ = ln.Close()
 
-	// A 20s base would hold the second attempt for >=10s without the
-	// cancellation path; the deadline below is far tighter.
 	rc, err := NewReliableClient(addr, "m1", nil, 200*time.Millisecond, 5, 20*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = rc.Close() }()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(100 * time.Millisecond)
-		cancel()
-	}()
 	start := time.Now()
 	sendErr := rc.SendAllContext(ctx, []meter.Reading{{MeterID: "m1", Slot: 0, KW: 1}})
-	elapsed := time.Since(start)
-	if sendErr == nil {
-		t.Fatal("send succeeded against a dead address")
+	if !errors.Is(sendErr, want) {
+		t.Fatalf("send error = %v, want %v in the chain", sendErr, want)
 	}
-	if !errors.Is(sendErr, context.Canceled) {
-		t.Fatalf("send error = %v, want context.Canceled in the chain", sendErr)
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("send took %v to abort; the context must interrupt the backoff sleep", elapsed)
 	}
-	if elapsed > 2*time.Second {
-		t.Fatalf("send took %v to abort; cancellation must interrupt the backoff sleep", elapsed)
-	}
+}
+
+// TestSendContextAbortsMidBackoff: an explicit cancel mid-backoff.
+func TestSendContextAbortsMidBackoff(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(100*time.Millisecond, cancel)
+	sendAbortsMidBackoff(t, ctx, context.Canceled)
+}
+
+// TestSendContextCancelAbortsBackoff: the context's deadline passing
+// mid-backoff.
+func TestSendContextCancelAbortsBackoff(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	sendAbortsMidBackoff(t, ctx, context.DeadlineExceeded)
 }

@@ -501,7 +501,8 @@ func TestWireV2HelloRefused(t *testing.T) {
 }
 
 // TestBatchSessionMismatchTyped: a v3 batch naming a meter other than the
-// session's is refused with CodeSessionMismatch and nothing stored.
+// session's is refused with CodeSessionMismatch, classified as both
+// ErrSessionMismatch and the permanent ErrRejected, and nothing stored.
 func TestBatchSessionMismatchTyped(t *testing.T) {
 	head := NewSharded(1, WithDrainTimeout(time.Second))
 	addr, err := head.Listen("127.0.0.1:0")
@@ -512,8 +513,8 @@ func TestBatchSessionMismatchTyped(t *testing.T) {
 
 	conn, codec := rawV3Session(t, addr, "m1")
 	perr := sendRawFrame(t, conn, codec, AppendBatchFrame(nil, "m2", []BatchReading{{Slot: 0, KW: 1}}, nil))
-	if !errors.Is(perr, ErrSessionMismatch) {
-		t.Fatalf("reply = %+v, want %s", perr, CodeSessionMismatch)
+	if !errors.Is(perr, ErrSessionMismatch) || !errors.Is(perr, ErrRejected) {
+		t.Fatalf("reply = %+v, want %s matching both sentinels", perr, CodeSessionMismatch)
 	}
 	head.Flush()
 	if got := head.Count("m2") + head.Count("m1"); got != 0 {
