@@ -33,9 +33,9 @@ race:
 	$(GO) test -race ./...
 
 # race-hot: targeted race pass over the concurrency-heavy packages — the
-# lock-free obs registry, the AMI head-end connection pool and shard queues
-# (with the amiserver/amimeter tests that read through Flush), the
-# evaluation worker pool, the streaming detection service, and the
+# lock-free obs registry, the AMI head-end connection pool and shard stores
+# (with the amiserver/amimeter tests), the evaluation worker pool, the
+# streaming detection service (its sink runs on every session goroutine), and the
 # population-training pool. Fast enough to run on every iteration; `race` covers the whole
 # tree.
 race-hot:

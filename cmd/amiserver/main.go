@@ -46,7 +46,7 @@ func run(args []string, out, errOut io.Writer) int {
 	maxConns := fs.Int("max-conns", ami.DefaultMaxConns, "concurrent meter connection limit")
 	idleTimeout := fs.Duration("idle-timeout", ami.DefaultIdleTimeout, "per-connection idle read deadline")
 	drain := fs.Duration("drain", ami.DefaultDrainTimeout, "shutdown grace before force-closing connections")
-	shards := fs.Int("shards", 1, "shard the readings store N ways, each with its own async ingest queue (<= 0 = one shard per core)")
+	shards := fs.Int("shards", 1, "shard the readings store N ways, each shard behind its own lock (<= 0 = one shard per core)")
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics, /healthz and /debug/pprof on this address (e.g. 127.0.0.1:9090; empty = no listener)")
 	walDir := fs.String("wal-dir", "", "per-shard write-ahead log directory: readings are logged before ack and replayed on startup (the shard count is pinned into the log; empty = no durability)")
 	walSync := fs.String("wal-sync", "", "WAL sync policy: always (fsync before every ack), interval (background fsync cadence), off (sync on close only); empty = interval")

@@ -249,9 +249,8 @@ func waitForAddr(t *testing.T, out *syncBuffer) string {
 
 // The durability regression for this PR: a reading acked just before
 // SIGTERM must survive into the next server run. The first run's shutdown
-// has to drain the session, flush the shard queues, and sync the WAL in
-// that order; the second run replays the log and reports the reading
-// recovered.
+// has to drain the session and then sync and close the WAL; the second
+// run replays the log and reports the reading recovered.
 func TestAmiserverWALAckedReadingSurvivesSIGTERMRestart(t *testing.T) {
 	walDir := t.TempDir()
 	serve := func() *syncBuffer {

@@ -45,7 +45,7 @@ func cmdCollect(args []string) error {
 	drain := fs.Duration("drain", time.Second, "shutdown grace before force-closing connections")
 	retries := fs.Int("retries", 3, "delivery attempts per frame")
 	faultSpec := fs.String("fault", "", "inject meter faults into the collected stream, e.g. 'dropout:0.1+spike:0.01,20' (dropped slots are never sent)")
-	shards := fs.Int("shards", 1, "shard the head-end store N ways, each with its own async ingest queue (<= 0 = one shard per core)")
+	shards := fs.Int("shards", 1, "shard the head-end store N ways, each shard behind its own lock (<= 0 = one shard per core)")
 	batch := fs.Int("batch", 1, "readings per wire-v3 batch frame (>= 1)")
 	concurrency := fs.Int("concurrency", 0, "client sessions, each rebinding across its share of the fleet (0 = one session per meter)")
 	profiles := fs.Int("profiles", 64, "synthetic consumption profiles cycled across the fleet")

@@ -102,7 +102,7 @@ func runServe(meters, weeks, trainWeeks int, seed int64, shards int, theftFrac f
 	// The head-end is built first (the service re-trains from its store)
 	// with an indirected sink: the service attaches itself before Listen,
 	// so no accepted reading can miss the tap. The pointer is published
-	// atomically because shard workers read it concurrently.
+	// atomically because every session goroutine reads it.
 	var sinkPtr atomic.Pointer[ami.ReadingSink]
 	head := ami.NewSharded(shards, ami.WithMetrics(obs.Default()),
 		ami.WithDrainTimeout(2*time.Second),
@@ -113,8 +113,8 @@ func runServe(meters, weeks, trainWeeks int, seed int64, shards int, theftFrac f
 		}))
 	var srv *serve.Server
 	// One teardown for every return, in drain order: the head-end first
-	// (acks stop, queues drain into the sink), then the service (workers
-	// finish every delivered reading). Both Closes are idempotent; the
+	// (acks stop, and every session's sink call finishes), then the
+	// service (the sink stops accepting). Both Closes are idempotent; the
 	// success path closes both itself to check their errors.
 	defer func() {
 		_ = head.Close()

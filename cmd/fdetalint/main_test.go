@@ -13,6 +13,10 @@ import (
 // tests lint a small scratch module instead (see fixtureModule). The
 // module-wide tests skip under -short.
 
+// maxSuppressions is the tree's //lint:ignore budget. It may only go down:
+// a change that removes a suppression lowers it to the new count.
+const maxSuppressions = 12
+
 func TestRunCleanTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module lint is slow; run without -short")
@@ -29,6 +33,15 @@ func TestRunCleanTree(t *testing.T) {
 		if !strings.Contains(stderr.String(), check) {
 			t.Errorf("summary missing analyzer %q:\n%s", check, stderr.String())
 		}
+	}
+
+	var audit, auditErr strings.Builder
+	if code := run([]string{"-suppressions", "-C", "../.."}, &audit, &auditErr); code != 0 {
+		t.Fatalf("suppression audit exit %d\n%s", code, auditErr.String())
+	}
+	if n := strings.Count(audit.String(), "\n"); n > maxSuppressions {
+		t.Errorf("the tree has %d //lint:ignore directives, over the budget of %d; "+
+			"fix the findings instead:\n%s", n, maxSuppressions, audit.String())
 	}
 }
 

@@ -131,15 +131,11 @@ func run() error {
 			}
 		}
 	}
-	// Every reading is acknowledged. Drain both tiers: the head-end's
-	// queues into its store and tap, then the service's queues into the
-	// detectors.
-	head.Flush()
-	srv.Flush()
-
-	// Alerts come newest first; report them in the order they fired. A
-	// consumer's first event is always an escalation (a clear only follows
-	// one), so the victim's first event is the moment it was flagged.
+	// Every reading is acknowledged, and a session observes a reading
+	// before it acks, so the alerts are final. They come newest first;
+	// report them in the order they fired. A consumer's first event is
+	// always an escalation (a clear only follows one), so the victim's
+	// first event is the moment it was flagged.
 	alerts := srv.Alerts(0)
 	flagged := -1
 	for i := len(alerts) - 1; i >= 0; i-- {

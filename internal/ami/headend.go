@@ -32,10 +32,6 @@ type HeadEndConfig struct {
 	// MaxBatch caps readings per v3 batch frame (0 = DefaultMaxBatch),
 	// advertised to v3 clients in the hello response.
 	MaxBatch int
-	// QueueDepth bounds each shard's async ingest queue, in jobs
-	// (0 = DefaultShardQueueDepth). A full queue delays that shard's acks —
-	// backpressure instead of unbounded buffering.
-	QueueDepth int
 
 	// WALDir enables the per-shard write-ahead log: every reading is
 	// appended to a segmented CRC32-framed log before it is acknowledged,
@@ -73,9 +69,6 @@ func (c *HeadEndConfig) applyDefaults() {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = DefaultMaxBatch
 	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = DefaultShardQueueDepth
-	}
 }
 
 // HeadEndStats is a snapshot of the head-end's ingestion counters. It is a
@@ -86,7 +79,7 @@ type HeadEndStats struct {
 	ActiveConns   int   // sessions currently being served
 	TotalConns    int64 // sessions accepted since start
 	LimitRejected int64 // connections turned away at the limit
-	Accepted      int64 // readings acknowledged (queued for their shard's store)
+	Accepted      int64 // readings acknowledged (stored, and through the sink, before the ack)
 	Rejected      int64 // readings refused (protocol / session mismatch)
 	AuthFailed    int64 // readings refused for bad MACs
 	IdleTimeouts  int64 // sessions closed for idling past the deadline

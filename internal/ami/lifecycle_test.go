@@ -271,28 +271,6 @@ func TestHeadEndStatsCounts(t *testing.T) {
 	}
 }
 
-func TestRetryDelayBoundsAndCap(t *testing.T) {
-	if d := retryDelay(0, 5); d != 0 {
-		t.Errorf("zero base must disable backoff, got %v", d)
-	}
-	base := 10 * time.Millisecond
-	for attempt := 1; attempt <= 60; attempt++ {
-		want := base << (attempt - 1)
-		if attempt > 12 { // past the cap (10ms << 11 > 30s)
-			want = maxRetryBackoff
-		}
-		if want > maxRetryBackoff {
-			want = maxRetryBackoff
-		}
-		for trial := 0; trial < 20; trial++ {
-			d := retryDelay(base, attempt)
-			if d < want/2 || d >= want/2+want {
-				t.Fatalf("attempt %d: delay %v outside jitter window [%v, %v)", attempt, d, want/2, want/2+want)
-			}
-		}
-	}
-}
-
 // SendAll wraps per-reading failures; the wrap must stay classifiable.
 func TestSendAllWrappedErrorsClassify(t *testing.T) {
 	h := NewSharded(1, WithKeyring(NewKeyring(map[string][]byte{"m1": []byte("right-key")})))

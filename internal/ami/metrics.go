@@ -22,10 +22,9 @@ const (
 	// The batched/sharded ingestion tier's instruments. Batch counters are
 	// registered on every head-end; the shard instruments are registered
 	// per shard, with a shard label.
-	metricBatchFrames     = "fdeta_ami_batch_frames_total"
-	metricBatchSize       = "fdeta_ami_batch_readings"
-	metricShardStored     = "fdeta_ami_shard_readings_total"
-	metricShardQueueDepth = "fdeta_ami_shard_queue_depth"
+	metricBatchFrames = "fdeta_ami_batch_frames_total"
+	metricBatchSize   = "fdeta_ami_batch_readings"
+	metricShardStored = "fdeta_ami_shard_readings_total"
 
 	// The durability layer's instruments, registered per shard (with a
 	// shard label) by ShardedHeadEnd when a WAL directory is configured.

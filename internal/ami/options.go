@@ -63,12 +63,17 @@ func WithMetrics(reg *obs.Registry) Option {
 // ReadingSink receives every accepted reading after it reaches the head-end
 // store — the tap a streaming consumer (internal/serve) subscribes with.
 //
-// Contract: the sink is called once per accepted reading or batch, after
-// the store apply, with calls for any one meter delivered in acceptance
-// order. The shard worker — a single goroutine per shard — makes the
-// call, so the session ack path never blocks on the sink; distinct meters
-// may be delivered concurrently from different shards. The readings slice
-// is borrowed: the sink must not retain or mutate it after returning. WAL
+// Contract: the sink is called once per accepted frame, after the store
+// apply and outside every lock, on the session goroutine that received the
+// frame, and the session acks only once the sink has returned. So a
+// reading is observed before it is acknowledged, and calls for one meter
+// arrive in acceptance order as long as one session at a time carries
+// that meter. A retry that overtakes a stalled session (the meter timed
+// out waiting for an ack and resent on a new connection) carries the same
+// slots, which a consumer must treat as duplicates: serve counts them
+// stale. Calls for distinct meters run concurrently, and a slow sink slows
+// only the acks of the sessions calling it. The readings slice is
+// borrowed: the sink must not retain or mutate it after returning. WAL
 // recovery at startup repopulates the store directly and does not replay
 // through the sink — a consumer that needs history bootstraps from the
 // store itself.

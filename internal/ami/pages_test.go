@@ -179,7 +179,7 @@ func TestPagedStoreMatchesOracle(t *testing.T) {
 	checkStoreMatchesOracle(t, "reopened", reopened, want)
 }
 
-// BenchmarkShardStoreApply48 measures the shard worker's store apply for
+// BenchmarkShardStoreApply48 measures a session's shard-store apply for
 // one 48-reading day frame: lock, page lookup, 48 writes, unlock. A fleet
 // of 1000 meters fills two weeks each, then starts on a fresh store, so the
 // benchmark's memory stays bounded (about 6 MB) and most frames open a new

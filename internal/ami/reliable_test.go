@@ -256,47 +256,41 @@ func TestReliableClientSendAll(t *testing.T) {
 	}
 }
 
-// The documented backoff contract: attempt n waits base*2^(n-1), capped at
-// maxRetryBackoff, jittered uniformly over [d/2, 3d/2).
-func TestRetryDelayJitterStaysInBounds(t *testing.T) {
-	const base = 100 * time.Millisecond
-	for attempt := 1; attempt <= 12; attempt++ {
-		want := base
-		for i := 1; i < attempt && want < maxRetryBackoff; i++ {
-			want *= 2
-		}
-		if want > maxRetryBackoff {
-			want = maxRetryBackoff
-		}
-		for trial := 0; trial < 200; trial++ {
-			got := retryDelay(base, attempt)
-			if got < want/2 || got >= want+want/2 {
-				t.Fatalf("attempt %d: delay %v outside [%v, %v)", attempt, got, want/2, want+want/2)
+// TestRetryDelayBoundsAndCap pins retryDelay's one contract: a zero or
+// negative base disables the pause; otherwise attempt n waits
+// base·2^(n−1), capped at maxRetryBackoff (30 s), jittered over
+// [d/2, 3d/2). Deep attempts must flatten at the cap, not overflow.
+func TestRetryDelayBoundsAndCap(t *testing.T) {
+	const ms = time.Millisecond
+	for _, tc := range []struct {
+		name    string
+		base    time.Duration
+		attempt int
+		want    time.Duration // the delay before jitter; 0 means no pause
+	}{
+		{"zero_base", 0, 5, 0},
+		{"negative_base", -time.Second, 5, 0},
+		{"first_attempt", 100 * ms, 1, 100 * ms},
+		{"doubles", 100 * ms, 4, 800 * ms},
+		{"last_below_cap", 10 * ms, 12, 20480 * ms},
+		{"first_capped", 10 * ms, 13, maxRetryBackoff},
+		{"deep_attempt", time.Second, 20, maxRetryBackoff},
+		{"no_overflow", time.Second, 60, maxRetryBackoff},
+		{"base_above_cap", time.Minute, 1, maxRetryBackoff},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for trial := 0; trial < 200; trial++ {
+				got := retryDelay(tc.base, tc.attempt)
+				if tc.want == 0 {
+					if got != 0 {
+						t.Fatalf("retryDelay(%v, %d) = %v, want 0", tc.base, tc.attempt, got)
+					}
+				} else if got < tc.want/2 || got >= tc.want+tc.want/2 {
+					t.Fatalf("retryDelay(%v, %d) = %v, outside [%v, %v)",
+						tc.base, tc.attempt, got, tc.want/2, tc.want+tc.want/2)
+				}
 			}
-		}
-	}
-}
-
-// Deep retry schedules must flatten at the cap: even attempt 60 (which
-// would overflow a naive base<<59) stays within the 30s cap's jitter band.
-func TestRetryDelayRespectsCap(t *testing.T) {
-	for _, attempt := range []int{20, 60} {
-		for trial := 0; trial < 100; trial++ {
-			got := retryDelay(time.Second, attempt)
-			if got < maxRetryBackoff/2 || got >= maxRetryBackoff+maxRetryBackoff/2 {
-				t.Fatalf("attempt %d: delay %v outside the capped band [%v, %v)",
-					attempt, got, maxRetryBackoff/2, maxRetryBackoff+maxRetryBackoff/2)
-			}
-		}
-	}
-}
-
-// A zero or negative base disables the pause entirely (the test fast path).
-func TestRetryDelayZeroBase(t *testing.T) {
-	for _, base := range []time.Duration{0, -time.Second} {
-		if got := retryDelay(base, 5); got != 0 {
-			t.Fatalf("retryDelay(%v, 5) = %v, want 0", base, got)
-		}
+		})
 	}
 }
 

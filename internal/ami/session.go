@@ -124,18 +124,24 @@ func (s *session) reject(counter *obs.Counter, code, msg string) bool {
 	return false
 }
 
-// accept stores one frame's readings and records the accepted-path
-// instruments. Ingest latency covers receipt through storage, observed on
-// exactly the accepted path: rejected frames never reach it, and a failed
-// or stalled ack write cannot pollute the distribution with transport
-// noise.
+// accept stores one frame's readings, hands them to the sink, and records
+// the accepted-path instruments; the caller acks after it returns. Ingest
+// latency covers receipt through storage, observed on exactly the accepted
+// path: rejected frames never reach it, and neither the sink nor a failed
+// or stalled ack write can pollute the distribution.
 func (s *session) accept(start time.Time, rs []BatchReading, payload []byte) bool {
 	sh := s.head
+	calls := sh.calls.enter()
+	defer calls.Done()
 	if err := sh.store(s.meterID, rs, payload); err != nil {
 		sh.log.Error("readings could not be made durable", "meter", s.meterID, "err", err)
 		return s.reject(sh.met.rejected, CodeStorage, err.Error())
 	}
 	sh.met.ingestLatency.Observe(time.Since(start).Seconds())
+	if sh.sink != nil {
+		sh.sink(s.meterID, rs)
+	}
+	sh.met.accepted.Add(int64(len(rs)))
 	return true
 }
 

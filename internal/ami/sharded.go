@@ -17,102 +17,28 @@ import (
 	"repro/internal/timeseries"
 )
 
-// DefaultShardQueueDepth bounds each shard's async ingest queue, in jobs
-// (a job is one reading or one whole batch frame). A full queue applies
-// backpressure: the enqueueing session blocks, which delays that meter's
-// ack — exactly the flow-control signal a well-behaved client responds to.
-const DefaultShardQueueDepth = 4096
-
-// ingestJob is one unit of work on a shard's queue: a batch of readings
-// for a single meter, a flush sentinel, a WAL compaction request, or the
-// shutdown sentinel.
-type ingestJob struct {
-	meterID  string
-	readings []BatchReading
-	flush    chan struct{} // non-nil: close it once the queue ahead is drained
-
-	// compact: snapshot the shard store and truncate WAL segments up to
-	// compactCover. Runs on the worker so the snapshot is taken after every
-	// job queued ahead of it (i.e. every record the covered segments hold)
-	// has reached the store.
-	compact      bool
-	compactCover uint64
-
-	// shutdown ends the worker once every job queued ahead of it has been
-	// applied. A sentinel instead of close(queue) so the worker itself may
-	// re-enqueue compaction follow-ups without racing a channel close.
-	shutdown bool
-}
-
 // ingestShard owns one partition of the readings store: a private map of
-// each meter's day pages, a private mutex, and an async queue drained by a
-// dedicated worker. Meter IDs are hash-partitioned across shards, so two
-// sessions for different meters on different shards never contend on a
-// lock or a map.
+// each meter's day pages behind a private mutex. Meter IDs are
+// hash-partitioned across shards, so two sessions for meters on different
+// shards never contend on a lock or a map.
 type ingestShard struct {
 	mu       sync.Mutex
 	readings map[string]*meterPages
 
-	queue  chan ingestJob
 	stored *obs.Counter // fdeta_ami_shard_readings_total{shard=i}
-	depth  *obs.Gauge   // fdeta_ami_shard_queue_depth{shard=i}
 
-	// sink, when non-nil, receives every stored batch after the store
-	// apply. The worker is the shard's single goroutine, so sink calls for
-	// any one meter arrive in acceptance order and never touch the session
-	// ack path.
-	sink ReadingSink
-
-	// wal, when non-nil, is this shard's write-ahead log: storeReading /
-	// storeBatch append to it before enqueueing (and before the session
-	// acks), and the worker services its compaction requests.
+	// wal, when non-nil, is this shard's write-ahead log. A session appends
+	// each frame to it and applies the frame to the store under its append
+	// lock, so the store holds readings in log order.
 	wal *shardWAL
 }
 
-// run drains the shard's queue into its readings map until the shutdown
-// sentinel arrives. It is the only writer of the shard's map, so session
-// goroutines never block on storage — the async decouple between decode
-// and store.
-func (s *ingestShard) run(log *slog.Logger) {
-	for job := range s.queue {
-		if job.shutdown {
-			// Abandon any compaction follow-up that landed behind the
-			// sentinel, keeping the depth gauge honest.
-			for {
-				select {
-				case <-s.queue:
-					s.depth.Add(-1)
-				default:
-					return
-				}
-			}
-		}
-		s.depth.Add(-1)
-		if job.flush != nil {
-			close(job.flush)
-			continue
-		}
-		if job.compact {
-			// Compaction failure is not fatal: the covered segments stay on
-			// disk and recovery still works, the log is just bigger.
-			if err := s.wal.Compact(job.compactCover, s.snapshot); err != nil {
-				log.Error("wal compaction failed", "err", err)
-			}
-			// A burst can seal segments faster than one compaction covers
-			// them; keep compacting until the sealed set is back under the
-			// threshold. The follow-up job goes to the queue tail, so every
-			// record it covers is applied before the next snapshot.
-			s.wal.RetriggerCompact(job.compactCover, s.tryEnqueueCompact)
-			continue
-		}
-		s.mu.Lock()
-		s.put(job.meterID, job.readings)
-		s.mu.Unlock()
-		s.stored.Add(int64(len(job.readings)))
-		if s.sink != nil {
-			s.sink(job.meterID, job.readings)
-		}
-	}
+// apply stores one meter's readings under the shard lock. With a WAL it
+// runs under the log's append lock too (shardWAL.Append).
+func (s *ingestShard) apply(meterID string, rs []BatchReading) {
+	s.mu.Lock()
+	s.put(meterID, rs)
+	s.mu.Unlock()
 }
 
 // put stores one meter's readings. Callers hold s.mu, or own the shard
@@ -127,9 +53,9 @@ func (s *ingestShard) put(meterID string, rs []BatchReading) {
 }
 
 // snapshot streams the shard store through write in WAL-record-sized
-// chunks, for compaction. Runs on the worker goroutine (the store's only
-// writer) under the shard lock, so it sees a consistent store that — by
-// queue ordering — contains every reading the covered segments hold.
+// chunks, for compaction, under the shard lock: it sees a consistent store
+// that already holds every record of the segments it covers, because each
+// append applies its record before it releases the append lock.
 func (s *ingestShard) snapshot(write func(meterID string, rs []BatchReading) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -148,31 +74,52 @@ func (s *ingestShard) snapshot(write func(meterID string, rs []BatchReading) err
 	return nil
 }
 
-// enqueueCompact queues a compaction request behind everything already on
-// the shard queue. Called by the WAL under its append lock.
-func (s *ingestShard) enqueueCompact(coverSeq uint64) {
-	s.depth.Add(1)
-	s.queue <- ingestJob{compact: true, compactCover: coverSeq}
-}
-
-// tryEnqueueCompact is enqueueCompact for the worker goroutine itself: a
-// blocking send from the queue's only consumer would deadlock when the
-// queue is full, so a follow-up compaction is dropped instead (the next
-// segment rotation re-arms it).
-func (s *ingestShard) tryEnqueueCompact(coverSeq uint64) bool {
-	select {
-	case s.queue <- ingestJob{compact: true, compactCover: coverSeq}:
-		s.depth.Add(1)
-		return true
-	default:
-		return false
+// compact is the shard's compactor: it runs one compaction from cover, and
+// another for as long as the sealed backlog stays over the threshold (a
+// burst can seal segments faster than one compaction covers them, and once
+// it ends no rotation remains to trigger the next). An append starts it
+// when it claims the WAL's compacting flag, so one runs per shard at a
+// time; Close waits for it.
+func (s *ingestShard) compact(cover uint64, log *slog.Logger) {
+	for ok := true; ok; cover, ok = s.wal.RetriggerCompact(cover) {
+		// Compaction failure is not fatal: the covered segments stay on
+		// disk and recovery still works, the log is just bigger.
+		if err := s.wal.Compact(cover, s.snapshot); err != nil {
+			log.Error("wal compaction failed", "err", err)
+		}
 	}
 }
 
-// enqueue queues one meter's readings for the worker.
-func (s *ingestShard) enqueue(meterID string, rs []BatchReading) {
-	s.depth.Add(1)
-	s.queue <- ingestJob{meterID: meterID, readings: rs}
+// callGate tracks the calls in flight on one path, so that a barrier can
+// wait for the ones that began before it without a lock held across any
+// call. Each barrier starts a new generation. A generation's WaitGroup
+// keeps one extra count until every older generation has drained, so
+// waiting on the newest waits on all of them.
+type callGate struct {
+	mu  sync.Mutex
+	gen *sync.WaitGroup
+}
+
+// enter registers one call; the caller calls Done on the result when the
+// call ends.
+func (g *callGate) enter() *sync.WaitGroup {
+	g.mu.Lock()
+	wg := g.gen
+	wg.Add(1)
+	g.mu.Unlock()
+	return wg
+}
+
+// wait returns once every call that entered before it has ended.
+func (g *callGate) wait() {
+	next := new(sync.WaitGroup)
+	next.Add(1)
+	g.mu.Lock()
+	prev := g.gen
+	g.gen = next
+	g.mu.Unlock()
+	prev.Wait()
+	next.Done()
 }
 
 // shardIndex hash-partitions a meter ID over n shards (FNV-1a).
@@ -186,18 +133,20 @@ func shardIndex(meterID string, n int) int {
 }
 
 // ShardedHeadEnd is the utility-side collection server: one listener and
-// accept loop in front of shard-per-core ingest stores. It accepts meter
-// connections and routes each accepted reading or batch by meter-ID hash
-// to its shard's async queue, so the session goroutine acks without ever
-// touching a readings map. The coordinator merges shard stores and the
-// shared instrument registry into one Stats()/Meters()/Series() view for
-// the control-center detection pipeline. Every active connection is
-// tracked so Close can force-close stragglers after the drain timeout
-// instead of waiting forever on an idle meter.
+// accept loop in front of shard-per-core ingest stores. The session
+// goroutine is the only goroutine between a frame and its ack: it routes
+// each accepted frame by meter-ID hash to its shard, appends it to the
+// shard's log and applies it to the shard's store, runs the sink, and
+// acks. The coordinator merges shard stores and the shared instrument
+// registry into one Stats()/Meters()/Series() view for the control-center
+// detection pipeline. Every active connection is tracked so Close can
+// force-close stragglers after the drain timeout instead of waiting
+// forever on an idle meter.
 //
-// Reads are exact once Close has returned. While sessions are live, an
-// acknowledged reading may still be on its shard's queue: call Flush
-// before reading the store.
+// An acknowledged reading is already in the store and has been through
+// the sink. Reads are exact once Close has returned; while sessions are
+// live, Flush waits for the frames still between their store and their
+// ack.
 type ShardedHeadEnd struct {
 	cfg    HeadEndConfig
 	shards []*ingestShard
@@ -213,9 +162,13 @@ type ShardedHeadEnd struct {
 	keyring *Keyring    // per-reading MAC verification (WithKeyring); nil = off
 	sink    ReadingSink // accepted-reading tap (WithSink); nil = disabled
 
-	done     chan struct{}  // closed when Close begins; sessions drain on it
-	wg       sync.WaitGroup // accept loop + sessions
-	workerWG sync.WaitGroup // shard queue workers + WAL background syncer
+	// calls holds the frames between the start of their store and the end
+	// of their sink call, for Flush.
+	calls callGate
+
+	done chan struct{}  // closed when Close begins; sessions drain on it
+	wg   sync.WaitGroup // accept loop + sessions
+	bgWG sync.WaitGroup // WAL background syncer + compactors
 
 	// WAL state (zero-valued when cfg.WALDir is empty).
 	walCfg  walConfig
@@ -239,6 +192,7 @@ func NewSharded(shards int, opts ...Option) *ShardedHeadEnd {
 	}
 	sh := &ShardedHeadEnd{
 		conns: make(map[net.Conn]bool),
+		calls: callGate{gen: new(sync.WaitGroup)},
 		done:  make(chan struct{}),
 		log:   obs.Logger("ami"),
 	}
@@ -254,20 +208,16 @@ func NewSharded(shards int, opts ...Option) *ShardedHeadEnd {
 		label := obs.L("shard", strconv.Itoa(i))
 		s := &ingestShard{
 			readings: make(map[string]*meterPages),
-			sink:     sh.sink,
-			queue:    make(chan ingestJob, sh.cfg.QueueDepth),
 			stored: reg.Counter(metricShardStored,
 				"readings written to this shard's store", label),
-			depth: reg.Gauge(metricShardQueueDepth,
-				"jobs waiting on this shard's ingest queue", label),
 		}
 		sh.shards = append(sh.shards, s)
 	}
 
-	// Open and replay the WAL before any worker or session can write:
-	// recovery is single-goroutine, so the apply closure fills the shard
-	// maps directly. A recovery failure parks the head-end — Listen refuses
-	// with the error — rather than silently running without durability.
+	// Open and replay the WAL before any session can write: recovery is
+	// single-goroutine, so the apply closure fills the shard maps directly.
+	// A recovery failure parks the head-end — Listen refuses with the
+	// error — rather than silently running without durability.
 	if sh.cfg.WALDir != "" {
 		sh.walCfg = walConfig{
 			sync:         sh.cfg.WALSync,
@@ -280,18 +230,10 @@ func NewSharded(shards int, opts ...Option) *ShardedHeadEnd {
 		sh.walErr = sh.openWALs()
 	}
 
-	for _, s := range sh.shards {
-		s := s
-		sh.workerWG.Add(1)
-		go func() {
-			defer sh.workerWG.Done()
-			s.run(sh.log)
-		}()
-	}
 	if sh.walErr == nil && sh.cfg.WALDir != "" && sh.walCfg.sync == WALSyncInterval {
-		sh.workerWG.Add(1)
+		sh.bgWG.Add(1)
 		go func() {
-			defer sh.workerWG.Done()
+			defer sh.bgWG.Done()
 			sh.runWALSyncer()
 		}()
 	}
@@ -398,51 +340,42 @@ func (sh *ShardedHeadEnd) shardFor(meterID string) *ingestShard {
 	return sh.shards[shardIndex(meterID, len(sh.shards))]
 }
 
-// store enqueues one accepted frame's readings on its shard; the readings
-// slice transfers to the shard without copying. With a WAL, the frame's
-// verified payload (borrowed for the call) is appended to the shard's log
-// first, as is. An append failure means
-// nothing was enqueued: the session answers with a transient CodeStorage
-// rejection, never an ack, so the meter retries. The accepted counter is
-// bumped at enqueue: once acknowledged, a reading is the queue's
-// responsibility and cannot be rejected.
+// store makes one accepted frame's readings durable and visible. With a
+// WAL, the frame's verified payload (borrowed for the call) is appended to
+// the shard's log as is, and the readings are applied to the shard's store
+// under the log's append lock, so store order is log order; without one
+// they are applied under the shard lock. An append failure means nothing
+// was stored: the session answers with a transient CodeStorage rejection,
+// never an ack, so the meter retries. The readings slice is not retained.
 func (sh *ShardedHeadEnd) store(meterID string, rs []BatchReading, payload []byte) error {
 	s := sh.shardFor(meterID)
-	if s.wal != nil {
-		if err := s.wal.Append(payload,
-			func() { s.enqueue(meterID, rs) }, s.enqueueCompact); err != nil {
+	if s.wal == nil {
+		s.apply(meterID, rs)
+	} else {
+		cover, compact, err := s.wal.Append(payload, s, meterID, rs)
+		if err != nil {
 			return err
 		}
-	} else {
-		s.enqueue(meterID, rs)
+		if compact {
+			// Off the append path: the snapshot takes the shard lock, and
+			// the frame's session has an ack to send. Close waits for it.
+			sh.bgWG.Add(1)
+			go func() {
+				defer sh.bgWG.Done()
+				s.compact(cover, sh.log)
+			}()
+		}
 	}
-	sh.met.accepted.Add(int64(len(rs)))
+	s.stored.Add(int64(len(rs)))
 	return nil
 }
 
-// Flush blocks until every reading enqueued before the call has reached
-// its shard's store, making reads exact at a quiescent point. Safe to call
-// concurrently with sessions (their later readings may or may not be
+// Flush waits until every frame whose store began before the call has been
+// stored and handed to the sink. An acknowledged reading needs no Flush:
+// its session stores it and runs the sink before it acks. Safe to call
+// concurrently with sessions (their later frames may or may not be
 // covered) and with Close.
-func (sh *ShardedHeadEnd) Flush() {
-	sh.mu.Lock()
-	if sh.closed {
-		// Close drains the queues itself; after it, stores are final.
-		sh.mu.Unlock()
-		return
-	}
-	chans := make([]chan struct{}, len(sh.shards))
-	for i, s := range sh.shards {
-		chans[i] = make(chan struct{})
-		s.depth.Add(1)
-		//lint:ignore lockhold the flush sentinel must enqueue under sh.mu so Close cannot shut the workers mid-send; workers drain without taking sh.mu, so the send always unblocks
-		s.queue <- ingestJob{flush: chans[i]}
-	}
-	sh.mu.Unlock()
-	for _, c := range chans {
-		<-c
-	}
-}
+func (sh *ShardedHeadEnd) Flush() { sh.calls.wait() }
 
 // Listen starts accepting connections and returns the bound address. A
 // head-end listens at most once; a second Listen returns ErrListening.
@@ -539,15 +472,15 @@ func (sh *ShardedHeadEnd) untrack(conn net.Conn, session bool) {
 
 // Close stops the listener and drains active sessions: handlers get
 // DrainTimeout to finish their in-flight request, after which every
-// registered connection is force-closed. It then shuts the shard queues
-// down and waits for the workers to finish storing everything that was
-// acknowledged. Bounded even when a meter holds an idle connection.
+// registered connection is force-closed. It then stops the WAL syncer,
+// waits for running compactions, and syncs and closes each shard's log.
+// Bounded even when a meter holds an idle connection.
 func (sh *ShardedHeadEnd) Close() error {
 	sh.mu.Lock()
 	if sh.closed {
 		sh.mu.Unlock()
 		sh.wg.Wait()
-		sh.workerWG.Wait()
+		sh.bgWG.Wait()
 		return nil
 	}
 	sh.closed = true
@@ -582,24 +515,14 @@ func (sh *ShardedHeadEnd) Close() error {
 		}
 		<-drained
 	}
-	// Sessions are gone; nothing can enqueue anymore (Flush holds the
-	// mutex while enqueueing and bows out once closed is set). Shut the
-	// workers down via the queue itself so every acknowledged reading is
-	// durably in its shard store first, stop the background syncer, then
-	// sync and close each shard's log — strictly after the workers, so a
-	// queued compaction never races the final close. A compaction follow-up
-	// the worker queues behind the sentinel is deliberately abandoned:
-	// compaction is an optimization, shutdown is not the time for it.
-	sh.mu.Lock()
-	for _, s := range sh.shards {
-		//lint:ignore lockhold the shutdown sentinel enqueues under sh.mu to exclude a concurrent Flush; workers drain without taking sh.mu, so the send always unblocks
-		s.queue <- ingestJob{shutdown: true}
-	}
-	sh.mu.Unlock()
+	// Sessions are gone, so nothing appends or starts a compaction any
+	// more. Stop the background syncer and wait for the compactors, then
+	// sync and close each shard's log, strictly after them, so a
+	// compaction never races the final close.
 	if sh.walStop != nil {
 		close(sh.walStop)
 	}
-	sh.workerWG.Wait()
+	sh.bgWG.Wait()
 	for _, s := range sh.shards {
 		if s.wal != nil {
 			err = errors.Join(err, s.wal.Close())
@@ -628,8 +551,7 @@ func (sh *ShardedHeadEnd) Stats() HeadEndStats {
 }
 
 // Meters returns the IDs that have reported at least one stored reading,
-// merged across shards and sorted. Call Flush first for an exact view
-// while sessions are live.
+// merged across shards and sorted.
 func (sh *ShardedHeadEnd) Meters() []string {
 	var out []string
 	for _, s := range sh.shards {
@@ -643,8 +565,7 @@ func (sh *ShardedHeadEnd) Meters() []string {
 	return out
 }
 
-// Count returns the number of stored readings for a meter. Call Flush
-// first for an exact count while sessions are live.
+// Count returns the number of stored readings for a meter.
 func (sh *ShardedHeadEnd) Count(meterID string) int {
 	s := sh.shardFor(meterID)
 	s.mu.Lock()

@@ -1,6 +1,7 @@
 package ami
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -56,9 +57,6 @@ func TestSinkReceivesAcceptedReadings(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// The ack precedes the shard worker's sink call; Flush is the
-		// barrier that guarantees the tap has fired for every reading.
-		head.Flush()
 		checkSinkOrder(t, rec.readings("m1"), 10)
 	})
 
@@ -82,12 +80,110 @@ func TestSinkReceivesAcceptedReadings(t *testing.T) {
 		if err := c.SendBatch(rs); err != nil {
 			t.Fatal(err)
 		}
-		// The shard worker delivers asynchronously after the ack; Flush is
-		// the barrier that guarantees the tap has fired for everything
-		// enqueued before it.
-		head.Flush()
 		checkSinkOrder(t, rec.readings("m7"), 96)
 	})
+}
+
+// TestSinkSeesReadingsBeforeAck: the session runs the sink before it
+// acks, so once SendBatch returns the sink has seen every reading acked so
+// far, and the store holds them, with no Flush. Several meters send at
+// once over a WAL-backed head-end, so the frames of different shards
+// interleave.
+func TestSinkSeesReadingsBeforeAck(t *testing.T) {
+	rec := newSinkRecorder()
+	head := NewSharded(4, WithWAL(t.TempDir()), WithSink(rec.sink), WithDrainTimeout(time.Second))
+	addr, err := head.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer head.Close()
+
+	const meters, frames, batch = 6, 20, 3
+	var wg sync.WaitGroup
+	errs := make(chan error, meters)
+	for m := 0; m < meters; m++ {
+		id := fmt.Sprintf("m%d", m)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := DialBatch(addr, id, nil, 5*time.Second)
+			if err != nil {
+				errs <- err
+				return
+			}
+			defer c.Close()
+			for f := 0; f < frames; f++ {
+				rs := make([]meter.Reading, batch)
+				for i := range rs {
+					s := f*batch + i
+					rs[i] = meter.Reading{MeterID: id, Slot: timeseries.Slot(s), KW: float64(s)}
+				}
+				if err := c.SendBatch(rs); err != nil {
+					errs <- err
+					return
+				}
+				acked := (f + 1) * batch
+				if got := len(rec.readings(id)); got != acked {
+					errs <- fmt.Errorf("%s: sink saw %d readings once %d were acked", id, got, acked)
+					return
+				}
+				if got := head.Count(id); got != acked {
+					errs <- fmt.Errorf("%s: store holds %d readings once %d were acked", id, got, acked)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	for m := 0; m < meters; m++ {
+		checkSinkOrder(t, rec.readings(fmt.Sprintf("m%d", m)), frames*batch)
+	}
+}
+
+// TestFlushWaitsForSinkInFlight: Flush returns only once a frame whose
+// store began before it has finished its sink call.
+func TestFlushWaitsForSinkInFlight(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	sink := func(string, []BatchReading) {
+		close(entered)
+		<-release
+	}
+	head := NewSharded(1, WithSink(sink), WithDrainTimeout(time.Second))
+	addr, err := head.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer head.Close()
+	defer releaseOnce() // before Close, which waits for the session in the sink
+	c, err := DialBatch(addr, "m1", nil, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	sent := make(chan error, 1)
+	go func() { sent <- c.SendBatch([]meter.Reading{{MeterID: "m1", Slot: 0, KW: 1}}) }()
+	<-entered
+	flushed := make(chan struct{})
+	go func() {
+		head.Flush()
+		close(flushed)
+	}()
+	select {
+	case <-flushed:
+		t.Fatal("Flush returned while a sink call was still running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	releaseOnce()
+	<-flushed
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
 }
 
 func checkSinkOrder(t *testing.T, got []BatchReading, want int) {

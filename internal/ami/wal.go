@@ -128,10 +128,10 @@ type walInstruments struct {
 	errors    *obs.Counter   // fdeta_ami_wal_errors_total{shard=i}
 }
 
-// shardWAL is one shard's append-only log. Appends are serialized by mu;
-// the compaction worker runs off-lock against sealed segments only, so a
-// session blocked on the shard queue (which it enters while holding mu)
-// can never deadlock against it.
+// shardWAL is one shard's append-only log. Appends are serialized by mu,
+// and each applies its readings to the shard store before releasing it.
+// The compactor never holds mu while it snapshots or touches files: it
+// works on sealed segments only, so appends proceed alongside it.
 type shardWAL struct {
 	dir string
 	cfg walConfig
@@ -147,14 +147,7 @@ type shardWAL struct {
 
 	sealedBytes atomic.Int64 // bytes across sealed (rotated) segments
 	dirty       atomic.Bool  // appended since the last fsync
-	compacting  atomic.Bool  // a compaction job is queued or running
-
-	// safeCover is the highest sealed sequence number published by a
-	// fully-enqueued append: every record in segments <= safeCover already
-	// has its ingest job on the shard queue, so a compact job enqueued at
-	// the queue tail NOW may safely cover them. Written under mu, read
-	// lock-free by the worker's compaction follow-up.
-	safeCover atomic.Uint64
+	compacting  atomic.Bool  // a compaction is running
 }
 
 func (c *walConfig) applyDefaults() {
@@ -356,7 +349,6 @@ func openShardWAL(dir string, cfg walConfig, ins walInstruments, log *slog.Logge
 	// reason about a reopened tail. Everything sealed so far was replayed
 	// straight into the store, so compaction may cover it immediately.
 	w.seq = maxSeq + 1
-	w.safeCover.Store(maxSeq)
 	f, err := os.OpenFile(filepath.Join(dir, walSegmentName(w.seq)),
 		os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
 	if err != nil {
@@ -367,23 +359,25 @@ func openShardWAL(dir string, cfg walConfig, ins walInstruments, log *slog.Logge
 }
 
 // Append frames one payload as a record (prepending only the CRC and
-// length), writes it to the active segment, and — still holding the
-// append lock — runs enqueue, so the order of records in the
-// log and jobs on the shard queue agree (compaction correctness depends on
-// it). Under WALSyncAlways the record is fsynced before enqueue. When the
-// append seals a segment past the compaction threshold, compact is called
-// (under the lock) with the sequence number the snapshot must cover.
-func (w *shardWAL) Append(payload []byte, enqueue func(), compact func(coverSeq uint64)) error {
+// length), writes it to the active segment and — still holding the append
+// lock — applies rs, the payload's readings for meterID, to the shard
+// store s, so the store holds readings in log order (compaction depends on
+// it). Under WALSyncAlways the record is fsynced before the apply. When the
+// append seals a segment past the compaction threshold and no compaction is
+// running, Append claims the compacting flag and returns compact = true
+// with the sequence number the snapshot must cover; the caller runs it
+// (shard.compact) off the lock.
+func (w *shardWAL) Append(payload []byte, s *ingestShard, meterID string, rs []BatchReading) (cover uint64, compact bool, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
-		return fmt.Errorf("ami: wal: %w", ErrClosed)
+		return 0, false, fmt.Errorf("ami: wal: %w", ErrClosed)
 	}
 	w.buf = appendWALRecord(w.buf[:0], payload)
-	//lint:ignore lockhold append-before-ack is the durability contract: the record must hit the segment under the append lock so log order equals queue order
+	//lint:ignore lockhold append-before-ack is the durability contract: the record must hit the segment under the append lock so log order equals store order
 	if _, err := w.f.Write(w.buf); err != nil {
 		w.ins.errors.Inc()
-		return fmt.Errorf("ami: wal append: %w", err)
+		return 0, false, fmt.Errorf("ami: wal append: %w", err)
 	}
 	w.size += int64(len(w.buf))
 	w.ins.appended.Inc()
@@ -391,61 +385,47 @@ func (w *shardWAL) Append(payload []byte, enqueue func(), compact func(coverSeq 
 		start := time.Now()
 		if err := w.f.Sync(); err != nil {
 			w.ins.errors.Inc()
-			return fmt.Errorf("ami: wal sync: %w", err)
+			return 0, false, fmt.Errorf("ami: wal sync: %w", err)
 		}
 		w.ins.syncTime.Observe(time.Since(start).Seconds())
 	} else {
 		w.dirty.Store(true)
 	}
-	var coverSeq uint64
-	needCompact := false
 	if w.size >= w.cfg.segmentBytes {
 		if err := w.rotateLocked(); err != nil {
 			w.ins.errors.Inc()
-			return err
+			return 0, false, err
 		}
-		if w.sealedBytes.Load() >= w.cfg.compactBytes && w.compacting.CompareAndSwap(false, true) {
-			// The active segment is w.seq; everything below it is sealed and
-			// coverable by a snapshot of the store once the queue drains past
-			// this point.
-			coverSeq = w.seq - 1
-			needCompact = true
-		}
+		// Everything below the new active segment is sealed, and this
+		// record, the last of them, is applied below before the lock is
+		// released: a snapshot taken after Append returns covers them all.
+		compact = w.sealedBytes.Load() >= w.cfg.compactBytes && w.compacting.CompareAndSwap(false, true)
 	}
-	// Order matters: this record's ingest job must be on the queue before
-	// the compact job, or the snapshot covering its (just-sealed) segment
-	// would be taken before the record reached the store.
-	//lint:ignore lockhold enqueue must run under the append lock so log order and queue order agree; the callback is the shard's own bounded enqueue, drained without this lock
-	enqueue()
-	w.safeCover.Store(w.seq - 1)
-	if needCompact {
-		compact(coverSeq)
-	}
-	return nil
+	s.apply(meterID, rs)
+	return w.seq - 1, compact, nil
 }
 
-// RetriggerCompact re-arms compaction after a completed run when the
-// sealed set is still over the threshold — a burst of appends can rotate
-// segments faster than one compaction covers them, and once the burst
-// ends no rotation remains to fire the next trigger. Called by the shard
-// worker; tryEnqueue must place the job at the queue tail and may refuse
-// (full queue), in which case the next rotation re-arms instead.
-func (w *shardWAL) RetriggerCompact(prevCover uint64, tryEnqueue func(coverSeq uint64) bool) {
+// RetriggerCompact decides, after a completed compaction that covered
+// prevCover, whether another must run: a burst of appends can rotate
+// segments faster than one compaction covers them, and once the burst ends
+// no rotation remains to trigger the next. It claims the compacting flag
+// and returns the new cover point, or false.
+func (w *shardWAL) RetriggerCompact(prevCover uint64) (uint64, bool) {
 	if w.sealedBytes.Load() < w.cfg.compactBytes {
-		return
+		return 0, false
 	}
-	cover := w.safeCover.Load()
+	w.mu.Lock()
+	cover := w.seq - 1 // every sealed record is in the store (Append)
+	w.mu.Unlock()
 	if cover <= prevCover {
 		// No sealed progress since the last cover point: retrying would
 		// rewrite the same snapshot (or spin on a persistent failure).
-		return
+		return 0, false
 	}
 	if !w.compacting.CompareAndSwap(false, true) {
-		return
+		return 0, false
 	}
-	if !tryEnqueue(cover) {
-		w.compacting.Store(false)
-	}
+	return cover, true
 }
 
 // rotateLocked seals the active segment and opens the next one.
@@ -495,11 +475,10 @@ func (w *shardWAL) SyncIfDirty() error {
 
 // Compact writes the shard store as one snapshot covering segments
 // seq <= coverSeq, atomically publishes it, and deletes the covered
-// segments and any older snapshots. It runs on the shard worker goroutine
-// after the queue has drained past the records the snapshot covers, and
-// deliberately never takes the append lock: it touches only sealed files,
-// so appends (and the sessions blocked on the queue behind them) proceed
-// concurrently.
+// segments and any older snapshots. It runs on the shard's compactor after
+// the append that sealed coverSeq has applied its records, and never takes
+// the append lock: it touches only sealed files, so appends proceed
+// concurrently. It releases the compacting flag when it returns.
 func (w *shardWAL) Compact(coverSeq uint64, snapshot func(write func(meterID string, rs []BatchReading) error) error) error {
 	defer w.compacting.Store(false)
 	final := filepath.Join(w.dir, walSnapshotName(coverSeq))

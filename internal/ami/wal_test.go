@@ -41,7 +41,7 @@ func collectApply() (func(string, []BatchReading), map[string]float64) {
 }
 
 // crashSharded simulates kill -9 for in-process tests: the listener and
-// every connection die instantly, no queue drain, no WAL sync or close.
+// every connection die instantly, no drain, no WAL sync or close.
 // Appended records are durable anyway — write(2) completed before each
 // ack, which is exactly the property recovery relies on after a real
 // process crash.
@@ -136,16 +136,18 @@ func TestWALReplayStopsAtCorruptRecord(t *testing.T) {
 func TestWALTornTailTruncatedOnReopen(t *testing.T) {
 	dir := t.TempDir()
 	ins := testWALInstruments()
-	noop := func() {}
-	noCompact := func(uint64) {}
 	w, err := openShardWAL(dir, walConfig{sync: WALSyncOff}, ins, obs.Logger("test"), func(string, []BatchReading) {})
 	if err != nil {
 		t.Fatal(err)
 	}
+	store := &ingestShard{readings: make(map[string]*meterPages)}
 	for i := 0; i < 3; i++ {
-		rs := []BatchReading{{Slot: int64(i), KW: float64(i)}}
-		if err := w.Append(appendPayload(nil, fmt.Sprintf("m%d", i), rs), noop, noCompact); err != nil {
+		id, rs := fmt.Sprintf("m%d", i), []BatchReading{{Slot: int64(i), KW: float64(i)}}
+		if _, _, err := w.Append(appendPayload(nil, id, rs), store, id, rs); err != nil {
 			t.Fatal(err)
+		}
+		if store.readings[id] == nil {
+			t.Fatalf("Append returned before applying %s to the store", id)
 		}
 	}
 	seg := filepath.Join(dir, walSegmentName(w.seq))
@@ -379,8 +381,7 @@ func TestWALRotationAndCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	head.Flush() // compaction jobs were queued before the flush sentinel
-	if err := head.Close(); err != nil {
+	if err := head.Close(); err != nil { // waits for the compactor
 		t.Fatal(err)
 	}
 
@@ -423,6 +424,68 @@ func TestWALRotationAndCompaction(t *testing.T) {
 		if !ok || got != float64(i)/2 {
 			t.Fatalf("reading %s/%d = %g (present=%v) after compacted recovery, want %g",
 				id, i, got, ok, float64(i)/2)
+		}
+	}
+}
+
+// TestStoreOrderMatchesWALOrder: writers racing on the same slots leave
+// the live store exactly as a replay of the log rebuilds it, on every
+// shard — the store applies each frame under the log's append lock, so
+// last write wins in log order on both sides. Every writer writes every
+// shared slot, so each one's final value is decided by a race; each frame
+// also carries a slot only its writer writes, so a record a compaction
+// loses shows. Small segments make the race span rotations and
+// compactions.
+func TestStoreOrderMatchesWALOrder(t *testing.T) {
+	dir := t.TempDir()
+	head := NewSharded(2, WithWAL(dir), WithWALSync(WALSyncOff),
+		WithWALSegmentBytes(4096), WithWALCompactBytes(16384))
+	if err := head.WALError(); err != nil {
+		t.Fatal(err)
+	}
+	const writers, meters, slots = 8, 4, 200
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for s := 0; s < slots; s++ {
+				for m := 0; m < meters; m++ {
+					id := fmt.Sprintf("m%d", m)
+					rs := []BatchReading{{Slot: int64(s), KW: float64(w)}, {Slot: int64(slots*(w+1) + s), KW: 1}}
+					if err := head.store(id, rs, appendPayload(nil, id, rs)); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	live := make([][slots * (writers + 1)]float64, meters)
+	for m := range live {
+		for s := range live[m] {
+			kw, ok := head.Reading(fmt.Sprintf("m%d", m), timeseries.Slot(s))
+			if !ok {
+				t.Fatalf("m%d/%d missing from the live store", m, s)
+			}
+			live[m][s] = kw
+		}
+	}
+	if err := head.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	replayed := NewSharded(2, WithWAL(dir))
+	defer func() { _ = replayed.Close() }()
+	if err := replayed.WALError(); err != nil {
+		t.Fatal(err)
+	}
+	for m := range live {
+		for s := range live[m] {
+			if kw, _ := replayed.Reading(fmt.Sprintf("m%d", m), timeseries.Slot(s)); kw != live[m][s] {
+				t.Fatalf("m%d/%d: live store kept writer %g's value, the log replays writer %g's", m, s, live[m][s], kw)
+			}
 		}
 	}
 }

@@ -74,7 +74,7 @@ type Dashboard struct {
 // Dashboard computes a fresh fleet snapshot (it sweeps the aggregates
 // before reading them).
 func (s *Server) Dashboard() Dashboard {
-	s.UpdateAggregates()
+	s.Flush()
 	return Dashboard{
 		Stats:         s.Stats(),
 		CoverageMin:   s.met.covMin.Value(),

@@ -61,7 +61,7 @@ func TestServerMemoryPerConsumer(t *testing.T) {
 	const consumers = 30000
 	mk := templateStreams(t, 16)
 
-	s, err := New(WithWorkers(1))
+	s, err := New()
 	if err != nil {
 		t.Fatal(err)
 	}

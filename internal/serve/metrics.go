@@ -17,7 +17,6 @@ const (
 	metricVerdicts     = "fdeta_serve_verdicts_total"
 	metricAlerts       = "fdeta_serve_alerts_total"
 	metricConsumers    = "fdeta_serve_consumers"
-	metricQueueDepth   = "fdeta_serve_queue_depth"
 	metricRetrains     = "fdeta_serve_retrains_total"
 	metricCovMin       = "fdeta_serve_coverage_min_ratio"
 	metricCovMean      = "fdeta_serve_coverage_mean_ratio"
@@ -43,8 +42,7 @@ type serveMetrics struct {
 	alertHigh    *obs.Counter
 	alertCleared *obs.Counter
 
-	consumers  *obs.Gauge
-	queueDepth *obs.Gauge
+	consumers *obs.Gauge
 
 	retrainOK  *obs.Counter
 	retrainErr *obs.Counter
@@ -88,8 +86,6 @@ func newServeMetrics(reg *obs.Registry) *serveMetrics {
 			obs.L("tier", "cleared")),
 		consumers: reg.Gauge(metricConsumers,
 			"consumers with registered streaming state"),
-		queueDepth: reg.Gauge(metricQueueDepth,
-			"reading jobs waiting on the service's worker queues"),
 		retrainOK: reg.Counter(metricRetrains, retrainHelp,
 			obs.L("result", "ok")),
 		retrainErr: reg.Counter(metricRetrains, retrainHelp,

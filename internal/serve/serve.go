@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -18,12 +17,6 @@ import (
 
 // Defaults for the service's sizing knobs.
 const (
-	// DefaultWorkers is the number of observation workers (per-consumer
-	// ordering is preserved by hashing consumers onto workers).
-	DefaultWorkers = 4
-	// DefaultQueueDepth bounds each worker's job queue; a full queue
-	// applies backpressure to the head-end's shard workers.
-	DefaultQueueDepth = 1024
 	// DefaultAlertBuffer is how many recent alert events the /alerts
 	// endpoint can replay.
 	DefaultAlertBuffer = 1024
@@ -114,22 +107,14 @@ type consumer struct {
 	lastThreshold float64
 }
 
-// job is one unit on a worker queue.
-type job struct {
-	meterID  string
-	readings []ami.BatchReading // owned by the job (copied at the sink)
-	flush    chan struct{}      // non-nil: barrier sentinel
-}
-
 // Server is the always-on streaming detection service. Construct with New,
 // attach to a head-end via Sink, serve HTTP via Mount/Routes, stop with
-// Close (which drains every delivered reading first).
+// Close (which waits for the sink calls in flight first).
 type Server struct {
 	policy       AlertPolicy
 	store        Store
 	retrain      RetrainFunc
 	retrainEvery time.Duration
-	workers      int
 	log          *slog.Logger
 	met          *serveMetrics
 	alertLog     *jsonlLog
@@ -139,11 +124,9 @@ type Server struct {
 	mu        sync.RWMutex // guards consumers
 	consumers map[string]*consumer
 
-	queues []chan job
-	wg     sync.WaitGroup
-
-	sinkMu sync.RWMutex // serializes sink intake against Close
-	closed bool
+	sinkMu sync.RWMutex   // serializes sink intake against Close
+	closed bool           // guarded by sinkMu
+	calls  sync.WaitGroup // sink calls in flight; Close waits for them
 
 	stop     chan struct{} // closed at Close start: ends the retrain loop
 	done     chan struct{} // closed after drain: ends SSE streams
@@ -153,9 +136,9 @@ type Server struct {
 	retrains atomic.Int64
 }
 
-// New builds a Server from functional options (mirroring ami.NewSharded) and
-// starts its workers — and, when WithRetrainInterval and WithRetrain are
-// both set, the rolling re-train loop.
+// New builds a Server from functional options (mirroring ami.NewSharded)
+// and, when WithRetrainInterval and WithRetrain are both set, starts the
+// rolling re-train loop.
 func New(opts ...Option) (*Server, error) {
 	s := &Server{
 		consumers: make(map[string]*consumer),
@@ -172,9 +155,6 @@ func New(opts ...Option) (*Server, error) {
 	if err := s.policy.Validate(); err != nil {
 		return nil, err
 	}
-	if s.workers <= 0 {
-		s.workers = DefaultWorkers
-	}
 	if s.retrainEvery < 0 {
 		return nil, fmt.Errorf("serve: negative retrain interval %v", s.retrainEvery)
 	}
@@ -185,13 +165,6 @@ func New(opts ...Option) (*Server, error) {
 		s.met = newServeMetrics(obs.NewRegistry())
 	}
 	s.start = time.Now()
-	s.queues = make([]chan job, s.workers)
-	for i := range s.queues {
-		q := make(chan job, DefaultQueueDepth)
-		s.queues[i] = q
-		s.wg.Add(1)
-		go s.worker(q)
-	}
 	if s.retrainEvery > 0 {
 		s.loopWG.Add(1)
 		go s.retrainLoop()
@@ -226,72 +199,48 @@ func (s *Server) Consumers() int {
 	return len(s.consumers)
 }
 
-// Sink returns the accepted-reading tap to hand to ami.WithSink. The
-// borrowed readings slice is copied before the call returns, honoring the
-// sink contract; observation itself happens on the service's own workers,
-// so the head-end's shard workers never run detection. After Close the
-// sink drops (and counts) deliveries.
+// Sink returns the accepted-reading tap to hand to ami.WithSink. It
+// observes the readings on the calling goroutine — a head-end's session
+// goroutine, before it acks — and keeps nothing of the borrowed slice.
+// Calls for distinct consumers run concurrently; calls for one consumer
+// serialize on its lock, and a retry's duplicate slots count as stale.
+// After Close the sink drops (and counts) deliveries.
 func (s *Server) Sink() ami.ReadingSink {
 	return func(meterID string, readings []ami.BatchReading) {
 		if len(readings) == 0 {
 			return
 		}
 		s.sinkMu.RLock()
-		defer s.sinkMu.RUnlock()
 		if s.closed {
+			s.sinkMu.RUnlock()
 			s.met.dropped.Add(int64(len(readings)))
 			return
 		}
-		owned := make([]ami.BatchReading, len(readings))
-		copy(owned, readings)
-		s.met.queueDepth.Add(1)
-		//lint:ignore lockhold the send under sinkMu.RLock is the backpressure contract: a full queue parks the head-end shard worker, and the workers drain without taking sinkMu, so the send always unblocks
-		s.queues[workerIndex(meterID, len(s.queues))] <- job{meterID: meterID, readings: owned}
+		s.calls.Add(1)
+		s.sinkMu.RUnlock()
+		defer s.calls.Done()
+		s.observe(meterID, readings)
 	}
 }
 
-// workerIndex hash-partitions a meter ID over the workers (FNV-1a), so one
-// consumer's readings always land on the same worker in order.
-func workerIndex(meterID string, n int) int {
-	h := uint64(1469598103934665603)
-	for i := 0; i < len(meterID); i++ {
-		h ^= uint64(meterID[i])
-		h *= 1099511628211
-	}
-	return int(h % uint64(n))
-}
-
-// worker drains one queue until Close closes it.
-func (s *Server) worker(q chan job) {
-	defer s.wg.Done()
-	for j := range q {
-		if j.flush != nil {
-			close(j.flush)
-			continue
-		}
-		s.met.queueDepth.Add(-1)
-		s.process(j)
-	}
-}
-
-// process observes one job's readings against its consumer's stream.
+// observe advances one consumer's stream by a run of accepted readings.
 // Alert events are built under the consumer's lock (they read streak and
 // tier state) but delivered after it is released: the ring buffer, JSONL
 // log, and SSE hub are shared sinks, and a slow one must stall only this
-// job, never every worker parked on this consumer — the same
+// call, never every caller parked on this consumer — the same
 // outside-the-lock contract the head-end sink documents, here enforced by
 // the lockhold analyzer.
-func (s *Server) process(j job) {
+func (s *Server) observe(meterID string, readings []ami.BatchReading) {
 	s.mu.RLock()
-	c := s.consumers[j.meterID]
+	c := s.consumers[meterID]
 	s.mu.RUnlock()
 	if c == nil {
-		s.met.unknown.Add(int64(len(j.readings)))
+		s.met.unknown.Add(int64(len(readings)))
 		return
 	}
 	c.mu.Lock()
 	var events []AlertEvent
-	for _, r := range j.readings {
+	for _, r := range readings {
 		s.observeOne(c, r, &events)
 	}
 	c.mu.Unlock()
@@ -412,48 +361,12 @@ func (s *Server) deliver(events []AlertEvent) {
 // everything buffered).
 func (s *Server) Alerts(n int) []AlertEvent { return s.ring.recent(n) }
 
-// Flush blocks until every reading delivered to the sink before the call
-// has been observed, then refreshes the aggregate gauges. The analogue of
-// ShardedHeadEnd.Flush one tier up. Unbounded by design; use FlushContext
-// to cap the wait.
-func (s *Server) Flush() { _ = s.FlushContext(context.Background()) }
-
-// FlushContext is Flush with a bound: it returns ctx.Err() as soon as ctx
-// is done, whether the barrier is stuck enqueuing behind full worker
-// queues or waiting on a sentinel. On early return the sentinels already
-// enqueued still drain normally; only the wait is abandoned.
-func (s *Server) FlushContext(ctx context.Context) error {
-	s.sinkMu.RLock()
-	if s.closed {
-		s.sinkMu.RUnlock()
-		return nil
-	}
-	chans := make([]chan struct{}, len(s.queues))
-	for i, q := range s.queues {
-		chans[i] = make(chan struct{})
-		//lint:ignore lockhold the flush sentinel must enqueue under sinkMu so Close cannot close the queues mid-send; the workers drain without taking sinkMu, so the send always unblocks
-		select {
-		case q <- job{flush: chans[i]}:
-		case <-ctx.Done():
-			s.sinkMu.RUnlock()
-			return ctx.Err()
-		}
-	}
-	s.sinkMu.RUnlock()
-	for _, c := range chans {
-		select {
-		case <-c:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	s.UpdateAggregates()
-	return nil
-}
-
-// UpdateAggregates sweeps every consumer and publishes the fleet-level
-// coverage/fill gauges: minimum and mean window coverage, mean live fill.
-func (s *Server) UpdateAggregates() {
+// Flush sweeps every consumer and publishes the fleet-level coverage/fill
+// gauges: minimum and mean window coverage, mean live fill. There is no
+// queue to drain: a reading is observed by the time its sink call returns.
+// To wait for the sink calls a head-end's sessions still have in flight,
+// flush the head-end first.
+func (s *Server) Flush() {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	n := len(s.consumers)
@@ -533,33 +446,30 @@ func (s *Server) retrainLoop() {
 			return
 		case <-ticker.C:
 			ok, failed := s.RetrainAll()
-			s.UpdateAggregates()
+			s.Flush()
 			s.log.Info("rolling re-train complete", "ok", ok, "failed", failed)
 		}
 	}
 }
 
-// Close drains and stops the service: the sink stops accepting (further
-// deliveries are dropped and counted), the workers finish every queued
-// reading, the aggregate gauges get a final sweep, and the SSE streams
-// end. Call after the head-end's own Close so everything the head-end
-// acknowledged has already been delivered to the sink. Idempotent.
+// Close stops the service: the sink stops accepting (further deliveries
+// are dropped and counted), the sink calls in flight finish, the aggregate
+// gauges get a final sweep, and the SSE streams end. Call after the
+// head-end's own Close, so that every reading the head-end acknowledged
+// has already been observed. Idempotent.
 func (s *Server) Close() error {
 	s.sinkMu.Lock()
 	if s.closed {
 		s.sinkMu.Unlock()
-		s.wg.Wait()
+		s.calls.Wait()
 		return nil
 	}
 	s.closed = true
 	close(s.stop)
-	for _, q := range s.queues {
-		close(q)
-	}
 	s.sinkMu.Unlock()
 	s.loopWG.Wait()
-	s.wg.Wait()
-	s.UpdateAggregates()
+	s.calls.Wait()
+	s.Flush()
 	close(s.done)
 	s.hub.close()
 	return nil

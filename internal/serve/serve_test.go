@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -331,8 +333,8 @@ func TestRetrainLoop(t *testing.T) {
 	}
 }
 
-// TestCloseDrainsThenDrops: Close completes queued work, and later sink
-// deliveries are dropped and counted instead of observed.
+// TestCloseDrainsThenDrops: readings delivered before Close stay
+// observed, and later sink deliveries are dropped and counted instead.
 func TestCloseDrainsThenDrops(t *testing.T) {
 	s, err := New()
 	if err != nil {
@@ -351,13 +353,55 @@ func TestCloseDrainsThenDrops(t *testing.T) {
 
 	st := s.Stats()
 	if st.Observed != 3 {
-		t.Errorf("observed = %d, want 3 (Close must drain the queue)", st.Observed)
+		t.Errorf("observed = %d, want 3 (readings delivered before Close are observed)", st.Observed)
 	}
 	if st.Dropped != 1 {
 		t.Errorf("dropped = %d, want 1", st.Dropped)
 	}
 	if err := s.Close(); err != nil {
 		t.Errorf("second Close: %v", err)
+	}
+}
+
+// blockingWriter parks every Write until release is closed.
+type blockingWriter struct {
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (b *blockingWriter) Write(p []byte) (int, error) {
+	b.once.Do(func() { close(b.entered) })
+	<-b.release
+	return len(p), nil
+}
+
+// TestCloseWaitsForSinkCalls: a sink call still delivering an alert when
+// Close begins (past the consumer lock, writing the alert log) finishes
+// before Close returns, so the caller may close the log after Close.
+func TestCloseWaitsForSinkCalls(t *testing.T) {
+	bw := &blockingWriter{entered: make(chan struct{}), release: make(chan struct{})}
+	s, err := New(WithAlertPolicy(AlertPolicy{MinStreak: 2, MediumStreak: 50, HighStreak: 60}), WithAlertLog(bw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Register("c1", &fakeStream{verdicts: repeat(anomalous(1.2), 2)}, 0); err != nil {
+		t.Fatal(err)
+	}
+	go feed(t, s, "c1", 0, []float64{1, 2})
+	<-bw.entered
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a sink call was still writing the alert log")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(bw.release)
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Observed != 2 || st.AlertsLow != 1 || st.Dropped != 0 {
+		t.Fatalf("observed %d, low alerts %d, dropped %d after Close, want 2/1/0", st.Observed, st.AlertsLow, st.Dropped)
 	}
 }
 
@@ -388,36 +432,127 @@ func TestKLDRetrainer(t *testing.T) {
 	}
 }
 
-// TestPerConsumerOrdering: many batches across many meters land on the
-// right consumers with per-meter order intact.
+// seqStream records every value it observes, in order. A re-train hands
+// the same log to the replacement stream, so the log is the consumer's
+// whole observed sequence across stream swaps.
+type seqStream struct{ log *[]float64 }
+
+func (q *seqStream) Name() string { return "seq" }
+
+func (q *seqStream) Observe(v float64) (detect.Verdict, error) {
+	*q.log = append(*q.log, v)
+	return detect.Verdict{Score: 0.1, Threshold: 1}, nil
+}
+
+func (q *seqStream) ObserveStatus(v float64, _ timeseries.ReadingStatus) (detect.Verdict, error) {
+	return q.Observe(v)
+}
+
+func (q *seqStream) Reason(v detect.Verdict) string { return v.Reason }
+
+func (q *seqStream) Filled() int { return len(*q.log) }
+
+func (q *seqStream) Coverage() float64 { return 1 }
+
+func (q *seqStream) Reseed(timeseries.Series) error { return nil }
+
+// TestPerConsumerOrdering: the sink observes on its caller's goroutine, so
+// concurrent callers over disjoint meters (one head-end session per meter)
+// must each keep their meters' order, while RetrainAll swaps streams and
+// /consumers/{id} reads them.
 func TestPerConsumerOrdering(t *testing.T) {
-	s := newTestServer(t, WithWorkers(3))
-	const meters, slots = 20, 100
-	streams := make([]*fakeStream, meters)
-	for m := 0; m < meters; m++ {
-		streams[m] = &fakeStream{}
-		if err := s.Register(fmt.Sprintf("m%02d", m), streams[m], 0); err != nil {
+	retrain := func(_ string, _ Store, cur detect.StreamDetector) (detect.StreamDetector, error) {
+		return &seqStream{log: cur.(*seqStream).log}, nil
+	}
+	s := newTestServer(t, WithRetrain(retrain))
+	ts := httptest.NewServer(s.Routes())
+	defer ts.Close()
+
+	const callers, perCaller, slots, batch = 4, 5, 200, 10
+	const meters = callers * perCaller
+	logs := make([][]float64, meters)
+	for m := range logs {
+		if err := s.Register(fmt.Sprintf("m%02d", m), &seqStream{log: &logs[m]}, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var wg sync.WaitGroup
-	for m := 0; m < meters; m++ {
-		wg.Add(1)
-		go func(m int) {
-			defer wg.Done()
-			for lo := 0; lo < slots; lo += 10 {
-				vals := make([]float64, 10)
-				feed(t, s, fmt.Sprintf("m%02d", m), int64(lo), vals)
+
+	stop := make(chan struct{})
+	var bg sync.WaitGroup
+	bg.Add(2)
+	go func() {
+		defer bg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				s.RetrainAll()
 			}
-		}(m)
+		}
+	}()
+	go func() {
+		defer bg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			resp, err := http.Get(fmt.Sprintf("%s/consumers/m%02d", ts.URL, i%meters))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			var st ConsumerState
+			err = json.NewDecoder(resp.Body).Decode(&st)
+			resp.Body.Close()
+			if err != nil || st.Observed != uint64(st.NextSlot) {
+				t.Errorf("consumer state %+v (err %v): observed must equal next slot", st, err)
+				return
+			}
+		}
+	}()
+
+	// Caller c owns meters c, c+callers, ...; it interleaves them a batch
+	// at a time, reusing one readings buffer as a session does.
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			sink := s.Sink()
+			rs := make([]ami.BatchReading, batch)
+			for lo := 0; lo < slots; lo += batch {
+				for m := c; m < meters; m += callers {
+					for i := range rs {
+						rs[i] = ami.BatchReading{Slot: int64(lo + i), KW: float64(lo + i)}
+					}
+					sink(fmt.Sprintf("m%02d", m), rs)
+				}
+			}
+		}(c)
 	}
 	wg.Wait()
-	s.Flush()
+	close(stop)
+	bg.Wait()
+
 	st := s.Stats()
-	if st.Observed != meters*slots {
-		t.Fatalf("observed %d, want %d", st.Observed, meters*slots)
+	if st.Observed != meters*slots || st.Missing != 0 || st.Stale != 0 {
+		t.Fatalf("observed %d missing %d stale %d, want %d/0/0 (ordering broke)",
+			st.Observed, st.Missing, st.Stale, meters*slots)
 	}
-	if st.Missing != 0 || st.Stale != 0 {
-		t.Errorf("missing %d stale %d, want 0 (ordering broke)", st.Missing, st.Stale)
+	if st.Retrains == 0 {
+		t.Error("no re-train sweep ran alongside the sinks")
+	}
+	for m, log := range logs {
+		for i, v := range log {
+			if v != float64(i) {
+				t.Fatalf("m%02d: observation %d carried slot %g (order broken)", m, i, v)
+			}
+		}
+		if len(log) != slots {
+			t.Fatalf("m%02d: %d observations, want %d", m, len(log), slots)
+		}
 	}
 }
