@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check lint lint-suppressions race race-hot bench-quick bench-population collect-smoke chaos-smoke serve-smoke fuzz faults-smoke verify
+.PHONY: build test vet fmt-check lint lint-suppressions race race-hot bench-quick bench-population collect-smoke chaos-smoke serve-smoke fuzz faults-smoke results-check verify
 
 build:
 	$(GO) build ./...
@@ -106,10 +106,25 @@ faults-smoke:
 serve-smoke:
 	$(GO) run -race ./cmd/fdeta serve -smoke
 
+# results-check: regenerate the committed paper-scale artifacts (Fig. 3,
+# Fig. 4 and the full report) into a temp dir and compare each with
+# results/ byte for byte. The quick-scale ablations in results/ are pinned
+# by TestCommittedAblationArtifacts in cmd/fdeta, and full_run.txt by
+# perfbench's golden.
+results-check:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/fdeta" ./cmd/fdeta && \
+	"$$tmp/fdeta" fig3 -full -consumers 5 -o "$$tmp/fig3_consumer1000.csv" >/dev/null && \
+	"$$tmp/fdeta" fig4 -full -consumers 5 -o "$$tmp/fig4_consumer1000.csv" >/dev/null && \
+	"$$tmp/fdeta" report -full -o "$$tmp/report_full.md" >/dev/null && \
+	for f in fig3_consumer1000.csv fig4_consumer1000.csv report_full.md; do \
+		cmp "$$tmp/$$f" "results/$$f" || exit 1; \
+	done; echo "results-check: fig3, fig4 and report_full match results/"
+
 # verify: the gate for every PR — build, vet, gofmt drift, the domain
 # linter, the targeted race pass over the obs/ami/experiments concurrency
 # surfaces plus the full-tree race detector, the quick benchmarks, the
 # population-training smoke, the race-enabled ingestion-tier,
-# kill-and-recover, and streaming-service smokes, the fuzz passes, and the
-# fault-injection smoke run.
-verify: build vet fmt-check lint race-hot race bench-quick bench-population collect-smoke chaos-smoke serve-smoke fuzz faults-smoke
+# kill-and-recover, and streaming-service smokes, the fuzz passes, the
+# fault-injection smoke run, and the committed-artifact check.
+verify: build vet fmt-check lint race-hot race bench-quick bench-population collect-smoke chaos-smoke serve-smoke fuzz faults-smoke results-check

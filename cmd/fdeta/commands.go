@@ -15,6 +15,8 @@ import (
 
 // evalFlags holds the flags shared by the evaluation-driven subcommands,
 // composing the profiling/metrics flags every long-running command binds.
+// strict, checkpoint and faultSpec are bound only on the commands that run
+// the Table II/III evaluation; every other experiment leaves them zero.
 type evalFlags struct {
 	*runFlags
 	full        bool
@@ -27,13 +29,21 @@ type evalFlags struct {
 	faultSpec   string
 }
 
-func bindEvalFlags(fs *flag.FlagSet) *evalFlags {
+// bindExperimentFlags binds the protocol flags every experiment takes.
+func bindExperimentFlags(fs *flag.FlagSet) *evalFlags {
 	ef := &evalFlags{runFlags: bindRunFlags(fs)}
 	fs.BoolVar(&ef.full, "full", false, "run the paper's full protocol (500 consumers, 74 weeks, 50 trials)")
 	fs.IntVar(&ef.consumers, "consumers", 0, "cap the number of consumers evaluated (0 = all)")
 	fs.IntVar(&ef.trials, "trials", 0, "override the attack trial count")
 	fs.Int64Var(&ef.seed, "seed", 2016, "experiment seed")
-	fs.IntVar(&ef.parallelism, "parallelism", 0, "worker goroutines for per-consumer evaluation (0 = GOMAXPROCS); results are identical at any setting")
+	fs.IntVar(&ef.parallelism, "parallelism", 0, "worker goroutines for training and per-consumer evaluation (0 = GOMAXPROCS); results are identical at any setting")
+	return ef
+}
+
+// bindEvalFlags adds the evaluation's run controls (table2, table3,
+// faults, report) to the experiment flags.
+func bindEvalFlags(fs *flag.FlagSet) *evalFlags {
+	ef := bindExperimentFlags(fs)
 	fs.BoolVar(&ef.strict, "strict", false, "abort on the first consumer evaluation failure instead of quarantining it")
 	fs.StringVar(&ef.checkpoint, "checkpoint", "", "JSON checkpoint path: per-consumer results are flushed as they finish, and rerunning with the same settings resumes from them")
 	fs.StringVar(&ef.faultSpec, "fault", "", "inject meter faults into the monitored weeks, e.g. 'dropout:0.1+spike:0.01,20' (kinds: dropout, outage, stuckat, spike, clockslip)")
@@ -280,7 +290,7 @@ func cmdFig2(args []string) error {
 
 func cmdFig3(args []string) error {
 	fs := flag.NewFlagSet("fig3", flag.ContinueOnError)
-	ef := bindEvalFlags(fs)
+	ef := bindExperimentFlags(fs)
 	consumer := fs.Int("consumer", 1000, "subject consumer ID")
 	out := fs.String("o", "fig3.csv", "output CSV path")
 	if err := fs.Parse(args); err != nil {
@@ -310,7 +320,7 @@ func cmdFig3(args []string) error {
 
 func cmdFig4(args []string) error {
 	fs := flag.NewFlagSet("fig4", flag.ContinueOnError)
-	ef := bindEvalFlags(fs)
+	ef := bindExperimentFlags(fs)
 	consumer := fs.Int("consumer", 1000, "subject consumer ID")
 	bins := fs.Int("bins", 10, "histogram bin count B")
 	out := fs.String("o", "fig4.csv", "output CSV path")
@@ -343,7 +353,7 @@ func cmdFig4(args []string) error {
 
 func cmdAblateBins(args []string) error {
 	fs := flag.NewFlagSet("ablate-bins", flag.ContinueOnError)
-	ef := bindEvalFlags(fs)
+	ef := bindExperimentFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -369,7 +379,7 @@ func cmdAblateBins(args []string) error {
 
 func cmdAblateTrain(args []string) error {
 	fs := flag.NewFlagSet("ablate-train", flag.ContinueOnError)
-	ef := bindEvalFlags(fs)
+	ef := bindExperimentFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -13,7 +13,7 @@ import (
 
 func cmdTimeToDetect(args []string) error {
 	fs := flag.NewFlagSet("ttd", flag.ContinueOnError)
-	ef := bindEvalFlags(fs)
+	ef := bindExperimentFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -38,7 +38,7 @@ func cmdTimeToDetect(args []string) error {
 
 func cmdAblateDivergence(args []string) error {
 	fs := flag.NewFlagSet("ablate-divergence", flag.ContinueOnError)
-	ef := bindEvalFlags(fs)
+	ef := bindExperimentFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -63,7 +63,7 @@ func cmdAblateDivergence(args []string) error {
 
 func cmdBaselines(args []string) error {
 	fs := flag.NewFlagSet("baselines", flag.ContinueOnError)
-	ef := bindEvalFlags(fs)
+	ef := bindExperimentFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -88,7 +88,7 @@ func cmdBaselines(args []string) error {
 
 func cmdSpread(args []string) error {
 	fs := flag.NewFlagSet("spread", flag.ContinueOnError)
-	ef := bindEvalFlags(fs)
+	ef := bindExperimentFlags(fs)
 	total := fs.Float64("kwh", 200, "total weekly energy to steal (kWh)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -115,7 +115,7 @@ func cmdSpread(args []string) error {
 
 func cmdAblateBinStrategy(args []string) error {
 	fs := flag.NewFlagSet("ablate-binning", flag.ContinueOnError)
-	ef := bindEvalFlags(fs)
+	ef := bindExperimentFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -140,7 +140,7 @@ func cmdAblateBinStrategy(args []string) error {
 
 func cmdFPProfile(args []string) error {
 	fs := flag.NewFlagSet("fp-profile", flag.ContinueOnError)
-	ef := bindEvalFlags(fs)
+	ef := bindExperimentFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

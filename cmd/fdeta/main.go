@@ -158,11 +158,13 @@ Extensions:
   report             regenerate the complete evaluation into a markdown report
   bill               weekly statements + revenue assurance
 
-Evaluation commands accept -parallelism (worker goroutines; results are
-identical at any setting), -cpuprofile/-memprofile (pprof output files),
--fault SPEC (inject meter faults into the monitored weeks), -checkpoint
-FILE (crash-safe per-consumer progress; rerun to resume), and -strict
-(fail fast instead of quarantining a failing consumer).
+Experiment commands (table2, table3, fig3, fig4 and every extension but
+bill) accept -parallelism (worker goroutines; results are identical at
+any setting) and -cpuprofile/-memprofile (pprof output files). The evaluation
+commands (table2, table3, faults, report) also accept -fault SPEC (inject
+meter faults into the monitored weeks), -checkpoint FILE (crash-safe
+per-consumer progress; rerun to resume), and -strict (fail fast instead
+of quarantining a failing consumer).
 
 Long-running commands (detect, collect, and every evaluation command)
 also accept -metrics-addr ADDR: an opt-in HTTP admin endpoint serving

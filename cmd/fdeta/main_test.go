@@ -93,6 +93,7 @@ func TestRunDispatcher(t *testing.T) {
 		{"faults bad rates", []string{"faults", "-rates", "0,zero"}, 1},
 		{"faults bad spec", []string{"faults", "-rates", "0", "-fault", "sparks:1"}, 1},
 		{"table2 bad fault spec", []string{"table2", "-fault", "dropout:2"}, 1},
+		{"ablate-bins takes no -fault", []string{"ablate-bins", "-fault", "dropout:0.1"}, 1},
 		{"bad flag", []string{"table1", "-nope"}, 1},
 	}
 	for _, tt := range cases {
@@ -101,6 +102,47 @@ func TestRunDispatcher(t *testing.T) {
 				t.Errorf("run(%v) = %d, want %d", tt.args, got, tt.want)
 			}
 		})
+	}
+}
+
+// runStdout runs the CLI and returns its exit code and what it printed to
+// stdout.
+func runStdout(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = f.Close() }()
+	orig := os.Stdout
+	os.Stdout = f
+	code := run(args)
+	os.Stdout = orig
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return code, string(out)
+}
+
+// TestCommittedAblationArtifacts pins the quick-scale ablations that
+// results/ carries: both commands must print their file byte for byte.
+func TestCommittedAblationArtifacts(t *testing.T) {
+	for cmd, file := range map[string]string{
+		"ablate-bins":  "ablate_bins.txt",
+		"ablate-train": "ablate_train.txt",
+	} {
+		want, err := os.ReadFile(filepath.Join("..", "..", "results", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, got := runStdout(t, cmd)
+		if code != 0 {
+			t.Fatalf("%s exited %d", cmd, code)
+		}
+		if got != string(want) {
+			t.Errorf("%s output differs from results/%s:\n got:\n%s\nwant:\n%s", cmd, file, got, want)
+		}
 	}
 }
 

@@ -428,6 +428,93 @@ func TestWALRotationAndCompaction(t *testing.T) {
 	}
 }
 
+// TestCompactionUnderLoadKeepsAckedReadings: appends go on while
+// compactions run, so a compaction's cover point must stop short of the
+// active segment. A snapshot holds only what the store held when it
+// streamed; a record appended after that to a segment the compaction then
+// deletes is gone on replay. Writers first race the shard's own
+// compactors. Then a compaction claimed by an append runs only after the
+// burst behind it has sealed more segments, so its compactor retriggers,
+// and a reading acked after the compactor goes idle is the one a cover
+// point on the active segment would lose.
+func TestCompactionUnderLoadKeepsAckedReadings(t *testing.T) {
+	dir := t.TempDir()
+	head := NewSharded(1, WithWAL(dir), WithWALSync(WALSyncOff),
+		WithWALSegmentBytes(256), WithWALCompactBytes(512))
+	if err := head.WALError(); err != nil {
+		t.Fatal(err)
+	}
+	type key struct {
+		meterID string
+		slot    int64
+	}
+	const writers, slots = 4, 300
+	acked := make([]map[key]float64, writers+1)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		acked[w] = make(map[key]float64)
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			id := fmt.Sprintf("m%d", w)
+			for s := int64(0); s < slots; s++ {
+				rs := []BatchReading{{Slot: s, KW: float64(w*slots) + float64(s)}}
+				if err := head.store(id, rs, appendPayload(nil, id, rs)); err != nil {
+					t.Error(err)
+					return
+				}
+				acked[w][key{id, s}] = rs[0].KW
+			}
+		}(w)
+	}
+	wg.Wait()
+	head.bgWG.Wait() // the compactors are idle; WALSyncOff runs no syncer
+
+	last := make(map[key]float64)
+	acked[writers] = last
+	sh := head.shards[0]
+	slot := int64(slots)
+	appendOne := func() (uint64, bool) {
+		rs := []BatchReading{{Slot: slot, KW: float64(slot) / 2}}
+		cover, compact, err := sh.wal.Append(appendPayload(nil, "m0", rs), sh, "m0", rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last[key{"m0", slot}] = rs[0].KW
+		slot++
+		return cover, compact
+	}
+	cover, claimed := appendOne()
+	for !claimed {
+		cover, claimed = appendOne()
+	}
+	for sealed := sh.wal.seq; sh.wal.seq < sealed+4; {
+		appendOne()
+	}
+	sh.compact(cover, head.log)
+	tail := []BatchReading{{Slot: slot, KW: 42}}
+	if err := head.store("m1", tail, appendPayload(nil, "m1", tail)); err != nil {
+		t.Fatal(err)
+	}
+	last[key{"m1", slot}] = 42
+	if err := head.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened := NewSharded(1, WithWAL(dir))
+	defer func() { _ = reopened.Close() }()
+	if err := reopened.WALError(); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range acked {
+		for k, kw := range m {
+			if got, ok := reopened.Reading(k.meterID, timeseries.Slot(k.slot)); !ok || got != kw {
+				t.Errorf("acked reading %s/%d = %g (present=%v) after reopen, want %g", k.meterID, k.slot, got, ok, kw)
+			}
+		}
+	}
+}
+
 // TestStoreOrderMatchesWALOrder: writers racing on the same slots leave
 // the live store exactly as a replay of the log rebuilds it, on every
 // shard — the store applies each frame under the log's append lock, so

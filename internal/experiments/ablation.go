@@ -3,11 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/attack"
 	"repro/internal/dataset"
 	"repro/internal/detect"
-	"repro/internal/stats"
-	"repro/internal/timeseries"
 )
 
 // ValidationReport covers the paper's Section VIII-B3 dataset sanity check.
@@ -46,92 +43,30 @@ func ValidateDataset(cfg dataset.Config) (*ValidationReport, error) {
 // false-positive rate move with B. The paper uses B=10 and defers the
 // sweep to "extensions of this paper" (Section VIII-D); this implements it.
 type BinSweepPoint struct {
-	Bins          int
-	DetectionRate float64 // fraction of consumers whose attack week was flagged
-	FalsePosRate  float64 // fraction of consumers whose normal week was flagged
-	SuccessRate   float64 // Section VIII-E combined rule
+	Bins int
+	Rates
 }
 
 // BinSweep runs the Attack-Class-1B KLD evaluation across bin counts.
 func BinSweep(opts Options, bins []int) ([]BinSweepPoint, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
 	if len(bins) == 0 {
 		return nil, fmt.Errorf("experiments: no bin counts supplied")
 	}
-	ds, err := dataset.Generate(opts.Dataset)
-	if err != nil {
-		return nil, err
-	}
-	consumers := ds.Consumers
-	if opts.MaxConsumers > 0 && opts.MaxConsumers < len(consumers) {
-		consumers = consumers[:opts.MaxConsumers]
-	}
-
-	type perConsumer struct {
-		train  timeseries.Series
-		normal timeseries.Series
-		vec    timeseries.Series
-	}
-	prep := make([]perConsumer, 0, len(consumers))
-	for i := range consumers {
-		c := &consumers[i]
-		train, test, err := c.Demand.Split(opts.TrainWeeks)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: consumer %d: %w", c.ID, err)
-		}
-		normal := test.MustWeek(0)
-		integ, err := detect.NewIntegratedARIMADetector(train, detect.IntegratedARIMAConfig{})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: consumer %d: %w", c.ID, err)
-		}
-		rng := stats.SplitRand(opts.Seed, int64(c.ID))
-		vec, err := worstIntegrated(integ, attack.Up, opts, rng, func(vec timeseries.Series) (float64, error) {
-			return pricingNeighbourLoss(opts, normal, vec, timeseries.Slot(len(train)))
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: consumer %d: %w", c.ID, err)
-		}
-		prep = append(prep, perConsumer{train: train, normal: normal, vec: vec})
-	}
-
-	points := make([]BinSweepPoint, 0, len(bins))
 	for _, b := range bins {
 		if b < 1 {
 			return nil, fmt.Errorf("experiments: invalid bin count %d", b)
 		}
-		var detected, fps, success int
-		for _, pc := range prep {
-			kld, err := detect.NewKLDDetector(pc.train, detect.KLDConfig{Bins: b, Significance: 0.05})
-			if err != nil {
-				return nil, err
-			}
-			va, err := kld.Detect(pc.vec)
-			if err != nil {
-				return nil, err
-			}
-			vn, err := kld.Detect(pc.normal)
-			if err != nil {
-				return nil, err
-			}
-			if va.Anomalous {
-				detected++
-			}
-			if vn.Anomalous {
-				fps++
-			}
-			if va.Anomalous && !vn.Anomalous {
-				success++
-			}
+	}
+	subs, err := preparePopulation(opts, true)
+	if err != nil {
+		return nil, err
+	}
+	points := make([]BinSweepPoint, len(bins))
+	for i, b := range bins {
+		points[i].Bins = b
+		if points[i].Rates, err = kldRates(subs, detect.KLDConfig{Bins: b, Significance: 0.05}); err != nil {
+			return nil, err
 		}
-		n := float64(len(prep))
-		points = append(points, BinSweepPoint{
-			Bins:          b,
-			DetectionRate: float64(detected) / n,
-			FalsePosRate:  float64(fps) / n,
-			SuccessRate:   float64(success) / n,
-		})
 	}
 	return points, nil
 }
@@ -143,67 +78,32 @@ type TrainLengthPoint struct {
 }
 
 // TrainLengthSweep measures how the KLD detector's success on Attack Class
-// 1B varies with the amount of training history.
+// 1B varies with the amount of training history: each length prepares the
+// population with TrainWeeks = tw and its own attack seed, Seed + tw.
 func TrainLengthSweep(opts Options, weeks []int) ([]TrainLengthPoint, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
 	if len(weeks) == 0 {
 		return nil, fmt.Errorf("experiments: no training lengths supplied")
 	}
-	ds, err := dataset.Generate(opts.Dataset)
+	consumers, err := population(opts)
 	if err != nil {
 		return nil, err
 	}
-	consumers := ds.Consumers
-	if opts.MaxConsumers > 0 && opts.MaxConsumers < len(consumers) {
-		consumers = consumers[:opts.MaxConsumers]
-	}
-
-	points := make([]TrainLengthPoint, 0, len(weeks))
-	for _, tw := range weeks {
-		if tw < 2 || tw >= opts.Dataset.Weeks {
-			return nil, fmt.Errorf("experiments: training length %d out of range", tw)
+	points := make([]TrainLengthPoint, len(weeks))
+	for i, tw := range weeks {
+		o := opts
+		o.TrainWeeks, o.Seed = tw, opts.Seed+int64(tw)
+		if err := o.Validate(); err != nil {
+			return nil, err
 		}
-		var success int
-		for i := range consumers {
-			c := &consumers[i]
-			train, test, err := c.Demand.Split(tw)
-			if err != nil {
-				return nil, err
-			}
-			normal := test.MustWeek(0)
-			integ, err := detect.NewIntegratedARIMADetector(train, detect.IntegratedARIMAConfig{})
-			if err != nil {
-				return nil, err
-			}
-			kld, err := detect.NewKLDDetector(train, detect.KLDConfig{Significance: 0.05})
-			if err != nil {
-				return nil, err
-			}
-			rng := stats.SplitRand(opts.Seed+int64(tw), int64(c.ID))
-			vec, err := worstIntegrated(integ, attack.Up, opts, rng, func(vec timeseries.Series) (float64, error) {
-				return pricingNeighbourLoss(opts, normal, vec, timeseries.Slot(len(train)))
-			})
-			if err != nil {
-				return nil, err
-			}
-			va, err := kld.Detect(vec)
-			if err != nil {
-				return nil, err
-			}
-			vn, err := kld.Detect(normal)
-			if err != nil {
-				return nil, err
-			}
-			if va.Anomalous && !vn.Anomalous {
-				success++
-			}
+		subs, err := prepare(consumers, o, true)
+		if err != nil {
+			return nil, err
 		}
-		points = append(points, TrainLengthPoint{
-			TrainWeeks:  tw,
-			SuccessRate: float64(success) / float64(len(consumers)),
-		})
+		r, err := rates(subs, suiteKLD5)
+		if err != nil {
+			return nil, err
+		}
+		points[i] = TrainLengthPoint{TrainWeeks: tw, SuccessRate: r.SuccessRate}
 	}
 	return points, nil
 }

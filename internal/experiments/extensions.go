@@ -3,109 +3,38 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/attack"
-	"repro/internal/dataset"
 	"repro/internal/detect"
-	"repro/internal/stats"
-	"repro/internal/timeseries"
 )
 
 // DivergencePoint is one row of the divergence-measure ablation.
 type DivergencePoint struct {
-	Kind          detect.DivergenceKind
-	DetectionRate float64
-	FalsePosRate  float64
-	SuccessRate   float64
+	Kind detect.DivergenceKind
+	Rates
 }
 
 // DivergenceSweep compares the paper's KL divergence against symmetric KL
 // and Jensen-Shannon on the Attack-Class-1B protocol — an ablation of the
 // design choice Section VII-D fixes without comparison.
 func DivergenceSweep(opts Options) ([]DivergencePoint, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	ds, err := dataset.Generate(opts.Dataset)
+	subs, err := preparePopulation(opts, true)
 	if err != nil {
 		return nil, err
 	}
-	consumers := ds.Consumers
-	if opts.MaxConsumers > 0 && opts.MaxConsumers < len(consumers) {
-		consumers = consumers[:opts.MaxConsumers]
-	}
-
 	kinds := []detect.DivergenceKind{detect.KullbackLeibler, detect.SymmetricKL, detect.JensenShannon}
-	type prepared struct {
-		train, normal, vec timeseries.Series
-	}
-	prep := make([]prepared, 0, len(consumers))
-	for i := range consumers {
-		c := &consumers[i]
-		train, test, err := c.Demand.Split(opts.TrainWeeks)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: consumer %d: %w", c.ID, err)
+	points := make([]DivergencePoint, len(kinds))
+	for i, kind := range kinds {
+		points[i].Kind = kind
+		if points[i].Rates, err = kldRates(subs, detect.KLDConfig{Significance: 0.05, Divergence: kind}); err != nil {
+			return nil, err
 		}
-		normal := test.MustWeek(0)
-		integ, err := detect.NewIntegratedARIMADetector(train, detect.IntegratedARIMAConfig{})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: consumer %d: %w", c.ID, err)
-		}
-		rng := stats.SplitRand(opts.Seed, int64(c.ID))
-		vec, err := worstIntegrated(integ, attack.Up, opts, rng, func(v timeseries.Series) (float64, error) {
-			return pricingNeighbourLoss(opts, normal, v, timeseries.Slot(len(train)))
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: consumer %d: %w", c.ID, err)
-		}
-		prep = append(prep, prepared{train, normal, vec})
-	}
-
-	points := make([]DivergencePoint, 0, len(kinds))
-	for _, kind := range kinds {
-		var detected, fps, success int
-		for _, pc := range prep {
-			det, err := detect.NewKLDDetector(pc.train, detect.KLDConfig{
-				Significance: 0.05,
-				Divergence:   kind,
-			})
-			if err != nil {
-				return nil, err
-			}
-			va, err := det.Detect(pc.vec)
-			if err != nil {
-				return nil, err
-			}
-			vn, err := det.Detect(pc.normal)
-			if err != nil {
-				return nil, err
-			}
-			if va.Anomalous {
-				detected++
-			}
-			if vn.Anomalous {
-				fps++
-			}
-			if va.Anomalous && !vn.Anomalous {
-				success++
-			}
-		}
-		n := float64(len(prep))
-		points = append(points, DivergencePoint{
-			Kind:          kind,
-			DetectionRate: float64(detected) / n,
-			FalsePosRate:  float64(fps) / n,
-			SuccessRate:   float64(success) / n,
-		})
 	}
 	return points, nil
 }
 
 // BinStrategyPoint is one row of the bin-placement ablation.
 type BinStrategyPoint struct {
-	Strategy      detect.BinStrategy
-	DetectionRate float64
-	FalsePosRate  float64
-	SuccessRate   float64
+	Strategy detect.BinStrategy
+	Rates
 }
 
 // BinStrategySweep compares the paper's equal-width histogram bins against
@@ -113,72 +42,16 @@ type BinStrategyPoint struct {
 // second axis of the binning design space whose first axis (bin count) the
 // paper explicitly defers to future work.
 func BinStrategySweep(opts Options) ([]BinStrategyPoint, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	ds, err := dataset.Generate(opts.Dataset)
+	subs, err := preparePopulation(opts, true)
 	if err != nil {
 		return nil, err
 	}
-	consumers := ds.Consumers
-	if opts.MaxConsumers > 0 && opts.MaxConsumers < len(consumers) {
-		consumers = consumers[:opts.MaxConsumers]
-	}
 	strategies := []detect.BinStrategy{detect.EqualWidth, detect.EqualFrequency}
-	counts := make([]struct{ detected, fp, success int }, len(strategies))
-	for i := range consumers {
-		c := &consumers[i]
-		train, test, err := c.Demand.Split(opts.TrainWeeks)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: consumer %d: %w", c.ID, err)
-		}
-		normal := test.MustWeek(0)
-		integ, err := detect.NewIntegratedARIMADetector(train, detect.IntegratedARIMAConfig{})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: consumer %d: %w", c.ID, err)
-		}
-		rng := stats.SplitRand(opts.Seed, int64(c.ID))
-		vec, err := worstIntegrated(integ, attack.Up, opts, rng, func(v timeseries.Series) (float64, error) {
-			return pricingNeighbourLoss(opts, normal, v, timeseries.Slot(len(train)))
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: consumer %d: %w", c.ID, err)
-		}
-		for si, strategy := range strategies {
-			det, err := detect.NewKLDDetector(train, detect.KLDConfig{
-				Significance: 0.05,
-				Binning:      strategy,
-			})
-			if err != nil {
-				return nil, err
-			}
-			va, err := det.Detect(vec)
-			if err != nil {
-				return nil, err
-			}
-			vn, err := det.Detect(normal)
-			if err != nil {
-				return nil, err
-			}
-			if va.Anomalous {
-				counts[si].detected++
-			}
-			if vn.Anomalous {
-				counts[si].fp++
-			}
-			if va.Anomalous && !vn.Anomalous {
-				counts[si].success++
-			}
-		}
-	}
-	n := float64(len(consumers))
 	points := make([]BinStrategyPoint, len(strategies))
-	for si, strategy := range strategies {
-		points[si] = BinStrategyPoint{
-			Strategy:      strategy,
-			DetectionRate: float64(counts[si].detected) / n,
-			FalsePosRate:  float64(counts[si].fp) / n,
-			SuccessRate:   float64(counts[si].success) / n,
+	for i, strategy := range strategies {
+		points[i].Strategy = strategy
+		if points[i].Rates, err = kldRates(subs, detect.KLDConfig{Significance: 0.05, Binning: strategy}); err != nil {
+			return nil, err
 		}
 	}
 	return points, nil
@@ -186,99 +59,36 @@ func BinStrategySweep(opts Options) ([]BinStrategyPoint, error) {
 
 // BaselinePoint is one detector row of the detector-family comparison.
 type BaselinePoint struct {
-	Detector      string
-	DetectionRate float64
-	FalsePosRate  float64
-	SuccessRate   float64
+	Detector string
+	Rates
 }
 
 // BaselineComparison pits the paper's KLD detector against the PCA subspace
 // detector of ref [3] (and the Integrated ARIMA baseline) on the Attack-
 // Class-1B protocol. The paper cites ref [3] but never compares against it;
-// this experiment fills that gap.
+// this experiment fills that gap. The Integrated ARIMA and KLD rows are the
+// evaluation's own detectors; only PCA is trained here.
 func BaselineComparison(opts Options) ([]BaselinePoint, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	ds, err := dataset.Generate(opts.Dataset)
+	subs, err := preparePopulation(opts, true)
 	if err != nil {
 		return nil, err
 	}
-	consumers := ds.Consumers
-	if opts.MaxConsumers > 0 && opts.MaxConsumers < len(consumers) {
-		consumers = consumers[:opts.MaxConsumers]
+	families := []struct {
+		name string
+		det  func(s *subject) (detect.Detector, error)
+	}{
+		{"integrated-arima", func(s *subject) (detect.Detector, error) { return s.suite.Integrated(), nil }},
+		{"kld-5%", suiteKLD5},
+		{"pca", func(s *subject) (detect.Detector, error) {
+			return detect.NewPCADetector(s.train, detect.PCAConfig{Significance: 0.05})
+		}},
 	}
-
-	type outcome struct{ detected, fp, success int }
-	counts := map[string]*outcome{}
-	order := []string{}
-	record := func(name string, attacked, normal bool) {
-		o, ok := counts[name]
-		if !ok {
-			o = &outcome{}
-			counts[name] = o
-			order = append(order, name)
+	points := make([]BaselinePoint, len(families))
+	for i, f := range families {
+		points[i].Detector = f.name
+		if points[i].Rates, err = rates(subs, f.det); err != nil {
+			return nil, err
 		}
-		if attacked {
-			o.detected++
-		}
-		if normal {
-			o.fp++
-		}
-		if attacked && !normal {
-			o.success++
-		}
-	}
-
-	for i := range consumers {
-		c := &consumers[i]
-		train, test, err := c.Demand.Split(opts.TrainWeeks)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: consumer %d: %w", c.ID, err)
-		}
-		normal := test.MustWeek(0)
-		integ, err := detect.NewIntegratedARIMADetector(train, detect.IntegratedARIMAConfig{})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: consumer %d: %w", c.ID, err)
-		}
-		kld, err := detect.NewKLDDetector(train, detect.KLDConfig{Significance: 0.05})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: consumer %d: %w", c.ID, err)
-		}
-		pca, err := detect.NewPCADetector(train, detect.PCAConfig{Significance: 0.05})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: consumer %d: %w", c.ID, err)
-		}
-		rng := stats.SplitRand(opts.Seed, int64(c.ID))
-		vec, err := worstIntegrated(integ, attack.Up, opts, rng, func(v timeseries.Series) (float64, error) {
-			return pricingNeighbourLoss(opts, normal, v, timeseries.Slot(len(train)))
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: consumer %d: %w", c.ID, err)
-		}
-		for _, d := range []detect.Detector{integ, kld, pca} {
-			va, err := d.Detect(vec)
-			if err != nil {
-				return nil, err
-			}
-			vn, err := d.Detect(normal)
-			if err != nil {
-				return nil, err
-			}
-			record(d.Name(), va.Anomalous, vn.Anomalous)
-		}
-	}
-
-	n := float64(len(consumers))
-	points := make([]BaselinePoint, 0, len(order))
-	for _, name := range order {
-		o := counts[name]
-		points = append(points, BaselinePoint{
-			Detector:      name,
-			DetectionRate: float64(o.detected) / n,
-			FalsePosRate:  float64(o.fp) / n,
-			SuccessRate:   float64(o.success) / n, // the Section VIII-E rule
-		})
 	}
 	return points, nil
 }
@@ -305,41 +115,15 @@ type SpreadPoint struct {
 // quantifies how detection decays with m, and how the neighbourhood-level
 // "any victim flags" rate holds up.
 func SpreadSweep(opts Options, totalKWh float64, victimCounts []int) ([]SpreadPoint, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
 	if totalKWh <= 0 {
 		return nil, fmt.Errorf("experiments: total stolen energy must be positive, got %g", totalKWh)
 	}
 	if len(victimCounts) == 0 {
 		return nil, fmt.Errorf("experiments: no victim counts supplied")
 	}
-	ds, err := dataset.Generate(opts.Dataset)
+	prep, err := preparePopulation(opts, false)
 	if err != nil {
 		return nil, err
-	}
-	consumers := ds.Consumers
-	if opts.MaxConsumers > 0 && opts.MaxConsumers < len(consumers) {
-		consumers = consumers[:opts.MaxConsumers]
-	}
-
-	// Pre-train one KLD detector per consumer.
-	type prepared struct {
-		normal timeseries.Series
-		det    *detect.KLDDetector
-	}
-	prep := make([]prepared, 0, len(consumers))
-	for i := range consumers {
-		c := &consumers[i]
-		train, test, err := c.Demand.Split(opts.TrainWeeks)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: consumer %d: %w", c.ID, err)
-		}
-		det, err := detect.NewKLDDetector(train, detect.KLDConfig{Significance: 0.05})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: consumer %d: %w", c.ID, err)
-		}
-		prep = append(prep, prepared{normal: test.MustWeek(0), det: det})
 	}
 
 	points := make([]SpreadPoint, 0, len(victimCounts))
@@ -358,7 +142,7 @@ func SpreadSweep(opts Options, totalKWh float64, victimCounts []int) ([]SpreadPo
 		for trial := 0; trial < trials; trial++ {
 			caught := false
 			for j := 0; j < m; j++ {
-				pc := prep[(trial*m+j)%len(prep)]
+				pc := &prep[(trial*m+j)%len(prep)]
 				// Inflate the victim's week proportionally so the extra
 				// energy integrates to perVictim kWh.
 				weekKWh := pc.normal.Energy()
@@ -367,7 +151,11 @@ func SpreadSweep(opts Options, totalKWh float64, victimCounts []int) ([]SpreadPo
 				}
 				scale := 1 + perVictim/weekKWh
 				reported := pc.normal.Scale(scale)
-				v, err := pc.det.Detect(reported)
+				det, err := pc.suite.KLD(0.05)
+				if err != nil {
+					return nil, err
+				}
+				v, err := det.Detect(reported)
 				if err != nil {
 					return nil, err
 				}

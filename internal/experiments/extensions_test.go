@@ -237,3 +237,54 @@ func TestSpreadSweep(t *testing.T) {
 		t.Error("too many victims should error")
 	}
 }
+
+// TestProtocolIsTableIIProtocol: every Class-1B experiment runs on the
+// evaluation's training pass and attack draw, so each one's row for a
+// Table II detector is that detector's 1B cell of the evaluation, exactly.
+func TestProtocolIsTableIIProtocol(t *testing.T) {
+	opts := QuickOptions()
+	ev, err := RunEvaluation(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kld, err := ev.Cell(DetKLD5, Scen1B)
+	if err != nil {
+		t.Fatal(err)
+	}
+	integ, err := ev.Cell(DetIntegrated, Scen1B)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := BaselineComparison(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bins, err := BinSweep(opts, []int{10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	div, err := DivergenceSweep(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byName := map[string]float64{}
+	for _, p := range base {
+		byName[p.Detector] = p.SuccessRate
+	}
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"baselines kld-5%", byName["kld-5%"], kld.DetectionRate()},
+		{"ablate-bins B=10", bins[0].SuccessRate, kld.DetectionRate()},
+		{"ablate-divergence " + div[0].Kind.String(), div[0].SuccessRate, kld.DetectionRate()},
+		{"baselines integrated-arima", byName["integrated-arima"], integ.DetectionRate()},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s success = %g, Table II 1B cell = %g", c.name, c.got, c.want)
+		}
+	}
+	if div[0].Kind != detect.KullbackLeibler {
+		t.Errorf("first divergence row is %s, want %s", div[0].Kind, detect.KullbackLeibler)
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"repro/internal/attack"
-	"repro/internal/dataset"
 	"repro/internal/detect"
 	"repro/internal/pricing"
 	"repro/internal/stats"
@@ -31,49 +30,26 @@ type Fig3Data struct {
 // GenerateFig3 reproduces the Fig. 3 injections for one consumer of the
 // dataset (the paper illustrates Consumer 1330).
 func GenerateFig3(opts Options, consumerID int) (*Fig3Data, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	ds, err := dataset.Generate(opts.Dataset)
+	s, err := prepareConsumer(opts, consumerID)
 	if err != nil {
 		return nil, err
 	}
-	c, err := ds.ByID(consumerID)
-	if err != nil {
-		return nil, err
-	}
-	train, test, err := c.Demand.Split(opts.TrainWeeks)
-	if err != nil {
-		return nil, err
-	}
-	normalWeek := test.MustWeek(0)
-	attackStart := timeseries.Slot(len(train))
-
-	integ, err := detect.NewIntegratedARIMADetector(train, detect.IntegratedARIMAConfig{})
-	if err != nil {
-		return nil, err
-	}
-	rng := stats.SplitRand(opts.Seed, int64(consumerID))
-	vec1B, err := worstIntegrated(integ, attack.Up, opts, rng, func(vec timeseries.Series) (float64, error) {
-		return pricingNeighbourLoss(opts, normalWeek, vec, attackStart)
+	start := timeseries.Slot(len(s.train))
+	normalBill := pricing.Bill(opts.Scheme, s.normal, start)
+	vec2A, err := worstIntegrated(s.suite.Integrated(), attack.Down, opts, s.rng, func(vec timeseries.Series) (float64, error) {
+		return normalBill - pricing.Bill(opts.Scheme, vec, start), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	vec2A, err := worstIntegrated(integ, attack.Down, opts, rng, func(vec timeseries.Series) (float64, error) {
-		return pricingProfit(opts, normalWeek, vec, attackStart)
-	})
-	if err != nil {
-		return nil, err
-	}
-	swap, err := attack.OptimalSwap(normalWeek, opts.Scheme)
+	swap, err := attack.OptimalSwap(s.normal, opts.Scheme)
 	if err != nil {
 		return nil, err
 	}
 	return &Fig3Data{
 		ConsumerID: consumerID,
-		Actual:     normalWeek.Clone(),
-		Attack1B:   vec1B,
+		Actual:     s.normal.Clone(),
+		Attack1B:   s.vec1B,
 		Attack2A:   vec2A,
 		Attack3A:   swap,
 	}, nil
@@ -119,43 +95,18 @@ type Fig4Data struct {
 
 // GenerateFig4 reproduces Fig. 4 for one consumer.
 func GenerateFig4(opts Options, consumerID int, bins int) (*Fig4Data, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
 	if bins <= 0 {
 		bins = 10
 	}
-	ds, err := dataset.Generate(opts.Dataset)
+	s, err := prepareConsumer(opts, consumerID)
 	if err != nil {
 		return nil, err
 	}
-	c, err := ds.ByID(consumerID)
+	kld, err := detect.NewKLDDetector(s.train, detect.KLDConfig{Bins: bins, Significance: 0.05})
 	if err != nil {
 		return nil, err
 	}
-	train, test, err := c.Demand.Split(opts.TrainWeeks)
-	if err != nil {
-		return nil, err
-	}
-	normalWeek := test.MustWeek(0)
-	attackStart := timeseries.Slot(len(train))
-
-	kld, err := detect.NewKLDDetector(train, detect.KLDConfig{Bins: bins, Significance: 0.05})
-	if err != nil {
-		return nil, err
-	}
-	integ, err := detect.NewIntegratedARIMADetector(train, detect.IntegratedARIMAConfig{})
-	if err != nil {
-		return nil, err
-	}
-	rng := stats.SplitRand(opts.Seed, int64(consumerID))
-	vec1B, err := worstIntegrated(integ, attack.Up, opts, rng, func(vec timeseries.Series) (float64, error) {
-		return pricingNeighbourLoss(opts, normalWeek, vec, attackStart)
-	})
-	if err != nil {
-		return nil, err
-	}
-	attackKLD, err := kld.Divergence(vec1B)
+	attackKLD, err := kld.Divergence(s.vec1B)
 	if err != nil {
 		return nil, err
 	}
@@ -164,8 +115,8 @@ func GenerateFig4(opts Options, consumerID int, bins int) (*Fig4Data, error) {
 		ConsumerID:         consumerID,
 		BinEdges:           kld.BinEdges(),
 		XDistribution:      kld.XDistribution(),
-		XiDistribution:     kld.WeekDistribution(train.MustWeek(0)),
-		AttackDistribution: kld.WeekDistribution(vec1B),
+		XiDistribution:     kld.WeekDistribution(s.train.MustWeek(0)),
+		AttackDistribution: kld.WeekDistribution(s.vec1B),
 		AttackKLD:          attackKLD,
 		TrainKLDs:          trainK,
 		Pct90:              stats.Percentile(trainK, 90),
@@ -199,14 +150,4 @@ func (f *Fig4Data) WriteCSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// pricingProfit and pricingNeighbourLoss adapt the pricing helpers to the
-// experiment options.
-func pricingProfit(opts Options, actual, reported timeseries.Series, start timeseries.Slot) (float64, error) {
-	return pricing.Profit(opts.Scheme, actual, reported, start)
-}
-
-func pricingNeighbourLoss(opts Options, actual, reported timeseries.Series, start timeseries.Slot) (float64, error) {
-	return pricing.NeighbourLoss(opts.Scheme, actual, reported, start)
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/dataset"
 	"repro/internal/detect"
 )
 
@@ -26,84 +25,44 @@ type FPPoint struct {
 // over α quantifies how much the unlabeled anomalies in the training data
 // (vacations, parties — Section VIII-A) inflate the realized rate.
 func FalsePositiveProfile(opts Options) ([]FPPoint, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	ds, err := dataset.Generate(opts.Dataset)
+	subs, err := preparePopulation(opts, false)
 	if err != nil {
 		return nil, err
 	}
-	consumers := ds.Consumers
-	if opts.MaxConsumers > 0 && opts.MaxConsumers < len(consumers) {
-		consumers = consumers[:opts.MaxConsumers]
+	points := []FPPoint{
+		{Detector: "integrated-arima"},
+		{Detector: "kld-5%", Significance: 0.05},
+		{Detector: "kld-10%", Significance: 0.10},
 	}
-
-	type counter struct {
-		flagged, total int
-		significance   float64
-	}
-	counts := map[string]*counter{}
-	order := []string{}
-	record := func(name string, sig float64, anomalous bool) {
-		c, ok := counts[name]
-		if !ok {
-			c = &counter{significance: sig}
-			counts[name] = c
-			order = append(order, name)
-		}
-		c.total++
-		if anomalous {
-			c.flagged++
-		}
-	}
-
-	for i := range consumers {
-		c := &consumers[i]
-		train, test, err := c.Demand.Split(opts.TrainWeeks)
+	flagged, weeks := make([]int, len(points)), 0
+	for i := range subs {
+		s := &subs[i]
+		kld5, err := s.suite.KLD(0.05)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: consumer %d: %w", c.ID, err)
+			return nil, fmt.Errorf("experiments: consumer %d: %w", s.id, err)
 		}
-		integ, err := detect.NewIntegratedARIMADetector(train, detect.IntegratedARIMAConfig{})
+		kld10, err := s.suite.KLD(0.10)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: consumer %d: %w", c.ID, err)
+			return nil, fmt.Errorf("experiments: consumer %d: %w", s.id, err)
 		}
-		kld5, err := detect.NewKLDDetector(train, detect.KLDConfig{Significance: 0.05})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: consumer %d: %w", c.ID, err)
-		}
-		kld10, err := detect.NewKLDDetector(train, detect.KLDConfig{Significance: 0.10})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: consumer %d: %w", c.ID, err)
-		}
-		for w := 0; w < test.Weeks(); w++ {
-			week := test.MustWeek(w)
-			vi, err := integ.Detect(week)
-			if err != nil {
-				return nil, err
+		dets := []detect.Detector{s.suite.Integrated(), kld5, kld10}
+		for w := 0; w < s.test.Weeks(); w++ {
+			week := s.test.MustWeek(w)
+			for j, d := range dets {
+				v, err := d.Detect(week)
+				if err != nil {
+					return nil, err
+				}
+				if v.Anomalous {
+					flagged[j]++
+				}
 			}
-			record("integrated-arima", 0, vi.Anomalous)
-			v5, err := kld5.Detect(week)
-			if err != nil {
-				return nil, err
-			}
-			record("kld-5%", 0.05, v5.Anomalous)
-			v10, err := kld10.Detect(week)
-			if err != nil {
-				return nil, err
-			}
-			record("kld-10%", 0.10, v10.Anomalous)
 		}
+		weeks += s.test.Weeks()
 	}
-
-	points := make([]FPPoint, 0, len(order))
-	for _, name := range order {
-		c := counts[name]
-		points = append(points, FPPoint{
-			Detector:      name,
-			Significance:  c.significance,
-			FPRate:        float64(c.flagged) / float64(c.total),
-			ConsumerWeeks: c.total,
-		})
+	for j := range points {
+		points[j].FPRate = float64(flagged[j]) / float64(weeks)
+		points[j].ConsumerWeeks = weeks
 	}
 	return points, nil
 }

@@ -9,17 +9,23 @@
 //     gains in one week against each detector;
 //   - Fig. 3   — attack-vector illustrations for one consumer;
 //   - Fig. 4   — the X/X_i/attack distributions and the KLD distribution
-//     with its percentile thresholds; and
-//   - the Section VIII-B3 dataset validation (peak-heavy fraction), plus
-//     ablation sweeps (bin count, training length) the paper defers to
-//     future work.
+//     with its percentile thresholds;
+//   - the Section VIII-B3 dataset validation (peak-heavy fraction);
+//   - the fault sweep: Metric 1 against the fraction of readings lost; and
+//   - extensions the paper defers or omits: the bin-count, training-length,
+//     divergence and bin-placement ablations, the PCA baseline of ref [3],
+//     streaming time-to-detection, the false-positive calibration and
+//     multi-victim spreading.
 //
 // The experiment protocol follows Section VIII: per consumer, detectors
 // are trained on the training split; the Integrated ARIMA attack is drawn
 // `Trials` times and the maximum-profit vector kept; a detector *fails* for
 // a consumer when it misses the attack week or flags the consumer's normal
 // test week (the false-positive penalty of Section VIII-E); and a failed
-// detector concedes the attacker's full gain for that consumer.
+// detector concedes the attacker's full gain for that consumer. Every
+// experiment trains through the evaluation's one population-training pass,
+// and those outside the tables judge the evaluation's own Class-1B draw
+// (protocol.go).
 package experiments
 
 import (

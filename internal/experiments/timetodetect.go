@@ -5,9 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/attack"
-	"repro/internal/dataset"
-	"repro/internal/detect"
 	"repro/internal/stats"
 	"repro/internal/timeseries"
 )
@@ -43,56 +40,31 @@ type TTDSummary struct {
 // week-long upper bound corresponds to 336 slots; the point of the
 // construction is that detection typically happens much sooner.
 func TimeToDetection(opts Options) (*TTDSummary, error) {
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	ds, err := dataset.Generate(opts.Dataset)
+	subs, err := preparePopulation(opts, true)
 	if err != nil {
 		return nil, err
 	}
-	consumers := ds.Consumers
-	if opts.MaxConsumers > 0 && opts.MaxConsumers < len(consumers) {
-		consumers = consumers[:opts.MaxConsumers]
-	}
-
 	summary := &TTDSummary{}
 	var latencies []float64
-	for i := range consumers {
-		c := &consumers[i]
-		train, test, err := c.Demand.Split(opts.TrainWeeks)
+	for i := range subs {
+		s := &subs[i]
+		kld, err := s.suite.KLD(0.05)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: consumer %d: %w", c.ID, err)
+			return nil, fmt.Errorf("experiments: consumer %d: %w", s.id, err)
 		}
-		normal := test.MustWeek(0)
-		integ, err := detect.NewIntegratedARIMADetector(train, detect.IntegratedARIMAConfig{})
+		stream, err := kld.NewCompactStream(s.train.MustWeek(s.train.Weeks() - 1))
 		if err != nil {
-			return nil, fmt.Errorf("experiments: consumer %d: %w", c.ID, err)
+			return nil, fmt.Errorf("experiments: consumer %d: %w", s.id, err)
 		}
-		kld, err := detect.NewKLDDetector(train, detect.KLDConfig{Significance: 0.05})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: consumer %d: %w", c.ID, err)
-		}
-		rng := stats.SplitRand(opts.Seed, int64(c.ID))
-		vec, err := worstIntegrated(integ, attack.Up, opts, rng, func(v timeseries.Series) (float64, error) {
-			return pricingNeighbourLoss(opts, normal, v, timeseries.Slot(len(train)))
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: consumer %d: %w", c.ID, err)
-		}
-
-		stream, err := kld.NewCompactStream(train.MustWeek(train.Weeks() - 1))
-		if err != nil {
-			return nil, fmt.Errorf("experiments: consumer %d: %w", c.ID, err)
-		}
-		out := TTDOutcome{ConsumerID: c.ID}
-		for s, v := range vec {
+		out := TTDOutcome{ConsumerID: s.id}
+		for slot, v := range s.vec1B {
 			verdict, err := stream.Observe(v)
 			if err != nil {
-				return nil, fmt.Errorf("experiments: consumer %d slot %d: %w", c.ID, s, err)
+				return nil, fmt.Errorf("experiments: consumer %d slot %d: %w", s.id, slot, err)
 			}
 			if verdict.Anomalous {
 				out.Detected = true
-				out.SlotsToDetection = s + 1
+				out.SlotsToDetection = slot + 1
 				break
 			}
 		}
