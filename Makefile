@@ -1,9 +1,16 @@
 GO ?= go
 
-.PHONY: build test vet fmt-check lint lint-suppressions race race-hot bench-quick bench-population collect-smoke chaos-smoke serve-smoke fuzz faults-smoke results-check verify
+.PHONY: build cross-build test vet fmt-check lint lint-suppressions race race-hot bench-quick bench-population collect-smoke chaos-smoke serve-smoke fuzz faults-smoke results-check verify
 
 build:
 	$(GO) build ./...
+
+# cross-build: compile the tree for a platform without syscall.Mmap
+# (windows, whose shard arenas take their chunks from the heap) and for
+# another mmap platform (darwin), so neither chunk source rots.
+cross-build:
+	GOOS=windows $(GO) build ./...
+	GOOS=darwin $(GO) build ./...
 
 test:
 	$(GO) test ./...
@@ -121,10 +128,10 @@ results-check:
 		cmp "$$tmp/$$f" "results/$$f" || exit 1; \
 	done; echo "results-check: fig3, fig4 and report_full match results/"
 
-# verify: the gate for every PR — build, vet, gofmt drift, the domain
+# verify: the gate for every PR — build, the cross-builds, vet, gofmt drift, the domain
 # linter, the targeted race pass over the obs/ami/experiments concurrency
 # surfaces plus the full-tree race detector, the quick benchmarks, the
 # population-training smoke, the race-enabled ingestion-tier,
 # kill-and-recover, and streaming-service smokes, the fuzz passes, the
 # fault-injection smoke run, and the committed-artifact check.
-verify: build vet fmt-check lint race-hot race bench-quick bench-population collect-smoke chaos-smoke serve-smoke fuzz faults-smoke results-check
+verify: build cross-build vet fmt-check lint race-hot race bench-quick bench-population collect-smoke chaos-smoke serve-smoke fuzz faults-smoke results-check

@@ -1,6 +1,9 @@
 package ami
 
 import (
+	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
 	"errors"
 	"testing"
 	"time"
@@ -9,24 +12,50 @@ import (
 	"repro/internal/timeseries"
 )
 
+// TestMACMatchesCryptoHMAC holds the reusable MAC state to crypto/hmac
+// byte for byte, over keys shorter than, equal to and longer than the
+// SHA-256 block (a long key is hashed first) and payloads of every length
+// class, with one state reused across all of them.
+func TestMACMatchesCryptoHMAC(t *testing.T) {
+	var m macState
+	for _, keyLen := range []int{0, 1, 9, 32, 63, 64, 65, 100, 200} {
+		key := make([]byte, keyLen)
+		for i := range key {
+			key[i] = byte(7*i + keyLen)
+		}
+		for _, n := range []int{0, 1, 55, 56, 64, 119, 782, 4096} {
+			payload := make([]byte, n)
+			for i := range payload {
+				payload[i] = byte(i*31 + n)
+			}
+			ref := hmac.New(sha256.New, key)
+			ref.Write(payload)
+			want := ref.Sum([]byte("prefix"))
+			if got := m.appendMAC([]byte("prefix"), key, payload); !bytes.Equal(got, want) {
+				t.Fatalf("key %d bytes, payload %d bytes: tag %x, want %x", keyLen, n, got, want)
+			}
+		}
+	}
+}
+
 func TestKeyringVerifyPayload(t *testing.T) {
 	key := []byte("k1")
 	kr := NewKeyring(map[string][]byte{"m1": key})
 	signed := AppendBatchFrame(nil, "m1", []BatchReading{{Slot: 1, KW: 2}}, key)[frameHeader:]
 	payload, tag := signed[:len(signed)-macSize], signed[len(signed)-macSize:]
-	if err := kr.verifyPayload("m1", 1, payload, tag); err != nil {
+	if err := kr.verifyPayload(new(macState), "m1", 1, payload, tag); err != nil {
 		t.Errorf("valid tag rejected: %v", err)
 	}
 	// Missing tag.
 	var authErr *AuthError
-	if err := kr.verifyPayload("m1", 1, payload, nil); !errors.As(err, &authErr) {
+	if err := kr.verifyPayload(new(macState), "m1", 1, payload, nil); !errors.As(err, &authErr) {
 		t.Errorf("missing tag should be AuthError, got %v", err)
 	}
 	if authErr.Error() == "" {
 		t.Error("AuthError message empty")
 	}
 	// Unknown meter.
-	if err := kr.verifyPayload("mX", 1, payload, tag); err == nil {
+	if err := kr.verifyPayload(new(macState), "mX", 1, payload, tag); err == nil {
 		t.Error("unknown meter should fail closed")
 	}
 	// Keyring copies keys at construction.

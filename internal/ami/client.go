@@ -19,7 +19,8 @@ type Client struct {
 	maxBatch int    // head-end's advertised per-frame cap
 	rebind   bool   // meterID was bound but not yet sent in a rebind frame
 
-	rs []BatchReading // batch frame assembly scratch
+	rs  []BatchReading // batch frame assembly scratch
+	mac macState       // signing state, reused across frames
 }
 
 // DialBatch connects to the head-end and performs the wire-v3 handshake:
@@ -181,7 +182,7 @@ func (c *Client) sendBatchFrame(rs []meter.Reading) error {
 	if c.rebind {
 		out = AppendRebindFrame(out, c.meterID)
 	}
-	if err := c.codec.writeFrames(AppendBatchFrame(out, c.meterID, c.rs, c.key)); err != nil {
+	if err := c.codec.writeFrames(appendBatchFrame(out, c.meterID, c.rs, c.key, &c.mac)); err != nil {
 		return err
 	}
 	c.rebind = false

@@ -11,3 +11,10 @@ func WithWALSegmentBytes(n int64) Option {
 func WithWALCompactBytes(n int64) Option {
 	return func(h *ShardedHeadEnd) { h.cfg.WALCompactBytes = n }
 }
+
+// WithChunkPages sets the page count of each shard arena's first chunk
+// (0 = defaultChunkPages). Tests shrink it so that a small store spans many
+// chunks, or grow it so that one reading maps a large chunk.
+func WithChunkPages(n int) Option {
+	return func(h *ShardedHeadEnd) { h.chunkPages = n }
+}

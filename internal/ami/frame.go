@@ -1,7 +1,6 @@
 package ami
 
 import (
-	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -93,9 +92,9 @@ func appendPayload(dst []byte, meterID string, rs []BatchReading) []byte {
 // ingest rules — a non-empty meter ID, 1 <= count <= maxCount, every slot
 // non-negative, every kW finite and non-negative, and enough bytes for
 // count readings — and returns the meter ID (aliasing p), the readings
-// (freshly allocated), and the payload length n. Bytes past n are the
-// caller's to judge.
-func decodePayload(p []byte, maxCount int) (meterID []byte, rs []BatchReading, n int, err error) {
+// (decoded into dst's storage, which grows only when it is too small), and
+// the payload length n. Bytes past n are the caller's to judge.
+func decodePayload(p []byte, maxCount int, dst []BatchReading) (meterID []byte, rs []BatchReading, n int, err error) {
 	if len(p) < payloadFixed {
 		return nil, nil, 0, fmt.Errorf("ami: batch payload of %d bytes is truncated", len(p))
 	}
@@ -117,7 +116,7 @@ func decodePayload(p []byte, maxCount int) (meterID []byte, rs []BatchReading, n
 	if n > len(p) {
 		return nil, nil, 0, fmt.Errorf("ami: batch of %d readings needs %d bytes, payload has %d", count, n, len(p))
 	}
-	rs = make([]BatchReading, count)
+	rs = slices.Grow(dst[:0], count)[:count]
 	off := payloadFixed + idLen
 	for i := range rs {
 		slot := int64(binary.LittleEndian.Uint64(p[off:]))
@@ -134,22 +133,20 @@ func decodePayload(p []byte, maxCount int) (meterID []byte, rs []BatchReading, n
 	return p[2 : 2+idLen], rs, n, nil
 }
 
-// payloadMAC appends the raw HMAC-SHA256 tag of payload under key to dst.
-func payloadMAC(dst, key, payload []byte) []byte {
-	mac := hmac.New(sha256.New, key)
-	mac.Write(payload)
-	return mac.Sum(dst)
-}
-
 // AppendBatchFrame appends one complete wire-v3 batch frame to dst: the
 // frame header, the payload for meterID's readings, and — when key is
 // non-empty — the HMAC-SHA256 tag over the payload. The meter ID must be
 // at most 65535 bytes; readings are sent as given (the head-end validates).
 func AppendBatchFrame(dst []byte, meterID string, rs []BatchReading, key []byte) []byte {
+	return appendBatchFrame(dst, meterID, rs, key, new(macState))
+}
+
+// appendBatchFrame is AppendBatchFrame signing with the caller's MAC state.
+func appendBatchFrame(dst []byte, meterID string, rs []BatchReading, key []byte, mac *macState) []byte {
 	dst, start := beginFrame(dst, frameBatch)
 	dst = appendPayload(dst, meterID, rs)
 	if len(key) > 0 {
-		dst = payloadMAC(dst, key, dst[start+frameHeader:])
+		dst = mac.appendMAC(dst, key, dst[start+frameHeader:])
 	}
 	return finishFrame(dst, start)
 }

@@ -162,7 +162,7 @@ func checkFrameCodec(t *testing.T, input string) {
 	}
 	switch kind {
 	case frameBatch:
-		id, rs, n, err := decodePayload(body, DefaultMaxBatch)
+		id, rs, n, err := decodePayload(body, DefaultMaxBatch, nil)
 		if err != nil {
 			return
 		}
@@ -171,11 +171,11 @@ func checkFrameCodec(t *testing.T, input string) {
 			t.Fatalf("accepted payload is not canonical:\n got %x\nwant %x", again, payload)
 		}
 		rec := appendWALRecord(nil, payload)
-		walID, walRS, next, err := decodeWALRecord(rec, 0)
+		walID, walRS, next, err := decodeWALRecord(rec, 0, nil)
 		if err != nil {
 			t.Fatalf("payload the codec accepts fails WAL replay: %v", err)
 		}
-		if walID != string(id) || next != len(rec) || len(walRS) != len(rs) {
+		if string(walID) != string(id) || next != len(rec) || len(walRS) != len(rs) {
 			t.Fatalf("WAL replay = %q/%d readings/%d bytes, wire = %q/%d readings/%d bytes",
 				walID, len(walRS), next, id, len(rs), len(rec))
 		}

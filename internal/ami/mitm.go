@@ -246,7 +246,7 @@ func (m *MITM) handle(down net.Conn) {
 // stays the frame's own. A body the decoder refuses is forwarded untouched
 // for the head-end to reject.
 func (m *MITM) rewriteBatch(body []byte, maxBatch int) []byte {
-	id, rs, n, err := decodePayload(body, maxBatch)
+	id, rs, n, err := decodePayload(body, maxBatch, nil)
 	if err != nil {
 		return body
 	}

@@ -3,10 +3,13 @@ package ami
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/stats"
 	"repro/internal/timeseries"
@@ -115,13 +118,15 @@ func checkStoreMatchesOracle(t *testing.T, label string, head *ShardedHeadEnd, w
 // TestPagedStoreMatchesOracle drives the paged shard store and a
 // map-per-slot reference with the same random batches — repeats, slots out
 // of order, far-sparse slots, one meter with a shuffled dense prefix and one
-// longer than a snapshot record — and
-// requires Count, Reading, Series and Meters to agree, before and after a
-// WAL compaction and reopen.
+// longer than a snapshot record — and requires Count, Reading, Series and
+// Meters to agree: live, after Close, and after a WAL compaction and
+// reopen. Each arena's first chunk holds one page, so pages land in chunks
+// of 1, 2, 4, … pages and the store spans about nine chunk boundaries per
+// shard.
 func TestPagedStoreMatchesOracle(t *testing.T) {
 	dir := t.TempDir()
 	head := NewSharded(2, WithWAL(dir), WithWALSync(WALSyncOff),
-		WithWALSegmentBytes(4096), WithWALCompactBytes(8192))
+		WithWALSegmentBytes(4096), WithWALCompactBytes(8192), WithChunkPages(1))
 	if err := head.WALError(); err != nil {
 		t.Fatal(err)
 	}
@@ -160,9 +165,16 @@ func TestPagedStoreMatchesOracle(t *testing.T) {
 	}
 	head.Flush()
 	checkStoreMatchesOracle(t, "live", head, want)
+	for _, sh := range head.shards {
+		if len(sh.pages.chunks) < 5 {
+			t.Fatalf("a shard used %d arena chunks: too few chunk boundaries crossed", len(sh.pages.chunks))
+		}
+	}
 	if err := head.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// Close unmaps nothing: reads stay exact after it.
+	checkStoreMatchesOracle(t, "closed", head, want)
 
 	snaps, err := filepath.Glob(filepath.Join(dir, "shard-*", "*.snap"))
 	if err != nil {
@@ -171,7 +183,7 @@ func TestPagedStoreMatchesOracle(t *testing.T) {
 	if len(snaps) == 0 {
 		t.Fatal("no shard compacted: the snapshot path went untested")
 	}
-	reopened := NewSharded(2, WithWAL(dir))
+	reopened := NewSharded(2, WithWAL(dir), WithChunkPages(1))
 	if err := reopened.WALError(); err != nil {
 		t.Fatal(err)
 	}
@@ -181,9 +193,12 @@ func TestPagedStoreMatchesOracle(t *testing.T) {
 
 // BenchmarkShardStoreApply48 measures a session's shard-store apply for
 // one 48-reading day frame: lock, page lookup, 48 writes, unlock. A fleet
-// of 1000 meters fills two weeks each, then starts on a fresh store, so the
+// of 1000 meters fills two weeks each, then starts on a fresh shard (the
+// old one's arena is unmapped by the collection that follows), so the
 // benchmark's memory stays bounded (about 6 MB) and most frames open a new
-// page, as a live day frame does.
+// page, as a live day frame does. Pages come from the arena, so the only
+// heap allocations are each meter's index and its growth, about four per
+// meter-fortnight: 0 allocs/op.
 func BenchmarkShardStoreApply48(b *testing.B) {
 	const meters, days = 1000, 14
 	ids := make([]string, meters)
@@ -197,13 +212,17 @@ func BenchmarkShardStoreApply48(b *testing.B) {
 			frames[d][j] = BatchReading{Slot: int64(d*pageSlots + j), KW: float64(j) / 4}
 		}
 	}
-	s := &ingestShard{readings: make(map[string]*meterPages)}
+	fresh := func() *ingestShard {
+		return &ingestShard{readings: make(map[string]*meterPages), pages: newPageArena(0)}
+	}
+	s := fresh()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		k := i % (meters * days)
 		if k == 0 && i > 0 {
 			b.StopTimer()
-			s.readings = make(map[string]*meterPages)
+			s = fresh()
+			runtime.GC()
 			b.StartTimer()
 		}
 		s.mu.Lock()
@@ -211,4 +230,78 @@ func BenchmarkShardStoreApply48(b *testing.B) {
 		s.mu.Unlock()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pageSlots), "ns/reading")
+}
+
+// mappedBytes sums the sizes of this process's memory mappings.
+func mappedBytes(t *testing.T) int64 {
+	t.Helper()
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total uint64
+	for _, line := range strings.Split(strings.TrimSpace(string(maps)), "\n") {
+		var lo, hi uint64
+		if _, err := fmt.Sscanf(line, "%x-%x", &lo, &hi); err != nil {
+			t.Fatalf("parsing %q: %v", line, err)
+		}
+		total += hi - lo
+	}
+	return int64(total)
+}
+
+// TestDroppedHeadEndsUnmapTheirArenas creates and drops head-ends whose
+// stores each hold readings in two 6.4 MB first chunks (mapped only on the
+// first reading, and barely touched), and requires the process's mappings
+// to stay bounded once the collector has run: about 500 MB of chunks if
+// nothing were released.
+func TestDroppedHeadEndsUnmapTheirArenas(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("reads /proc/self/maps")
+	}
+	const rounds, chunkPages = 40, 1 << 14
+	fill := func() {
+		head := NewSharded(2, WithChunkPages(chunkPages))
+		for _, sh := range head.shards {
+			if len(sh.pages.chunks) != 0 {
+				t.Fatal("NewSharded mapped a chunk before the first reading")
+			}
+		}
+		for m := 0; m < 8; m++ {
+			id := fmt.Sprintf("m%d", m)
+			rs := []BatchReading{{Slot: int64(m), KW: 1}}
+			if err := head.store(id, rs, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, sh := range head.shards {
+			if len(sh.pages.chunks) != 1 {
+				t.Fatalf("a shard holds %d chunks, want 1", len(sh.pages.chunks))
+			}
+		}
+		if err := head.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	settle := func(limit int64) int64 {
+		got := mappedBytes(t)
+		for deadline := time.Now().Add(5 * time.Second); got > limit && time.Now().Before(deadline); {
+			runtime.GC() // queues the dropped chunks' finalizers
+			time.Sleep(10 * time.Millisecond)
+			got = mappedBytes(t)
+		}
+		return got
+	}
+	base := mappedBytes(t)
+	for i := 0; i < rounds; i++ {
+		fill()
+		if i%8 == 7 {
+			runtime.GC()
+		}
+	}
+	const bound = 128 << 20
+	if got := settle(base + bound); got > base+bound {
+		t.Fatalf("mappings grew by %d MB over %d dropped head-ends, bound %d MB",
+			(got-base)>>20, rounds, bound>>20)
+	}
 }

@@ -20,11 +20,15 @@ func (sh *ShardedHeadEnd) shuttingDown() bool {
 	}
 }
 
-// session is one meter connection's protocol state.
+// session is one meter connection's protocol state, with the scratch its
+// accepted-frame path reuses: decoded readings (borrowed by the store and
+// the sink for the call only) and the MAC state.
 type session struct {
 	head    *ShardedHeadEnd
 	codec   *Codec
 	meterID string
+	rs      []BatchReading
+	mac     macState
 }
 
 // serve runs one meter connection until EOF, protocol error, idle timeout,
@@ -163,16 +167,17 @@ func (s *session) frameStep() bool {
 		if len(body) == 0 || len(body) > maxMeterIDLen {
 			return s.reject(sh.met.rejected, CodeProtocol, fmt.Sprintf("rebind meter ID of %d bytes", len(body)))
 		}
-		s.meterID = string(body)
+		s.meterID = sh.internID(body)
 		return true
 
 	case frameBatch:
 		start := time.Now()
-		id, rs, n, err := decodePayload(body, sh.cfg.MaxBatch)
+		id, rs, n, err := decodePayload(body, sh.cfg.MaxBatch, s.rs)
 		if err != nil {
 			sh.met.codecErrors.Inc()
 			return s.reject(sh.met.rejected, CodeProtocol, err.Error())
 		}
+		s.rs = rs
 		payload, tag := body[:n], body[n:]
 		if len(tag) != 0 && len(tag) != macSize {
 			sh.met.codecErrors.Inc()
@@ -184,7 +189,7 @@ func (s *session) frameStep() bool {
 				fmt.Sprintf("%v: batch claims %q, session is %q", ErrSessionMismatch, id, s.meterID))
 		}
 		if sh.keyring != nil {
-			if err := sh.keyring.verifyPayload(s.meterID, rs[0].Slot, payload, tag); err != nil {
+			if err := sh.keyring.verifyPayload(&s.mac, s.meterID, rs[0].Slot, payload, tag); err != nil {
 				sh.log.Warn("batch failed MAC verification", "meter", s.meterID)
 				return s.reject(sh.met.authFailed, CodeAuth, err.Error())
 			}

@@ -18,12 +18,13 @@ import (
 )
 
 // ingestShard owns one partition of the readings store: a private map of
-// each meter's day pages behind a private mutex. Meter IDs are
-// hash-partitioned across shards, so two sessions for meters on different
-// shards never contend on a lock or a map.
+// each meter's day-page index and a private arena holding the pages, behind
+// a private mutex. Meter IDs are hash-partitioned across shards, so two
+// sessions for meters on different shards never contend on a lock or a map.
 type ingestShard struct {
 	mu       sync.Mutex
 	readings map[string]*meterPages
+	pages    pageArena
 
 	stored *obs.Counter // fdeta_ami_shard_readings_total{shard=i}
 
@@ -46,10 +47,10 @@ func (s *ingestShard) apply(meterID string, rs []BatchReading) {
 func (s *ingestShard) put(meterID string, rs []BatchReading) {
 	m := s.readings[meterID]
 	if m == nil {
-		m = &meterPages{pages: make(map[int64]*dayPage)}
+		m = &meterPages{id: meterID, pages: make(map[int64]uint32)}
 		s.readings[meterID] = m
 	}
-	m.put(rs)
+	m.put(&s.pages, rs)
 }
 
 // snapshot streams the shard store through write in WAL-record-sized
@@ -61,7 +62,7 @@ func (s *ingestShard) snapshot(write func(meterID string, rs []BatchReading) err
 	defer s.mu.Unlock()
 	var buf []BatchReading
 	for meterID, m := range s.readings {
-		buf = m.appendAll(buf[:0])
+		buf = m.appendAll(&s.pages, buf[:0])
 		for rs := buf; len(rs) > 0; {
 			n := min(len(rs), walSnapshotChunk)
 			//lint:ignore lockhold snapshot must stream under the shard lock for a consistent view; write is the compactor's own file appender, not an arbitrary caller hook
@@ -123,7 +124,7 @@ func (g *callGate) wait() {
 }
 
 // shardIndex hash-partitions a meter ID over n shards (FNV-1a).
-func shardIndex(meterID string, n int) int {
+func shardIndex[ID string | []byte](meterID ID, n int) int {
 	h := uint64(1469598103934665603)
 	for i := 0; i < len(meterID); i++ {
 		h ^= uint64(meterID[i])
@@ -161,6 +162,8 @@ type ShardedHeadEnd struct {
 	log     *slog.Logger
 	keyring *Keyring    // per-reading MAC verification (WithKeyring); nil = off
 	sink    ReadingSink // accepted-reading tap (WithSink); nil = disabled
+
+	chunkPages int // pages in each shard arena's first chunk (0 = defaultChunkPages)
 
 	// calls holds the frames between the start of their store and the end
 	// of their sink call, for Flush.
@@ -208,6 +211,7 @@ func NewSharded(shards int, opts ...Option) *ShardedHeadEnd {
 		label := obs.L("shard", strconv.Itoa(i))
 		s := &ingestShard{
 			readings: make(map[string]*meterPages),
+			pages:    newPageArena(sh.chunkPages),
 			stored: reg.Counter(metricShardStored,
 				"readings written to this shard's store", label),
 		}
@@ -340,6 +344,20 @@ func (sh *ShardedHeadEnd) shardFor(meterID string) *ingestShard {
 	return sh.shards[shardIndex(meterID, len(sh.shards))]
 }
 
+// internID returns a rebound meter ID as a string. A meter the store already
+// holds reuses the store's copy, so a session rebinding to it allocates
+// nothing.
+func (sh *ShardedHeadEnd) internID(b []byte) string {
+	s := sh.shards[shardIndex(b, len(sh.shards))]
+	s.mu.Lock()
+	m := s.readings[string(b)]
+	s.mu.Unlock()
+	if m != nil {
+		return m.id
+	}
+	return string(b)
+}
+
 // store makes one accepted frame's readings durable and visible. With a
 // WAL, the frame's verified payload (borrowed for the call) is appended to
 // the shard's log as is, and the readings are applied to the shard's store
@@ -352,7 +370,7 @@ func (sh *ShardedHeadEnd) store(meterID string, rs []BatchReading, payload []byt
 	if s.wal == nil {
 		s.apply(meterID, rs)
 	} else {
-		cover, compact, err := s.wal.Append(payload, s, meterID, rs)
+		cover, compact, err := s.wal.Append(payload, s, meterID)
 		if err != nil {
 			return err
 		}
@@ -582,7 +600,7 @@ func (sh *ShardedHeadEnd) Reading(meterID string, slot timeseries.Slot) (float64
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if m := s.readings[meterID]; m != nil {
-		return m.get(int64(slot))
+		return m.get(&s.pages, int64(slot))
 	}
 	return 0, false
 }
@@ -599,7 +617,7 @@ func (sh *ShardedHeadEnd) Series(meterID string, n int) (timeseries.Series, erro
 		return nil, fmt.Errorf("ami: no readings for meter %q", meterID)
 	}
 	out := make(timeseries.Series, n)
-	if slot, ok := m.dense(out); !ok {
+	if slot, ok := m.dense(&s.pages, out); !ok {
 		return nil, fmt.Errorf("ami: meter %q missing reading for slot %d", meterID, slot)
 	}
 	return out, nil

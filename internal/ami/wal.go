@@ -140,9 +140,10 @@ type shardWAL struct {
 
 	mu     sync.Mutex
 	f      *os.File
-	seq    uint64 // active segment sequence number
-	size   int64  // bytes in the active segment
-	buf    []byte // record assembly scratch, reused across appends
+	seq    uint64         // active segment sequence number
+	size   int64          // bytes in the active segment
+	buf    []byte         // record assembly scratch, reused across appends
+	rs     []BatchReading // the record's decoded readings, reused likewise
 	closed bool
 
 	sealedBytes atomic.Int64 // bytes across sealed (rotated) segments
@@ -198,41 +199,43 @@ func appendWALRecord(dst, payload []byte) []byte {
 }
 
 // decodeWALRecord reads one record starting at data[off]. It returns the
-// decoded meter ID and readings and the offset just past the record.
+// decoded meter ID (aliasing data), the readings (decoded into dst's
+// storage, see decodePayload) and the offset just past the record.
 // errWALCorrupt (wrapped) marks the end of the valid prefix — a bad CRC or
 // length, or a payload the wire decoder would refuse; io.EOF marks a clean
 // end exactly at len(data).
-func decodeWALRecord(data []byte, off int) (meterID string, rs []BatchReading, next int, err error) {
+func decodeWALRecord(data []byte, off int, dst []BatchReading) (meterID []byte, rs []BatchReading, next int, err error) {
 	if off == len(data) {
-		return "", nil, off, io.EOF
+		return nil, nil, off, io.EOF
 	}
 	if len(data)-off < walRecordHeader {
-		return "", nil, off, fmt.Errorf("%w: truncated header", errWALCorrupt)
+		return nil, nil, off, fmt.Errorf("%w: truncated header", errWALCorrupt)
 	}
 	crc := binary.LittleEndian.Uint32(data[off : off+4])
 	plen := int(binary.LittleEndian.Uint32(data[off+4 : off+8]))
 	if plen < payloadFixed || plen > maxWALRecordBytes {
-		return "", nil, off, fmt.Errorf("%w: payload length %d out of range", errWALCorrupt, plen)
+		return nil, nil, off, fmt.Errorf("%w: payload length %d out of range", errWALCorrupt, plen)
 	}
 	if len(data)-off-walRecordHeader < plen {
-		return "", nil, off, fmt.Errorf("%w: truncated payload", errWALCorrupt)
+		return nil, nil, off, fmt.Errorf("%w: truncated payload", errWALCorrupt)
 	}
 	payload := data[off+walRecordHeader : off+walRecordHeader+plen]
 	if crc32.ChecksumIEEE(payload) != crc {
-		return "", nil, off, fmt.Errorf("%w: checksum mismatch", errWALCorrupt)
+		return nil, nil, off, fmt.Errorf("%w: checksum mismatch", errWALCorrupt)
 	}
-	id, rs, n, err := decodePayload(payload, maxWALRecordBytes/readingBytes)
+	id, rs, n, err := decodePayload(payload, maxWALRecordBytes/readingBytes, dst)
 	if err != nil {
-		return "", nil, off, fmt.Errorf("%w: %w", errWALCorrupt, err)
+		return nil, nil, off, fmt.Errorf("%w: %w", errWALCorrupt, err)
 	}
 	if n != plen {
-		return "", nil, off, fmt.Errorf("%w: payload length %d does not match %d readings", errWALCorrupt, plen, len(rs))
+		return nil, nil, off, fmt.Errorf("%w: payload length %d does not match %d readings", errWALCorrupt, plen, len(rs))
 	}
-	return string(id), rs, off + walRecordHeader + plen, nil
+	return id, rs, off + walRecordHeader + plen, nil
 }
 
-// replayWALFile streams one file's records through apply, returning the
-// number of readings applied and the byte offset of the valid prefix. A
+// replayWALFile streams one file's records through apply, which borrows
+// each record's readings for the call only, returning the number of
+// readings applied and the byte offset of the valid prefix. A
 // corrupt or truncated tail is reported through the bool, never as an
 // error — only I/O failures are errors.
 func replayWALFile(path string, apply func(meterID string, rs []BatchReading)) (readings int64, validLen int64, torn bool, err error) {
@@ -241,15 +244,17 @@ func replayWALFile(path string, apply func(meterID string, rs []BatchReading)) (
 		return 0, 0, false, fmt.Errorf("ami: wal replay %s: %w", path, err)
 	}
 	off := 0
+	var rs []BatchReading
 	for {
-		meterID, rs, next, derr := decodeWALRecord(data, off)
+		meterID, decoded, next, derr := decodeWALRecord(data, off, rs)
 		if derr != nil {
 			if errors.Is(derr, io.EOF) {
 				return readings, int64(off), false, nil
 			}
 			return readings, int64(off), true, nil
 		}
-		apply(meterID, rs)
+		rs = decoded
+		apply(string(meterID), rs)
 		readings += int64(len(rs))
 		off = next
 	}
@@ -360,20 +365,29 @@ func openShardWAL(dir string, cfg walConfig, ins walInstruments, log *slog.Logge
 
 // Append frames one payload as a record (prepending only the CRC and
 // length), writes it to the active segment and — still holding the append
-// lock — applies rs, the payload's readings for meterID, to the shard
-// store s, so the store holds readings in log order (compaction depends on
-// it). Under WALSyncAlways the record is fsynced before the apply. When the
-// append seals a segment past the compaction threshold and no compaction is
-// running, Append claims the compacting flag and returns compact = true
-// with the sequence number the snapshot must cover; the caller runs it
-// (shard.compact) off the lock.
-func (w *shardWAL) Append(payload []byte, s *ingestShard, meterID string, rs []BatchReading) (cover uint64, compact bool, err error) {
+// lock — applies the record's readings, as replay decodes them, to the
+// shard store s under meterID, the payload's meter ID. So the store holds
+// what the log holds, in log order (compaction depends on it). A record
+// that replay would refuse is refused before anything is written or
+// applied: compaction would copy it into a snapshot, and recovery would
+// discard that whole snapshot. Under WALSyncAlways the record is fsynced
+// before the apply. When the append seals a segment past the compaction
+// threshold and no compaction is running, Append claims the compacting
+// flag and returns compact = true with the sequence number the snapshot
+// must cover; the caller runs it (shard.compact) off the lock.
+func (w *shardWAL) Append(payload []byte, s *ingestShard, meterID string) (cover uint64, compact bool, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return 0, false, fmt.Errorf("ami: wal: %w", ErrClosed)
 	}
 	w.buf = appendWALRecord(w.buf[:0], payload)
+	_, rs, _, err := decodeWALRecord(w.buf, 0, w.rs)
+	if err != nil {
+		w.ins.errors.Inc()
+		return 0, false, fmt.Errorf("ami: wal append: %w", err)
+	}
+	w.rs = rs
 	//lint:ignore lockhold append-before-ack is the durability contract: the record must hit the segment under the append lock so log order equals store order
 	if _, err := w.f.Write(w.buf); err != nil {
 		w.ins.errors.Inc()

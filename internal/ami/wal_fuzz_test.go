@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/obs"
@@ -18,7 +19,7 @@ type walRecordSet struct {
 
 func (s *walRecordSet) apply(meterID string, rs []BatchReading) {
 	s.meterIDs = append(s.meterIDs, meterID)
-	s.readings = append(s.readings, rs)
+	s.readings = append(s.readings, slices.Clone(rs)) // rs is borrowed
 }
 
 func (s *walRecordSet) count() int64 {
@@ -78,11 +79,11 @@ func FuzzWALReplay(f *testing.F) {
 		// offsets — replay may never invent or reorder readings.
 		off := 0
 		for i := range got.meterIDs {
-			meterID, rs, next, derr := decodeWALRecord(data, off)
+			meterID, rs, next, derr := decodeWALRecord(data, off, nil)
 			if derr != nil {
 				t.Fatalf("applied record %d does not decode from the input: %v", i, derr)
 			}
-			if meterID != got.meterIDs[i] || len(rs) != len(got.readings[i]) {
+			if string(meterID) != got.meterIDs[i] || len(rs) != len(got.readings[i]) {
 				t.Fatalf("applied record %d (%q, %d readings) differs from framed record (%q, %d readings)",
 					i, got.meterIDs[i], len(got.readings[i]), meterID, len(rs))
 			}

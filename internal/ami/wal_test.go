@@ -68,11 +68,11 @@ func TestWALRecordRoundTrip(t *testing.T) {
 	buf := encodeWALRecord(nil, "meter-007", rs)
 	buf = encodeWALRecord(buf, "m2", rs[2:])
 
-	meterID, got, next, err := decodeWALRecord(buf, 0)
+	meterID, got, next, err := decodeWALRecord(buf, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meterID != "meter-007" || len(got) != len(rs) {
+	if string(meterID) != "meter-007" || len(got) != len(rs) {
 		t.Fatalf("decoded %q/%d readings, want meter-007/%d", meterID, len(got), len(rs))
 	}
 	for i := range rs {
@@ -80,14 +80,14 @@ func TestWALRecordRoundTrip(t *testing.T) {
 			t.Fatalf("reading %d = %+v, want %+v", i, got[i], rs[i])
 		}
 	}
-	meterID, got, next, err = decodeWALRecord(buf, next)
+	meterID, got, next, err = decodeWALRecord(buf, next, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meterID != "m2" || len(got) != 1 || got[0] != rs[2] {
+	if string(meterID) != "m2" || len(got) != 1 || got[0] != rs[2] {
 		t.Fatalf("second record = %q/%+v, want m2/[%+v]", meterID, got, rs[2])
 	}
-	if _, _, _, err := decodeWALRecord(buf, next); !errors.Is(err, io.EOF) {
+	if _, _, _, err := decodeWALRecord(buf, next, nil); !errors.Is(err, io.EOF) {
 		t.Fatalf("end of buffer = %v, want io.EOF", err)
 	}
 
@@ -98,7 +98,7 @@ func TestWALRecordRoundTrip(t *testing.T) {
 		"empty":         nil,
 		"negative slot": {{Slot: -3, KW: 1}},
 	} {
-		if _, _, _, err := decodeWALRecord(encodeWALRecord(nil, "m3", bad), 0); !errors.Is(err, errWALCorrupt) {
+		if _, _, _, err := decodeWALRecord(encodeWALRecord(nil, "m3", bad), 0, nil); !errors.Is(err, errWALCorrupt) {
 			t.Errorf("%s record: err = %v, want errWALCorrupt", name, err)
 		}
 	}
@@ -140,10 +140,10 @@ func TestWALTornTailTruncatedOnReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := &ingestShard{readings: make(map[string]*meterPages)}
+	store := &ingestShard{readings: make(map[string]*meterPages), pages: newPageArena(0)}
 	for i := 0; i < 3; i++ {
 		id, rs := fmt.Sprintf("m%d", i), []BatchReading{{Slot: int64(i), KW: float64(i)}}
-		if _, _, err := w.Append(appendPayload(nil, id, rs), store, id, rs); err != nil {
+		if _, _, err := w.Append(appendPayload(nil, id, rs), store, id); err != nil {
 			t.Fatal(err)
 		}
 		if store.readings[id] == nil {
@@ -476,7 +476,7 @@ func TestCompactionUnderLoadKeepsAckedReadings(t *testing.T) {
 	slot := int64(slots)
 	appendOne := func() (uint64, bool) {
 		rs := []BatchReading{{Slot: slot, KW: float64(slot) / 2}}
-		cover, compact, err := sh.wal.Append(appendPayload(nil, "m0", rs), sh, "m0", rs)
+		cover, compact, err := sh.wal.Append(appendPayload(nil, "m0", rs), sh, "m0")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -658,4 +658,58 @@ func TestShardedWithoutWALUnchanged(t *testing.T) {
 	if got, ok := head.Reading("m1", 3); !ok || got != 2 {
 		t.Fatalf("reading = %g (present=%v), want 2", got, ok)
 	}
+}
+
+// TestWALAppendRefusesWhatReplayRefuses: a record replay would refuse (a
+// negative kW, handed straight to Append) is refused before anything is
+// logged or applied. Without the check, compaction would copy it into a
+// snapshot and recovery would discard that whole snapshot, losing every
+// other reading it held; here every acked reading survives compaction and
+// reopen.
+func TestWALAppendRefusesWhatReplayRefuses(t *testing.T) {
+	dir := t.TempDir()
+	head := NewSharded(1, WithWAL(dir), WithWALSync(WALSyncOff),
+		WithWALSegmentBytes(512), WithWALCompactBytes(1024))
+	if err := head.WALError(); err != nil {
+		t.Fatal(err)
+	}
+	sh := head.shards[0]
+	want := storeOracle{}
+	for slot := int64(0); slot < 400; slot++ {
+		id := fmt.Sprintf("m%d", slot%5)
+		if slot%50 == 25 {
+			bad := []BatchReading{{Slot: slot, KW: 1}, {Slot: slot + 1, KW: -2}}
+			size, appended := sh.wal.size, sh.wal.ins.appended.Value()
+			if _, _, err := sh.wal.Append(appendPayload(nil, id, bad), sh, id); err == nil {
+				t.Fatalf("slot %d: Append took a negative kW", slot)
+			}
+			if sh.wal.size != size || sh.wal.ins.appended.Value() != appended {
+				t.Fatalf("slot %d: the refused record was logged", slot)
+			}
+			if _, ok := head.Reading(id, timeseries.Slot(slot)); ok {
+				t.Fatalf("slot %d: the refused record was applied", slot)
+			}
+			continue
+		}
+		rs := []BatchReading{{Slot: slot, KW: float64(slot) / 4}}
+		if err := head.store(id, rs, appendPayload(nil, id, rs)); err != nil {
+			t.Fatal(err)
+		}
+		want.put(id, rs)
+	}
+	if err := head.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if snaps, _ := filepath.Glob(filepath.Join(dir, "shard-*", "*.snap")); len(snaps) == 0 {
+		t.Fatal("no compaction ran")
+	}
+	reopened := NewSharded(1, WithWAL(dir))
+	defer func() { _ = reopened.Close() }()
+	if err := reopened.WALError(); err != nil {
+		t.Fatal(err)
+	}
+	if got := reopened.WALStats().TornTails; got != 0 {
+		t.Fatalf("recovery found %d corrupt files", got)
+	}
+	checkStoreMatchesOracle(t, "reopened", reopened, want)
 }

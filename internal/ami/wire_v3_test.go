@@ -105,12 +105,12 @@ func TestCodecSendOversized(t *testing.T) {
 func TestEnvelopeValidateNonFinite(t *testing.T) {
 	for _, kw := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		p := appendPayload(nil, "m1", []BatchReading{{Slot: 0, KW: 1}, {Slot: 1, KW: kw}})
-		if _, _, _, err := decodePayload(p, DefaultMaxBatch); err == nil {
+		if _, _, _, err := decodePayload(p, DefaultMaxBatch, nil); err == nil {
 			t.Errorf("batch payload with kw=%g decoded", kw)
 		}
 	}
 	p := appendPayload(nil, "m1", []BatchReading{{Slot: 0, KW: 0}, {Slot: 1, KW: 2.5}})
-	if _, _, _, err := decodePayload(p, DefaultMaxBatch); err != nil {
+	if _, _, _, err := decodePayload(p, DefaultMaxBatch, nil); err != nil {
 		t.Errorf("finite batch payload rejected: %v", err)
 	}
 }
@@ -882,8 +882,8 @@ func TestBatchPayloadGoldenMatchesWAL(t *testing.T) {
 	if got := hex.EncodeToString(frame[frameHeader:]); got != golden[16:] {
 		t.Fatalf("frame payload = %s\nwant WAL payload %s", got, golden[16:])
 	}
-	meterID, got, next, err := decodeWALRecord(rec, 0)
-	if err != nil || meterID != "m01" || next != len(rec) {
+	meterID, got, next, err := decodeWALRecord(rec, 0, nil)
+	if err != nil || string(meterID) != "m01" || next != len(rec) {
 		t.Fatalf("golden record replay = %q, %d bytes, %v", meterID, next, err)
 	}
 	for i := range rs {
@@ -985,6 +985,8 @@ func BenchmarkCodecRecvBatch48(b *testing.B) {
 	frame := AppendBatchFrame(nil, meterID, rs, key)
 	kr := NewKeyring(map[string][]byte{meterID: key})
 	c := NewCodec(rw{Reader: &loopReader{frame: frame}, Writer: io.Discard})
+	var mac macState
+	var got []BatchReading
 	b.ReportAllocs()
 	b.SetBytes(int64(len(frame)))
 	for i := 0; i < b.N; i++ {
@@ -992,11 +994,12 @@ func BenchmarkCodecRecvBatch48(b *testing.B) {
 		if err != nil || kind != frameBatch {
 			b.Fatalf("frame kind %d: %v", kind, err)
 		}
-		id, got, n, err := decodePayload(body, DefaultMaxBatch)
+		id, decoded, n, err := decodePayload(body, DefaultMaxBatch, got)
 		if err != nil || string(id) != meterID {
 			b.Fatalf("decode %q: %v", id, err)
 		}
-		if err := kr.verifyPayload(meterID, got[0].Slot, body[:n], body[n:]); err != nil {
+		got = decoded
+		if err := kr.verifyPayload(&mac, meterID, got[0].Slot, body[:n], body[n:]); err != nil {
 			b.Fatal(err)
 		}
 	}

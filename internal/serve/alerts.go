@@ -6,7 +6,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -170,28 +169,32 @@ func (r *alertRing) recent(n int) []AlertEvent {
 	return out
 }
 
-// jsonlLog serializes alert events onto an append-only writer, one JSON
-// object per line.
+// jsonlLog appends alert events to an append-only writer, one JSON object
+// per line, each line in one Write: the bytes json.Encoder would write.
 type jsonlLog struct {
-	mu  sync.Mutex
-	enc *json.Encoder
+	mu   sync.Mutex
+	w    io.Writer
+	line []byte // line assembly scratch, reused across writes
 }
 
 func newJSONLLog(w io.Writer) *jsonlLog {
 	if w == nil {
 		return nil
 	}
-	return &jsonlLog{enc: json.NewEncoder(w)}
+	return &jsonlLog{w: w}
 }
 
-func (l *jsonlLog) write(e AlertEvent) error {
+// write appends one event, already encoded by json.Marshal, as a line.
+func (l *jsonlLog) write(event []byte) error {
 	if l == nil {
 		return nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	//lint:ignore lockhold one Encoder means one writer: the lock exists precisely to serialize appends, and only alert deliveries (already off the detection path) contend on it
-	return l.enc.Encode(e)
+	l.line = append(append(l.line[:0], event...), '\n')
+	//lint:ignore lockhold one writer means one line at a time: the lock exists precisely to serialize appends, and only alert deliveries (already off the detection path) contend on it
+	_, err := l.w.Write(l.line)
+	return err
 }
 
 // sseHub fans alert events out to live /alerts/stream subscribers. Slow
@@ -227,6 +230,8 @@ func (h *sseHub) unsubscribe(ch chan []byte) {
 	}
 }
 
+// broadcast hands b, shared and read-only, to every subscriber; with none
+// it does nothing.
 func (h *sseHub) broadcast(b []byte) {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -348,12 +348,16 @@ func (s *Server) deliver(events []AlertEvent) {
 	for _, e := range events {
 		s.met.countAlert(e.Tier)
 		s.ring.add(e)
-		if err := s.alertLog.write(e); err != nil {
+		// One encoding serves the log line and every SSE subscriber.
+		b, err := json.Marshal(e)
+		if err != nil {
+			s.log.Error("alert encoding failed", "err", err)
+			continue
+		}
+		if err := s.alertLog.write(b); err != nil {
 			s.log.Error("alert log append failed", "err", err)
 		}
-		if b, err := json.Marshal(e); err == nil {
-			s.hub.broadcast(b)
-		}
+		s.hub.broadcast(b)
 	}
 }
 

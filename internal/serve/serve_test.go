@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -207,6 +208,41 @@ func TestAlertTiers(t *testing.T) {
 	st := s.Stats()
 	if st.AlertsLow != 1 || st.AlertsMedium != 1 || st.AlertsHigh != 1 || st.AlertsClear != 1 {
 		t.Errorf("alert counters = %+v, want one per tier", st)
+	}
+}
+
+// TestAlertLogMatchesJSONEncoder: deliver encodes each event once, and the
+// log line is byte for byte what json.Encoder writes (HTML escaping, the
+// U+2028 escape, omitted empty reason, trailing newline), while an SSE
+// subscriber gets the same bytes without the newline.
+func TestAlertLogMatchesJSONEncoder(t *testing.T) {
+	var logBuf bytes.Buffer
+	s := newTestServer(t, WithAlertLog(&logBuf))
+	sub := s.hub.subscribe()
+	defer s.hub.unsubscribe(sub)
+	at := time.Date(2016, 6, 28, 13, 30, 0, 123456789, time.FixedZone("X", 3600))
+	events := []AlertEvent{
+		{Seq: 1, Time: at, Consumer: "c<1>&", Tier: "HIGH", Slot: 336, Score: 0.123456789,
+			Threshold: 1e-7, Ratio: 2.5, Streak: 96, Detector: "kld", Reason: "score \"x\" \u2028 > é"},
+		{Seq: 2, Time: at.UTC(), Consumer: "c2", Tier: tierCleared, Slot: 1 << 40, Detector: "kld"},
+	}
+	s.deliver(events)
+
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	for _, e := range events {
+		if err := enc.Encode(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(logBuf.Bytes(), want.Bytes()) {
+		t.Fatalf("alert log:\n%s\nwant json.Encoder's:\n%s", logBuf.Bytes(), want.Bytes())
+	}
+	lines := bytes.SplitAfter(want.Bytes(), []byte("\n"))
+	for i := range events {
+		if got := <-sub; !bytes.Equal(got, bytes.TrimSuffix(lines[i], []byte("\n"))) {
+			t.Fatalf("SSE event %d = %s, want %s", i, got, lines[i])
+		}
 	}
 }
 
@@ -461,7 +497,15 @@ func (q *seqStream) Reseed(timeseries.Series) error { return nil }
 // must each keep their meters' order, while RetrainAll swaps streams and
 // /consumers/{id} reads them.
 func TestPerConsumerOrdering(t *testing.T) {
+	// overlap is closed by the first re-train that runs once the callers
+	// are up, so a sweep is known to have overlapped the sinks.
+	var callersUp atomic.Bool
+	var overlapOnce sync.Once
+	overlap := make(chan struct{})
 	retrain := func(_ string, _ Store, cur detect.StreamDetector) (detect.StreamDetector, error) {
+		if callersUp.Load() {
+			overlapOnce.Do(func() { close(overlap) })
+		}
 		return &seqStream{log: cur.(*seqStream).log}, nil
 	}
 	s := newTestServer(t, WithRetrain(retrain))
@@ -515,7 +559,11 @@ func TestPerConsumerOrdering(t *testing.T) {
 	}()
 
 	// Caller c owns meters c, c+callers, ...; it interleaves them a batch
-	// at a time, reusing one readings buffer as a session does.
+	// at a time, reusing one readings buffer as a session does. Caller 0
+	// waits halfway for a re-train, so however the goroutines are
+	// scheduled a sweep runs while it is still sinking.
+	before := s.Stats().Retrains
+	callersUp.Store(true)
 	var wg sync.WaitGroup
 	for c := 0; c < callers; c++ {
 		wg.Add(1)
@@ -524,6 +572,13 @@ func TestPerConsumerOrdering(t *testing.T) {
 			sink := s.Sink()
 			rs := make([]ami.BatchReading, batch)
 			for lo := 0; lo < slots; lo += batch {
+				if c == 0 && lo == slots/2 {
+					select {
+					case <-overlap:
+					case <-time.After(10 * time.Second):
+						t.Error("no re-train ran while the sinks did")
+					}
+				}
 				for m := c; m < meters; m += callers {
 					for i := range rs {
 						rs[i] = ami.BatchReading{Slot: int64(lo + i), KW: float64(lo + i)}
@@ -542,8 +597,8 @@ func TestPerConsumerOrdering(t *testing.T) {
 		t.Fatalf("observed %d missing %d stale %d, want %d/0/0 (ordering broke)",
 			st.Observed, st.Missing, st.Stale, meters*slots)
 	}
-	if st.Retrains == 0 {
-		t.Error("no re-train sweep ran alongside the sinks")
+	if st.Retrains <= before {
+		t.Errorf("re-train sweeps %d, want more than the %d before the sinks started", st.Retrains, before)
 	}
 	for m, log := range logs {
 		for i, v := range log {
